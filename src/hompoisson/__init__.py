@@ -76,7 +76,7 @@ from .poisson_poly import (
     translation,
     twisted_associator,
 )
-from .poly import Polynomial, poly_diff, poly_mul
+from .poly import Polynomial
 from .specfile import emit_map, emit_spec, parse_map, parse_spec
 
 __version__ = "0.1.0"

@@ -1,34 +1,32 @@
 """Twisted algebras given by structure constants, and their identity checkers.
 
 A twisted algebra is a based vector space with one or two bilinear operations
-(stored as rank-3 tensors) and a linear twisting map.  Every defining identity
-is multilinear in the algebra arguments, so vanishing on all basis tuples is
-equivalent to vanishing identically; the ``check_*`` functions sweep basis
-tuples in lexicographic order, collect at most ``MAX_WITNESSES`` failing
-tuples with their exact residual vectors, and return a structured report.
+(stored as rank-3 tensors) and a linear twisting map.  Each defining identity
+is stated once, as a function of an evaluator that supplies the bilinear
+operation and the linear map, and runs on one engine in two ways: on given
+vectors (the element-level functions) and on all basis tuples (the
+``check_*`` functions).  Every identity is multilinear in the algebra
+arguments, so vanishing on all basis tuples is equivalent to vanishing
+identically.  A check fixes the leading arguments to one basis vector at a
+time and computes the residuals of the whole remaining slice of tuples by
+sparse composition of the structure constants; it collects the first
+``MAX_WITNESSES`` failing tuples in lexicographic order with their exact
+residual vectors and returns a structured report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import (
-    LinearMap,
-    Trilinear,
-    Vector,
-    sparse_add,
-    sparse_apply,
-    sparse_contract,
-    sparse_sub,
-    sparse_to_vector,
-    vector_to_sparse,
-)
+from .linalg import LinearMap, Trilinear, Vector
 
 MAX_WITNESSES = 10
 
-_THIRD = Fraction(1, 3)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +155,74 @@ def aggregate_report(identity: str, parts) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# Defining identities
+#
+# Each identity is stated once, as a function of an evaluator ``E`` with a
+# bilinear ``E.op(t, a, b)`` (the operation with structure constants ``t``)
+# and a linear ``E.ap(m, a)``, followed by its operands and its algebra
+# arguments.  ``VECTORS`` evaluates an identity on given vectors,
+# ``poisson_poly.POLYNOMIALS`` on polynomials, and ``sweep`` on all basis
+# tuples.
+# ---------------------------------------------------------------------------
+
+def associator(E, mu, alpha, x, y, z):
+    """(xy)a(z) - a(x)(yz)."""
+    return E.op(mu, E.op(mu, x, y), E.ap(alpha, z)) - E.op(mu, E.ap(alpha, x), E.op(mu, y, z))
+
+
+def jacobian(E, t, alpha, x, y, z):
+    """Cyclic sum (xy)a(z) + (zx)a(y) + (yz)a(x)."""
+    return (E.op(t, E.op(t, x, y), E.ap(alpha, z))
+            + E.op(t, E.op(t, z, x), E.ap(alpha, y))
+            + E.op(t, E.op(t, y, z), E.ap(alpha, x)))
+
+
+def leibniz(E, br, mu, alpha, x, y, z):
+    """{a(x), yz} - {x,y}a(z) - a(y){x,z}."""
+    return (E.op(br, E.ap(alpha, x), E.op(mu, y, z))
+            - E.op(mu, E.op(br, x, y), E.ap(alpha, z))
+            - E.op(mu, E.ap(alpha, y), E.op(br, x, z)))
+
+
+def antisymmetry(E, t, x, y):
+    """{x,y} + {y,x}."""
+    return E.op(t, x, y) + E.op(t, y, x)
+
+
+def commutativity(E, mu, x, y):
+    """xy - yx."""
+    return E.op(mu, x, y) - E.op(mu, y, x)
+
+
+def morphism(E, f, source, target, x, y):
+    """f(xy) - f(x)f(y), the product taken in source and in target."""
+    return E.ap(f, E.op(source, x, y)) - E.op(target, E.ap(f, x), E.ap(f, y))
+
+
+def intertwining(E, f, source_alpha, target_alpha, x):
+    """f(a(x)) - a(f(x)), the twisting map taken in source and in target."""
+    return E.ap(f, E.ap(source_alpha, x)) - E.ap(target_alpha, E.ap(f, x))
+
+
+class VECTORS:
+    """Evaluates an identity on given vectors (rational or polynomial entries)."""
+
+    op = staticmethod(lambda t, a, b: t.contract(a, b))
+    ap = staticmethod(lambda m, a: m.apply(a))
+
+
+# ---------------------------------------------------------------------------
 # Element-level operations
 # ---------------------------------------------------------------------------
 
 def hom_associator(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """(xy)a(z) - a(x)(yz) for the algebra's product and twisting map a."""
-    mu, alpha = algebra.mu, algebra.alpha
-    return mu.contract(mu.contract(x, y), alpha.apply(z)) - mu.contract(alpha.apply(x), mu.contract(y, z))
+    return associator(VECTORS, algebra.mu, algebra.alpha, x, y, z)
 
 
 def hom_jacobian(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """Cyclic sum (xy)a(z) + (zx)a(y) + (yz)a(x) of the Jacobi operation."""
-    t, alpha = jacobi_tensor(algebra), algebra.alpha
-    return (
-        t.contract(t.contract(x, y), alpha.apply(z))
-        + t.contract(t.contract(z, x), alpha.apply(y))
-        + t.contract(t.contract(y, z), alpha.apply(x))
-    )
+    return jacobian(VECTORS, jacobi_tensor(algebra), algebra.alpha, x, y, z)
 
 
 def cyclic_associator_sum(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -187,123 +236,168 @@ def cyclic_associator_sum(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
 
 def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """{a(x), yz} - {x,y}a(z) - a(y){x,z}."""
-    br, mu, alpha = algebra.bracket, algebra.mu, algebra.alpha
-    return (
-        br.contract(alpha.apply(x), mu.contract(y, z))
-        - mu.contract(br.contract(x, y), alpha.apply(z))
-        - mu.contract(alpha.apply(y), br.contract(x, z))
-    )
+    return leibniz(VECTORS, algebra.bracket, algebra.mu, algebra.alpha, x, y, z)
 
 
 # ---------------------------------------------------------------------------
-# Basis sweeps
+# Basis sweeps: identities on sparse forms
 # ---------------------------------------------------------------------------
 
-def _sweep_triples(dim, residual_fn, identity: str) -> CheckReport:
+class _Form:
+    """A multilinear map from a sweep's free basis slots to the space.
+
+    ``cols[n][code]`` is the coefficient of basis vector n at the free basis
+    indices whose mixed-radix number is ``code`` (so sorted codes are in
+    lexicographic order); no stored coefficient is zero.  ``varies`` marks a
+    form that changes from one slice of the sweep to the next.
+    """
+
+    __slots__ = ("cols", "varies")
+
+    def __init__(self, cols: dict, varies: bool):
+        self.cols = {n: nonzero for n, col in cols.items()
+                     if (nonzero := {code: q for code, q in col.items() if q})}
+        self.varies = varies
+
+    def _merge(self, other: "_Form", negate: bool) -> "_Form":
+        cols = {n: dict(col) for n, col in self.cols.items()}
+        for n, col in other.cols.items():
+            acc = cols.setdefault(n, {})
+            for code, q in col.items():
+                acc[code] = acc.get(code, _ZERO) + (-q if negate else q)
+        return _Form(cols, self.varies or other.varies)
+
+    def __add__(self, other: "_Form") -> "_Form":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return self._merge(other, True)
+
+    def __rmul__(self, c) -> "_Form":
+        return _Form({n: {code: c * q for code, q in col.items()} for n, col in self.cols.items()},
+                     self.varies)
+
+
+def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
+    """t(a, b): the free slots of a and b are disjoint, so their codes add."""
+    out: dict = {}
+    bcols = b.cols
+    for i, acol in a.cols.items():
+        for j, k, q in t.rows.get(i, ()):
+            bcol = bcols.get(j)
+            if bcol is None:
+                continue
+            col = out.setdefault(k, {})
+            for ca, qa in acol.items():
+                f = q * qa
+                for cb, qb in bcol.items():
+                    code = ca + cb
+                    col[code] = col.get(code, _ZERO) + f * qb
+    return _Form(out, a.varies or b.varies)
+
+
+def _apply(m: LinearMap, a: _Form) -> _Form:
+    out: dict = {}
+    columns = m.sparse_columns
+    for j, acol in a.cols.items():
+        for i, coeff in columns[j]:
+            col = out.setdefault(i, {})
+            for code, q in acol.items():
+                col[code] = col.get(code, _ZERO) + coeff * q
+    return _Form(out, a.varies)
+
+
+class _Sweep:
+    """Evaluator on forms.  Within one sweep it memoises the subterms that do
+    not vary from slice to slice (those free of the fixed prefix); a memo
+    entry is keyed by operand ids, so it holds its operands to keep those ids
+    from being reused."""
+
+    def __init__(self):
+        self.memo: dict = {}
+
+    def _memo(self, fn, operand, *forms) -> _Form:
+        if any(f.varies for f in forms):
+            return fn(operand, *forms)
+        key = (fn, id(operand), *map(id, forms))
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = (operand, forms, fn(operand, *forms))
+        return hit[2]
+
+    def op(self, t: Trilinear, a: _Form, b: _Form) -> _Form:
+        return self._memo(_contract, t, a, b)
+
+    def ap(self, m: LinearMap, a: _Form) -> _Form:
+        return self._memo(_apply, m, a)
+
+
+def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckReport:
+    """Check ``residual(E, *operands, *args)`` on all basis tuples of ``arity``.
+
+    Every argument but the last two is fixed to one basis vector at a time,
+    in lexicographic order; the last two range over the whole basis at once,
+    so each evaluation yields one slice of residuals by sparse composition,
+    at a cost that follows the tensor nonzeros.  Stops at the
+    ``MAX_WITNESSES``-th failing tuple.
+    """
+    free = min(arity, 2)
+    E = _Sweep()
+    args = [_Form({n: {n * dim ** (free - 1 - s): _ONE} for n in range(dim)}, False)
+            for s in range(free)]
     witnesses = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                res = residual_fn(i, j, k)
-                if res:
-                    witnesses.append(Witness((i, j, k), sparse_to_vector(res, dim)))
-                    if len(witnesses) >= MAX_WITNESSES:
-                        return make_report(identity, witnesses)
+    for prefix in itertools.product(range(dim), repeat=arity - free):
+        fixed = [_Form({i: {0: _ONE}}, True) for i in prefix]
+        slice_ = {}
+        for n, col in residual(E, *operands, *fixed, *args).cols.items():
+            for code, q in col.items():
+                slice_.setdefault(code, {})[n] = q
+        for code in sorted(slice_):
+            entries = slice_[code]
+            indices = prefix + (divmod(code, dim) if free == 2 else (code,))
+            witnesses.append(Witness(indices, Vector(tuple(entries.get(n, _ZERO) for n in range(dim)))))
+            if len(witnesses) == MAX_WITNESSES:
+                return make_report(identity, witnesses)
     return make_report(identity, witnesses)
 
 
-def _sweep_pairs(dim, residual_fn, identity: str) -> CheckReport:
-    witnesses = []
-    for i in range(dim):
-        for j in range(dim):
-            res = residual_fn(i, j)
-            if res:
-                witnesses.append(Witness((i, j), sparse_to_vector(res, dim)))
-                if len(witnesses) >= MAX_WITNESSES:
-                    return make_report(identity, witnesses)
-    return make_report(identity, witnesses)
-
-
-def alpha_columns(algebra) -> list:
-    """Twisting-map columns as sparse maps, precomputed once per sweep."""
-    return [vector_to_sparse(algebra.alpha.column(k)) for k in range(algebra.dim)]
-
+# ---------------------------------------------------------------------------
+# Checkers
+# ---------------------------------------------------------------------------
 
 def check_hom_associative(algebra) -> CheckReport:
     """Product associativity twisted by the algebra's map, on all basis triples."""
-    mu, alpha = algebra.mu, algebra.alpha
-    cols = alpha_columns(algebra)
-
-    def residual(i, j, k):
-        left = sparse_contract(mu, mu.pair(i, j), cols[k])
-        right = sparse_contract(mu, cols[i], mu.pair(j, k))
-        return sparse_sub(left, right)
-
-    return _sweep_triples(algebra.dim, residual, "hom-associative")
+    return sweep("hom-associative", algebra.dim, 3, associator, algebra.mu, algebra.alpha)
 
 
 def check_antisymmetry(algebra) -> CheckReport:
     """Bracket antisymmetry as a structure-constant condition."""
-    t = jacobi_tensor(algebra)
-
-    def residual(i, j):
-        return sparse_add(dict(t.pair(i, j)), t.pair(j, i))
-
-    return _sweep_pairs(algebra.dim, residual, "antisymmetry")
+    return sweep("antisymmetry", algebra.dim, 2, antisymmetry, jacobi_tensor(algebra))
 
 
 def check_commutative(algebra) -> CheckReport:
     """Product symmetry as a structure-constant condition."""
-    mu = algebra.mu
-
-    def residual(i, j):
-        return sparse_sub(dict(mu.pair(i, j)), mu.pair(j, i))
-
-    return _sweep_pairs(algebra.dim, residual, "commutative")
+    return sweep("commutative", algebra.dim, 2, commutativity, algebra.mu)
 
 
 def check_hom_jacobi(algebra) -> CheckReport:
     """Twisted Jacobi identity for the bracket, on all basis triples."""
-    t, alpha = jacobi_tensor(algebra), algebra.alpha
-    cols = alpha_columns(algebra)
-
-    def residual(i, j, k):
-        out = sparse_contract(t, t.pair(i, j), cols[k])
-        out = sparse_add(out, sparse_contract(t, t.pair(k, i), cols[j]))
-        out = sparse_add(out, sparse_contract(t, t.pair(j, k), cols[i]))
-        return out
-
-    return _sweep_triples(algebra.dim, residual, "hom-jacobi")
+    return sweep("hom-jacobi", algebra.dim, 3, jacobian, jacobi_tensor(algebra), algebra.alpha)
 
 
 def check_hom_leibniz(algebra: HomPoissonAlgebra) -> CheckReport:
     """Twisted Leibniz compatibility between bracket and product."""
-    br, mu, alpha = algebra.bracket, algebra.mu, algebra.alpha
-    cols = alpha_columns(algebra)
-
-    def residual(i, j, k):
-        out = sparse_contract(br, cols[i], mu.pair(j, k))
-        out = sparse_sub(out, sparse_contract(mu, br.pair(i, j), cols[k]))
-        out = sparse_sub(out, sparse_contract(mu, cols[j], br.pair(i, k)))
-        return out
-
-    return _sweep_triples(algebra.dim, residual, "hom-leibniz")
+    return sweep("hom-leibniz", algebra.dim, 3, leibniz, algebra.bracket, algebra.mu, algebra.alpha)
 
 
 def check_multiplicative(algebra) -> CheckReport:
     """The twisting map is a morphism of every operation the algebra carries."""
-    alpha = algebra.alpha
-    cols = alpha_columns(algebra)
-    parts = []
     ops = [("mu", algebra.mu)]
     if isinstance(algebra, HomPoissonAlgebra):
         ops.insert(0, ("bracket", algebra.bracket))
-    for name, t in ops:
-        def residual(i, j, t=t):
-            return sparse_sub(sparse_apply(alpha, t.pair(i, j)),
-                              sparse_contract(t, cols[i], cols[j]))
-        parts.append(_sweep_pairs(algebra.dim, residual, f"multiplicative[{name}]"))
-    return aggregate_report("multiplicative", parts)
+    return aggregate_report("multiplicative", [
+        sweep(f"multiplicative[{name}]", algebra.dim, 2, morphism, algebra.alpha, t, t)
+        for name, t in ops])
 
 
 def check_morphism(f: LinearMap, source, target, weak: bool = False) -> CheckReport:
@@ -315,7 +409,6 @@ def check_morphism(f: LinearMap, source, target, weak: bool = False) -> CheckRep
     """
     if source.dim != target.dim or f.dim != source.dim:
         raise DimensionMismatch("morphism check requires equal dimensions")
-    fcols = [vector_to_sparse(f.column(k)) for k in range(source.dim)]
     ops = [("mu", source.mu, target.mu)]
     s_br = isinstance(source, HomPoissonAlgebra)
     t_br = isinstance(target, HomPoissonAlgebra)
@@ -323,23 +416,10 @@ def check_morphism(f: LinearMap, source, target, weak: bool = False) -> CheckRep
         ops.append(("bracket", source.bracket, target.bracket))
     elif s_br != t_br:
         raise ValueError("cannot compare a bracketed algebra with a single-product one")
-    parts = []
-    for name, ts, tt in ops:
-        def residual(i, j, ts=ts, tt=tt):
-            return sparse_sub(sparse_apply(f, ts.pair(i, j)),
-                              sparse_contract(tt, fcols[i], fcols[j]))
-        parts.append(_sweep_pairs(source.dim, residual, f"morphism[{name}]"))
+    parts = [sweep(f"morphism[{name}]", source.dim, 2, morphism, f, ts, tt) for name, ts, tt in ops]
     if not weak:
-        left = f.compose(source.alpha)
-        right = target.alpha.compose(f)
-        witnesses = []
-        for j in range(source.dim):
-            diff = left.column(j) - right.column(j)
-            if not diff.is_zero():
-                witnesses.append(Witness((j,), diff))
-                if len(witnesses) >= MAX_WITNESSES:
-                    break
-        parts.append(make_report("morphism[twisting]", witnesses))
+        parts.append(sweep("morphism[twisting]", source.dim, 1, intertwining,
+                           f, source.alpha, target.alpha))
     return aggregate_report("weak-morphism" if weak else "morphism", parts)
 
 
@@ -355,22 +435,3 @@ def check_hom_poisson(algebra: HomPoissonAlgebra) -> CheckReport:
     if algebra.commutative:
         parts.append(check_commutative(algebra))
     return aggregate_report("hom-poisson", parts)
-
-
-# ---------------------------------------------------------------------------
-# Shared sparse residuals (reused by the admissibility/flexibility sweeps)
-# ---------------------------------------------------------------------------
-
-def associator_sparse(mu: Trilinear, cols, i: int, j: int, k: int) -> dict:
-    """Twisted associator at basis triple (i, j, k) given twisting columns."""
-    return sparse_sub(sparse_contract(mu, mu.pair(i, j), cols[k]),
-                      sparse_contract(mu, cols[i], mu.pair(j, k)))
-
-
-def admissibility_rhs_sparse(mu: Trilinear, cols, i: int, j: int, k: int) -> dict:
-    """1/3 [ (xz)a(y) - (zx)a(y) + (yz)a(x) - (yx)a(z) ] at basis (i, j, k)."""
-    rhs = sparse_contract(mu, mu.pair(i, k), cols[j])
-    rhs = sparse_sub(rhs, sparse_contract(mu, mu.pair(k, i), cols[j]))
-    rhs = sparse_add(rhs, sparse_contract(mu, mu.pair(j, k), cols[i]))
-    rhs = sparse_sub(rhs, sparse_contract(mu, mu.pair(j, i), cols[k]))
-    return {n: _THIRD * q for n, q in rhs.items()}

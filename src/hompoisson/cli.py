@@ -173,7 +173,7 @@ def _cmd_catalog(args) -> int:
         key, _, value = item.partition("=")
         try:
             params[key.strip()] = rat(value.strip())
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SpecFileError(f"--param {item!r}: {exc}") from exc
     obj = cat.build_catalog(args.name, params)
     reports = cat.entry_reports(args.name, obj)

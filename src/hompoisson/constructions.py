@@ -13,25 +13,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    VECTORS,
     CheckReport,
     HomAlgebra,
     HomPoissonAlgebra,
     Witness,
-    admissibility_rhs_sparse,
     aggregate_report,
-    alpha_columns,
-    associator_sparse,
+    associator,
     check_commutative,
     check_hom_associative,
     check_morphism,
     check_multiplicative,
+    jacobian,
     make_report,
-    _sweep_triples,
+    sweep,
 )
 from .errors import PreconditionError, SingularMatrixError
-from .linalg import LinearMap, Trilinear, Vector, sparse_add, sparse_sub
+from .linalg import LinearMap, Trilinear, Vector
 
 _HALF = Fraction(1, 2)
+_THIRD = Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +159,11 @@ def nonrigidity_witness(algebra: HomPoissonAlgebra, beta: LinearMap,
     if not report.passed:
         raise PreconditionError("non-rigidity probe requires a (weak) self-morphism", report)
     x, y, z = triple
-    if op == "mu":
-        t = algebra.mu.map_outputs(beta)
-        return t.contract(t.contract(x, y), z) - t.contract(x, t.contract(y, z))
-    if op == "bracket":
-        t = algebra.bracket.map_outputs(beta)
-        return (t.contract(t.contract(x, y), z)
-                + t.contract(t.contract(z, x), y)
-                + t.contract(t.contract(y, z), x))
-    raise ValueError(f"op must be 'mu' or 'bracket', got {op!r}")
+    identity = {"mu": associator, "bracket": jacobian}.get(op)
+    if identity is None:
+        raise ValueError(f"op must be 'mu' or 'bracket', got {op!r}")
+    t = getattr(algebra, op).map_outputs(beta)
+    return identity(VECTORS, t, LinearMap.identity(algebra.dim), x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +252,28 @@ def depolarize(algebra: HomPoissonAlgebra) -> HomAlgebra:
     )
 
 
+def admissibility(E, mu, alpha, x, y, z):
+    """as(x,y,z) - 1/3 [(xz)a(y) - (zx)a(y) + (yz)a(x) - (yx)a(z)]."""
+    def twisted(a, b, c):
+        return E.op(mu, E.op(mu, a, b), E.ap(alpha, c))
+    rhs = twisted(x, z, y) - twisted(z, x, y) + twisted(y, z, x) - twisted(y, x, z)
+    return associator(E, mu, alpha, x, y, z) - _THIRD * rhs
+
+
+def flexibility(E, mu, alpha, x, y, z):
+    """as(x,y,z) + as(z,y,x)."""
+    return associator(E, mu, alpha, x, y, z) + associator(E, mu, alpha, z, y, x)
+
+
 def check_admissible(algebra) -> CheckReport:
     """Is the single product's twisted associator the prescribed 1/3-combination?
 
     Passing is equivalent to the polarization being a full bracket/product
     structure satisfying the whole identity suite.
     """
-    mu = algebra.mu
-    cols = alpha_columns(algebra)
-
-    def residual(i, j, k):
-        return sparse_sub(associator_sparse(mu, cols, i, j, k),
-                          admissibility_rhs_sparse(mu, cols, i, j, k))
-
-    return _sweep_triples(algebra.dim, residual, "admissible")
+    return sweep("admissible", algebra.dim, 3, admissibility, algebra.mu, algebra.alpha)
 
 
 def check_hom_flexible(algebra) -> CheckReport:
     """as(x,y,z) + as(z,y,x) = 0 on all basis triples."""
-    mu = algebra.mu
-    cols = alpha_columns(algebra)
-
-    def residual(i, j, k):
-        return sparse_add(associator_sparse(mu, cols, i, j, k),
-                          associator_sparse(mu, cols, k, j, i))
-
-    return _sweep_triples(algebra.dim, residual, "hom-flexible")
+    return sweep("hom-flexible", algebra.dim, 3, flexibility, algebra.mu, algebra.alpha)

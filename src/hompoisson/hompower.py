@@ -83,10 +83,13 @@ def hom_power_pair(algebra, x, i: int, j: int):
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
     v, generic = _as_vector(x)
-    table = _power_table(algebra, v, max(i, j))
-    left = algebra.alpha.power(j - 1).apply(table[i])
-    right = algebra.alpha.power(i - 1).apply(table[j])
-    return _wrap(algebra.mu.contract(left, right), generic)
+    return _wrap(_pair(algebra, _power_table(algebra, v, max(i, j)), i, j), generic)
+
+
+def _pair(algebra, table: list, i: int, j: int) -> Vector:
+    """x^(i,j) from a table of twisted powers of x."""
+    alpha = algebra.alpha
+    return algebra.mu.contract(alpha.power(j - 1).apply(table[i]), alpha.power(i - 1).apply(table[j]))
 
 
 def _guard(algebra, n: int) -> None:
@@ -104,12 +107,9 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     x = generic_element(algebra.dim)
     v = x.as_vector()
     table = _power_table(algebra, v, n)
-    alpha = algebra.alpha
     witnesses = []
     for i in range(1, n):
-        left = alpha.power(i - 1).apply(table[n - i])
-        right = alpha.power(n - i - 1).apply(table[i])
-        residual = table[n] - algebra.mu.contract(left, right)
+        residual = table[n] - _pair(algebra, table, n - i, i)
         if not residual.is_zero():
             witnesses.append(Witness((n, i), residual))
     return make_report(f"hom-power-associative[{n}]", witnesses)

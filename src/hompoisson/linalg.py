@@ -168,8 +168,8 @@ class LinearMap:
         return Vector(tuple(row[j] for row in self.rows))
 
     @cached_property
-    def _sparse_columns(self) -> tuple:
-        # column j as a tuple of (i, value) pairs; used by the identity sweeps
+    def sparse_columns(self) -> tuple:
+        """Column j as a tuple of its nonzero (i, value) pairs."""
         cols = []
         for j in range(self.dim):
             cols.append(tuple((i, self.rows[i][j]) for i in range(self.dim) if self.rows[i][j] != 0))
@@ -285,7 +285,7 @@ class Trilinear:
     tensors have a handful of entries even in dimension 9 or 16.
     """
 
-    __slots__ = ("dim", "_entries", "_pairs")
+    __slots__ = ("dim", "_entries", "rows")
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
@@ -300,11 +300,11 @@ class Trilinear:
             if q != 0:
                 data[(i, j, k)] = q
         self._entries = data
-        # op(e_i, e_j) indexed by input pair, for sparse sweeps
-        pairs: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # rows[i]: the (j, k, coefficient) entries with first index i
+        rows: dict[int, list] = {}
         for (i, j, k), q in data.items():
-            pairs.setdefault((i, j), {})[k] = q
-        self._pairs = pairs
+            rows.setdefault(i, []).append((j, k, q))
+        self.rows = rows
 
     @staticmethod
     def zero(dim: int) -> "Trilinear":
@@ -316,14 +316,12 @@ class Trilinear:
     def entry(self, i: int, j: int, k: int) -> Fraction:
         return self._entries.get((i, j, k), _ZERO)
 
-    def pair(self, i: int, j: int) -> Mapping[int, Fraction]:
-        """op(e_i, e_j) as a sparse {index: coefficient} map."""
-        return self._pairs.get((i, j), {})
-
     def pair_vector(self, i: int, j: int) -> Vector:
+        """op(e_i, e_j)."""
         out = [_ZERO] * self.dim
-        for k, q in self.pair(i, j).items():
-            out[k] = q
+        for jj, k, q in self.rows.get(i, ()):
+            if jj == j:
+                out[k] = q
         return Vector(tuple(out))
 
     def is_zero(self) -> bool:
@@ -366,7 +364,7 @@ class Trilinear:
         if m.dim != self.dim:
             raise DimensionMismatch(f"map dim {m.dim} vs tensor dim {self.dim}")
         data: dict[tuple[int, int, int], Fraction] = {}
-        cols = m._sparse_columns
+        cols = m.sparse_columns
         for (i, j, k), q in self._entries.items():
             for out_idx, coeff in cols[k]:
                 key = (i, j, out_idx)
@@ -412,72 +410,3 @@ class Trilinear:
     def __repr__(self) -> str:
         body = ", ".join(f"{ijk}: {q}" for ijk, q in sorted(self._entries.items()))
         return f"Trilinear(dim={self.dim}, {{{body}}})"
-
-
-# ---------------------------------------------------------------------------
-# Sparse {index: rational} helpers for the basis-triple identity sweeps.
-# These avoid materializing dense vectors in the innermost loops.
-# ---------------------------------------------------------------------------
-
-def sparse_contract(t: Trilinear, xs: Mapping[int, Fraction], ys: Mapping[int, Fraction]) -> dict:
-    out: dict[int, Fraction] = {}
-    pairs = t._pairs
-    for i, xi in xs.items():
-        for j, yj in ys.items():
-            cell = pairs.get((i, j))
-            if not cell:
-                continue
-            f = xi * yj
-            for k, q in cell.items():
-                v = out.get(k, _ZERO) + f * q
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-    return out
-
-
-def sparse_apply(m: LinearMap, xs: Mapping[int, Fraction]) -> dict:
-    out: dict[int, Fraction] = {}
-    cols = m._sparse_columns
-    for j, xj in xs.items():
-        for i, coeff in cols[j]:
-            v = out.get(i, _ZERO) + coeff * xj
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-    return out
-
-
-def sparse_sub(a: dict, b: Mapping[int, Fraction]) -> dict:
-    out = dict(a)
-    for k, q in b.items():
-        v = out.get(k, _ZERO) - q
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def sparse_add(a: dict, b: Mapping[int, Fraction]) -> dict:
-    out = dict(a)
-    for k, q in b.items():
-        v = out.get(k, _ZERO) + q
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def sparse_to_vector(xs: Mapping[int, Fraction], dim: int) -> Vector:
-    out = [_ZERO] * dim
-    for k, q in xs.items():
-        out[k] = q
-    return Vector(tuple(out))
-
-
-def vector_to_sparse(v: Vector) -> dict:
-    return {i: e for i, e in enumerate(v.entries) if e != 0}

@@ -18,9 +18,11 @@ from .algebra import (
     CheckReport,
     HomPoissonAlgebra,
     Witness,
+    associator,
     check_antisymmetry,
     check_hom_jacobi,
     make_report,
+    morphism,
 )
 from .errors import GeneratorMismatch, PreconditionError
 from .linalg import LinearMap, Trilinear, rat
@@ -164,6 +166,27 @@ def symplectic_bracket(struct: SymplecticStructure, f: Polynomial, g: Polynomial
 # Substitutions as bracket morphisms
 # ---------------------------------------------------------------------------
 
+class POLYNOMIALS:
+    """Evaluates an identity on polynomials: ``op(m, f, g)`` is the product
+    or bracket ``m(f, g)`` and ``ap(sub, f)`` the substitution ``sub(f)``."""
+
+    op = staticmethod(lambda m, f, g: m(f, g))
+    ap = staticmethod(lambda sub, f: sub(f))
+
+
+def _generator_pairs(identity: str, struct, sub: Substitution) -> CheckReport:
+    """sub({x, y}) = {sub(x), sub(y)} on all pairs of generators."""
+    gens = struct.generators
+    witnesses = []
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            diff = morphism(POLYNOMIALS, sub, struct.bracket, struct.bracket,
+                            struct.variable(gi), struct.variable(gj))
+            if not diff.is_zero():
+                witnesses.append(Witness((i, j), diff))
+    return make_report(identity, witnesses)
+
+
 def check_poisson_substitution(struct: LiePoissonStructure, sub: Substitution) -> CheckReport:
     """Does the substitution respect the induced bracket?
 
@@ -172,35 +195,17 @@ def check_poisson_substitution(struct: LiePoissonStructure, sub: Substitution) -
     required to be linear with zero constant term, the shape induced by a
     Lie-algebra self-map, so that argument applies.
     """
-    gens = struct.generators
     if not sub.is_linear():
         raise PreconditionError("bracket-morphism check requires linear generator images")
-    witnesses = []
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            lhs = sub(lie_poisson_bracket(struct, struct.variable(gi), struct.variable(gj)))
-            rhs = lie_poisson_bracket(struct, sub.images[gi], sub.images[gj])
-            diff = lhs - rhs
-            if not diff.is_zero():
-                witnesses.append(Witness((i, j), diff))
-    return make_report("poisson-substitution", witnesses)
+    return _generator_pairs("poisson-substitution", struct, sub)
 
 
 def check_symplectic_substitution(struct: SymplecticStructure, sub: Substitution) -> CheckReport:
     """Same generator-pair check for the canonical bracket; affine images allowed
     (translations are the motivating case)."""
-    gens = struct.generators
     if not sub.is_affine():
         raise PreconditionError("bracket-morphism check requires degree <= 1 generator images")
-    witnesses = []
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            lhs = sub(symplectic_bracket(struct, struct.variable(gi), struct.variable(gj)))
-            rhs = symplectic_bracket(struct, sub.images[gi], sub.images[gj])
-            diff = lhs - rhs
-            if not diff.is_zero():
-                witnesses.append(Witness((i, j), diff))
-    return make_report("symplectic-substitution", witnesses)
+    return _generator_pairs("symplectic-substitution", struct, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,7 @@ def twisted_associator(sub: Substitution, f: Polynomial, g: Polynomial, h: Polyn
     Nonzero output certifies that twisting the polynomial product by ``sub``
     destroys associativity.
     """
-    m = lambda a, b: twisted_product(sub, a, b)
-    return m(m(f, g), h) - m(f, m(g, h))
+    return associator(POLYNOMIALS, lambda a, b: twisted_product(sub, a, b), lambda a: a, f, g, h)
 
 
 class ManifoldProbe(NamedTuple):

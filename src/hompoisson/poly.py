@@ -261,13 +261,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact product (function-style alias for the operator)."""
-    return f * g
-
-
-def poly_diff(f: Polynomial, name) -> Polynomial:
-    """Exact partial derivative (function-style alias for the method)."""
-    return f.diff(name)

@@ -7,6 +7,7 @@ seeded random generators for structure constants.
 """
 
 from fractions import Fraction
+import itertools
 import random
 
 from hompoisson.linalg import LinearMap, Trilinear, Vector
@@ -43,40 +44,185 @@ def unit_matrix(n, i, j):
     return tuple(tuple(Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n)) for r in range(n))
 
 
+def basis(dim, i):
+    return [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
+
+
 # ---------------------------------------------------------------------------
-# Naive dense residuals (no sparse shortcuts, no shared helpers)
+# Naive dense oracles (no sparse shortcuts, no shared helpers) for every
+# defining identity, and the reports the checkers must produce: each residual
+# is evaluated on every basis tuple in lexicographic order, keeping the first
+# ten nonzero ones.
 # ---------------------------------------------------------------------------
 
-def dense_contract(t: Trilinear, x, y):
-    dim = t.dim
-    out = [Fraction(0)] * dim
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                out[k] += x[i] * y[j] * t.entry(i, j, k)
+WITNESS_CAP = 10
+
+
+def dense_tensor(t: Trilinear):
+    d = t.dim
+    return [[[t.entry(i, j, k) for k in range(d)] for j in range(d)] for i in range(d)]
+
+
+def dense_matrix(m: LinearMap):
+    return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def op(T, x, y):
+    """out_k = sum_ij x_i y_j T[i][j][k], skipping zero coordinates."""
+    d = len(T)
+    out = [Fraction(0)] * d
+    for i in range(d):
+        if x[i] == 0:
+            continue
+        for j in range(d):
+            if y[j] == 0:
+                continue
+            c = x[i] * y[j]
+            row = T[i][j]
+            for k in range(d):
+                out[k] += c * row[k]
     return out
 
 
-def dense_apply(m: LinearMap, x):
-    dim = m.dim
-    return [sum(m.entry(i, j) * x[j] for j in range(dim)) for i in range(dim)]
+def ap(M, x):
+    return [sum(M[i][j] * x[j] for j in range(len(x))) for i in range(len(x))]
+
+
+def add(*vs):
+    return [sum(col) for col in zip(*vs)]
+
+
+def sub(v, w):
+    return [a - b for a, b in zip(v, w)]
+
+
+def scale(c, v):
+    return [c * a for a in v]
+
+
+def oracle_associator(M, A, x, y, z):
+    """(xy)a(z) - a(x)(yz)"""
+    return sub(op(M, op(M, x, y), ap(A, z)), op(M, ap(A, x), op(M, y, z)))
+
+
+def oracle_jacobian(B, A, x, y, z):
+    """[[x,y],a(z)] + [[z,x],a(y)] + [[y,z],a(x)]"""
+    return add(op(B, op(B, x, y), ap(A, z)), op(B, op(B, z, x), ap(A, y)),
+               op(B, op(B, y, z), ap(A, x)))
+
+
+def oracle_leibniz(B, M, A, x, y, z):
+    """[a(x), yz] - [x,y]a(z) - a(y)[x,z]"""
+    return sub(sub(op(B, ap(A, x), op(M, y, z)), op(M, op(B, x, y), ap(A, z))),
+               op(M, ap(A, y), op(B, x, z)))
+
+
+def oracle_antisymmetry(B, x, y):
+    return add(op(B, x, y), op(B, y, x))
+
+
+def oracle_commutative(M, x, y):
+    return sub(op(M, x, y), op(M, y, x))
+
+
+def oracle_multiplicative(T, A, x, y):
+    """a(xy) - a(x)a(y)"""
+    return sub(ap(A, op(T, x, y)), op(T, ap(A, x), ap(A, y)))
+
+
+def oracle_morphism(F, S, T, x, y):
+    """f(xy) in the source against f(x)f(y) in the target"""
+    return sub(ap(F, op(S, x, y)), op(T, ap(F, x), ap(F, y)))
+
+
+def oracle_twisting(F, A_s, A_t, x):
+    """f a_s = a_t f on x"""
+    return sub(ap(F, ap(A_s, x)), ap(A_t, ap(F, x)))
+
+
+def oracle_admissible(M, A, x, y, z):
+    """as(x,y,z) = 1/3 [(xz)a(y) - (zx)a(y) + (yz)a(x) - (yx)a(z)]"""
+    def prod(a, b, c):
+        return op(M, op(M, a, b), ap(A, c))
+    rhs = sub(add(sub(prod(x, z, y), prod(z, x, y)), prod(y, z, x)), prod(y, x, z))
+    return sub(oracle_associator(M, A, x, y, z), scale(Fraction(1, 3), rhs))
+
+
+def oracle_flexible(M, A, x, y, z):
+    """as(x,y,z) + as(z,y,x)"""
+    return add(oracle_associator(M, A, x, y, z), oracle_associator(M, A, z, y, x))
+
+
+def dense_contract(t: Trilinear, x, y):
+    return op(dense_tensor(t), x, y)
 
 
 def dense_hom_associator(mu, alpha, x, y, z):
-    left = dense_contract(mu, dense_contract(mu, x, y), dense_apply(alpha, z))
-    right = dense_contract(mu, dense_apply(alpha, x), dense_contract(mu, y, z))
-    return [l - r for l, r in zip(left, right)]
+    return oracle_associator(dense_tensor(mu), dense_matrix(alpha), x, y, z)
 
 
 def dense_hom_jacobian(t, alpha, x, y, z):
-    def term(a, b, c):
-        return dense_contract(t, dense_contract(t, a, b), dense_apply(alpha, c))
-    parts = [term(x, y, z), term(z, x, y), term(y, z, x)]
-    return [sum(col) for col in zip(*parts)]
+    return oracle_jacobian(dense_tensor(t), dense_matrix(alpha), x, y, z)
 
 
-def basis(dim, i):
-    return [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
+def oracle_leaf(identity, dim, arity, residual):
+    """(identity, passed, [(indices, residual)]) over all basis tuples."""
+    witnesses = []
+    for idx in itertools.product(range(dim), repeat=arity):
+        res = residual(*(basis(dim, i) for i in idx))
+        if any(v != 0 for v in res):
+            witnesses.append((idx, res))
+            if len(witnesses) == WITNESS_CAP:
+                break
+    return (identity, not witnesses, witnesses)
+
+
+def oracle_reports(algebra):
+    """Expected leaves of every single-algebra check, keyed by check name."""
+    d = algebra.dim
+    M, A = dense_tensor(algebra.mu), dense_matrix(algebra.alpha)
+    bracketed = hasattr(algebra, "bracket")
+    B = dense_tensor(algebra.bracket) if bracketed else M
+    leaf = lambda name, arity, fn: oracle_leaf(name, d, arity, fn)
+    out = {
+        "antisymmetry": [leaf("antisymmetry", 2, lambda x, y: oracle_antisymmetry(B, x, y))],
+        "commutative": [leaf("commutative", 2, lambda x, y: oracle_commutative(M, x, y))],
+        "hom-jacobi": [leaf("hom-jacobi", 3, lambda x, y, z: oracle_jacobian(B, A, x, y, z))],
+        "hom-associative": [leaf("hom-associative", 3, lambda x, y, z: oracle_associator(M, A, x, y, z))],
+        "admissible": [leaf("admissible", 3, lambda x, y, z: oracle_admissible(M, A, x, y, z))],
+        "hom-flexible": [leaf("hom-flexible", 3, lambda x, y, z: oracle_flexible(M, A, x, y, z))],
+        "multiplicative": ([leaf("multiplicative[bracket]", 2, lambda x, y: oracle_multiplicative(B, A, x, y))]
+                           if bracketed else [])
+        + [leaf("multiplicative[mu]", 2, lambda x, y: oracle_multiplicative(M, A, x, y))],
+    }
+    if bracketed:
+        out["hom-leibniz"] = [leaf("hom-leibniz", 3, lambda x, y, z: oracle_leibniz(B, M, A, x, y, z))]
+        out["hom-poisson"] = (out["antisymmetry"] + out["hom-jacobi"] + out["hom-associative"]
+                              + out["hom-leibniz"] + (out["commutative"] if algebra.commutative else []))
+    return out
+
+
+def oracle_morphism_report(f, source, target, weak):
+    """Expected leaves of check_morphism(f, source, target, weak)."""
+    d = source.dim
+    F = dense_matrix(f)
+    pairs = [("mu", source.mu, target.mu)]
+    if hasattr(source, "bracket"):
+        pairs.append(("bracket", source.bracket, target.bracket))
+    leaves = []
+    for name, s, t in pairs:
+        S, T = dense_tensor(s), dense_tensor(t)
+        leaves.append(oracle_leaf(f"morphism[{name}]", d, 2, lambda x, y: oracle_morphism(F, S, T, x, y)))
+    if not weak:
+        A_s, A_t = dense_matrix(source.alpha), dense_matrix(target.alpha)
+        leaves.append(oracle_leaf("morphism[twisting]", d, 1, lambda x: oracle_twisting(F, A_s, A_t, x)))
+    return leaves
+
+
+def report_leaves(report):
+    """A checker's report in the oracle's shape."""
+    return [(leaf.identity, leaf.passed, [(w.indices, list(w.residual.entries)) for w in leaf.witnesses])
+            for leaf in report.flat()]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ def test_matrix_products_against_dense_oracle():
                 assert got == left
 
 
+def test_matrix_basis_names():
+    assert matrix_algebra(2).basis == ("E11", "E12", "E21", "E22")
+    assert matrix_algebra(9).basis[-1] == "E99"
+    big = matrix_algebra(11)
+    assert big.dim == 121 and len(set(big.basis)) == 121
+    assert big.basis[:2] == ("E1_1", "E1_2") and "E1_11" in big.basis and "E11_1" in big.basis
+    assert matrix_algebra(10).basis[-1] == "E10_10"
+
+
 def test_heisenberg_morphism_is_bracket_morphism():
     lie = HomPoissonAlgebra(
         basis=("X", "Y", "Z"),

@@ -72,6 +72,8 @@ def test_usage_and_io_errors(capsys, tmp_path):
     assert run_command([]) == 2
     assert run_command(["catalog", "unknown-name"]) == 2
     assert run_command(["catalog", "heisenberg-p31", "--param", "zeta"]) == 2
+    assert run_command(["catalog", "matrix", "--param", "n=1/0"]) == 2
+    assert "n=1/0" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_command(["check", str(bad)]) == 2
