@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import CheckReport, Witness, check_multiplicative, make_report
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import Vector
+from .linalg import LinearMap, Vector
 from .poly import Polynomial
 
 # Desk-scale guards: generic n-th powers in dimension d are polynomials of
@@ -63,19 +63,21 @@ def hom_power(algebra, x, n: int):
     v, generic = _as_vector(x)
     if v.dim != algebra.dim:
         raise ValueError(f"element dim {v.dim} != algebra dim {algebra.dim}")
-    powers = _power_table(algebra, v, n)
-    return _wrap(powers[n], generic)
+    table, _ = _power_table(algebra, v, n)
+    return _wrap(table[n], generic)
 
 
-def _power_table(algebra, v: Vector, n: int) -> list:
-    """Twisted powers v^1..v^n (index 0 unused)."""
+def _power_table(algebra, v: Vector, n: int) -> tuple[list, list]:
+    """Twisted powers v^1..v^n (index 0 unused) and the twisting-map powers
+    alpha^0..alpha^(n-1), each composed once, that they and the pair powers use."""
     mu, alpha = algebra.mu, algebra.alpha
+    alphas = [LinearMap.identity(algebra.dim)]
+    for _ in range(1, n):
+        alphas.append(alphas[-1].compose(alpha))
     table = [None, v]
-    current = v
     for m in range(2, n + 1):
-        current = mu.contract(current, alpha.power(m - 2).apply(v))
-        table.append(current)
-    return table
+        table.append(mu.contract(table[-1], alphas[m - 2].apply(v)))
+    return table, alphas
 
 
 def hom_power_pair(algebra, x, i: int, j: int):
@@ -83,13 +85,12 @@ def hom_power_pair(algebra, x, i: int, j: int):
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
     v, generic = _as_vector(x)
-    return _wrap(_pair(algebra, _power_table(algebra, v, max(i, j)), i, j), generic)
+    return _wrap(_pair(algebra, *_power_table(algebra, v, max(i, j)), i, j), generic)
 
 
-def _pair(algebra, table: list, i: int, j: int) -> Vector:
-    """x^(i,j) from a table of twisted powers of x."""
-    alpha = algebra.alpha
-    return algebra.mu.contract(alpha.power(j - 1).apply(table[i]), alpha.power(i - 1).apply(table[j]))
+def _pair(algebra, table: list, alphas: list, i: int, j: int) -> Vector:
+    """x^(i,j) from the tables of twisted powers of x and of alpha."""
+    return algebra.mu.contract(alphas[j - 1].apply(table[i]), alphas[i - 1].apply(table[j]))
 
 
 def _guard(algebra, n: int) -> None:
@@ -106,10 +107,10 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     _guard(algebra, n)
     x = generic_element(algebra.dim)
     v = x.as_vector()
-    table = _power_table(algebra, v, n)
+    table, alphas = _power_table(algebra, v, n)
     witnesses = []
     for i in range(1, n):
-        residual = table[n] - _pair(algebra, table, n - i, i)
+        residual = table[n] - _pair(algebra, table, alphas, n - i, i)
         if not residual.is_zero():
             witnesses.append(Witness((n, i), residual))
     return make_report(f"hom-power-associative[{n}]", witnesses)
@@ -128,7 +129,7 @@ def check_criterion_34(algebra) -> CheckReport:
     _guard(algebra, 4)
     mu, alpha = algebra.mu, algebra.alpha
     x = generic_element(algebra.dim).as_vector()
-    table = _power_table(algebra, x, 4)
+    table, _ = _power_table(algebra, x, 4)
     ax = alpha.apply(x)
     witnesses = []
     third = mu.contract(table[2], ax) - mu.contract(ax, table[2])

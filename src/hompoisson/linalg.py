@@ -6,6 +6,11 @@ no floating point anywhere in the package.  Vectors and tensor contractions
 are deliberately generic over the scalar ring: entries may also be sparse
 polynomials (see ``poly``), which is how universally quantified identities
 are decided with generic elements.
+
+Square matrices keep one dense, canonical form (``LinearMap.rows``) for
+equality, hashing and serialisation, and run every product, application and
+identity test over cached views of their nonzero entries, so a diagonal or
+permutation map costs its dimension, not its square or cube.
 """
 
 from __future__ import annotations
@@ -131,17 +136,36 @@ class LinearMap:
     """Square matrix over the rationals; column j is the image of basis vector j.
 
     ``rows[i][j]`` is the coefficient of basis vector i in the image of basis
-    vector j (the usual matrix convention).
+    vector j (the usual matrix convention).  ``rows`` is the one public,
+    canonical form (equality, hashing and serialisation read it); products
+    and applications run over the cached nonzero views ``sparse_rows`` and
+    ``sparse_columns``, so their cost follows the nonzeros, not the dimension.
     """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(rat(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(map(rat, row)) for row in self.rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("linear map matrix must be square")
         object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def _of_sparse(rows: tuple, columns: tuple) -> "LinearMap":
+        """The map with the given sparse rows and columns (nonzero rationals in
+        ascending index order), built without re-coercing its entries."""
+        n = len(rows)
+        dense = []
+        for line in rows:
+            row = [_ZERO] * n
+            for j, q in line:
+                row[j] = q
+            dense.append(tuple(row))
+        m = object.__new__(LinearMap)
+        object.__setattr__(m, "rows", tuple(dense))
+        m.__dict__.update(sparse_rows=rows, sparse_columns=columns)
+        return m
 
     @property
     def dim(self) -> int:
@@ -149,17 +173,16 @@ class LinearMap:
 
     @staticmethod
     def identity(dim: int) -> "LinearMap":
-        return LinearMap(tuple(tuple(_ONE if i == j else _ZERO for j in range(dim)) for i in range(dim)))
+        return LinearMap.diagonal([_ONE] * dim)
 
     @staticmethod
     def zero(dim: int) -> "LinearMap":
-        return LinearMap(((_ZERO,) * dim,) * dim)
+        return LinearMap._of_sparse(((),) * dim, ((),) * dim)
 
     @staticmethod
     def diagonal(values: Iterable) -> "LinearMap":
-        vals = [rat(v) for v in values]
-        n = len(vals)
-        return LinearMap(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
+        lines = tuple(((i, q),) if q else () for i, q in enumerate(rat(v) for v in values))
+        return LinearMap._of_sparse(lines, lines)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -168,38 +191,44 @@ class LinearMap:
         return Vector(tuple(row[j] for row in self.rows))
 
     @cached_property
+    def sparse_rows(self) -> tuple:
+        """Row i as a tuple of its nonzero (j, value) pairs."""
+        return tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in self.rows)
+
+    @cached_property
     def sparse_columns(self) -> tuple:
         """Column j as a tuple of its nonzero (i, value) pairs."""
-        cols = []
-        for j in range(self.dim):
-            cols.append(tuple((i, self.rows[i][j]) for i in range(self.dim) if self.rows[i][j] != 0))
-        return tuple(cols)
+        return _transpose(self.sparse_rows)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product; generic over the entry ring of ``v``."""
         if self.dim != v.dim:
             raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
+        x = v.entries
         out = []
-        for row in self.rows:
+        for line in self.sparse_rows:
             acc = None
-            for coeff, x in zip(row, v.entries):
-                if coeff == 0:
-                    continue
-                term = coeff * x
+            for j, coeff in line:
+                term = coeff * x[j]
                 acc = term if acc is None else acc + term
             out.append(_ZERO if acc is None else acc)
         return Vector(tuple(out))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other (matrix product self @ other)."""
+        """self after other (matrix product self @ other): column j of the
+        product is the sum of other[k][j] times column k of self."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"map dims differ: {self.dim} vs {other.dim}")
-        n = self.dim
-        ot = tuple(zip(*other.rows))  # columns of other
-        return LinearMap(tuple(
-            tuple(sum(self.rows[i][k] * ot[j][k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ))
+        left = self.sparse_columns
+        columns = []
+        for line in other.sparse_columns:
+            acc: dict = {}
+            for k, b in line:
+                for i, a in left[k]:
+                    acc[i] = acc.get(i, _ZERO) + a * b
+            columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
+        columns = tuple(columns)
+        return LinearMap._of_sparse(_transpose(columns), columns)
 
     def power(self, n: int) -> "LinearMap":
         if n < 0:
@@ -210,41 +239,18 @@ class LinearMap:
         return acc
 
     def is_identity(self) -> bool:
-        return self == LinearMap.identity(self.dim)
+        return all(line == ((j, _ONE),) for j, line in enumerate(self.sparse_columns))
 
-    def invert(self) -> "LinearMap":
-        """Exact inverse by rational Gaussian elimination.
+    def _rref(self) -> tuple[list, dict]:
+        """Reduced row echelon form of [self | I] by exact Gaussian elimination.
 
-        Pivots on the first nonzero entry in each column: with exact
-        arithmetic no magnitude pivoting is needed.  Raises
-        SingularMatrixError for singular input.
+        Pivots on the first nonzero entry of each column of ``self`` (with
+        exact arithmetic no magnitude pivoting is needed) and clears only the
+        rows whose entry in the pivot column is nonzero.  Returns the reduced
+        rows and the pivot row of each pivot column.
         """
         n = self.dim
-        a = [list(row) for row in self.rows]
-        inv = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is not invertible")
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            p = a[col][col]
-            if p != 1:
-                a[col] = [x / p for x in a[col]]
-                inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return LinearMap(tuple(tuple(row) for row in inv))
-
-    def kernel_vector(self) -> Vector | None:
-        """A nonzero kernel vector, or None when the map is injective."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
+        a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(self.rows)]
         pivot_of_col: dict[int, int] = {}
         r = 0
         for col in range(n):
@@ -253,13 +259,35 @@ class LinearMap:
                 continue
             a[r], a[pivot_row] = a[pivot_row], a[r]
             p = a[r][col]
-            a[r] = [x / p for x in a[r]]
+            if p != 1:
+                a[r] = [x / p for x in a[r]]
             for i in range(n):
-                if i != r and a[i][col] != 0:
-                    f = a[i][col]
+                f = a[i][col]
+                if i != r and f != 0:
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivot_of_col[col] = r
             r += 1
+        return a, pivot_of_col
+
+    def invert(self) -> "LinearMap":
+        """Exact inverse: the right half of the reduced [self | I].
+
+        Raises SingularMatrixError when a column has no pivot.
+        """
+        n = self.dim
+        a, pivot_of_col = self._rref()
+        if len(pivot_of_col) < n:
+            raise SingularMatrixError("matrix is not invertible")
+        return LinearMap(tuple(tuple(row[n:]) for row in a))
+
+    def kernel_vector(self) -> Vector | None:
+        """A nonzero kernel vector, or None when the map is injective.
+
+        The vector has 1 at the first column without a pivot and is read off
+        the reduced rows there.
+        """
+        n = self.dim
+        a, pivot_of_col = self._rref()
         free = next((c for c in range(n) if c not in pivot_of_col), None)
         if free is None:
             return None
@@ -271,6 +299,15 @@ class LinearMap:
 
     def __repr__(self) -> str:
         return "LinearMap[" + "; ".join(" ".join(str(e) for e in row) for row in self.rows) + "]"
+
+
+def _transpose(lines: tuple) -> tuple:
+    """Sparse rows to sparse columns, or back: entry (i, j) of ``lines`` becomes (j, i)."""
+    out: list = [[] for _ in lines]
+    for i, line in enumerate(lines):
+        for j, q in line:
+            out[j].append((i, q))
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------

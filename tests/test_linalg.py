@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from hompoisson.errors import DimensionMismatch, SingularMatrixError
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
+from hompoisson.poly import Polynomial
 
-from _oracles import dense_contract, random_map
+from _oracles import ap, dense_contract, dense_matrix, mat_mul, random_map
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -154,3 +155,128 @@ def test_dimension_mismatch_errors():
         Vector.of(1) + Vector.of(1, 2)
     with pytest.raises(IndexError):
         Trilinear(2, {(0, 0, 2): 1})
+
+
+# ---------------------------------------------------------------------------
+# Sparse map operations against the dense oracles, on maps of every sparsity
+# ---------------------------------------------------------------------------
+
+MAP_KINDS = ("zero", "diagonal", "permutation", "singular", "dense")
+# numerator and denominator drawn as integers, so failures shrink quickly
+entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+nonzero_entries = entries.filter(lambda q: q != 0)
+sparse_entries = st.one_of(st.just(Fraction(0)), entries)
+
+
+def dense_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def maps(draw, n):
+    kind = draw(st.sampled_from(MAP_KINDS))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "diagonal":
+        for i, q in enumerate(draw(st.lists(sparse_entries, min_size=n, max_size=n))):
+            rows[i][i] = q
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        for i, q in enumerate(draw(st.lists(nonzero_entries, min_size=n, max_size=n))):
+            rows[i][perm[i]] = q
+    elif kind == "singular":
+        rows = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        # the last row is a multiple of the first (zero when n = 1)
+        c = draw(entries)
+        rows[-1] = [c * q for q in rows[0]] if n > 1 else [Fraction(0)]
+    elif kind == "dense":
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return LinearMap(tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def poly_vectors(draw, n):
+    """Vectors whose entries are affine polynomials a*t_i + b (or zero)."""
+    gens = Polynomial.variables([f"t{i}" for i in range(1, n + 1)])
+    coords = []
+    for _ in range(n):
+        i, a, b = draw(st.integers(0, n - 1)), draw(sparse_entries), draw(sparse_entries)
+        coords.append(a * gens[i] + b)
+    return Vector(tuple(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_power_and_identity_match_dense_oracle(data):
+    n = data.draw(st.integers(1, 9), label="dim")
+    m, other = data.draw(maps(n), label="m"), data.draw(maps(n), label="other")
+    a, b = dense_matrix(m), dense_matrix(other)
+    ident = dense_identity(n)
+    product = m.compose(other)
+    assert product.rows == mat_mul(a, b)
+    assert product.sparse_columns == LinearMap(mat_mul(a, b)).sparse_columns
+    assert product.sparse_rows == LinearMap(mat_mul(a, b)).sparse_rows
+    k = data.draw(st.integers(0, 4), label="power")
+    expected = ident
+    for _ in range(k):
+        expected = mat_mul(expected, a)
+    assert m.power(k).rows == expected
+    assert m.is_identity() == (m.rows == ident)
+    assert product.is_identity() == (mat_mul(a, b) == ident)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_dense_oracle(data):
+    n = data.draw(st.integers(1, 9), label="dim")
+    m = data.draw(maps(n), label="m")
+    a = dense_matrix(m)
+    x = data.draw(st.lists(entries, min_size=n, max_size=n), label="x")
+    assert list(m.apply(Vector(tuple(x))).entries) == ap(a, x)
+    px = data.draw(poly_vectors(n), label="px")
+    assert list(m.apply(px).entries) == ap(a, list(px.entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invert_and_kernel_match_dense_oracle(data):
+    n = data.draw(st.integers(1, 9), label="dim")
+    m = data.draw(maps(n), label="m")
+    a = dense_matrix(m)
+    try:
+        inv = m.invert()
+    except SingularMatrixError:
+        kernel = m.kernel_vector()
+        assert kernel is not None and not kernel.is_zero()
+        assert all(q == 0 for q in ap(a, list(kernel.entries)))
+    else:
+        assert mat_mul(a, dense_matrix(inv)) == dense_identity(n) == mat_mul(dense_matrix(inv), a)
+        assert m.kernel_vector() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_vector_is_first_free_column_vector(data):
+    """The kernel vector is 1 at the first column that depends on the earlier
+    ones, 0 at every later column; sympy's nullspace lists that vector first."""
+    import sympy
+    n = data.draw(st.integers(1, 6), label="dim")
+    m = data.draw(maps(n), label="m")
+    null = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in row] for row in m.rows]).nullspace()
+    kernel = m.kernel_vector()
+    if not null:
+        assert kernel is None
+    else:
+        assert list(kernel.entries) == [Fraction(int(q.p), int(q.q)) for q in null[0]]
+
+
+def test_compose_is_self_after_other():
+    shear = LinearMap(((1, 1), (0, 1)))
+    flip = LinearMap(((0, 1), (1, 0)))
+    assert shear.compose(flip).rows == mat_mul(dense_matrix(shear), dense_matrix(flip))
+    assert shear.compose(flip) != flip.compose(shear)
+    v = Vector.of(2, 5)
+    assert shear.compose(flip).apply(v) == shear.apply(flip.apply(v)) == Vector.of(7, 2)
+    # entries that cancel leave no explicit zeros behind
+    unshear = LinearMap(((1, -1), (0, 1)))
+    assert shear.compose(unshear).sparse_columns == (((0, Fraction(1)),), ((1, Fraction(1)),))
+    assert shear.compose(unshear).is_identity()
