@@ -57,7 +57,6 @@ from .errors import (
     SpecFileError,
 )
 from .hompower import (
-    GenericElement,
     check_criterion_34,
     check_nth_power_assoc,
     generic_element,

@@ -189,18 +189,7 @@ def tensor(a1: HomPoissonAlgebra, a2: HomPoissonAlgebra) -> HomPoissonAlgebra:
 
     basis = tuple(f"{b1}⊗{b2}" for b1 in a1.basis for b2 in a2.basis)
 
-    alpha_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(d1):
-        for k in range(d1):
-            e1 = a1.alpha.entry(i, k)
-            if e1 == 0:
-                continue
-            for j in range(d2):
-                for l in range(d2):
-                    e2 = a2.alpha.entry(j, l)
-                    if e2 != 0:
-                        alpha_rows[idx(i, j)][idx(k, l)] = e1 * e2
-    alpha = LinearMap(tuple(tuple(r) for r in alpha_rows))
+    alpha = a1.alpha.kron(a2.alpha)
 
     mu_entries: dict = {}
     for (i, k, p), q1 in a1.mu.items():

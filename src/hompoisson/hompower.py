@@ -9,8 +9,6 @@ field, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import CheckReport, Witness, check_multiplicative, make_report
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import LinearMap, Vector
@@ -22,49 +20,20 @@ MAX_POWER = 8
 MAX_DIM = 8
 
 
-@dataclass(frozen=True)
-class GenericElement:
-    """An element with algebraically independent polynomial coordinates."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_vector(self) -> Vector:
-        return Vector(self.coords)
+def generic_element(dim: int, prefix: str = "t") -> Vector:
+    """The vector of independent variables t1..t_dim: an element whose powers
+    are polynomial identities in its coordinates."""
+    return Vector(Polynomial.variables(tuple(f"{prefix}{i}" for i in range(1, dim + 1))))
 
 
-def generic_element(dim: int, prefix: str = "t") -> GenericElement:
-    gens = tuple(f"{prefix}{i}" for i in range(1, dim + 1))
-    return GenericElement(Polynomial.variables(gens))
-
-
-def _as_vector(x) -> tuple[Vector, bool]:
-    if isinstance(x, GenericElement):
-        return x.as_vector(), True
-    if isinstance(x, Vector):
-        return x, False
-    raise TypeError(f"expected Vector or GenericElement, got {type(x).__name__}")
-
-
-def _wrap(v: Vector, generic: bool):
-    return GenericElement(v.entries) if generic else v
-
-
-def hom_power(algebra, x, n: int):
+def hom_power(algebra, x: Vector, n: int) -> Vector:
     """n-th twisted power: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
     if n < 1:
         raise ValueError("twisted powers start at exponent 1")
-    v, generic = _as_vector(x)
-    if v.dim != algebra.dim:
-        raise ValueError(f"element dim {v.dim} != algebra dim {algebra.dim}")
-    table, _ = _power_table(algebra, v, n)
-    return _wrap(table[n], generic)
+    if x.dim != algebra.dim:
+        raise ValueError(f"element dim {x.dim} != algebra dim {algebra.dim}")
+    table, _ = _power_table(algebra, x, n)
+    return table[n]
 
 
 def _power_table(algebra, v: Vector, n: int) -> tuple[list, list]:
@@ -80,12 +49,11 @@ def _power_table(algebra, v: Vector, n: int) -> tuple[list, list]:
     return table, alphas
 
 
-def hom_power_pair(algebra, x, i: int, j: int):
+def hom_power_pair(algebra, x: Vector, i: int, j: int) -> Vector:
     """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j)."""
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
-    v, generic = _as_vector(x)
-    return _wrap(_pair(algebra, *_power_table(algebra, v, max(i, j)), i, j), generic)
+    return _pair(algebra, *_power_table(algebra, x, max(i, j)), i, j)
 
 
 def _pair(algebra, table: list, alphas: list, i: int, j: int) -> Vector:
@@ -105,9 +73,7 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     if n < 2:
         raise ValueError("power associativity is defined for n >= 2")
     _guard(algebra, n)
-    x = generic_element(algebra.dim)
-    v = x.as_vector()
-    table, alphas = _power_table(algebra, v, n)
+    table, alphas = _power_table(algebra, generic_element(algebra.dim), n)
     witnesses = []
     for i in range(1, n):
         residual = table[n] - _pair(algebra, table, alphas, n - i, i)
@@ -128,7 +94,7 @@ def check_criterion_34(algebra) -> CheckReport:
         raise PreconditionError("the two-identity criterion assumes a multiplicative algebra", mult)
     _guard(algebra, 4)
     mu, alpha = algebra.mu, algebra.alpha
-    x = generic_element(algebra.dim).as_vector()
+    x = generic_element(algebra.dim)
     table, _ = _power_table(algebra, x, 4)
     ax = alpha.apply(x)
     witnesses = []

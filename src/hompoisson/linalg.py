@@ -230,6 +230,15 @@ class LinearMap:
         columns = tuple(columns)
         return LinearMap._of_sparse(_transpose(columns), columns)
 
+    def kron(self, other: "LinearMap") -> "LinearMap":
+        """Kronecker product self (x) other on the product basis (i, j) ->
+        i * other.dim + j, the second factor varying fastest; built from the
+        nonzeros of both factors."""
+        d2 = other.dim
+        columns = tuple(tuple((i * d2 + j, a * b) for i, a in c1 for j, b in c2)
+                        for c1 in self.sparse_columns for c2 in other.sparse_columns)
+        return LinearMap._of_sparse(_transpose(columns), columns)
+
     def power(self, n: int) -> "LinearMap":
         if n < 0:
             raise ValueError("negative matrix powers not supported; call invert() explicitly")

@@ -72,10 +72,6 @@ class Substitution:
         return all(img.degree() <= 1 for img in self.images.values())
 
 
-def substitute(sub: Substitution, f: Polynomial) -> Polynomial:
-    return sub(f)
-
-
 # ---------------------------------------------------------------------------
 # Bracket structures
 # ---------------------------------------------------------------------------

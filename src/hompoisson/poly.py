@@ -1,14 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms map exponent tuples (one slot per named generator) to nonzero
-coefficients.  Arithmetic is exact and unbounded-degree; a term-count guard
-refuses pathologically large products.  Display order is graded
-lexicographic, highest degree first.
+A polynomial is stored fraction-free: ``terms`` maps exponent tuples (one
+slot per named generator) to nonzero Python ``int`` numerators over one
+positive ``int`` denominator ``den``, and the form is canonical (the gcd of
+``den`` and every numerator is 1; the zero polynomial has ``den == 1``), so
+equal polynomials have equal fields.  Sums, products and derivatives run on
+integers only and reduce their result once by a single gcd; ``Fraction``
+appears only where a coefficient leaves the kernel (``coefficient``,
+``constant_term``, ``sorted_terms``, ``evaluate`` and the display).
+Arithmetic is exact and unbounded-degree; a term-count guard refuses
+pathologically large products.  Display order is graded lexicographic,
+highest degree first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
@@ -19,12 +28,29 @@ MAX_TERMS = 10 ** 6
 _ZERO = Fraction(0)
 
 
+def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
+    """The polynomial terms/den (nonzero numerators, den > 0) in canonical form."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: n // g for e, n in terms.items()}
+    out = object.__new__(Polynomial)
+    out.generators = generators
+    out.terms = terms
+    out.den = den
+    return out
+
+
 class Polynomial:
-    __slots__ = ("generators", "terms")
+    """A polynomial over named generators: integer numerators ``terms`` over
+    the common denominator ``den``, in lowest terms."""
+
+    __slots__ = ("generators", "terms", "den")
 
     def __init__(self, generators, terms: Mapping | None = None):
         self.generators = tuple(generators)
-        clean: dict[tuple, Fraction] = {}
+        coeffs: dict[tuple, Fraction] = {}
         if terms:
             width = len(self.generators)
             for expo, coeff in terms.items():
@@ -33,8 +59,12 @@ class Polynomial:
                     raise ValueError(f"bad exponent tuple {expo} for generators {self.generators}")
                 q = rat(coeff)
                 if q != 0:
-                    clean[expo] = q
-        self.terms = clean
+                    coeffs[expo] = q
+        # Over the lcm of reduced denominators the numerators are already coprime
+        # to it, so no further reduction is needed.
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        self.terms = {e: q.numerator * (den // q.denominator) for e, q in coeffs.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -70,58 +100,62 @@ class Polynomial:
                     f"generator lists differ: {self.generators} vs {other.generators}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.const(self.generators, other)
+            terms = {(0,) * len(self.generators): other.numerator} if other else {}
+            return _reduced(self.generators, terms, other.denominator)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, q in other.terms.items():
-            v = terms.get(expo, _ZERO) + q
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, sign * (den // other.den)
+        terms = {e: n * s1 for e, n in self.terms.items()} if s1 != 1 else dict(self.terms)
+        for expo, n in other.terms.items():
+            v = terms.get(expo, 0) + n * s2
             if v:
                 terms[expo] = v
             else:
                 terms.pop(expo, None)
-        out = Polynomial(self.generators)
-        out.terms = terms
-        return out
+        return _reduced(self.generators, terms, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.generators)
-        out.terms = {e: -q for e, q in self.terms.items()}
-        return out
+        return _reduced(self.generators, {e: -n for e, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Polynomial(self.generators)
+            num, den = other.numerator, other.denominator
+            return _reduced(self.generators, {e: n * num for e, n in self.terms.items()},
+                            self.den * den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple, Fraction] = {}
-        for e1, q1 in self.terms.items():
-            for e2, q2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(expo, _ZERO) + q1 * q2
+        terms: dict[tuple, int] = {}
+        for e1, n1 in self.terms.items():
+            for e2, n2 in other.terms.items():
+                expo = tuple(map(add, e1, e2))
+                v = terms.get(expo, 0) + n1 * n2
                 if v:
                     terms[expo] = v
                 else:
                     terms.pop(expo, None)
         if len(terms) > MAX_TERMS:
             raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-        out = Polynomial(self.generators)
-        out.terms = terms
-        return out
+        return _reduced(self.generators, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -149,22 +183,24 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=-1)
 
     def coefficient(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), _ZERO)
+        return Fraction(self.terms.get(tuple(expo), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.generators), _ZERO)
+        return self.coefficient((0,) * len(self.generators))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.generators == other.generators and self.terms == other.terms
+            return (self.generators == other.generators and self.den == other.den
+                    and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return self.terms == {(0,) * len(self.generators): rat(other)}
+            return (self.den == other.denominator
+                    and self.terms == {(0,) * len(self.generators): other.numerator})
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.generators, frozenset(self.terms.items())))
+        return hash((self.generators, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -176,22 +212,15 @@ class Polynomial:
         if name not in self.generators:
             raise GeneratorMismatch(f"{name!r} is not among generators {self.generators}")
         pos = self.generators.index(name)
-        terms: dict[tuple, Fraction] = {}
-        for expo, q in self.terms.items():
+        terms: dict[tuple, int] = {}
+        for expo, n in self.terms.items():
             e = expo[pos]
             if e == 0:
                 continue
             new = list(expo)
             new[pos] = e - 1
-            key = tuple(new)
-            v = terms.get(key, _ZERO) + e * q
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-        out = Polynomial(self.generators)
-        out.terms = terms
-        return out
+            terms[tuple(new)] = e * n
+        return _reduced(self.generators, terms, self.den)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution of every generator; an algebra morphism."""
@@ -207,8 +236,8 @@ class Polynomial:
         assert target_gens is not None
         image_list = [images[g] for g in self.generators]
         acc = Polynomial.zero(target_gens)
-        for expo, q in self.terms.items():
-            term = Polynomial.const(target_gens, q)
+        for expo, n in self.terms.items():
+            term = Polynomial.const(target_gens, Fraction(n, self.den))
             for img, e in zip(image_list, expo):
                 if e:
                     term = term * img ** e
@@ -223,19 +252,21 @@ class Polynomial:
                 raise GeneratorMismatch(f"no value given for generator {g!r}")
             values.append(rat(point[g]))
         total = _ZERO
-        for expo, q in self.terms.items():
-            term = q
+        for expo, n in self.terms.items():
+            term = Fraction(n)
             for v, e in zip(values, expo):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return total / self.den
 
     # -- display ---------------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in graded lexicographic order, highest degree first."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        """(exponent, coefficient) pairs in graded lexicographic order, highest
+        degree first."""
+        return sorted(((e, Fraction(n, self.den)) for e, n in self.terms.items()),
+                      key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -22,6 +22,13 @@ def mat_mul(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
+def dense_kron(a, b):
+    """Kronecker product of dense matrices on the basis (i, j) -> i * len(b) + j."""
+    n1, n2 = len(a), len(b)
+    return tuple(tuple(a[i][k] * b[j][l] for k in range(n1) for l in range(n2))
+                 for i in range(n1) for j in range(n2))
+
+
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -249,3 +256,104 @@ def random_tensor(rng, dim, fill=0.5) -> Trilinear:
 
 def random_map(rng, dim) -> LinearMap:
     return LinearMap(tuple(tuple(random_rational(rng) for _ in range(dim)) for _ in range(dim)))
+
+
+# ---------------------------------------------------------------------------
+# Reference polynomials: a plain dict of exponent tuples to nonzero Fractions,
+# with schoolbook arithmetic and no common denominator
+# ---------------------------------------------------------------------------
+
+class RefPoly:
+    """Naive polynomial over named generators, independent of ``poly``."""
+
+    def __init__(self, gens, terms=()):
+        self.gens = tuple(gens)
+        self.terms = {}
+        for expo, q in dict(terms).items():
+            self._accumulate(tuple(expo), Fraction(q))
+
+    def _accumulate(self, expo, q):
+        v = self.terms.get(expo, Fraction(0)) + q
+        if v:
+            self.terms[expo] = v
+        else:
+            self.terms.pop(expo, None)
+
+    @classmethod
+    def const(cls, gens, c):
+        return cls(gens, {(0,) * len(gens): c})
+
+    def __add__(self, other):
+        out = RefPoly(self.gens, self.terms)
+        for expo, q in other.terms.items():
+            out._accumulate(expo, q)
+        return out
+
+    def __neg__(self):
+        return RefPoly(self.gens, {e: -q for e, q in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = RefPoly(self.gens)
+        for e1, q1 in self.terms.items():
+            for e2, q2 in other.terms.items():
+                out._accumulate(tuple(a + b for a, b in zip(e1, e2)), q1 * q2)
+        return out
+
+    def scale(self, c):
+        return RefPoly(self.gens, {e: c * q for e, q in self.terms.items()})
+
+    def power(self, k):
+        out = RefPoly.const(self.gens, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, pos):
+        out = RefPoly(self.gens)
+        for expo, q in self.terms.items():
+            if expo[pos]:
+                shifted = expo[:pos] + (expo[pos] - 1,) + expo[pos + 1:]
+                out._accumulate(shifted, expo[pos] * q)
+        return out
+
+    def substitute(self, images):
+        """images: one RefPoly per generator, all on one target generator list."""
+        out = RefPoly(images[0].gens)
+        for expo, q in self.terms.items():
+            term = RefPoly.const(out.gens, q)
+            for img, e in zip(images, expo):
+                term = term * img.power(e)
+            out = out + term
+        return out
+
+    def evaluate(self, values):
+        total = Fraction(0)
+        for expo, q in self.terms.items():
+            for v, e in zip(values, expo):
+                q *= Fraction(v) ** e
+            total += q
+        return total
+
+    def coefficient(self, expo):
+        return self.terms.get(tuple(expo), Fraction(0))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def render(self):
+        """Graded-lex display: sign-separated terms, coefficient prefixes
+        "c*" omitted for magnitude 1, exponents as "g^e"."""
+        parts = []
+        for expo, q in self.sorted_terms():
+            factors = [g if e == 1 else f"{g}^{e}" for g, e in zip(self.gens, expo) if e]
+            mag = abs(q)
+            body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+            sign = "-" if q < 0 else "+"
+            parts.append((sign, body))
+        if not parts:
+            return "0"
+        first = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return " ".join([first] + [f"{s} {b}" for s, b in parts[1:]])

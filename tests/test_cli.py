@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -143,17 +144,33 @@ def test_polarize_depolarize_power_pipeline(capsys, p31_file, tmp_path):
     assert run_command(["power", p31_file]) == 2
 
 
-def test_power_reports_failure(capsys, tmp_path):
+def _power_witnesses(capsys, tmp_path, mu):
     import dataclasses
-    bad = dataclasses.replace(
-        heisenberg_p31(0),
-        bracket=Trilinear.zero(3),
-        mu=Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1}),
-        commutative=False,
-    )
+    bad = dataclasses.replace(heisenberg_p31(0), bracket=Trilinear.zero(3), mu=mu, commutative=False)
     path = tmp_path / "assocfail.json"
     emit_spec(bad, path)
     assert run_command(["power", str(path), "--max-n", "3"]) == 1
+    capsys.readouterr()
+    code, data = run_json(capsys, ["power", str(path), "--max-n", "3"])
+    assert code == 1 and data["passed"] is False
+    return [(r["identity"], [(w["indices"], w["residual"]) for w in r["witnesses"]])
+            for r in data["reports"]]
+
+
+def test_power_reports_failure(capsys, tmp_path):
+    # exact residual strings: signs, a zero entry and unit coefficients
+    residual = ["-t1*t2^2", "0", "t2^2*t3"]
+    assert _power_witnesses(capsys, tmp_path, Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1})) == [
+        ("criterion-34", [([3], residual)]),
+        ("hom-power-associative[3]", [([3, 2], residual)]),
+    ]
+    # rational structure constants: coefficient prefixes and a two-term entry
+    residual = ["3/2*t1*t2^2", "0", "1/3*t2^3 - 3/2*t2^2*t3"]
+    mu = Trilinear(3, {(0, 1, 2): Fraction(1, 2), (1, 2, 0): -3, (1, 1, 0): Fraction(2, 3)})
+    assert _power_witnesses(capsys, tmp_path, mu) == [
+        ("criterion-34", [([3], residual)]),
+        ("hom-power-associative[3]", [([3, 2], residual)]),
+    ]
 
 
 def test_catalog_subcommand(capsys, tmp_path):

@@ -10,7 +10,7 @@ from hompoisson.errors import DimensionMismatch, SingularMatrixError
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import ap, dense_contract, dense_matrix, mat_mul, random_map
+from _oracles import ap, dense_contract, dense_kron, dense_matrix, mat_mul, random_map
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -173,8 +173,8 @@ def dense_identity(n):
 
 
 @st.composite
-def maps(draw, n):
-    kind = draw(st.sampled_from(MAP_KINDS))
+def maps(draw, n, kinds=MAP_KINDS):
+    kind = draw(st.sampled_from(kinds))
     rows = [[Fraction(0)] * n for _ in range(n)]
     if kind == "diagonal":
         for i, q in enumerate(draw(st.lists(sparse_entries, min_size=n, max_size=n))):
@@ -222,6 +222,20 @@ def test_compose_power_and_identity_match_dense_oracle(data):
     assert m.power(k).rows == expected
     assert m.is_identity() == (m.rows == ident)
     assert product.is_identity() == (mat_mul(a, b) == ident)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kron_matches_dense_oracle(data):
+    kinds = ("zero", "diagonal", "permutation", "dense")
+    n1, n2 = data.draw(st.integers(1, 4), label="dim1"), data.draw(st.integers(1, 4), label="dim2")
+    m1, m2 = data.draw(maps(n1, kinds), label="m1"), data.draw(maps(n2, kinds), label="m2")
+    expected = LinearMap(dense_kron(dense_matrix(m1), dense_matrix(m2)))
+    product = m1.kron(m2)
+    assert product.rows == expected.rows
+    assert product.sparse_rows == expected.sparse_rows
+    assert product.sparse_columns == expected.sparse_columns
+    assert hash(product) == hash(expected)
 
 
 @settings(max_examples=60, deadline=None)
