@@ -140,6 +140,8 @@ def free_poly_shift() -> Substitution:
 
 
 def symplectic_space(n: int = 1) -> SymplecticStructure:
+    if n < 1:
+        raise HomPoissonError(f"parameter n (half-dimension) must be >= 1, got {n}")
     return SymplecticStructure(n)
 
 

@@ -3,9 +3,9 @@
 All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator), so every operation here is exact; there is
 no floating point anywhere in the package.  Vectors and tensor contractions
-are deliberately generic over the scalar ring: entries may also be sparse
-polynomials (see ``poly``), which is how universally quantified identities
-are decided with generic elements.
+also take sparse polynomial entries (see ``poly``), which is how universally
+quantified identities are decided with generic elements; a contraction sums
+the products of each output coordinate in one fraction-free accumulation.
 
 Square matrices keep one dense, canonical form (``LinearMap.rows``) for
 equality, hashing and serialisation, and run every product, application and
@@ -48,6 +48,10 @@ def rat(value) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Canonical "p/q" (or "p") rendering."""
     return str(q)
+
+
+# ``poly`` imports ``rat`` from this module, so it is imported once ``rat`` exists.
+from . import poly  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +257,36 @@ class LinearMap:
     def _rref(self) -> tuple[list, dict]:
         """Reduced row echelon form of [self | I] by exact Gaussian elimination.
 
-        Pivots on the first nonzero entry of each column of ``self`` (with
-        exact arithmetic no magnitude pivoting is needed) and clears only the
-        rows whose entry in the pivot column is nonzero.  Returns the reduced
+        Rows are sparse, {column: nonzero value}, with the identity block in
+        columns n..2n-1.  Pivots on the first nonzero entry of each column of
+        ``self`` (with exact arithmetic no magnitude pivoting is needed), clears
+        only the rows whose entry in the pivot column is nonzero, and touches
+        only the columns where the pivot row is nonzero.  Returns the reduced
         rows and the pivot row of each pivot column.
         """
         n = self.dim
-        a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(self.rows)]
+        a = [dict(line) | {n + i: _ONE} for i, line in enumerate(self.sparse_rows)]
         pivot_of_col: dict[int, int] = {}
         r = 0
         for col in range(n):
-            pivot_row = next((i for i in range(r, n) if a[i][col] != 0), None)
+            pivot_row = next((i for i in range(r, n) if col in a[i]), None)
             if pivot_row is None:
                 continue
             a[r], a[pivot_row] = a[pivot_row], a[r]
-            p = a[r][col]
+            pivot = a[r]
+            p = pivot[col]
             if p != 1:
-                a[r] = [x / p for x in a[r]]
-            for i in range(n):
-                f = a[i][col]
-                if i != r and f != 0:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                pivot = a[r] = {c: x / p for c, x in pivot.items()}
+            for i, row in enumerate(a):
+                f = row.get(col)
+                if f is None or i == r:
+                    continue
+                for c, x in pivot.items():
+                    v = row.get(c, _ZERO) - f * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
             pivot_of_col[col] = r
             r += 1
         return a, pivot_of_col
@@ -287,7 +300,8 @@ class LinearMap:
         a, pivot_of_col = self._rref()
         if len(pivot_of_col) < n:
             raise SingularMatrixError("matrix is not invertible")
-        return LinearMap(tuple(tuple(row[n:]) for row in a))
+        rows = tuple(tuple(sorted((c - n, x) for c, x in row.items() if c >= n)) for row in a)
+        return LinearMap._of_sparse(rows, _transpose(rows))
 
     def kernel_vector(self) -> Vector | None:
         """A nonzero kernel vector, or None when the map is injective.
@@ -303,7 +317,7 @@ class LinearMap:
         coords = [_ZERO] * n
         coords[free] = _ONE
         for col, row in pivot_of_col.items():
-            coords[col] = -a[row][free]
+            coords[col] = -a[row].get(free, _ZERO)
         return Vector(tuple(coords))
 
     def __repr__(self) -> str:
@@ -420,20 +434,24 @@ class Trilinear:
     def contract(self, x: Vector, y: Vector) -> Vector:
         """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k].
 
-        Generic over the entry ring of x and y (rationals or polynomials).
+        Generic over the entry ring of x and y (rationals or polynomials): the
+        (c[i][j][k], x_i, y_j) triples with nonzero x_i and y_j are grouped by
+        k, and each group is summed in one accumulation by
+        ``poly.sum_of_products``.
         """
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch(
                 f"tensor dim {self.dim} vs vectors {x.dim}, {y.dim}")
-        out: list = [None] * self.dim
+        xs, ys = x.entries, y.entries
+        groups: dict[int, list] = {}
         for (i, j, k), q in self._entries.items():
-            xi = x.entries[i]
-            yj = y.entries[j]
-            if xi == 0 or yj == 0:
-                continue
-            term = q * (xi * yj)
-            out[k] = term if out[k] is None else out[k] + term
-        return Vector(tuple(_ZERO if v is None else v for v in out))
+            xi, yj = xs[i], ys[j]
+            if xi and yj:
+                groups.setdefault(k, []).append((q, xi, yj))
+        out = [_ZERO] * self.dim
+        for k, triples in groups.items():
+            out[k] = poly.sum_of_products(triples)
+        return Vector(tuple(out))
 
     def is_symmetric(self) -> bool:
         return all(q == self.entry(j, i, k) for (i, j, k), q in self._entries.items())

@@ -1,31 +1,63 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is stored fraction-free: ``terms`` maps exponent tuples (one
-slot per named generator) to nonzero Python ``int`` numerators over one
-positive ``int`` denominator ``den``, and the form is canonical (the gcd of
-``den`` and every numerator is 1; the zero polynomial has ``den == 1``), so
-equal polynomials have equal fields.  Sums, products and derivatives run on
-integers only and reduce their result once by a single gcd; ``Fraction``
-appears only where a coefficient leaves the kernel (``coefficient``,
-``constant_term``, ``sorted_terms``, ``evaluate`` and the display).
-Arithmetic is exact and unbounded-degree; a term-count guard refuses
-pathologically large products.  Display order is graded lexicographic,
-highest degree first.
+A polynomial is stored fraction-free: ``terms`` maps packed monomial keys to
+nonzero Python ``int`` numerators over one positive ``int`` denominator
+``den``, and the form is canonical (the gcd of ``den`` and every numerator is
+1; the zero polynomial has ``den == 1``), so equal polynomials have equal
+fields.
+
+A packed key holds the exponent vector in one ``int``: each generator owns a
+fixed field of ``FIELD_BITS`` bits, the first generator the most significant,
+so integer order is lexicographic order on exponent vectors and the product
+of two monomials is one integer addition.  The top bit of every field is a
+guard that stays clear: an exponent is at most ``MAX_EXPONENT``, so the sum
+of two fields never carries into the next one, and a product or constructor
+that would exceed ``MAX_EXPONENT`` raises ``ResourceLimitError``.  Exponent
+tuples exist only where a monomial enters or leaves the kernel (the
+constructor, ``coefficient``, ``degree``, ``substitute``, ``evaluate``,
+``sorted_terms`` and the display), and ``Fraction`` only where a coefficient
+leaves it.
+
+Sums, products and derivatives run on integers only and reduce their result
+once by a single gcd; ``sum_of_products`` sums many products in one integer
+accumulation, which is how tensor contractions of polynomial vectors run.
+Arithmetic is exact; a term-count guard refuses pathologically large
+products.  Display order is graded lexicographic, highest degree first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add
-from typing import Mapping
+from operator import or_
+from typing import Iterable, Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
 from .linalg import rat
 
 MAX_TERMS = 10 ** 6
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 _ZERO = Fraction(0)
+
+
+@cache
+def _shifts(width: int) -> tuple:
+    """The bit offset of each generator's field, first generator highest."""
+    return tuple(FIELD_BITS * (width - 1 - pos) for pos in range(width))
+
+
+@cache
+def _guard(width: int) -> int:
+    """The guard bits of all fields; a valid key has none of them set."""
+    return sum(1 << (s + FIELD_BITS - 1) for s in _shifts(width))
+
+
+def _unpack(key: int, width: int) -> tuple:
+    return tuple((key >> s) & _FIELD_MASK for s in _shifts(width))
 
 
 def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
@@ -43,23 +75,27 @@ def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
 
 
 class Polynomial:
-    """A polynomial over named generators: integer numerators ``terms`` over
-    the common denominator ``den``, in lowest terms."""
+    """A polynomial over named generators: integer numerators ``terms`` keyed
+    by packed exponents, over the common denominator ``den``, in lowest terms."""
 
     __slots__ = ("generators", "terms", "den")
 
     def __init__(self, generators, terms: Mapping | None = None):
         self.generators = tuple(generators)
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         if terms:
             width = len(self.generators)
+            shifts = _shifts(width)
             for expo, coeff in terms.items():
                 expo = tuple(expo)
                 if len(expo) != width or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent tuple {expo} for generators {self.generators}")
+                if any(e > MAX_EXPONENT for e in expo):
+                    raise ResourceLimitError(
+                        f"exponent tuple {expo} exceeds the limit {MAX_EXPONENT}")
                 q = rat(coeff)
                 if q != 0:
-                    coeffs[expo] = q
+                    coeffs[sum(e << s for e, s in zip(expo, shifts))] = q
         # Over the lcm of reduced denominators the numerators are already coprime
         # to it, so no further reduction is needed.
         den = lcm(*(q.denominator for q in coeffs.values()))
@@ -100,7 +136,7 @@ class Polynomial:
                     f"generator lists differ: {self.generators} vs {other.generators}")
             return other
         if isinstance(other, (int, Fraction)):
-            terms = {(0,) * len(self.generators): other.numerator} if other else {}
+            terms = {0: other.numerator} if other else {}
             return _reduced(self.generators, terms, other.denominator)
         return NotImplemented
 
@@ -144,18 +180,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple, int] = {}
-        for e1, n1 in self.terms.items():
-            for e2, n2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                v = terms.get(expo, 0) + n1 * n2
-                if v:
-                    terms[expo] = v
-                else:
-                    terms.pop(expo, None)
-        if len(terms) > MAX_TERMS:
-            raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-        return _reduced(self.generators, terms, self.den * other.den)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -180,13 +205,21 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        width = len(self.generators)
+        return max((sum(_unpack(e, width)) for e in self.terms), default=-1)
 
     def coefficient(self, expo) -> Fraction:
-        return Fraction(self.terms.get(tuple(expo), 0), self.den)
+        """The coefficient of one exponent tuple; 0 for a tuple of the wrong
+        length or with an exponent outside 0..MAX_EXPONENT."""
+        expo = tuple(expo)
+        width = len(self.generators)
+        if len(expo) != width or any(not 0 <= e <= MAX_EXPONENT for e in expo):
+            return _ZERO
+        key = sum(e << s for e, s in zip(expo, _shifts(width)))
+        return Fraction(self.terms.get(key, 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * len(self.generators))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -195,8 +228,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return (self.den == other.denominator
-                    and self.terms == {(0,) * len(self.generators): other.numerator})
+            return self.den == other.denominator and self.terms == {0: other.numerator}
         return NotImplemented
 
     def __hash__(self):
@@ -211,15 +243,13 @@ class Polynomial:
         """Exact partial derivative with respect to one generator."""
         if name not in self.generators:
             raise GeneratorMismatch(f"{name!r} is not among generators {self.generators}")
-        pos = self.generators.index(name)
-        terms: dict[tuple, int] = {}
-        for expo, n in self.terms.items():
-            e = expo[pos]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[pos] = e - 1
-            terms[tuple(new)] = e * n
+        shift = _shifts(len(self.generators))[self.generators.index(name)]
+        one = 1 << shift
+        terms: dict[int, int] = {}
+        for key, n in self.terms.items():
+            e = (key >> shift) & _FIELD_MASK
+            if e:
+                terms[key - one] = e * n
         return _reduced(self.generators, terms, self.den)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -235,10 +265,11 @@ class Polynomial:
                 raise GeneratorMismatch("substitution images use inconsistent generator lists")
         assert target_gens is not None
         image_list = [images[g] for g in self.generators]
+        width = len(self.generators)
         acc = Polynomial.zero(target_gens)
-        for expo, n in self.terms.items():
+        for key, n in self.terms.items():
             term = Polynomial.const(target_gens, Fraction(n, self.den))
-            for img, e in zip(image_list, expo):
+            for img, e in zip(image_list, _unpack(key, width)):
                 if e:
                     term = term * img ** e
             acc = acc + term
@@ -251,10 +282,11 @@ class Polynomial:
             if g not in point:
                 raise GeneratorMismatch(f"no value given for generator {g!r}")
             values.append(rat(point[g]))
+        width = len(values)
         total = _ZERO
-        for expo, n in self.terms.items():
+        for key, n in self.terms.items():
             term = Fraction(n)
-            for v, e in zip(values, expo):
+            for v, e in zip(values, _unpack(key, width)):
                 if e:
                     term *= v ** e
             total += term
@@ -265,7 +297,8 @@ class Polynomial:
     def sorted_terms(self):
         """(exponent, coefficient) pairs in graded lexicographic order, highest
         degree first."""
-        return sorted(((e, Fraction(n, self.den)) for e, n in self.terms.items()),
+        width = len(self.generators)
+        return sorted(((_unpack(e, width), Fraction(n, self.den)) for e, n in self.terms.items()),
                       key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
@@ -292,3 +325,56 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def sum_of_products(triples: Iterable) -> Polynomial | Fraction:
+    """The sum of q * a * b over (q, a, b) triples: q rational, a and b
+    rationals or polynomials on one generator list.
+
+    Every product is accumulated into one integer term dict over the lcm of
+    the triples' denominators, which is reduced once.  The sum is a
+    ``Fraction`` when no polynomial takes part.
+    """
+    generators = None
+    parts = []
+    den = 1
+    for q, a, b in triples:
+        d = q.denominator
+        if isinstance(a, Polynomial):
+            generators = _same(generators, a.generators)
+            ta, d = a.terms, d * a.den
+        else:
+            ta, d = {0: a.numerator}, d * a.denominator
+        if isinstance(b, Polynomial):
+            generators = _same(generators, b.generators)
+            tb, d = b.terms, d * b.den
+        else:
+            tb, d = {0: b.numerator}, d * b.denominator
+        parts.append((q.numerator, d, ta, tb.items()))
+        den = lcm(den, d)
+    terms: dict[int, int] = {}
+    get = terms.get
+    for c, d, ta, right in parts:
+        c *= den // d
+        for e1, n1 in ta.items():
+            n1 *= c
+            for e2, n2 in right:
+                e = e1 + e2
+                terms[e] = get(e, 0) + n1 * n2
+    if generators is None:
+        return Fraction(terms.get(0, 0), den)
+    # Every key is the sum of two valid keys, so an exponent past the limit
+    # shows as a set guard bit and has not carried into the next field.
+    if reduce(or_, terms, 0) & _guard(len(generators)):
+        raise ResourceLimitError(f"polynomial exponent exceeds {MAX_EXPONENT}")
+    if 0 in terms.values():
+        terms = {e: n for e, n in terms.items() if n}
+    if len(terms) > MAX_TERMS:
+        raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
+    return _reduced(generators, terms, den)
+
+
+def _same(generators: tuple | None, other: tuple) -> tuple:
+    if generators is not None and generators != other:
+        raise GeneratorMismatch(f"generator lists differ: {generators} vs {other}")
+    return other

@@ -9,8 +9,10 @@ seeded random generators for structure constants.
 from fractions import Fraction
 import itertools
 import random
+from math import gcd
 
 from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.poly import FIELD_BITS, MAX_EXPONENT
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +359,42 @@ class RefPoly:
             return "0"
         first = ("-" if parts[0][0] == "-" else "") + parts[0][1]
         return " ".join([first] + [f"{s} {b}" for s, b in parts[1:]])
+
+
+def ref_contract(t: Trilinear, x, y):
+    """out_k = sum over every (i, j) of T[i][j][k] x_i y_j, on RefPoly entries."""
+    T = dense_tensor(t)
+    d = t.dim
+    out = []
+    for k in range(d):
+        acc = RefPoly(x[0].gens)
+        for i in range(d):
+            for j in range(d):
+                acc = acc + (x[i] * y[j]).scale(T[i][j][k])
+        out.append(acc)
+    return out
+
+
+def ref_apply(M, x):
+    """Dense matrix M times a vector of RefPoly entries."""
+    out = []
+    for row in M:
+        acc = RefPoly(x[0].gens)
+        for q, v in zip(row, x):
+            acc = acc + v.scale(q)
+        out.append(acc)
+    return out
+
+
+def assert_canonical(p):
+    """Integer numerators over one positive denominator, in lowest terms, keyed
+    by packed exponents whose fields (FIELD_BITS each, one per generator) are
+    all at most MAX_EXPONENT."""
+    width = len(p.generators)
+    assert all(type(v) is int and v != 0 for v in p.terms.values())
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.terms.values()) == 1
+    assert p.terms or p.den == 1
+    for key in p.terms:
+        assert type(key) is int and 0 <= key < 1 << (FIELD_BITS * width)
+        assert all((key >> (FIELD_BITS * s)) % (1 << FIELD_BITS) <= MAX_EXPONENT for s in range(width))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hompoisson.errors import DimensionMismatch, SingularMatrixError
+from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import ap, dense_contract, dense_kron, dense_matrix, mat_mul, random_map
+from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_kron, dense_matrix, mat_mul,
+                      random_map, ref_apply, ref_contract)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -264,7 +265,43 @@ def test_invert_and_kernel_match_dense_oracle(data):
         assert all(q == 0 for q in ap(a, list(kernel.entries)))
     else:
         assert mat_mul(a, dense_matrix(inv)) == dense_identity(n) == mat_mul(dense_matrix(inv), a)
+        assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
+        assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
         assert m.kernel_vector() is None
+
+
+def test_invert_and_kernel_at_dim_81():
+    """Dim-81 diagonal and weighted permutation maps, invertible and with one
+    zero weight, against the dense oracle and their closed-form inverses."""
+    n = 81
+    rng = random.Random(81)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)) for _ in range(n)]
+    probes = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(3)]
+    for where in (perm, list(range(n))):
+        # column j has the weight w_j in row where[j]
+        a = [[Fraction(0)] * n for _ in range(n)]
+        expected = [[Fraction(0)] * n for _ in range(n)]
+        for j, (i, w) in enumerate(zip(where, weights)):
+            a[i][j] = w
+            expected[j][i] = 1 / w
+        m = LinearMap(tuple(map(tuple, a)))
+        inv = m.invert()
+        assert inv.rows == tuple(map(tuple, expected))
+        assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
+        assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
+        for x in probes:
+            assert ap(a, ap(dense_matrix(inv), x)) == x
+        assert m.kernel_vector() is None
+        # zero the weight of column 40: the kernel vector is the unit vector there
+        a[where[40]][40] = Fraction(0)
+        singular = LinearMap(tuple(map(tuple, a)))
+        with pytest.raises(SingularMatrixError):
+            singular.invert()
+        kernel = singular.kernel_vector()
+        assert kernel == Vector.unit(n, 40)
+        assert all(q == 0 for q in ap(a, list(kernel.entries)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,3 +331,90 @@ def test_compose_is_self_after_other():
     unshear = LinearMap(((1, -1), (0, 1)))
     assert shear.compose(unshear).sparse_columns == (((0, Fraction(1)),), ((1, Fraction(1)),))
     assert shear.compose(unshear).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# Contraction and application on polynomial vectors against RefPoly
+# ---------------------------------------------------------------------------
+
+PGENS = ("t1", "t2", "t3")
+# numerator and denominator drawn as integers: mixed denominators, some zeros
+poly_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def poly_entries(draw):
+    """An entry and its RefPoly: a zero or nonzero rational, the zero
+    polynomial, or a polynomial with up to four terms."""
+    kind = draw(st.sampled_from(("zero", "rational", "zero-poly", "poly")))
+    if kind == "zero":
+        return Fraction(0), RefPoly(PGENS)
+    if kind == "rational":
+        q = draw(poly_coeffs)
+        return q, RefPoly.const(PGENS, q)
+    terms = {} if kind == "zero-poly" else draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(PGENS)), poly_coeffs, min_size=1, max_size=4))
+    return Polynomial(PGENS, terms), RefPoly(PGENS, terms)
+
+
+@st.composite
+def cancelling_tensors(draw, n):
+    """A tensor whose entries come in part with a swapped, negated partner, so
+    that contracting a vector with itself cancels those outputs to zero."""
+    cells = st.tuples(*[st.integers(0, n - 1)] * 3)
+    data = draw(st.dictionaries(cells, poly_coeffs, max_size=2 * n * n))
+    for (i, j, k), q in list(data.items()):
+        if draw(st.booleans()):
+            data[(j, i, k)] = -q
+    return Trilinear(n, data)
+
+
+def check_entries(got, ref):
+    """Polynomial entries canonical and equal to the reference; an entry that
+    no polynomial reached is a Fraction equal to the constant reference."""
+    assert len(got.entries) == len(ref)
+    for g, r in zip(got.entries, ref):
+        if isinstance(g, Polynomial):
+            assert_canonical(g)
+            assert g.generators == PGENS
+            assert g.sorted_terms() == r.sorted_terms()
+            assert str(g) == r.render()
+        else:
+            assert type(g) is Fraction
+            assert ({(0,) * len(PGENS): g} if g else {}) == r.terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_contract_and_apply_on_polynomial_vectors_match_reference(data):
+    n = data.draw(st.integers(1, 4), label="dim")
+    t = data.draw(cancelling_tensors(n), label="tensor")
+    x = data.draw(st.lists(poly_entries(), min_size=n, max_size=n), label="x")
+    y = x if data.draw(st.booleans(), label="y is x") else data.draw(
+        st.lists(poly_entries(), min_size=n, max_size=n), label="y")
+    vx, rx = Vector(tuple(e for e, _ in x)), [r for _, r in x]
+    vy, ry = Vector(tuple(e for e, _ in y)), [r for _, r in y]
+    out, ref = t.contract(vx, vy), ref_contract(t, rx, ry)
+    check_entries(out, ref)
+    m = data.draw(maps(n), label="m")
+    image, ref_image = m.apply(out), ref_apply(dense_matrix(m), ref)
+    check_entries(image, ref_image)
+    check_entries(t.contract(image, vy), ref_contract(t, ref_image, ry))
+    check_entries(m.apply(vx), ref_apply(dense_matrix(m), rx))
+
+
+def test_contract_output_that_cancels_is_the_zero_polynomial():
+    t1, t2, _ = Polynomial.variables(PGENS)
+    t = Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 0, 0): Fraction(-1, 2), (0, 0, 1): 3})
+    x = Vector((Fraction(1, 3) * t1 + 2, Fraction(2, 5) * t2 * t2))
+    out = t.contract(x, Vector((Fraction(0), x[1])))
+    # out_0 = x_0 x_1 / 2 - 0: a polynomial; out_1 has no nonzero triple: Fraction 0
+    assert out.entries[0] == Fraction(1, 2) * x[0] * x[1] and type(out.entries[1]) is Fraction
+    zero = t.contract(x, x).entries[0]
+    assert type(zero) is Polynomial and zero.terms == {} and zero.den == 1
+    assert zero == Polynomial.zero(PGENS) and hash(zero) == hash(Polynomial.zero(PGENS))
+    assert t.contract(x, x).entries[1] == 3 * x[0] * x[0]
+    with pytest.raises(GeneratorMismatch):
+        t.contract(x, Vector((Polynomial.var(("s",), "s"), x[1])))
+    # rationals only: the output stays a Fraction
+    assert t.contract(Vector.of(1, "1/2"), Vector.of("2/3", 3)).entries == (Fraction(4, 3), Fraction(2))

@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hompoisson.errors import GeneratorMismatch
-from hompoisson.poly import Polynomial
+from hompoisson.errors import GeneratorMismatch, ResourceLimitError
+from hompoisson.linalg import Trilinear, Vector
+from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial
 
-from _oracles import RefPoly
+from _oracles import RefPoly, assert_canonical
 
 GENS = ("x", "y")
 
@@ -148,14 +148,6 @@ def term_dicts(n, max_size=5):
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=max_size)
 
 
-def assert_canonical(p):
-    """Integer numerators over one positive denominator, in lowest terms."""
-    assert all(type(v) is int and v != 0 for v in p.terms.values())
-    assert type(p.den) is int and p.den > 0
-    assert gcd(p.den, *p.terms.values()) == 1
-    assert p.terms or p.den == 1
-
-
 def check(p, ref):
     assert_canonical(p)
     assert p.sorted_terms() == ref.sorted_terms()
@@ -245,3 +237,78 @@ def test_cancellation_to_zero_resets_the_denominator():
         assert p.is_zero() and p == 0 and p.terms == {} and p.den == 1
         assert p == zero and hash(p) == hash(zero)
         assert str(p) == "0" and p.coefficient((0, 0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The exponent limit of the packed keys
+# ---------------------------------------------------------------------------
+
+def test_exponent_at_the_field_maximum_builds_and_displays():
+    top = MAX_EXPONENT
+    x, y = Polynomial.variables(GENS)
+    corner = Polynomial(GENS, {(top, top): Fraction(-1, 2), (top, 0): 3, (0, top): 1})
+    assert_canonical(corner)
+    assert str(corner) == f"-1/2*x^{top}*y^{top} + 3*x^{top} + y^{top}"
+    assert corner.sorted_terms()[0] == ((top, top), Fraction(-1, 2))
+    assert corner.degree() == 2 * top
+    assert corner.coefficient((top, top)) == Fraction(-1, 2)
+    assert corner.coefficient((0, top)) == 1 and corner.coefficient((top, 0)) == 3
+    # reached by products and powers as well as by the constructor
+    assert x ** top * y ** top == Polynomial(GENS, {(top, top): 1})
+    assert (x ** (top - 1) * x) * y ** top == x ** top * y ** top
+    assert str(y ** top) == f"y^{top}"
+    assert (x ** top).diff("x") == top * x ** (top - 1)
+    assert (x ** top * y).evaluate({"x": 1, "y": 2}) == 2
+
+
+@pytest.mark.parametrize("name", GENS)
+def test_exponent_past_the_field_maximum_is_refused(name):
+    """Each field refuses on its own, the lowest (last generator) included:
+    an overflow must not carry into the next generator's field."""
+    v = Polynomial.var(GENS, name)
+    top = v ** MAX_EXPONENT
+    other = Polynomial.var(GENS, "x" if name == "y" else "y")
+    with pytest.raises(ResourceLimitError):
+        top * v
+    with pytest.raises(ResourceLimitError):
+        v * (top + other)
+    with pytest.raises(ResourceLimitError):
+        (top + 1) * (top - 1)
+    with pytest.raises(ResourceLimitError):
+        v ** (MAX_EXPONENT + 1)
+    with pytest.raises(ResourceLimitError):
+        (2 * v * other) ** (MAX_EXPONENT + 1)
+    expo = tuple(MAX_EXPONENT + 1 if g == name else 0 for g in GENS)
+    with pytest.raises(ResourceLimitError):
+        Polynomial(GENS, {expo: 1})
+    # a contraction multiplies its entries the same way
+    t = Trilinear(1, {(0, 0, 0): 1})
+    with pytest.raises(ResourceLimitError):
+        t.contract(Vector((top,)), Vector((v,)))
+    assert t.contract(Vector((top,)), Vector((other,))).entries == (top * other,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, MAX_EXPONENT)] * 3), min_size=1, max_size=6, unique=True))
+def test_packed_keys_order_as_exponent_tuples(expos):
+    """The first generator is the most significant field, so integer order of
+    the keys is lexicographic order of the exponent tuples."""
+    gens = NAMES[:3]
+    keys = {expo: next(iter(Polynomial(gens, {expo: 1}).terms)) for expo in expos}
+    assert sorted(expos) == sorted(expos, key=keys.get)
+    for expo in expos:
+        assert Polynomial(gens, {expo: 1}).sorted_terms() == [(expo, 1)]
+
+
+def test_coefficient_outside_the_fields_is_zero():
+    f = Polynomial(GENS, {(0, 0): 5, (1, 0): 7, (1, 2): Fraction(1, 3)})
+    wide = 1 << FIELD_BITS  # packed without a range check, these would alias x or 1
+    for expo in ((-1, 0), (0, -1), (MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1),
+                 (0, wide), (1, -wide), (1,), (1, 2, 0), (), (0, 0, 0)):
+        assert f.coefficient(expo) == 0
+    assert f.coefficient((1, 2)) == Fraction(1, 3) and f.coefficient((0, 0)) == 5
+    assert f.coefficient((1, 0)) == 7
+    with pytest.raises(ValueError):
+        Polynomial(GENS, {(-1, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(GENS, {(1,): 1})
