@@ -66,12 +66,11 @@ from .hompower import (
 from .linalg import LinearMap, Trilinear, Vector, rat
 from .poisson_poly import (
     LiePoissonStructure,
+    PoissonStructure,
     Substitution,
     SymplecticStructure,
     check_poisson_substitution,
-    lie_poisson_bracket,
     manifold_nonrigidity_check,
-    symplectic_bracket,
     translation,
     twisted_associator,
 )

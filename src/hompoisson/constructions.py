@@ -29,7 +29,7 @@ from .algebra import (
     sweep,
 )
 from .errors import PreconditionError, SingularMatrixError
-from .linalg import LinearMap, Trilinear, Vector
+from .linalg import LinearMap, Vector
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -183,35 +183,11 @@ def tensor(a1: HomPoissonAlgebra, a2: HomPoissonAlgebra) -> HomPoissonAlgebra:
         rep = check_commutative(a)
         if not rep.passed:
             raise PreconditionError(f"tensor product factor claims commutativity but fails it ({name})", rep)
-    d1, d2 = a1.dim, a2.dim
-    dim = d1 * d2
-    idx = lambda i, j: i * d2 + j
-
-    basis = tuple(f"{b1}⊗{b2}" for b1 in a1.basis for b2 in a2.basis)
-
-    alpha = a1.alpha.kron(a2.alpha)
-
-    mu_entries: dict = {}
-    for (i, k, p), q1 in a1.mu.items():
-        for (j, l, r), q2 in a2.mu.items():
-            key = (idx(i, j), idx(k, l), idx(p, r))
-            mu_entries[key] = mu_entries.get(key, Fraction(0)) + q1 * q2
-
-    br_entries: dict = {}
-    for (i, k, p), qb in a1.bracket.items():
-        for (j, l, r), qm in a2.mu.items():
-            key = (idx(i, j), idx(k, l), idx(p, r))
-            br_entries[key] = br_entries.get(key, Fraction(0)) + qb * qm
-    for (i, k, p), qm in a1.mu.items():
-        for (j, l, r), qb in a2.bracket.items():
-            key = (idx(i, j), idx(k, l), idx(p, r))
-            br_entries[key] = br_entries.get(key, Fraction(0)) + qm * qb
-
     return HomPoissonAlgebra(
-        basis=basis,
-        bracket=Trilinear(dim, br_entries),
-        mu=Trilinear(dim, mu_entries),
-        alpha=alpha,
+        basis=tuple(f"{b1}⊗{b2}" for b1 in a1.basis for b2 in a2.basis),
+        bracket=a1.bracket.kron(a2.mu) + a1.mu.kron(a2.bracket),
+        mu=a1.mu.kron(a2.mu),
+        alpha=a1.alpha.kron(a2.alpha),
         commutative=True,
     )
 

@@ -45,11 +45,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(q: Fraction) -> str:
-    """Canonical "p/q" (or "p") rendering."""
-    return str(q)
-
-
 # ``poly`` imports ``rat`` from this module, so it is imported once ``rat`` exists.
 from . import poly  # noqa: E402
 
@@ -419,6 +414,16 @@ class Trilinear:
             data[(i, j, k)] = q
         return Trilinear(self.dim, data)
 
+    def kron(self, other: "Trilinear") -> "Trilinear":
+        """Kronecker product: op(x1 (x) x2, y1 (x) y2) = self(x1, y1) (x)
+        other(x2, y2) on the product basis (i, j) -> i * other.dim + j, the
+        second factor varying fastest (as ``LinearMap.kron``)."""
+        d2 = other.dim
+        return Trilinear(self.dim * d2, {
+            (i * d2 + j, k * d2 + l, p * d2 + r): q1 * q2
+            for (i, k, p), q1 in self._entries.items()
+            for (j, l, r), q2 in other._entries.items()})
+
     def map_outputs(self, m: LinearMap) -> "Trilinear":
         """Post-compose with a linear map: structure constants of m(op(x, y))."""
         if m.dim != self.dim:
@@ -455,9 +460,6 @@ class Trilinear:
 
     def is_symmetric(self) -> bool:
         return all(q == self.entry(j, i, k) for (i, j, k), q in self._entries.items())
-
-    def is_antisymmetric(self) -> bool:
-        return all(q == -self.entry(j, i, k) for (i, j, k), q in self._entries.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trilinear):

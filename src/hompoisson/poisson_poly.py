@@ -1,10 +1,11 @@
 """Poisson brackets on polynomial algebras, and their twistings.
 
-Realizes the infinite-dimensional examples at polynomial scale: the bracket
-on a symmetric algebra induced by Lie structure constants, the canonical
-bracket on even-dimensional coordinate space, substitution endomorphisms as
-twisting maps, and the non-associativity / non-rigidity probes built from
-them.  Everything stays exact: coefficients are rationals, points are
+Realizes the infinite-dimensional examples at polynomial scale: one
+biderivation bracket fixed by its values on generator pairs, specialized to
+the bracket on a symmetric algebra induced by Lie structure constants and to
+the canonical bracket on even-dimensional coordinate space; substitution
+endomorphisms as twisting maps, and the non-associativity / non-rigidity
+probes built from them.  Everything stays exact: coefficients are rationals, points are
 rational, and residuals are polynomials compared to literal zero.
 """
 
@@ -28,8 +29,6 @@ from .errors import GeneratorMismatch, PreconditionError
 from .linalg import LinearMap, Trilinear, rat
 from .poly import Polynomial
 
-_HALF = Fraction(1, 2)
-
 
 # ---------------------------------------------------------------------------
 # Substitution endomorphisms
@@ -48,13 +47,6 @@ class Substitution:
     def identity(generators) -> "Substitution":
         return Substitution({g: Polynomial.var(generators, g) for g in generators})
 
-    @staticmethod
-    def from_map(generators, mapping: Mapping[str, Polynomial]) -> "Substitution":
-        """Images for the named generators; unnamed generators map to themselves."""
-        images = {g: Polynomial.var(generators, g) for g in generators}
-        images.update(mapping)
-        return Substitution(images)
-
     def __call__(self, f: Polynomial) -> Polynomial:
         return f.substitute(self.images)
 
@@ -63,33 +55,54 @@ class Substitution:
             f = self(f)
         return f
 
-    def is_linear(self) -> bool:
-        """Degree <= 1 images with zero constant term."""
-        return all(img.degree() <= 1 and img.constant_term() == 0
-                   for img in self.images.values())
-
-    def is_affine(self) -> bool:
-        return all(img.degree() <= 1 for img in self.images.values())
-
 
 # ---------------------------------------------------------------------------
 # Bracket structures
 # ---------------------------------------------------------------------------
 
-class LiePoissonStructure:
+class PoissonStructure:
+    """Poisson bracket on a polynomial ring, fixed by its values on generators.
+
+    ``relations[(i, j)]`` is the polynomial {x_i, x_j}; pairs left out
+    bracket to zero.  The bracket of two polynomials is the biderivation
+    {f, g} = sum_{i,j} {x_i, x_j} df/dx_i dg/dx_j.
+    """
+
+    def __init__(self, generators, relations: Mapping):
+        self.generators = tuple(generators)
+        self.relations = dict(relations)
+
+    def variable(self, name) -> Polynomial:
+        return Polynomial.var(self.generators, name)
+
+    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        gens = self.generators
+        if f.generators != gens or g.generators != gens:
+            raise GeneratorMismatch("polynomials must live on the structure's generators")
+        df = [f.diff(name) for name in gens]
+        dg = [g.diff(name) for name in gens]
+        acc = Polynomial.zero(gens)
+        for (i, j), rel in self.relations.items():
+            if df[i] and dg[j]:
+                acc = acc + rel * df[i] * dg[j]
+        return acc
+
+
+class LiePoissonStructure(PoissonStructure):
     """Bracket on a polynomial ring induced by Lie structure constants.
 
-    ``constants[(i, j, k)]`` is the e_k-coefficient of [e_i, e_j].  The
-    constants are validated at construction: antisymmetry and the Jacobi
-    identity must hold exactly.
+    ``constants[(i, j, k)]`` is the e_k-coefficient of [e_i, e_j], and
+    {e_i, e_j} = sum_k c_ij^k e_k.  The constants are validated at
+    construction: antisymmetry and the Jacobi identity must hold exactly;
+    ``reports`` keeps both passed checks.
     """
 
     def __init__(self, generators, constants: Mapping):
-        self.generators = tuple(generators)
-        self.n = len(self.generators)
+        generators = tuple(generators)
+        self.n = len(generators)
         self.constants = Trilinear(self.n, constants)
         probe = HomPoissonAlgebra(
-            basis=self.generators,
+            basis=generators,
             bracket=self.constants,
             mu=Trilinear.zero(self.n),
             alpha=LinearMap.identity(self.n),
@@ -100,62 +113,28 @@ class LiePoissonStructure:
         jac = check_hom_jacobi(probe)
         if not jac.passed:
             raise PreconditionError("structure constants fail the Jacobi identity", jac)
-
-    def variable(self, name) -> Polynomial:
-        return Polynomial.var(self.generators, name)
-
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return lie_poisson_bracket(self, f, g)
-
-
-def lie_poisson_bracket(struct: LiePoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = 1/2 sum_{i,j,k} c_ij^k e_k (df/de_i dg/de_j - df/de_j dg/de_i).
-
-    The full double sum over ordered (i, j) together with antisymmetric
-    constants double-counts each unordered pair, which the global 1/2
-    compensates; on generators the bracket returns the Lie bracket itself.
-    """
-    gens = struct.generators
-    if f.generators != gens or g.generators != gens:
-        raise GeneratorMismatch("polynomials must live on the structure's generators")
-    df = [f.diff(name) for name in gens]
-    dg = [g.diff(name) for name in gens]
-    evars = Polynomial.variables(gens)
-    acc = Polynomial.zero(gens)
-    for (i, j, k), c in struct.constants.items():
-        mixed = df[i] * dg[j] - df[j] * dg[i]
-        if mixed.is_zero():
-            continue
-        acc = acc + (_HALF * c) * (evars[k] * mixed)
-    return acc
+        self.reports = (anti, jac)
+        evars = Polynomial.variables(generators)
+        relations: dict = {}
+        for (i, j, k), c in self.constants.items():
+            relations[i, j] = relations.get((i, j), 0) + c * evars[k]
+        super().__init__(generators, relations)
 
 
-class SymplecticStructure:
+class SymplecticStructure(PoissonStructure):
     """Canonical bracket on 2n coordinates x1..x2n, pairing x_i with x_{i+n}."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("half-dimension must be >= 1")
         self.n = n
-        self.generators = tuple(f"x{i}" for i in range(1, 2 * n + 1))
-
-    def variable(self, name) -> Polynomial:
-        return Polynomial.var(self.generators, name)
-
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return symplectic_bracket(self, f, g)
-
-
-def symplectic_bracket(struct: SymplecticStructure, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = sum_i (df/dx_i dg/dx_{i+n} - df/dx_{i+n} dg/dx_i)."""
-    gens = struct.generators
-    if f.generators != gens or g.generators != gens:
-        raise GeneratorMismatch("polynomials must live on the structure's generators")
-    acc = Polynomial.zero(gens)
-    for i in range(struct.n):
-        a, b = gens[i], gens[i + struct.n]
-        acc = acc + f.diff(a) * g.diff(b) - f.diff(b) * g.diff(a)
-    return acc
+        generators = tuple(f"x{i}" for i in range(1, 2 * n + 1))
+        one = Polynomial.const(generators, 1)
+        relations = {}
+        for i in range(n):
+            relations[i, i + n] = one
+            relations[i + n, i] = -one
+        super().__init__(generators, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +149,15 @@ class POLYNOMIALS:
     ap = staticmethod(lambda sub, f: sub(f))
 
 
-def _generator_pairs(identity: str, struct, sub: Substitution) -> CheckReport:
-    """sub({x, y}) = {sub(x), sub(y)} on all pairs of generators."""
+def check_poisson_substitution(struct: PoissonStructure, sub: Substitution) -> CheckReport:
+    """Does the substitution respect the bracket?  sub({x, y}) = {sub(x), sub(y)}
+    on all pairs of generators.
+
+    Generator pairs decide it for any polynomial images: sub({f, g}) and
+    {sub(f), sub(g)} are both biderivations along the algebra morphism sub
+    that vanish on constants, so they agree everywhere once they agree on
+    generators.
+    """
     gens = struct.generators
     witnesses = []
     for i, gi in enumerate(gens):
@@ -180,28 +166,7 @@ def _generator_pairs(identity: str, struct, sub: Substitution) -> CheckReport:
                             struct.variable(gi), struct.variable(gj))
             if not diff.is_zero():
                 witnesses.append(Witness((i, j), diff))
-    return make_report(identity, witnesses)
-
-
-def check_poisson_substitution(struct: LiePoissonStructure, sub: Substitution) -> CheckReport:
-    """Does the substitution respect the induced bracket?
-
-    Verified on generator pairs only, which suffices because the bracket is a
-    biderivation and the substitution an algebra morphism; the images are
-    required to be linear with zero constant term, the shape induced by a
-    Lie-algebra self-map, so that argument applies.
-    """
-    if not sub.is_linear():
-        raise PreconditionError("bracket-morphism check requires linear generator images")
-    return _generator_pairs("poisson-substitution", struct, sub)
-
-
-def check_symplectic_substitution(struct: SymplecticStructure, sub: Substitution) -> CheckReport:
-    """Same generator-pair check for the canonical bracket; affine images allowed
-    (translations are the motivating case)."""
-    if not sub.is_affine():
-        raise PreconditionError("bracket-morphism check requires degree <= 1 generator images")
-    return _generator_pairs("symplectic-substitution", struct, sub)
+    return make_report("poisson-substitution", witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +202,7 @@ def manifold_nonrigidity_check(struct: SymplecticStructure, phi: Substitution,
     condition f(phi^2(x))^2 - f(phi(x)) f(phi^3(x)); both nonzero certifies
     that the twisted product fails associativity at the probe point.
     """
-    report = check_symplectic_substitution(struct, phi)
+    report = check_poisson_substitution(struct, phi)
     if not report.passed:
         raise PreconditionError("probe map does not respect the canonical bracket", report)
     values = [phi.iterate(f, k).evaluate(point) for k in (1, 2, 3)]

@@ -187,6 +187,11 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        width = len(self.generators)
+        top = max((max(_unpack(e, width), default=0) for e in self.terms), default=0)
+        if top * n > MAX_EXPONENT:
+            raise ResourceLimitError(
+                f"power {n} of a polynomial with exponent {top} exceeds {MAX_EXPONENT}")
         result = Polynomial.const(self.generators, 1)
         base = self
         while n:

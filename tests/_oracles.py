@@ -31,6 +31,14 @@ def dense_kron(a, b):
                  for i in range(n1) for j in range(n2))
 
 
+def dense_tensor_kron(a, b):
+    """Kronecker product of dense rank-3 arrays on the basis (i, j) -> i * len(b) + j."""
+    n2 = len(b)
+    d = len(a) * n2
+    return [[[a[i // n2][j // n2][k // n2] * b[i % n2][j % n2][k % n2] for k in range(d)]
+             for j in range(d)] for i in range(d)]
+
+
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

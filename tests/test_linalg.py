@@ -10,8 +10,8 @@ from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatr
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_kron, dense_matrix, mat_mul,
-                      random_map, ref_apply, ref_contract)
+from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_kron, dense_matrix, dense_tensor,
+                      dense_tensor_kron, mat_mul, random_map, random_tensor, ref_apply, ref_contract)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -138,7 +138,7 @@ def test_trilinear_algebra_ops():
     t = Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 0, 1): -1})
     assert t.op() == Trilinear(2, {(1, 0, 0): Fraction(1, 2), (0, 1, 1): -1})
     assert (t + t.op()).is_symmetric()
-    assert (t - t.op()).is_antisymmetric()
+    assert (t - t.op()).op() == (t - t.op()).scale(-1)
     assert t.scale(2).entry(0, 1, 0) == 1
     doubler = LinearMap.diagonal([2, 2])
     assert t.map_outputs(doubler).entry(0, 1, 0) == 1
@@ -237,6 +237,14 @@ def test_kron_matches_dense_oracle(data):
     assert product.sparse_rows == expected.sparse_rows
     assert product.sparse_columns == expected.sparse_columns
     assert hash(product) == hash(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2 ** 16))
+def test_trilinear_kron_matches_dense_oracle(d1, d2, fill, seed):
+    rng = random.Random(seed)
+    t1, t2 = random_tensor(rng, d1, fill), random_tensor(rng, d2, fill)
+    assert dense_tensor(t1.kron(t2)) == dense_tensor_kron(dense_tensor(t1), dense_tensor(t2))
 
 
 @settings(max_examples=60, deadline=None)

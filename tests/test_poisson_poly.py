@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompoisson.catalog import (
     free_poly_shift,
@@ -12,13 +14,11 @@ from hompoisson.catalog import (
 from hompoisson.errors import GeneratorMismatch, PreconditionError
 from hompoisson.poisson_poly import (
     LiePoissonStructure,
+    PoissonStructure,
     Substitution,
     SymplecticStructure,
     check_poisson_substitution,
-    check_symplectic_substitution,
-    lie_poisson_bracket,
     manifold_nonrigidity_check,
-    symplectic_bracket,
     translation,
     twisted_associator,
     twisted_product,
@@ -45,7 +45,7 @@ def test_generator_brackets_equal_lie_brackets():
         gens = struct.generators
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
-                got = lie_poisson_bracket(struct, struct.variable(gi), struct.variable(gj))
+                got = struct.bracket(struct.variable(gi), struct.variable(gj))
                 expected = Polynomial.zero(gens)
                 for k, gk in enumerate(gens):
                     c = struct.constants.entry(i, j, k)
@@ -57,10 +57,10 @@ def test_generator_brackets_equal_lie_brackets():
 def test_sl2_bracket_values():
     s = sl2_linear_poisson()
     e, f, h = (s.variable(g) for g in s.generators)
-    assert lie_poisson_bracket(s, h, e) == 2 * e
-    assert lie_poisson_bracket(s, h, f) == -2 * f
-    assert lie_poisson_bracket(s, e, f) == h
-    assert lie_poisson_bracket(s, e, Polynomial.const(s.generators, 7)).is_zero()
+    assert s.bracket(h, e) == 2 * e
+    assert s.bracket(h, f) == -2 * f
+    assert s.bracket(e, f) == h
+    assert s.bracket(e, Polynomial.const(s.generators, 7)).is_zero()
 
 
 def test_invalid_structure_constants_rejected():
@@ -79,7 +79,7 @@ def test_bracket_axioms_on_random_polynomials():
     rng = random.Random(5)
     for struct in (sl2_linear_poisson(), heisenberg_linear_poisson()):
         gens = struct.generators
-        br = lambda a, b: lie_poisson_bracket(struct, a, b)
+        br = struct.bracket
         for _ in range(6):
             f, g, h = (rand_poly(rng, gens) for _ in range(3))
             assert (br(f, g) + br(g, f)).is_zero()
@@ -87,6 +87,21 @@ def test_bracket_axioms_on_random_polynomials():
             assert jac.is_zero()
             leib = br(f * h, g) - br(f, g) * h - f * br(h, g)
             assert leib.is_zero()
+
+
+def test_quadratic_relations_give_a_poisson_bracket():
+    # {x, y} = xy on the plane: every antisymmetric biderivation in two
+    # variables satisfies the Jacobi identity
+    gens = ("x", "y")
+    x, y = Polynomial.variables(gens)
+    s = PoissonStructure(gens, {(0, 1): x * y, (1, 0): -(x * y)})
+    assert s.bracket(x * x, y) == 2 * x * x * y
+    rng = random.Random(8)
+    for _ in range(4):
+        f, g, h = (rand_poly(rng, gens) for _ in range(3))
+        assert (s.bracket(f, g) + s.bracket(g, f)).is_zero()
+        jac = s.bracket(f, s.bracket(g, h)) + s.bracket(g, s.bracket(h, f)) + s.bracket(h, s.bracket(f, g))
+        assert jac.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +115,9 @@ def test_symplectic_pairings():
         var = lambda i: Polynomial.var(gens, gens[i])
         for i in range(n):
             for j in range(n):
-                assert symplectic_bracket(s, var(i), var(j + n)) == (1 if i == j else 0)
-                assert symplectic_bracket(s, var(i), var(j)).is_zero()
-                assert symplectic_bracket(s, var(i + n), var(j + n)).is_zero()
+                assert s.bracket(var(i), var(j + n)) == (1 if i == j else 0)
+                assert s.bracket(var(i), var(j)).is_zero()
+                assert s.bracket(var(i + n), var(j + n)).is_zero()
 
 
 def test_symplectic_antisymmetry_and_leibniz():
@@ -110,21 +125,19 @@ def test_symplectic_antisymmetry_and_leibniz():
     rng = random.Random(6)
     for _ in range(6):
         f, g, h = (rand_poly(rng, s.generators) for _ in range(3))
-        assert symplectic_bracket(s, f, f).is_zero()
-        assert (symplectic_bracket(s, f, g) + symplectic_bracket(s, g, f)).is_zero()
-        leib = (symplectic_bracket(s, f * h, g) - symplectic_bracket(s, f, g) * h
-                - f * symplectic_bracket(s, h, g))
+        assert s.bracket(f, f).is_zero()
+        assert (s.bracket(f, g) + s.bracket(g, f)).is_zero()
+        leib = (s.bracket(f * h, g) - s.bracket(f, g) * h
+                - f * s.bracket(h, g))
         assert leib.is_zero()
 
 
 def test_bracket_generator_mismatch():
     s = SymplecticStructure(1)
     foreign = Polynomial.var(("q",), "q")
-    with pytest.raises(GeneratorMismatch):
-        symplectic_bracket(s, foreign, foreign)
-    l = sl2_linear_poisson()
-    with pytest.raises(GeneratorMismatch):
-        lie_poisson_bracket(l, foreign, foreign)
+    for struct in (s, sl2_linear_poisson()):
+        with pytest.raises(GeneratorMismatch):
+            struct.bracket(foreign, foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +166,79 @@ def test_swap_e_f_is_not_morphism():
     assert residuals[(2, 0)] == 4 * f
 
 
-def test_nonlinear_images_refused():
+def test_nonlinear_images_decided_on_generator_pairs():
+    # the shear x2 -> x2 + x1^2 is a Poisson automorphism of R^2
+    r2 = SymplecticStructure(1)
+    x1, x2 = Polynomial.variables(r2.generators)
+    assert check_poisson_substitution(r2, Substitution({"x1": x1, "x2": x2 + x1 * x1})).passed
+    # {h, e} = 2e: e -> e^2 gives 2e^2 against {h, e^2} = 4e^2, and
+    # e -> e + 1 gives 2e + 2 against {h, e + 1} = 2e
     s = sl2_linear_poisson()
     e, f, h = Polynomial.variables(s.generators)
-    with pytest.raises(PreconditionError):
-        check_poisson_substitution(s, Substitution({"e": e * e, "f": f, "h": h}))
-    with pytest.raises(PreconditionError):
-        check_poisson_substitution(s, Substitution({"e": e + 1, "f": f, "h": h}))
+    for image, residual in ((e * e, -2 * e * e), (e + 1, 2)):
+        rep = check_poisson_substitution(s, Substitution({"e": image, "f": f, "h": h}))
+        assert not rep.passed
+        assert {w.indices: w.residual for w in rep.witnesses}[(2, 0)] == residual
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+nonzero_rationals = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 2))
+
+
+@st.composite
+def quadratics(draw, gens, only=None):
+    """A polynomial of degree <= 2, in the generator positions ``only`` if given."""
+    positions = range(len(gens)) if only is None else only
+    monomials = [()] + [(i,) for i in positions] + [(i, j) for i in positions for j in positions if i <= j]
+    terms = {}
+    for mono in draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True)):
+        expo = [0] * len(gens)
+        for i in mono:
+            expo[i] += 1
+        terms[tuple(expo)] = draw(small_rationals)
+    return Polynomial(gens, terms)
+
+
+@st.composite
+def known_morphisms(draw, struct):
+    """A bracket morphism by construction: on R^2 a scaled, translated shear
+    (x_a -> lam x_a + c, x_b -> (x_b + p(x_a)) / lam with {x_a, x_b} = +-1);
+    on sl2 a scaling after the unipotent e -> e, h -> h - 2t e, f -> f + t h - t^2 e."""
+    lam = draw(nonzero_rationals)
+    if isinstance(struct, SymplecticStructure):
+        a = draw(st.sampled_from((0, 1)))
+        xa, xb = struct.variable(struct.generators[a]), struct.variable(struct.generators[1 - a])
+        shear = draw(quadratics(struct.generators, only=(a,)))
+        images = {struct.generators[a]: lam * xa + draw(small_rationals),
+                  struct.generators[1 - a]: (1 / lam) * (xb + shear)}
+        return Substitution(images)
+    e, f, h = Polynomial.variables(struct.generators)
+    t = draw(small_rationals)
+    unipotent = Substitution({"e": e, "h": h - 2 * t * e, "f": f + t * h - t * t * e})
+    return Substitution({g: sl2_scaling(lam)(img) for g, img in unipotent.images.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_passing_substitutions_are_bracket_morphisms(data):
+    """Any substitution with images of degree <= 2 that passes the generator-pair
+    check respects the bracket on polynomial pairs; unperturbed members of the
+    known-morphism families must pass."""
+    struct = data.draw(st.sampled_from((SymplecticStructure(1), sl2_linear_poisson())), label="struct")
+    gens = struct.generators
+    sub = data.draw(known_morphisms(struct), label="known")
+    perturbed = data.draw(st.booleans(), label="perturbed")
+    if perturbed:
+        images = dict(sub.images)
+        g = data.draw(st.sampled_from(gens), label="at")
+        images[g] = images[g] + data.draw(quadratics(gens), label="perturbation")
+        sub = Substitution(images)
+    report = check_poisson_substitution(struct, sub)
+    assert report.passed or perturbed
+    if report.passed:
+        for _ in range(2):
+            f, g = data.draw(quadratics(gens)), data.draw(quadratics(gens))
+            assert sub(struct.bracket(f, g)) == struct.bracket(sub(f), sub(g))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +279,7 @@ def test_twisted_structure_satisfies_twisted_leibniz():
     beta = sl2_scaling(2)
     assert check_poisson_substitution(s, beta).passed
     rng = random.Random(17)
-    br = lambda a, b: beta(lie_poisson_bracket(s, a, b))
+    br = lambda a, b: beta(s.bracket(a, b))
     mul = lambda a, b: beta(a * b)
     for _ in range(5):
         f, g, h = (rand_poly(rng, s.generators, degree=2) for _ in range(3))
@@ -239,7 +318,7 @@ def test_probe_rejects_non_bracket_morphism():
     s = SymplecticStructure(1)
     x1, x2 = Polynomial.variables(s.generators)
     stretch = Substitution({"x1": 2 * x1, "x2": x2})  # {2x1, x2} = 2 != 1
-    assert not check_symplectic_substitution(s, stretch).passed
+    assert not check_poisson_substitution(s, stretch).passed
     with pytest.raises(PreconditionError):
         manifold_nonrigidity_check(s, stretch, x1, {"x1": 0, "x2": 0})
 

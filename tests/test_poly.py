@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hompoisson import poly
 from hompoisson.errors import GeneratorMismatch, ResourceLimitError
 from hompoisson.linalg import Trilinear, Vector
 from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial
@@ -286,6 +287,21 @@ def test_exponent_past_the_field_maximum_is_refused(name):
     with pytest.raises(ResourceLimitError):
         t.contract(Vector((top,)), Vector((v,)))
     assert t.contract(Vector((top,)), Vector((other,))).entries == (top * other,)
+
+
+def test_over_limit_power_is_refused_before_multiplying(monkeypatch):
+    """(v + 1) ** 32768 is refused from the exponents alone, without first
+    squaring its way up to many-term polynomials."""
+    v = Polynomial.var(GENS, "y")
+
+    def refuse(triples):
+        raise AssertionError("multiplied before checking the exponent limit")
+
+    with monkeypatch.context() as m:
+        m.setattr(poly, "sum_of_products", refuse)
+        with pytest.raises(ResourceLimitError):
+            (v + 1) ** (MAX_EXPONENT + 1)
+    assert v ** MAX_EXPONENT == Polynomial(GENS, {(0, MAX_EXPONENT): 1})
 
 
 @settings(max_examples=60, deadline=None)
