@@ -12,6 +12,14 @@ time and computes the residuals of the whole remaining slice of tuples by
 sparse composition of the structure constants; it collects the first
 ``MAX_WITNESSES`` failing tuples in lexicographic order with their exact
 residual vectors and returns a structured report.
+
+The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) carries
+every integral value as an ``int`` and only a non-integral one as a
+``Fraction``: it reads its operands through ``linalg.int_if_integral`` (the
+tensors' ``rows`` and the maps' ``engine_columns``), starts from ``int``
+leaves and accumulators, and converts residuals back to ``Fraction`` in the
+witnesses it reports.  Mixed ``int``/``Fraction`` arithmetic is exact, so
+results are unchanged, and an integral tensor runs on machine-speed products.
 """
 
 from __future__ import annotations
@@ -24,9 +32,6 @@ from .errors import DimensionMismatch
 from .linalg import LinearMap, Trilinear, Vector
 
 MAX_WITNESSES = 10
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ class _Form:
         for n, col in other.cols.items():
             acc = cols.setdefault(n, {})
             for code, q in col.items():
-                acc[code] = acc.get(code, _ZERO) + (-q if negate else q)
+                acc[code] = acc.get(code, 0) + (-q if negate else q)
         return _Form(cols, self.varies or other.varies)
 
     def __add__(self, other: "_Form") -> "_Form":
@@ -292,18 +297,18 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
                 f = q * qa
                 for cb, qb in bcol.items():
                     code = ca + cb
-                    col[code] = col.get(code, _ZERO) + f * qb
+                    col[code] = col.get(code, 0) + f * qb
     return _Form(out, a.varies or b.varies)
 
 
 def _apply(m: LinearMap, a: _Form) -> _Form:
     out: dict = {}
-    columns = m.sparse_columns
+    columns = m.engine_columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
             col = out.setdefault(i, {})
             for code, q in acol.items():
-                col[code] = col.get(code, _ZERO) + coeff * q
+                col[code] = col.get(code, 0) + coeff * q
     return _Form(out, a.varies)
 
 
@@ -343,11 +348,11 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     """
     free = min(arity, 2)
     E = _Sweep()
-    args = [_Form({n: {n * dim ** (free - 1 - s): _ONE} for n in range(dim)}, False)
+    args = [_Form({n: {n * dim ** (free - 1 - s): 1} for n in range(dim)}, False)
             for s in range(free)]
     witnesses = []
     for prefix in itertools.product(range(dim), repeat=arity - free):
-        fixed = [_Form({i: {0: _ONE}}, True) for i in prefix]
+        fixed = [_Form({i: {0: 1}}, True) for i in prefix]
         slice_ = {}
         for n, col in residual(E, *operands, *fixed, *args).cols.items():
             for code, q in col.items():
@@ -355,7 +360,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
         for code in sorted(slice_):
             entries = slice_[code]
             indices = prefix + (divmod(code, dim) if free == 2 else (code,))
-            witnesses.append(Witness(indices, Vector(tuple(entries.get(n, _ZERO) for n in range(dim)))))
+            witnesses.append(Witness(indices, Vector(tuple(Fraction(entries.get(n, 0)) for n in range(dim)))))
             if len(witnesses) == MAX_WITNESSES:
                 return make_report(identity, witnesses)
     return make_report(identity, witnesses)

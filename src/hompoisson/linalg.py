@@ -1,11 +1,15 @@
 """Exact rational vectors, square matrices, and rank-3 structure-constant tensors.
 
-All scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms with positive denominator), so every operation here is exact; there is
-no floating point anywhere in the package.  Vectors and tensor contractions
-also take sparse polynomial entries (see ``poly``), which is how universally
-quantified identities are decided with generic elements; a contraction sums
-the products of each output coordinate in one fraction-free accumulation.
+All public scalars are ``fractions.Fraction`` (arbitrary precision, always in
+lowest terms with positive denominator), so every operation here is exact;
+there is no floating point anywhere in the package.  The views read by the
+sweep engine (``Trilinear.rows``, ``LinearMap.engine_columns``) hold integral
+values as ``int`` instead (``int_if_integral``); every other value, from
+``entry``, ``items``, ``rows`` or the ``sparse_*`` views, is a ``Fraction``.
+Vectors and tensor contractions also take sparse polynomial entries (see
+``poly``), which is how universally quantified identities are decided with
+generic elements; a contraction or map application sums the products of each
+output coordinate in one fraction-free accumulation.
 
 Square matrices keep one dense, canonical form (``LinearMap.rows``) for
 equality, hashing and serialisation, and run every product, application and
@@ -43,6 +47,16 @@ def rat(value) -> Fraction:
             raise ValueError(f"decimal notation not allowed for exact rationals: {value!r}")
         return Fraction(text)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def int_if_integral(q):
+    """``q`` as an ``int`` when it is integral, else ``q`` itself.
+
+    The one scalar policy of the sweep engine (``algebra._contract`` and
+    ``_apply``): mixed ``int``/``Fraction`` arithmetic is exact, and products
+    of integral values run on ``int``.
+    """
+    return q.numerator if q.denominator == 1 else q
 
 
 # ``poly`` imports ``rat`` from this module, so it is imported once ``rat`` exists.
@@ -199,18 +213,23 @@ class LinearMap:
         """Column j as a tuple of its nonzero (i, value) pairs."""
         return _transpose(self.sparse_rows)
 
+    @cached_property
+    def engine_columns(self) -> tuple:
+        """``sparse_columns`` with integral values as ``int``: the view the
+        sweep engine reads (see ``int_if_integral``)."""
+        return tuple(tuple((i, int_if_integral(q)) for i, q in line) for line in self.sparse_columns)
+
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product; generic over the entry ring of ``v``."""
+        """Matrix-vector product; generic over the entry ring of ``v``: each
+        output coordinate is one ``poly.sum_of_products`` accumulation over
+        the row's nonzeros that meet a nonzero entry of ``v``."""
         if self.dim != v.dim:
             raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
         x = v.entries
         out = []
         for line in self.sparse_rows:
-            acc = None
-            for j, coeff in line:
-                term = coeff * x[j]
-                acc = term if acc is None else acc + term
-            out.append(_ZERO if acc is None else acc)
+            triples = [(coeff, x[j], 1) for j, coeff in line if x[j]]
+            out.append(poly.sum_of_products(triples) if triples else _ZERO)
         return Vector(tuple(out))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -249,42 +268,48 @@ class LinearMap:
     def is_identity(self) -> bool:
         return all(line == ((j, _ONE),) for j, line in enumerate(self.sparse_columns))
 
-    def _rref(self) -> tuple[list, dict]:
+    def _rref(self) -> dict:
         """Reduced row echelon form of [self | I] by exact Gaussian elimination.
 
         Rows are sparse, {column: nonzero value}, with the identity block in
-        columns n..2n-1.  Pivots on the first nonzero entry of each column of
-        ``self`` (with exact arithmetic no magnitude pivoting is needed), clears
-        only the rows whose entry in the pivot column is nonzero, and touches
-        only the columns where the pivot row is nonzero.  Returns the reduced
-        rows and the pivot row of each pivot column.
+        columns n..2n-1.  ``holders[c]`` is kept as the set of rows with a
+        nonzero in column c < n, so each pivot column finds its pivot (the
+        first unused row holding it; with exact arithmetic no magnitude
+        pivoting is needed) and the rows to clear from its nonzeros alone, and
+        clearing touches only the columns where the pivot row is nonzero.
+        Returns the reduced pivot row of each pivot column; those rows do not
+        depend on the choice of pivots.
         """
         n = self.dim
         a = [dict(line) | {n + i: _ONE} for i, line in enumerate(self.sparse_rows)]
+        holders = [{i for i, _ in line} for line in self.sparse_columns]
         pivot_of_col: dict[int, int] = {}
-        r = 0
+        used: set = set()
         for col in range(n):
-            pivot_row = next((i for i in range(r, n) if col in a[i]), None)
-            if pivot_row is None:
+            candidates = holders[col] - used
+            if not candidates:
                 continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
+            r = min(candidates)
             pivot = a[r]
             p = pivot[col]
             if p != 1:
                 pivot = a[r] = {c: x / p for c, x in pivot.items()}
-            for i, row in enumerate(a):
-                f = row.get(col)
-                if f is None or i == r:
-                    continue
+            for i in holders[col] - {r}:
+                row = a[i]
+                f = row[col]
                 for c, x in pivot.items():
                     v = row.get(c, _ZERO) - f * x
                     if v:
                         row[c] = v
+                        if c < n:
+                            holders[c].add(i)
                     else:
                         del row[c]
+                        if c < n:
+                            holders[c].discard(i)
             pivot_of_col[col] = r
-            r += 1
-        return a, pivot_of_col
+            used.add(r)
+        return {col: a[r] for col, r in pivot_of_col.items()}
 
     def invert(self) -> "LinearMap":
         """Exact inverse: the right half of the reduced [self | I].
@@ -292,10 +317,10 @@ class LinearMap:
         Raises SingularMatrixError when a column has no pivot.
         """
         n = self.dim
-        a, pivot_of_col = self._rref()
-        if len(pivot_of_col) < n:
+        pivots = self._rref()
+        if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
-        rows = tuple(tuple(sorted((c - n, x) for c, x in row.items() if c >= n)) for row in a)
+        rows = tuple(tuple(sorted((c - n, x) for c, x in pivots[col].items() if c >= n)) for col in range(n))
         return LinearMap._of_sparse(rows, _transpose(rows))
 
     def kernel_vector(self) -> Vector | None:
@@ -305,14 +330,14 @@ class LinearMap:
         the reduced rows there.
         """
         n = self.dim
-        a, pivot_of_col = self._rref()
-        free = next((c for c in range(n) if c not in pivot_of_col), None)
+        pivots = self._rref()
+        free = next((c for c in range(n) if c not in pivots), None)
         if free is None:
             return None
         coords = [_ZERO] * n
         coords[free] = _ONE
-        for col, row in pivot_of_col.items():
-            coords[col] = -a[row].get(free, _ZERO)
+        for col, row in pivots.items():
+            coords[col] = -row.get(free, _ZERO)
         return Vector(tuple(coords))
 
     def __repr__(self) -> str:
@@ -355,10 +380,11 @@ class Trilinear:
             if q != 0:
                 data[(i, j, k)] = q
         self._entries = data
-        # rows[i]: the (j, k, coefficient) entries with first index i
+        # rows[i]: the (j, k, coefficient) entries with first index i, read by
+        # the sweep engine, so integral coefficients are ints (int_if_integral)
         rows: dict[int, list] = {}
         for (i, j, k), q in data.items():
-            rows.setdefault(i, []).append((j, k, q))
+            rows.setdefault(i, []).append((j, k, int_if_integral(q)))
         self.rows = rows
 
     @staticmethod
@@ -374,9 +400,9 @@ class Trilinear:
     def pair_vector(self, i: int, j: int) -> Vector:
         """op(e_i, e_j)."""
         out = [_ZERO] * self.dim
-        for jj, k, q in self.rows.get(i, ()):
+        for jj, k, _ in self.rows.get(i, ()):
             if jj == j:
-                out[k] = q
+                out[k] = self._entries[i, j, k]
         return Vector(tuple(out))
 
     def is_zero(self) -> bool:

@@ -1,0 +1,109 @@
+"""Golden reports: every ``check_*`` report on a fixed list of algebras,
+compared byte for byte with ``tests/golden/reports.json``.
+
+The list holds the catalog entries, the commutator algebras of the matrix
+entries, their depolarizations, one diagonal twist of each and one seeded
+corruption of each (dims <= 9).  A change that should leave every verdict,
+witness and exact residual unchanged must leave this file unchanged.  After
+a change that alters reports on purpose, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review its diff.
+"""
+
+import json
+import os
+import random
+from fractions import Fraction
+
+from hompoisson.algebra import (
+    HomPoissonAlgebra,
+    check_commutative,
+    check_hom_associative,
+    check_hom_poisson,
+    check_morphism,
+    check_multiplicative,
+)
+from hompoisson.catalog import CATALOG, build_catalog, entry_reports, heisenberg_p31, heisenberg_p32, matrix_algebra
+from hompoisson.constructions import check_admissible, check_hom_flexible, commutator_poisson, depolarize, twist
+from hompoisson.hompower import MAX_DIM, check_criterion_34, check_nth_power_assoc
+from hompoisson.linalg import LinearMap
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
+SEED = 20100521
+CORRUPTIONS = (1, -2, Fraction(1, 3), 0)
+
+
+def _weights(dim: int) -> LinearMap:
+    """A diagonal map with integral and fractional weights."""
+    return LinearMap.diagonal([Fraction(1, 2) if i == 0 else i % 3 + 1 for i in range(dim)])
+
+
+def _corrupt(algebra: HomPoissonAlgebra, rng: random.Random) -> HomPoissonAlgebra:
+    dim = algebra.dim
+    bracket, mu = algebra.bracket, algebra.mu
+    for _ in range(2):
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        value = rng.choice(CORRUPTIONS)
+        if rng.random() < 0.5:
+            bracket = bracket.with_entry(i, j, k, value)
+        else:
+            mu = mu.with_entry(i, j, k, value)
+    return HomPoissonAlgebra(algebra.basis, bracket, mu, algebra.alpha, algebra.commutative)
+
+
+def cases():
+    """(label, algebra) pairs: the base algebras and their variants."""
+    rng = random.Random(SEED)
+    bases = [
+        ("heisenberg-p31", heisenberg_p31(1)),
+        ("heisenberg-p31[zeta=1/2]", heisenberg_p31(Fraction(1, 2))),
+        ("heisenberg-p32", heisenberg_p32()),
+        ("matrix[n=2]", commutator_poisson(matrix_algebra(2))),
+        ("matrix[n=3]", commutator_poisson(matrix_algebra(3))),
+    ]
+    out = []
+    for label, algebra in bases:
+        twisted = twist(algebra, _weights(algebra.dim), force=True)
+        corrupted = _corrupt(algebra, rng)
+        for name, variant in ((label, algebra), (f"{label}/twisted", twisted),
+                              (f"{label}/corrupted", corrupted)):
+            out.append((name, variant))
+            out.append((f"{name}/depolarized", depolarize(variant)))
+    return out
+
+
+def _reports(algebra) -> list:
+    reports = []
+    if isinstance(algebra, HomPoissonAlgebra):
+        reports += [check_hom_poisson(algebra), check_commutative(algebra)]
+    else:
+        reports += [check_hom_associative(algebra), check_admissible(algebra), check_hom_flexible(algebra)]
+    multiplicative = check_multiplicative(algebra)
+    reports += [multiplicative, check_morphism(_weights(algebra.dim), algebra, algebra)]
+    if algebra.dim <= MAX_DIM and not isinstance(algebra, HomPoissonAlgebra):
+        reports += [check_nth_power_assoc(algebra, n) for n in range(2, 6)]
+        if multiplicative.passed:
+            reports.append(check_criterion_34(algebra))
+    return reports
+
+
+def golden() -> str:
+    """The reports as JSON, one line per report."""
+    labelled = [(f"catalog/{name}", entry_reports(name, build_catalog(name))) for name in sorted(CATALOG)]
+    labelled += [(label, _reports(algebra)) for label, algebra in cases()]
+    return "".join(json.dumps([label, r.as_dict()], separators=(",", ":")) + "\n"
+                   for label, reports in labelled for r in reports)
+
+
+def test_reports_match_golden_file():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert golden() == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(golden())

@@ -66,14 +66,16 @@ SETTINGS = settings(max_examples=40, deadline=None)
 # Inputs
 # ---------------------------------------------------------------------------
 
-def _pieces(rng):
-    """Catalog pieces with a self-morphism each: (algebra, morphism)."""
-    a = rng.choice((1, 2, -1, Fraction(1, 2)))
+def _pieces(rng, integral):
+    """Catalog pieces with a self-morphism each: (algebra, morphism); with
+    ``integral``, every structure constant and map entry is an integer."""
+    a = rng.choice((1, 2, -1) if integral else (1, 2, -1, Fraction(1, 2)))
+    zeta = rng.choice((0, 1) if integral else (0, 1, Fraction(1, 2)))
     return [
-        (heisenberg_p31(rng.choice((0, 1, Fraction(1, 2)))), heisenberg_morphism(a, 0, 0, a)),
+        (heisenberg_p31(zeta), heisenberg_morphism(a, 0, 0, a)),
         (heisenberg_p32(), heisenberg_morphism(a, 0, 0, a)),
         (commutator_poisson(matrix_algebra(1)), LinearMap.identity(1)),
-        (commutator_poisson(matrix_algebra(2)), conjugation_morphism(2, a)),
+        (commutator_poisson(matrix_algebra(2)), conjugation_morphism(2, -1 if integral else a)),
         (None, None),  # a one-dimensional zero algebra
     ]
 
@@ -96,9 +98,14 @@ def _direct_sum(blocks):
 
 @st.composite
 def algebras(draw):
-    """(algebra, a self-map that is a morphism of the uncorrupted algebra)."""
+    """(algebra, a self-map that is a morphism of the uncorrupted algebra).
+
+    The "integral" kind has integer constants and maps, corrupted by up to two
+    integers, so passing and failing sweeps also run on ints alone.
+    """
     rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(("structured", "corrupted", "random")))
+    kind = draw(st.sampled_from(("structured", "corrupted", "random", "integral")))
+    integral = kind == "integral"
     if kind == "random":
         dim = draw(st.integers(1, 6))
         alpha = draw(st.sampled_from((LinearMap.identity(dim), random_map(rng, dim))))
@@ -107,12 +114,13 @@ def algebras(draw):
                                     random_tensor(rng, dim, rng.random() * 0.5), alpha,
                                     commutative=draw(st.booleans()))
         return algebra, random_map(rng, dim)
-    pieces, blocks, maps, dim = _pieces(rng), [], [], 0
+    pieces, blocks, maps, dim = _pieces(rng, integral), [], [], 0
     for _ in range(draw(st.integers(1, 3))):  # the first piece always fits
         piece, beta = pieces[draw(st.integers(0, len(pieces) - 1))]
         if piece is None:
+            weight = rng.randint(1, 3) if integral else random_rational(rng) or 1
             piece, beta = HomPoissonAlgebra(("o",), Trilinear(1), Trilinear(1), LinearMap.identity(1),
-                                            True), LinearMap.diagonal([random_rational(rng) or 1])
+                                            True), LinearMap.diagonal([weight])
         if dim + piece.dim > 6:
             break
         dim += piece.dim
@@ -123,11 +131,12 @@ def algebras(draw):
     base = HomPoissonAlgebra(tuple(f"b{i}" for i in range(dim)), bracket, mu, alpha, commutative)
     beta = _direct_sum(maps)[2]
     algebra = twist(base, beta) if draw(st.booleans()) else base
-    if kind == "corrupted":
-        for _ in range(draw(st.integers(1, 2))):
+    if kind in ("corrupted", "integral"):
+        values = (1, -2, 3, 0) if integral else (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0))
+        for _ in range(draw(st.integers(0 if integral else 1, 2))):
             which = draw(st.sampled_from(("mu", "bracket")))
             i, j, k = (draw(st.integers(0, dim - 1)) for _ in range(3))
-            value = draw(st.sampled_from((Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0))))
+            value = draw(st.sampled_from(values))
             algebra = dataclasses.replace(algebra, **{which: getattr(algebra, which).with_entry(i, j, k, value)})
     return algebra, beta
 
@@ -151,6 +160,8 @@ def _assert_matches(report, expected, identity):
     assert report.identity == identity
     assert report_leaves(report) == expected
     assert report.passed == all(passed for _, passed, _ in expected)
+    # the engine computes with ints where it can; its residuals leave it as Fractions
+    assert all(type(q) is Fraction for leaf in report.flat() for w in leaf.witnesses for q in w.residual.entries)
 
 
 @SETTINGS

@@ -310,6 +310,22 @@ def test_invert_and_kernel_at_dim_81():
         kernel = singular.kernel_vector()
         assert kernel == Vector.unit(n, 40)
         assert all(q == 0 for q in ap(a, list(kernel.entries)))
+    # the same diagonal built sparsely: its inverse is the entrywise reciprocal
+    assert LinearMap.diagonal(weights).invert() == LinearMap.diagonal([1 / w for w in weights])
+
+
+def test_engine_views_hold_ints_and_public_values_stay_fractions():
+    """The sweep engine reads integral values as int; every public value is a Fraction."""
+    m = LinearMap(((2, "1/2"), (0, -1)))
+    assert m.engine_columns == m.sparse_columns
+    assert [type(q) for line in m.engine_columns for _, q in line] == [int, Fraction, int]
+    t = Trilinear(2, {(0, 1, 0): 3, (0, 1, 1): "2/3", (1, 0, 0): Fraction(4, 2)})
+    assert [type(q) for j, k, q in t.rows[0]] == [int, Fraction]
+    assert all(type(q) is Fraction for _, q in t.items())
+    assert all(type(q) is Fraction for line in m.sparse_rows + m.sparse_columns for _, q in line)
+    assert t.pair_vector(0, 1) == Vector.of(3, "2/3")
+    assert all(type(q) is Fraction for q in t.pair_vector(0, 1).entries + t.pair_vector(1, 0).entries)
+    assert type(t.entry(1, 0, 0)) is Fraction and type(m.entry(0, 0)) is Fraction
 
 
 @settings(max_examples=40, deadline=None)
