@@ -9,9 +9,13 @@ vectors (the element-level functions) and on all basis tuples (the
 arguments, so vanishing on all basis tuples is equivalent to vanishing
 identically.  A check fixes the leading arguments to one basis vector at a
 time and computes the residuals of the whole remaining slice of tuples by
-sparse composition of the structure constants; it collects the first
-``MAX_WITNESSES`` failing tuples in lexicographic order with their exact
-residual vectors and returns a structured report.
+sparse composition of the structure constants.
+
+Every report in the package, swept or not, is built by ``make_report`` under
+one witness policy: residuals are read in lexicographic order of their
+indices, the first ``MAX_WITNESSES`` that are not zero become the witnesses
+with their exact values, reading stops there, and the check passes when
+there are none.
 
 The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) carries
 every integral value as an ``int`` and only a non-integral one as a
@@ -146,11 +150,14 @@ class CheckReport:
         return [self]
 
 
-def make_report(identity: str, witnesses=(), parts=()) -> CheckReport:
-    witnesses = tuple(witnesses)
-    parts = tuple(parts)
-    passed = not witnesses and all(p.passed for p in parts)
-    return CheckReport(identity, passed, witnesses, parts)
+def make_report(identity: str, cases=()) -> CheckReport:
+    """The report of one identity from its ``(indices, residual)`` cases,
+    given in lexicographic order of the indices: the first ``MAX_WITNESSES``
+    residuals that are not zero become the witnesses, and ``cases`` is read
+    no further."""
+    nonzero = ((indices, r) for indices, r in cases if not r.is_zero())
+    witnesses = tuple(Witness(indices, r) for indices, r in itertools.islice(nonzero, MAX_WITNESSES))
+    return CheckReport(identity, not witnesses, witnesses)
 
 
 def aggregate_report(identity: str, parts) -> CheckReport:
@@ -253,15 +260,14 @@ class _Form:
 
     ``cols[n][code]`` is the coefficient of basis vector n at the free basis
     indices whose mixed-radix number is ``code`` (so sorted codes are in
-    lexicographic order); no stored coefficient is zero.  ``varies`` marks a
-    form that changes from one slice of the sweep to the next.
+    lexicographic order); a stored coefficient may be zero.  ``varies`` marks
+    a form that changes from one slice of the sweep to the next.
     """
 
     __slots__ = ("cols", "varies")
 
     def __init__(self, cols: dict, varies: bool):
-        self.cols = {n: nonzero for n, col in cols.items()
-                     if (nonzero := {code: q for code, q in col.items() if q})}
+        self.cols = cols
         self.varies = varies
 
     def _merge(self, other: "_Form", negate: bool) -> "_Form":
@@ -269,7 +275,11 @@ class _Form:
         for n, col in other.cols.items():
             acc = cols.setdefault(n, {})
             for code, q in col.items():
-                acc[code] = acc.get(code, 0) + (-q if negate else q)
+                total = acc.get(code, 0) + (-q if negate else q)
+                if total:
+                    acc[code] = total
+                else:
+                    acc.pop(code, None)
         return _Form(cols, self.varies or other.varies)
 
     def __add__(self, other: "_Form") -> "_Form":
@@ -314,9 +324,7 @@ def _apply(m: LinearMap, a: _Form) -> _Form:
 
 class _Sweep:
     """Evaluator on forms.  Within one sweep it memoises the subterms that do
-    not vary from slice to slice (those free of the fixed prefix); a memo
-    entry is keyed by operand ids, so it holds its operands to keep those ids
-    from being reused."""
+    not vary from slice to slice (those free of the fixed prefix)."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -324,11 +332,11 @@ class _Sweep:
     def _memo(self, fn, operand, *forms) -> _Form:
         if any(f.varies for f in forms):
             return fn(operand, *forms)
-        key = (fn, id(operand), *map(id, forms))
+        key = (fn, id(operand), *forms)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = (operand, forms, fn(operand, *forms))
-        return hit[2]
+            hit = self.memo[key] = fn(operand, *forms)
+        return hit
 
     def op(self, t: Trilinear, a: _Form, b: _Form) -> _Form:
         return self._memo(_contract, t, a, b)
@@ -343,27 +351,29 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     Every argument but the last two is fixed to one basis vector at a time,
     in lexicographic order; the last two range over the whole basis at once,
     so each evaluation yields one slice of residuals by sparse composition,
-    at a cost that follows the tensor nonzeros.  Stops at the
-    ``MAX_WITNESSES``-th failing tuple.
+    at a cost that follows the tensor nonzeros.  Slices are computed only as
+    ``make_report`` reads them, so the sweep stops after the slice that
+    holds the ``MAX_WITNESSES``-th failing tuple.
     """
     free = min(arity, 2)
     E = _Sweep()
     args = [_Form({n: {n * dim ** (free - 1 - s): 1} for n in range(dim)}, False)
             for s in range(free)]
-    witnesses = []
-    for prefix in itertools.product(range(dim), repeat=arity - free):
-        fixed = [_Form({i: {0: 1}}, True) for i in prefix]
-        slice_ = {}
-        for n, col in residual(E, *operands, *fixed, *args).cols.items():
-            for code, q in col.items():
-                slice_.setdefault(code, {})[n] = q
-        for code in sorted(slice_):
-            entries = slice_[code]
-            indices = prefix + (divmod(code, dim) if free == 2 else (code,))
-            witnesses.append(Witness(indices, Vector(tuple(Fraction(entries.get(n, 0)) for n in range(dim)))))
-            if len(witnesses) == MAX_WITNESSES:
-                return make_report(identity, witnesses)
-    return make_report(identity, witnesses)
+
+    def cases():
+        for prefix in itertools.product(range(dim), repeat=arity - free):
+            fixed = [_Form({i: {0: 1}}, True) for i in prefix]
+            slice_ = {}
+            for n, col in residual(E, *operands, *fixed, *args).cols.items():
+                for code, q in col.items():
+                    if q:
+                        slice_.setdefault(code, {})[n] = q
+            for code in sorted(slice_):
+                entries = slice_[code]
+                indices = prefix + (divmod(code, dim) if free == 2 else (code,))
+                yield indices, Vector(tuple(Fraction(entries.get(n, 0)) for n in range(dim)))
+
+    return make_report(identity, cases())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .algebra import (
     CheckReport,
     HomAlgebra,
     HomPoissonAlgebra,
-    Witness,
     aggregate_report,
     associator,
     check_commutative,
@@ -136,10 +135,8 @@ def verify_isomorphism(f: LinearMap, source, target) -> CheckReport:
     try:
         f_inv = f.invert()
     except SingularMatrixError:
-        kernel = f.kernel_vector()
-        wit = (Witness((), kernel),) if kernel is not None else ()
-        inv_part = CheckReport("isomorphism[invertible]", False, wit)
-        return aggregate_report("isomorphism", [inv_part])
+        return aggregate_report("isomorphism", [
+            make_report("isomorphism[invertible]", [((), f.kernel_vector())])])
     parts = [
         make_report("isomorphism[invertible]"),
         check_morphism(f, source, target),

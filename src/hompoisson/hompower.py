@@ -9,7 +9,7 @@ field, exactly.
 
 from __future__ import annotations
 
-from .algebra import CheckReport, Witness, check_multiplicative, make_report
+from .algebra import VECTORS, CheckReport, check_multiplicative, commutativity, make_report
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import LinearMap, Vector
 from .poly import Polynomial
@@ -20,10 +20,10 @@ MAX_POWER = 8
 MAX_DIM = 8
 
 
-def generic_element(dim: int, prefix: str = "t") -> Vector:
+def generic_element(dim: int) -> Vector:
     """The vector of independent variables t1..t_dim: an element whose powers
     are polynomial identities in its coordinates."""
-    return Vector(Polynomial.variables(tuple(f"{prefix}{i}" for i in range(1, dim + 1))))
+    return Vector(Polynomial.variables(tuple(f"t{i}" for i in range(1, dim + 1))))
 
 
 def hom_power(algebra, x: Vector, n: int) -> Vector:
@@ -74,13 +74,9 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
         raise ValueError("power associativity is defined for n >= 2")
     _guard(algebra, n)
     table, alphas = _power_table(algebra, generic_element(algebra.dim), n)
-    witnesses = []
     # i = 1 is skipped: x^(n-1,1) = x^(n-1) alpha^(n-2)(x) is the recursion defining x^n.
-    for i in range(2, n):
-        residual = table[n] - _pair(algebra, table, alphas, n - i, i)
-        if not residual.is_zero():
-            witnesses.append(Witness((n, i), residual))
-    return make_report(f"hom-power-associative[{n}]", witnesses)
+    return make_report(f"hom-power-associative[{n}]", (
+        ((n, i), table[n] - _pair(algebra, table, alphas, n - i, i)) for i in range(2, n)))
 
 
 def check_criterion_34(algebra) -> CheckReport:
@@ -97,13 +93,8 @@ def check_criterion_34(algebra) -> CheckReport:
     mu, alpha = algebra.mu, algebra.alpha
     x = generic_element(algebra.dim)
     table, _ = _power_table(algebra, x, 4)
-    ax = alpha.apply(x)
-    witnesses = []
-    third = mu.contract(table[2], ax) - mu.contract(ax, table[2])
-    if not third.is_zero():
-        witnesses.append(Witness((3,), third))
     ax2 = alpha.apply(table[2])
-    fourth = table[4] - mu.contract(ax2, ax2)
-    if not fourth.is_zero():
-        witnesses.append(Witness((4,), fourth))
-    return make_report("criterion-34", witnesses)
+    return make_report("criterion-34", [
+        ((3,), commutativity(VECTORS, mu, table[2], alpha.apply(x))),
+        ((4,), table[4] - mu.contract(ax2, ax2)),
+    ])

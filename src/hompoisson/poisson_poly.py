@@ -18,7 +18,6 @@ from typing import Mapping, NamedTuple
 from .algebra import (
     CheckReport,
     HomPoissonAlgebra,
-    Witness,
     associator,
     check_antisymmetry,
     check_hom_jacobi,
@@ -158,15 +157,10 @@ def check_poisson_substitution(struct: PoissonStructure, sub: Substitution) -> C
     that vanish on constants, so they agree everywhere once they agree on
     generators.
     """
-    gens = struct.generators
-    witnesses = []
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            diff = morphism(POLYNOMIALS, sub, struct.bracket, struct.bracket,
-                            struct.variable(gi), struct.variable(gj))
-            if not diff.is_zero():
-                witnesses.append(Witness((i, j), diff))
-    return make_report("poisson-substitution", witnesses)
+    xs = Polynomial.variables(struct.generators)
+    return make_report("poisson-substitution", (
+        ((i, j), morphism(POLYNOMIALS, sub, struct.bracket, struct.bracket, xi, xj))
+        for i, xi in enumerate(xs) for j, xj in enumerate(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .constructions import (
     nonrigidity_witness,
     verify_isomorphism,
 )
-from .algebra import check_morphism
+from .errors import PreconditionError
 from .linalg import LinearMap, Vector, rat
 from .poisson_poly import (
     Substitution,
@@ -42,6 +42,13 @@ from .poisson_poly import (
 from .poly import Polynomial
 
 GRID = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+# The fixed inputs of the replays below.
+MATRIX_ENTRIES = (-2, -1, 0, 1, 2)
+SL2_LAMBDAS = (2, 3, Fraction(1, 2), 0, 1)
+R2N_CIS = (1, Fraction(3, 2), -2)
+R2N_HALF_DIM = 2
+RIGIDITY_ZETAS = (0, 1, Fraction(1, 2))
+RIGIDITY_Z_COLUMNS = ((0, 0), (1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def _dense_conj(d, m):
     return tuple(tuple(d[i] * m[i][j] / d[j] for j in range(n)) for i in range(n))
 
 
-def matrix_twist_witness(entry_range=(-2, -1, 0, 1, 2)) -> MatrixTwistResult | None:
+def matrix_twist_witness() -> MatrixTwistResult | None:
     """Search small integer 2x2 matrices for a nonzero twisted associator.
 
     The twisting map is conjugation by diag(1/2, 1).  The residual is computed
@@ -101,7 +108,7 @@ def matrix_twist_witness(entry_range=(-2, -1, 0, 1, 2)) -> MatrixTwistResult | N
     algebra = commutator_poisson(matrix_algebra(2))
     beta = conjugation_morphism(2)
     d = (Fraction(1, 2), Fraction(1))
-    for entries in itertools.product(entry_range, repeat=4):
+    for entries in itertools.product(MATRIX_ENTRIES, repeat=4):
         m = (entries[0:2], entries[2:4])
         dense = tuple(tuple(Fraction(v) for v in row) for row in m)
         # dense route: mb(a, b) = conj(a b); associator at (X, X, conj(X))
@@ -138,7 +145,7 @@ class Sl2Result:
     passed: bool
 
 
-def sl2_witness(lams=(2, 3, Fraction(1, 2), 0, 1)) -> Sl2Result:
+def sl2_witness() -> Sl2Result:
     """Associator of the scaled twist at (e, h, h) must be (lam^2 - lam) e h^2.
 
     Nonzero exactly for lam outside {0, 1}.  For lam = 0 the inverse scaling
@@ -149,7 +156,7 @@ def sl2_witness(lams=(2, 3, Fraction(1, 2), 0, 1)) -> Sl2Result:
     e, f, h = (struct.variable(g) for g in struct.generators)
     cases = []
     ok = True
-    for lam in lams:
+    for lam in SL2_LAMBDAS:
         lam = rat(lam)
         if lam != 0:
             sub = sl2_scaling(lam)
@@ -186,21 +193,21 @@ class TranslationResult:
     passed: bool
 
 
-def r2n_witness(cis=(1, Fraction(3, 2), -2), n: int = 2) -> TranslationResult:
+def r2n_witness() -> TranslationResult:
     """Translation by (c_i, ...) probed with f = x_1 at the origin.
 
     Expects trace 2 c_i and determinant condition c_i^2, and checks the orbit
     of the origin is (k c_1, ..., k c_2n) for k = 1..3.
     """
-    struct = symplectic_space(n)
+    struct = symplectic_space(R2N_HALF_DIM)
     gens = struct.generators
     f = struct.variable(gens[0])
     origin = {g: Fraction(0) for g in gens}
     cases = []
     ok = True
-    for ci in cis:
+    for ci in R2N_CIS:
         ci = rat(ci)
-        consts = [ci] + [Fraction(j + 2) for j in range(2 * n - 1)]
+        consts = [ci] + [Fraction(j + 2) for j in range(len(gens) - 1)]
         phi = translation(struct, consts)
         probe = manifold_nonrigidity_check(struct, phi, f, origin)
         orbit_ok = all(
@@ -238,10 +245,11 @@ def _classify_twistings(algebra, label: str, maps) -> RigidityCase:
     trivial = isomorphic = skipped = 0
     failures = []
     for beta in maps:
-        if not check_morphism(beta, algebra, algebra).passed:
+        try:
+            tw = beta_twisting(algebra, beta)
+        except PreconditionError:
             skipped += 1
             continue
-        tw = beta_twisting(algebra, beta)
         if is_trivial_twisting(tw):
             trivial += 1
             continue
@@ -254,14 +262,14 @@ def _classify_twistings(algebra, label: str, maps) -> RigidityCase:
     return RigidityCase(label, trivial, isomorphic, skipped, tuple(failures))
 
 
-def heisenberg_morphism_family(family: str, values=GRID):
+def heisenberg_morphism_family(family: str):
     """Candidate twisting maps for one of the five parameter families.
 
     Families 1-3 target the XY-product algebras, 4-5 the X^2-product algebra;
     each yields maps over a 4-tuple grid of its free parameters, and the
     caller still verifies the morphism property per target algebra.
     """
-    quads = itertools.product(values, repeat=4)
+    quads = itertools.product(GRID, repeat=4)
     if family == "alpha1":
         return [heisenberg_morphism(a, 0, 0, d, u, v) for a, d, u, v in quads]
     if family == "alpha2":
@@ -275,16 +283,16 @@ def heisenberg_morphism_family(family: str, values=GRID):
     raise ValueError(f"unknown family {family!r}")
 
 
-def general_heisenberg_maps(values=GRID, zcols=((0, 0), (1, -2))):
-    """All bracket morphisms over a grid on the 2x2 block, few Z-column choices."""
+def general_heisenberg_maps():
+    """All bracket morphisms over the grid on the 2x2 block, few Z-column choices."""
     out = []
-    for a, b, c, d in itertools.product(values, repeat=4):
-        for u, v in zcols:
+    for a, b, c, d in itertools.product(GRID, repeat=4):
+        for u, v in RIGIDITY_Z_COLUMNS:
             out.append(heisenberg_morphism(a, b, c, d, u, v))
     return out
 
 
-def heisenberg_rigidity_replay(zetas=(0, 1, Fraction(1, 2)), values=GRID) -> RigidityResult:
+def heisenberg_rigidity_replay() -> RigidityResult:
     """Classify every verified twisting over the grid as trivial or isomorphic.
 
     Covers the XY-product algebras for each zeta and the X^2-product algebra;
@@ -292,8 +300,8 @@ def heisenberg_rigidity_replay(zetas=(0, 1, Fraction(1, 2)), values=GRID) -> Rig
     outcome is recorded as a failure.
     """
     cases = []
-    maps = general_heisenberg_maps(values)
-    for zeta in zetas:
+    maps = general_heisenberg_maps()
+    for zeta in RIGIDITY_ZETAS:
         algebra = heisenberg_p31(zeta)
         cases.append(_classify_twistings(algebra, f"xy-product(zeta={rat(zeta)})", maps))
     cases.append(_classify_twistings(heisenberg_p32(), "x2-product", maps))

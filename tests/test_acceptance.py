@@ -175,7 +175,7 @@ def test_criterion_6_translation_probe():
 
 @criterion(7, "every grid twisting is trivial or isomorphic via Z -> bZ; no third outcome")
 def test_criterion_7_rigidity_replay():
-    result = heisenberg_rigidity_replay(zetas=(0, 1, Fraction(1, 2)))
+    result = heisenberg_rigidity_replay()
     assert result.passed
     assert len(result.cases) == 4  # three XY-product cases plus the X^2 product
     for case in result.cases:

@@ -255,6 +255,21 @@ def test_witness_cap_and_invariant():
     assert [w.indices for w in rep4.witnesses] == sorted(w.indices for w in rep4.witnesses)
 
 
+def test_make_report_stops_reading_at_the_cap():
+    # zero residuals are skipped; the tenth nonzero one is the last read
+    read = []
+
+    def cases():
+        for n in range(30):
+            read.append(n)
+            yield (n,), Vector.of(n % 2, 0)
+
+    rep = make_report("lazy", cases())
+    assert not rep.passed
+    assert [w.indices for w in rep.witnesses] == [(n,) for n in range(1, 20, 2)]
+    assert read[-1] == 19
+
+
 def test_report_as_dict_schema():
     rep = check_hom_jacobi(corrupted_bracket_algebra())
     data = rep.as_dict()

@@ -3,7 +3,11 @@ compared byte for byte with ``tests/golden/reports.json``.
 
 The list holds the catalog entries, the commutator algebras of the matrix
 entries, their depolarizations, one diagonal twist of each and one seeded
-corruption of each (dims <= 9).  A change that should leave every verdict,
+corruption of each (dims <= 9), followed by the reports built outside the
+basis sweeps: substitution checks on the sl2 bracket, isomorphism
+certificates for an invertible and a singular Heisenberg map, and the
+power criterion on a multiplicative algebra that fails it.  Every case has
+at most ``MAX_WITNESSES`` failures, so the witness cap does not cut any.  A change that should leave every verdict,
 witness and exact residual unchanged must leave this file unchanged.  After
 a change that alters reports on purpose, regenerate the file with
 
@@ -18,6 +22,7 @@ import random
 from fractions import Fraction
 
 from hompoisson.algebra import (
+    HomAlgebra,
     HomPoissonAlgebra,
     check_commutative,
     check_hom_associative,
@@ -25,10 +30,28 @@ from hompoisson.algebra import (
     check_morphism,
     check_multiplicative,
 )
-from hompoisson.catalog import CATALOG, build_catalog, entry_reports, heisenberg_p31, heisenberg_p32, matrix_algebra
-from hompoisson.constructions import check_admissible, check_hom_flexible, commutator_poisson, depolarize, twist
+from hompoisson.catalog import (
+    CATALOG,
+    build_catalog,
+    entry_reports,
+    heisenberg_morphism,
+    heisenberg_p31,
+    heisenberg_p32,
+    matrix_algebra,
+    sl2_linear_poisson,
+    sl2_scaling,
+)
+from hompoisson.constructions import (
+    check_admissible,
+    check_hom_flexible,
+    commutator_poisson,
+    depolarize,
+    twist,
+    verify_isomorphism,
+)
 from hompoisson.hompower import MAX_DIM, check_criterion_34, check_nth_power_assoc
-from hompoisson.linalg import LinearMap
+from hompoisson.linalg import LinearMap, Trilinear
+from hompoisson.poisson_poly import Substitution, check_poisson_substitution
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
 SEED = 20100521
@@ -89,10 +112,32 @@ def _reports(algebra) -> list:
     return reports
 
 
+def builder_reports():
+    """(label, reports) pairs for the report builders outside the sweeps."""
+    sl2 = sl2_linear_poisson()
+    e, f, h = (sl2.variable(g) for g in sl2.generators)
+    p31 = heisenberg_p31(1)
+    non_flexible = HomAlgebra(basis=("X", "Y", "Z"), mu=Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1}),
+                              alpha=LinearMap.identity(3))
+    return [
+        ("poisson-substitution/sl2-scaling[lam=2]", [check_poisson_substitution(sl2, sl2_scaling(2))]),
+        ("poisson-substitution/sl2-swap-e-f",
+         [check_poisson_substitution(sl2, Substitution({"e": f, "f": e, "h": h}))]),
+        ("poisson-substitution/sl2-e-squared",
+         [check_poisson_substitution(sl2, Substitution({"e": e * e, "f": f, "h": h}))]),
+        ("isomorphism/heisenberg-p31-invertible",
+         [verify_isomorphism(heisenberg_morphism(1, 1, 0, 1), p31, p31),
+          verify_isomorphism(heisenberg_morphism(2, 0, 0, 3, 1, -2), heisenberg_p31(0), heisenberg_p31(0))]),
+        ("isomorphism/heisenberg-p31-singular", [verify_isomorphism(heisenberg_morphism(1, 2, 2, 4), p31, p31)]),
+        ("criterion-34/non-flexible", [check_criterion_34(non_flexible)]),
+    ]
+
+
 def golden() -> str:
     """The reports as JSON, one line per report."""
     labelled = [(f"catalog/{name}", entry_reports(name, build_catalog(name))) for name in sorted(CATALOG)]
     labelled += [(label, _reports(algebra)) for label, algebra in cases()]
+    labelled += builder_reports()
     return "".join(json.dumps([label, r.as_dict()], separators=(",", ":")) + "\n"
                    for label, reports in labelled for r in reports)
 

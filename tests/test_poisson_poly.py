@@ -181,6 +181,26 @@ def test_nonlinear_images_decided_on_generator_pairs():
         assert {w.indices: w.residual for w in rep.witnesses}[(2, 0)] == residual
 
 
+def test_substitution_report_keeps_the_first_ten_failing_pairs():
+    # a linear substitution of R^4 that breaks the bracket on 12 generator pairs
+    r4 = SymplecticStructure(2)
+    xs = Polynomial.variables(r4.generators)
+    rows = ((1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 1), (1, 3, 1, 2))
+    sub = Substitution({g: sum((c * x for c, x in zip(row, xs)), Polynomial.zero(r4.generators))
+                        for g, row in zip(r4.generators, rows)})
+    failing = {}
+    for i, xi in enumerate(xs):
+        for j, xj in enumerate(xs):
+            diff = sub(r4.bracket(xi, xj)) - r4.bracket(sub(xi), sub(xj))
+            if not diff.is_zero():
+                failing[i, j] = diff
+    assert len(failing) == 12
+    rep = check_poisson_substitution(r4, sub)
+    assert not rep.passed
+    assert [w.indices for w in rep.witnesses] == sorted(failing)[:10]
+    assert all(w.residual == failing[w.indices] for w in rep.witnesses)
+
+
 small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 nonzero_rationals = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 2))
 
