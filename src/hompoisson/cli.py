@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-from . import catalog as cat
-from . import witnesses as wit
 from .algebra import (
     HomAlgebra,
     HomPoissonAlgebra,
@@ -19,9 +17,7 @@ from .algebra import (
     check_hom_poisson,
     check_morphism,
 )
-from .constructions import depolarize, check_admissible, polarize, tensor, twist
 from .errors import HomPoissonError, PreconditionError, SpecFileError
-from .hompower import check_criterion_34, check_nth_power_assoc
 from .linalg import rat
 from .specfile import emit_spec, parse_map, parse_spec
 
@@ -85,6 +81,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from .constructions import twist
+
     algebra = parse_spec(args.spec)
     beta = parse_map(args.by)
     if beta.dim != algebra.dim:
@@ -99,6 +97,8 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
+    from .constructions import tensor
+
     a = parse_spec(args.left)
     b = parse_spec(args.right)
     reports = []
@@ -122,6 +122,8 @@ def _single_product(algebra: HomPoissonAlgebra, path, verb: str) -> HomAlgebra:
 
 
 def _cmd_polarize(args) -> int:
+    from .constructions import check_admissible, polarize
+
     algebra = _single_product(parse_spec(args.spec), args.spec, "polarize")
     split = polarize(algebra)
     if args.out:
@@ -131,6 +133,8 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_depolarize(args) -> int:
+    from .constructions import check_admissible, depolarize
+
     algebra = parse_spec(args.spec)
     merged = depolarize(algebra)
     if args.out:
@@ -139,6 +143,8 @@ def _cmd_depolarize(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .hompower import check_criterion_34, check_nth_power_assoc
+
     if args.max_n < 2:
         raise SpecFileError("--max-n must be >= 2")
     algebra = _single_product(parse_spec(args.spec), args.spec, "power checking")
@@ -154,6 +160,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     params = {}
     for item in args.param or ():
         if "=" not in item:
@@ -163,8 +171,8 @@ def _cmd_catalog(args) -> int:
             params[key.strip()] = rat(value.strip())
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SpecFileError(f"--param {item!r}: {exc}") from exc
-    obj = cat.build_catalog(args.name, params)
-    reports = cat.entry_reports(args.name, obj)
+    obj = catalog.build_catalog(args.name, params)
+    reports = catalog.entry_reports(args.name, obj)
     basis = obj.basis if isinstance(obj, (HomAlgebra, HomPoissonAlgebra)) else None
     if args.out:
         if not isinstance(obj, (HomAlgebra, HomPoissonAlgebra)):
@@ -177,8 +185,7 @@ def _cmd_catalog(args) -> int:
 # Witness replays
 # ---------------------------------------------------------------------------
 
-def _witness_free_poly(args):
-    result = wit.free_poly_witness()
+def _render_free_poly(result):
     lines = [
         f"twisted associator at (X, X, alpha(X)): {result.residual}",
         f"direct expansion (2+X)^3 - (1+X)(2+X)(3+X): {result.direct}",
@@ -187,8 +194,7 @@ def _witness_free_poly(args):
     return result.passed, lines, {"residual": str(result.residual)}
 
 
-def _witness_matrix(args):
-    result = wit.matrix_twist_witness()
+def _render_matrix(result):
     if result is None:
         return False, ["no witness matrix found in search range"], {}
     lines = [
@@ -200,8 +206,7 @@ def _witness_matrix(args):
                                   "residual": [str(e) for e in result.residual.entries]}
 
 
-def _witness_sl2(args):
-    result = wit.sl2_witness()
+def _render_sl2(result):
     lines = []
     for case in result.cases:
         tag = "morphism verified" if case.morphism_verified else "morphism check skipped"
@@ -212,8 +217,7 @@ def _witness_sl2(args):
     return result.passed, lines, payload
 
 
-def _witness_r2n(args):
-    result = wit.r2n_witness()
+def _render_r2n(result):
     lines = []
     for case in result.cases:
         lines.append(f"c_i = {case.c_i}: trace = {case.trace}, determinant condition = "
@@ -225,8 +229,7 @@ def _witness_r2n(args):
     return result.passed, lines, payload
 
 
-def _witness_rigidity(args):
-    result = wit.heisenberg_rigidity_replay()
+def _render_rigidity(result):
     lines = []
     for case in result.cases:
         lines.append(f"{case.algebra}: {case.trivial} trivial, {case.isomorphic} isomorphic "
@@ -239,12 +242,13 @@ def _witness_rigidity(args):
     return result.passed, lines, payload
 
 
+# witness name -> (replay function in ``witnesses``, renderer of its result)
 WITNESS_SCRIPTS = {
-    "free-poly": _witness_free_poly,
-    "matrix": _witness_matrix,
-    "sl2": _witness_sl2,
-    "r2n": _witness_r2n,
-    "heisenberg-rigidity": _witness_rigidity,
+    "free-poly": ("free_poly_witness", _render_free_poly),
+    "matrix": ("matrix_twist_witness", _render_matrix),
+    "sl2": ("sl2_witness", _render_sl2),
+    "r2n": ("r2n_witness", _render_r2n),
+    "heisenberg-rigidity": ("heisenberg_rigidity_replay", _render_rigidity),
 }
 
 
@@ -253,7 +257,10 @@ def _cmd_witness(args) -> int:
     if script is None:
         known = ", ".join(sorted(WITNESS_SCRIPTS))
         raise SpecFileError(f"unknown witness {args.name!r} (known: {known})")
-    passed, lines, payload = script(args)
+    from . import witnesses
+
+    replay, render = script
+    passed, lines, payload = render(getattr(witnesses, replay)())
     if args.format == "json":
         body = {"command": "witness", "name": args.name, "passed": passed}
         body.update(payload)

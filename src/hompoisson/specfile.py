@@ -32,9 +32,28 @@ def _load_json(path) -> dict:
         raise SpecFileError(f"{path}: cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise SpecFileError(f"{path}: invalid JSON: {str(exc).partition(';')[0]}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise SpecFileError(f"{path}: top level must be a JSON object")
     return data
+
+
+def _check_fields(path, data, known) -> None:
+    unknown = set(data) - known
+    if unknown:
+        raise _fail(path, ", ".join(sorted(unknown)), "unknown field(s)")
+
+
+def _parse_dim(path, data) -> int:
+    dim = data.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise _fail(path, "dim", f"must be a positive integer, got {dim!r}")
+    return dim
 
 
 def _parse_rat(path, field, value) -> Fraction:
@@ -84,9 +103,7 @@ def parse_spec(path) -> HomPoissonAlgebra:
     fmt = data.get("format")
     if fmt != ALGEBRA_FORMAT:
         raise _fail(path, "format", f"expected {ALGEBRA_FORMAT!r}, got {fmt!r}")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise _fail(path, "dim", f"must be a positive integer, got {dim!r}")
+    dim = _parse_dim(path, data)
     basis = data.get("basis")
     if not (isinstance(basis, list) and len(basis) == dim and all(isinstance(b, str) for b in basis)):
         raise _fail(path, "basis", f"expected {dim} name strings")
@@ -102,9 +119,7 @@ def parse_spec(path) -> HomPoissonAlgebra:
     commutative = data.get("commutative", False)
     if not isinstance(commutative, bool):
         raise _fail(path, "commutative", "must be a boolean")
-    unknown = set(data) - {"format", "dim", "basis", "mu", "bracket", "alpha", "commutative"}
-    if unknown:
-        raise _fail(path, ", ".join(sorted(unknown)), "unknown field(s)")
+    _check_fields(path, data, {"format", "dim", "basis", "mu", "bracket", "alpha", "commutative"})
     return HomPoissonAlgebra(basis=tuple(basis), bracket=bracket, mu=mu,
                              alpha=alpha, commutative=commutative)
 
@@ -139,11 +154,10 @@ def parse_map(path) -> LinearMap:
     fmt = data.get("format")
     if fmt != MAP_FORMAT:
         raise _fail(path, "format", f"expected {MAP_FORMAT!r}, got {fmt!r}")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise _fail(path, "dim", f"must be a positive integer, got {dim!r}")
+    dim = _parse_dim(path, data)
     if "matrix" not in data:
         raise _fail(path, "matrix", "missing matrix")
+    _check_fields(path, data, {"format", "dim", "matrix"})
     return _parse_matrix(path, "matrix", data["matrix"], dim)
 
 

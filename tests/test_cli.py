@@ -81,6 +81,14 @@ def test_usage_and_io_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_command(["check", str(bad)]) == 2
+    # decoding failures: non-UTF-8 bytes, an over-long integer literal, deep nesting
+    for raw, message in ((b"\xff\xfe{}", "not UTF-8 text"),
+                         (b'{"dim": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+                         (b"[" * 100_000, "invalid JSON: nested too deeply")):
+        bad.write_bytes(raw)
+        capsys.readouterr()
+        assert run_command(["check", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
 
 def test_twist_subcommand(capsys, p31_file, tmp_path):

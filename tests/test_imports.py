@@ -1,0 +1,104 @@
+"""Import footprint: ``import hompoisson`` loads no submodule, and each CLI
+subcommand loads only the modules it runs.
+
+The footprint tests run in a fresh interpreter, because this test process
+has already imported every module.
+"""
+
+import dataclasses
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hompoisson
+from hompoisson.catalog import heisenberg_morphism, heisenberg_p31
+from hompoisson.constructions import depolarize
+from hompoisson.specfile import emit_map, emit_spec
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hompoisson.__file__)))
+BASE = {"algebra", "errors", "linalg", "poly", "specfile"}
+
+# Runs the CLI as ``python -m hompoisson.cli ARGS`` would, then prints the
+# exit code and the loaded package modules as the last line of stdout.
+FOOTPRINT = """
+import json, runpy, sys
+sys.argv = ["hompoisson", *sys.argv[1:]]
+code = 0
+try:
+    runpy.run_module("hompoisson.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hompoisson."))]))
+"""
+
+
+def python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.fixture
+def files(tmp_path):
+    algebra = heisenberg_p31(1)
+    emit_spec(algebra, tmp_path / "p31.json")
+    emit_spec(dataclasses.replace(algebra, bracket=algebra.bracket.with_entry(0, 0, 2, 1)),
+              tmp_path / "bad.json")
+    emit_spec(depolarize(algebra), tmp_path / "single.json")
+    emit_map(heisenberg_morphism(2, 0, 0, 3), tmp_path / "beta.json")
+    return tmp_path
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    code = ("import sys, hompoisson; "
+            "print(sorted(m for m in sys.modules if m.startswith('hompoisson.')))")
+    proc = python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ``cli`` itself runs as ``__main__``, so it is not among the loaded modules.
+@pytest.mark.parametrize("argv, extra", [
+    (["check", "p31.json"], set()),
+    (["twist", "p31.json", "--by", "beta.json"], {"constructions"}),
+    (["power", "single.json", "--max-n", "3"], {"hompower"}),
+    (["catalog", "heisenberg-p31"], {"catalog", "poisson_poly"}),
+])
+def test_subcommand_footprint(files, argv, extra):
+    proc = python(["-c", FOOTPRINT, *argv], files)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert {m.removeprefix("hompoisson.") for m in modules} == BASE | extra
+
+
+def test_exports_resolve_to_their_defining_module():
+    for name in hompoisson.__all__:
+        value = getattr(hompoisson, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert value.__module__.startswith("hompoisson.")
+    assert set(hompoisson.__all__) <= set(dir(hompoisson))
+    assert hompoisson.poly is importlib.import_module("hompoisson.poly")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hompoisson.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("spec, code, tail", [
+    ("p31.json", 0, "RESULT: PASS"),
+    ("bad.json", 1, "RESULT: FAIL"),
+    ("missing.json", 2, ""),
+])
+def test_main_exit_codes(files, spec, code, tail):
+    proc = python(["-m", "hompoisson.cli", "check", spec], files)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: missing.json: cannot read file")
+    else:
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == tail

@@ -147,3 +147,16 @@ def test_map_roundtrip_and_errors(tmp_path):
     bad.write_text(json.dumps({"format": "linear-map/2", "dim": 2, "matrix": []}))
     with pytest.raises(SpecFileError, match="format"):
         parse_map(bad)
+    bad.write_text(json.dumps({"format": "linear-map/1", "dim": 1, "matrix": [["1"]], "junk": 1}))
+    with pytest.raises(SpecFileError, match=r"badmap\.json: junk: unknown field\(s\)"):
+        parse_map(bad)
+
+
+def test_bool_dim_rejected(tmp_path):
+    doc = base_doc()
+    doc.update(dim=True, basis=["a"], mu=[])
+    with pytest.raises(SpecFileError, match="dim: must be a positive integer, got True"):
+        parse_spec(write(tmp_path, doc))
+    path = write(tmp_path, {"format": "linear-map/1", "dim": True, "matrix": [["1"]]}, "map.json")
+    with pytest.raises(SpecFileError, match="dim: must be a positive integer, got True"):
+        parse_map(path)
