@@ -6,8 +6,11 @@ entries, their depolarizations, one diagonal twist of each and one seeded
 corruption of each (dims <= 9), followed by the reports built outside the
 basis sweeps: substitution checks on the sl2 bracket, isomorphism
 certificates for an invertible and a singular Heisenberg map, and the
-power criterion on a multiplicative algebra that fails it.  Every case has
-at most ``MAX_WITNESSES`` failures, so the witness cap does not cut any.  A change that should leave every verdict,
+power criterion on a multiplicative algebra that fails it.  The
+``CROSS_BLOCK`` corruptions of the dim-9 matrix commutator algebra have more
+than ``MAX_WITNESSES`` failing triples, with the tenth past the first block
+of first arguments that ``algebra.sweep`` evaluates, so the witness cap cuts
+them there.  A change that should leave every verdict,
 witness and exact residual unchanged must leave this file unchanged.  After
 a change that alters reports on purpose, regenerate the file with
 
@@ -16,6 +19,7 @@ a change that alters reports on purpose, regenerate the file with
 and review its diff.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -56,6 +60,15 @@ from hompoisson.poisson_poly import Substitution, check_poisson_substitution
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
 SEED = 20100521
 CORRUPTIONS = (1, -2, Fraction(1, 3), 0)
+# (operation, i, j, k, value): single entries of commutator_poisson(matrix_algebra(3))
+# whose failing triples outnumber MAX_WITNESSES and reach later blocks of
+# first arguments (the blocks of a dim-9 sweep are [0, 1), [1, 3), [3, 7), [7, 9))
+CROSS_BLOCK = (
+    ("bracket", 7, 7, 7, Fraction(1, 3)),
+    ("bracket", 5, 7, 0, 1),
+    ("mu", 7, 8, 4, 1),
+    ("mu", 8, 8, 8, Fraction(1, 3)),
+)
 
 
 def _weights(dim: int) -> LinearMap:
@@ -94,6 +107,12 @@ def cases():
                               (f"{label}/corrupted", corrupted)):
             out.append((name, variant))
             out.append((f"{name}/depolarized", depolarize(variant)))
+    matrix3 = bases[-1][1]
+    for which, i, j, k, value in CROSS_BLOCK:
+        variant = dataclasses.replace(matrix3, **{which: getattr(matrix3, which).with_entry(i, j, k, value)})
+        name = f"matrix[n=3]/{which}[{i},{j},{k}]={value}"
+        out.append((name, variant))
+        out.append((f"{name}/depolarized", depolarize(variant)))
     return out
 
 
