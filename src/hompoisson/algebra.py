@@ -7,9 +7,11 @@ operation and the linear map, and runs on one engine in two ways: on given
 vectors (the element-level functions) and on all basis tuples (the
 ``check_*`` functions).  Every identity is multilinear in the algebra
 arguments, so vanishing on all basis tuples is equivalent to vanishing
-identically.  A check fixes the leading arguments to one basis vector at a
-time and computes the residuals of the whole remaining slice of tuples by
-sparse composition of the structure constants.
+identically.  A check lets its arguments range over the basis at once and
+computes the residuals of all their tuples by sparse composition of the
+structure constants.  A three-argument check takes its first argument in
+doubling blocks of basis vectors (1, 2, 4, ...), one evaluation per block,
+and stops after the block that holds the tenth failing tuple.
 
 Every report in the package, swept or not, is built by ``make_report`` under
 one witness policy: residuals are read in lexicographic order of their
@@ -261,7 +263,7 @@ class _Form:
     ``cols[n][code]`` is the coefficient of basis vector n at the free basis
     indices whose mixed-radix number is ``code`` (so sorted codes are in
     lexicographic order); a stored coefficient may be zero.  ``varies`` marks
-    a form that changes from one slice of the sweep to the next.
+    a form that changes from one block of the sweep to the next.
     """
 
     __slots__ = ("cols", "varies")
@@ -324,7 +326,7 @@ def _apply(m: LinearMap, a: _Form) -> _Form:
 
 class _Sweep:
     """Evaluator on forms.  Within one sweep it memoises the subterms that do
-    not vary from slice to slice (those free of the fixed prefix)."""
+    not vary from block to block (those free of the first argument)."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -348,32 +350,47 @@ class _Sweep:
 def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckReport:
     """Check ``residual(E, *operands, *args)`` on all basis tuples of ``arity``.
 
-    Every argument but the last two is fixed to one basis vector at a time,
-    in lexicographic order; the last two range over the whole basis at once,
-    so each evaluation yields one slice of residuals by sparse composition,
-    at a cost that follows the tensor nonzeros.  Slices are computed only as
-    ``make_report`` reads them, so the sweep stops after the slice that
-    holds the ``MAX_WITNESSES``-th failing tuple.
+    Every argument but the first ranges over the whole basis at once.  The
+    first ranges over a block of basis vectors ``[lo, hi)``: the whole basis
+    for arity 1 and 2, and blocks of 1, 2, 4, 8, ... vectors for arity 3, so
+    a passing sweep makes ``dim.bit_length()`` evaluations.  Each evaluation
+    yields the residuals of every tuple in its block by sparse composition,
+    at a cost that follows the tensor nonzeros, and the subterms free of the
+    first argument are computed once per sweep.  Blocks are evaluated only as
+    ``make_report`` reads them, so the sweep stops after the block that holds
+    the ``MAX_WITNESSES``-th failing tuple; the first block is one vector, so
+    a check failing at first index 0 evaluates only that.
     """
-    free = min(arity, 2)
     E = _Sweep()
-    args = [_Form({n: {n * dim ** (free - 1 - s): 1} for n in range(dim)}, False)
-            for s in range(free)]
+    rest = [_Form({n: {n * dim ** (arity - 1 - s): 1} for n in range(dim)}, False)
+            for s in range(1, arity)]
+    lead = dim ** (arity - 1)
 
     def cases():
-        for prefix in itertools.product(range(dim), repeat=arity - free):
-            fixed = [_Form({i: {0: 1}}, True) for i in prefix]
-            slice_ = {}
-            for n, col in residual(E, *operands, *fixed, *args).cols.items():
+        lo, size = 0, 1 if arity == 3 else dim
+        while lo < dim:
+            hi = min(lo + size, dim)
+            first = _Form({n: {n * lead: 1} for n in range(lo, hi)}, True)
+            block = {}
+            for n, col in residual(E, *operands, first, *rest).cols.items():
                 for code, q in col.items():
                     if q:
-                        slice_.setdefault(code, {})[n] = q
-            for code in sorted(slice_):
-                entries = slice_[code]
-                indices = prefix + (divmod(code, dim) if free == 2 else (code,))
-                yield indices, Vector(tuple(Fraction(entries.get(n, 0)) for n in range(dim)))
+                        block.setdefault(code, {})[n] = q
+            for code in sorted(block):
+                entries = block[code]
+                yield _indices(code, dim, arity), Vector(tuple(Fraction(entries.get(n, 0)) for n in range(dim)))
+            lo, size = hi, 2 * size
 
     return make_report(identity, cases())
+
+
+def _indices(code: int, dim: int, arity: int) -> tuple:
+    """The basis tuple whose mixed-radix number in base ``dim`` is ``code``."""
+    digits = []
+    for _ in range(arity):
+        code, digit = divmod(code, dim)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------

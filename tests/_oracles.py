@@ -85,7 +85,7 @@ def dense_matrix(m: LinearMap):
 
 
 def op(T, x, y):
-    """out_k = sum_ij x_i y_j T[i][j][k], skipping zero coordinates."""
+    """out_k = sum_ij x_i y_j T[i][j][k], skipping zero coordinates and entries."""
     d = len(T)
     out = [Fraction(0)] * d
     for i in range(d):
@@ -97,12 +97,22 @@ def op(T, x, y):
             c = x[i] * y[j]
             row = T[i][j]
             for k in range(d):
-                out[k] += c * row[k]
+                if row[k] != 0:
+                    out[k] += c * row[k]
     return out
 
 
 def ap(M, x):
-    return [sum(M[i][j] * x[j] for j in range(len(x))) for i in range(len(x))]
+    """out_i = sum_j M[i][j] x_j, skipping zero coordinates and entries."""
+    d = len(x)
+    out = [Fraction(0)] * d
+    for j in range(d):
+        if x[j] == 0:
+            continue
+        for i in range(d):
+            if M[i][j] != 0:
+                out[i] += M[i][j] * x[j]
+    return out
 
 
 def add(*vs):

@@ -6,7 +6,10 @@ lexicographic order) and exact residuals.  Inputs are random algebras in
 dims 1-6: direct sums of catalog pieces twisted by block-diagonal
 self-morphisms (which pass), the same with corrupted structure constants,
 and random sparse tensors with random twisting maps (which mostly fail).
-The element-level functions are compared on random vectors.
+The element-level functions are compared on random vectors.  Three-argument
+sweeps take their first argument in doubling blocks of basis vectors; their
+block counts are checked directly, and the oracle comparison also covers
+algebras of dims 7-12 whose failures start only in late blocks.
 """
 
 import dataclasses
@@ -17,7 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hompoisson.algebra import (
+    MAX_WITNESSES,
+    HomAlgebra,
     HomPoissonAlgebra,
+    associator,
     check_antisymmetry,
     check_commutative,
     check_hom_associative,
@@ -30,6 +36,7 @@ from hompoisson.algebra import (
     hom_associator,
     hom_jacobian,
     hom_leibniz_residual,
+    sweep,
 )
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, heisenberg_p32, matrix_algebra
 from hompoisson.constructions import (
@@ -47,8 +54,11 @@ from _oracles import (
     ap,
     dense_matrix,
     dense_tensor,
+    oracle_admissible,
     oracle_associator,
+    oracle_flexible,
     oracle_jacobian,
+    oracle_leaf,
     oracle_leibniz,
     oracle_morphism_report,
     oracle_reports,
@@ -196,6 +206,87 @@ def test_morphism_checks_match_oracle(case, target_kind, weak):
     expected = oracle_morphism_report(f, source, target, weak)
     report = check_morphism(f, source, target, weak=weak)
     _assert_matches(report, expected, "weak-morphism" if weak else "morphism")
+
+
+# ---------------------------------------------------------------------------
+# Blocks of first arguments
+# ---------------------------------------------------------------------------
+
+def _counted(residual):
+    """``residual`` and a list that grows by one per evaluation (one per block)."""
+    calls = []
+
+    def counted(E, *args):
+        calls.append(None)
+        return residual(E, *args)
+    return counted, calls
+
+
+@pytest.mark.parametrize("algebra", [
+    matrix_algebra(1),
+    HomAlgebra(("e", "f"), Trilinear(2, {(0, 0, 0): 1, (1, 1, 1): 1}), LinearMap.identity(2)),
+    matrix_algebra(3),
+    matrix_algebra(6),
+    matrix_algebra(9),
+], ids=lambda a: f"dim{a.dim}")
+def test_passing_sweep_evaluates_bit_length_blocks(algebra):
+    counted, calls = _counted(associator)
+    report = sweep("hom-associative", algebra.dim, 3, counted, algebra.mu, algebra.alpha)
+    assert report.passed
+    assert len(calls) == algebra.dim.bit_length()
+
+
+def test_failures_at_first_index_0_evaluate_one_block():
+    # every product is e0 and the map scales e_i by i + 1, so the associator
+    # of (x, y, z) is (c_z - c_x) e0: twelve failures at x = e0 alone
+    mu = Trilinear(4, {(i, j, 0): 1 for i in range(4) for j in range(4)})
+    counted, calls = _counted(associator)
+    report = sweep("hom-associative", 4, 3, counted, mu, LinearMap.diagonal([1, 2, 3, 4]))
+    assert len(calls) == 1
+    expected = [(0, j, k) for j in range(4) for k in range(1, 4)][:MAX_WITNESSES]
+    assert [w.indices for w in report.witnesses] == expected
+    assert [w.residual.entries for w in report.witnesses] == [(Fraction(k), 0, 0, 0) for _, _, k in expected]
+
+
+@st.composite
+def late_failures(draw):
+    """(algebra, lead): a direct sum of dim 7-12 whose first ``lead`` basis
+    vectors span Heisenberg and one-dimensional pieces, which pass every
+    three-argument check (also after depolarization), and whose last three
+    span a random algebra with a random map.  Products and the map respect
+    the sum, so every failing triple lies in the random summand and starts at
+    a first index of ``lead`` or more, past the first two blocks."""
+    rng = draw(st.randoms(use_true_random=False))
+    zeta = draw(st.sampled_from((0, 1, Fraction(1, 2))))
+    pieces = [heisenberg_p31(zeta), heisenberg_p32(), commutator_poisson(matrix_algebra(1))]
+    target, blocks, lead = draw(st.integers(4, 9)), [], 0
+    while lead < target:
+        piece = pieces[draw(st.integers(0, 1)) if lead + 3 <= 9 else 2]
+        blocks.append((piece.bracket, piece.mu, piece.alpha))
+        lead += piece.dim
+    blocks.append((random_tensor(rng, 3), random_tensor(rng, 3), random_map(rng, 3)))
+    bracket, mu, alpha = _direct_sum(blocks)
+    return HomPoissonAlgebra(tuple(f"b{i}" for i in range(lead + 3)), bracket, mu, alpha), lead
+
+
+@settings(max_examples=5, deadline=None)
+@given(late_failures())
+def test_late_block_failures_match_oracle(case):
+    algebra, lead = case
+    single = depolarize(algebra)
+    d = algebra.dim
+    A, B, M, S = (dense_matrix(algebra.alpha), dense_tensor(algebra.bracket), dense_tensor(algebra.mu),
+                  dense_tensor(single.mu))
+    checks = [
+        (check_hom_jacobi(algebra), "hom-jacobi", lambda x, y, z: oracle_jacobian(B, A, x, y, z)),
+        (check_hom_associative(algebra), "hom-associative", lambda x, y, z: oracle_associator(M, A, x, y, z)),
+        (check_hom_leibniz(algebra), "hom-leibniz", lambda x, y, z: oracle_leibniz(B, M, A, x, y, z)),
+        (check_admissible(single), "admissible", lambda x, y, z: oracle_admissible(S, A, x, y, z)),
+        (check_hom_flexible(single), "hom-flexible", lambda x, y, z: oracle_flexible(S, A, x, y, z)),
+    ]
+    for report, name, residual in checks:
+        _assert_matches(report, [oracle_leaf(name, d, 3, residual)], name)
+        assert all(w.indices[0] >= lead for w in report.witnesses)
 
 
 # ---------------------------------------------------------------------------
