@@ -163,8 +163,10 @@ def make_report(identity: str, cases=()) -> CheckReport:
 
 
 def aggregate_report(identity: str, parts) -> CheckReport:
+    """The report of several parts: it passes when every part does, and its
+    witnesses are the first ``MAX_WITNESSES`` of the parts' in part order."""
     parts = tuple(parts)
-    witnesses = tuple(w for p in parts for w in p.witnesses)
+    witnesses = tuple(itertools.islice((w for p in parts for w in p.witnesses), MAX_WITNESSES))
     return CheckReport(identity, all(p.passed for p in parts), witnesses, parts)
 
 

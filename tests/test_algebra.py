@@ -20,6 +20,7 @@ from hompoisson.algebra import (
     hom_associator,
     hom_jacobian,
     hom_leibniz_residual,
+    aggregate_report,
     make_report,
 )
 from hompoisson.catalog import (
@@ -268,6 +269,14 @@ def test_make_report_stops_reading_at_the_cap():
     assert not rep.passed
     assert [w.indices for w in rep.witnesses] == [(n,) for n in range(1, 20, 2)]
     assert read[-1] == 19
+
+
+def test_aggregate_keeps_the_first_ten_witnesses_in_part_order():
+    parts = [make_report(f"part{p}", [((p, n), Vector.of(1)) for n in range(6)]) for p in range(3)]
+    rep = aggregate_report("all", parts)
+    assert not rep.passed and rep.parts == tuple(parts)
+    assert [w.indices for w in rep.witnesses] == [(p, n) for p in range(2) for n in range(6)][:10]
+    assert sum(len(leaf.witnesses) for leaf in rep.flat()) == 18
 
 
 def test_report_as_dict_schema():
