@@ -357,11 +357,10 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     for arity 1 and 2, and blocks of 1, 2, 4, 8, ... vectors for arity 3, so
     a passing sweep makes ``dim.bit_length()`` evaluations.  Each evaluation
     yields the residuals of every tuple in its block by sparse composition,
-    at a cost that follows the tensor nonzeros, and the subterms free of the
-    first argument are computed once per sweep.  Blocks are evaluated only as
+    at a cost that follows the tensor nonzeros; subterms free of the first
+    argument are computed once per sweep.  Blocks are evaluated only as
     ``make_report`` reads them, so the sweep stops after the block that holds
-    the ``MAX_WITNESSES``-th failing tuple; the first block is one vector, so
-    a check failing at first index 0 evaluates only that.
+    the ``MAX_WITNESSES``-th failing tuple.
     """
     E = _Sweep()
     rest = [_Form({n: {n * dim ** (arity - 1 - s): 1} for n in range(dim)}, False)
