@@ -2,7 +2,9 @@
 
 Every entry is built from structure constants spelled out here and passes its
 advertised checks at build time (verified in the test suite and by the
-``catalog`` CLI subcommand).
+``catalog`` CLI subcommand).  The polynomial-ring entries import
+``poisson_poly`` and ``poly`` on use, so building and checking a
+finite-dimensional entry loads neither.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ from .algebra import (
 )
 from .errors import HomPoissonError
 from .linalg import LinearMap, Trilinear, rat
-from .poisson_poly import (
-    POLYNOMIALS,
-    LiePoissonStructure,
-    Substitution,
-    SymplecticStructure,
-)
-from .poly import Polynomial
 
 HEISENBERG_BASIS = ("X", "Y", "Z")
 
@@ -113,15 +108,22 @@ def conjugation_morphism(n: int = 2, top=Fraction(1, 2)) -> LinearMap:
 
 
 def sl2_linear_poisson() -> LiePoissonStructure:
+    from .poisson_poly import LiePoissonStructure
+
     return LiePoissonStructure(SL2_BASIS, SL2_BRACKET)
 
 
 def heisenberg_linear_poisson() -> LiePoissonStructure:
+    from .poisson_poly import LiePoissonStructure
+
     return LiePoissonStructure(HEISENBERG_BASIS, HEISENBERG_BRACKET)
 
 
 def sl2_scaling(lam) -> Substitution:
     """e -> lam e, f -> lam^-1 f, h -> h; a bracket morphism for lam != 0."""
+    from .poisson_poly import Substitution
+    from .poly import Polynomial
+
     lam = rat(lam)
     if lam == 0:
         raise ValueError("scaling parameter must be nonzero")
@@ -131,11 +133,16 @@ def sl2_scaling(lam) -> Substitution:
 
 def free_poly_shift() -> Substitution:
     """X -> 1 + X on the one-variable polynomial ring."""
+    from .poisson_poly import Substitution
+    from .poly import Polynomial
+
     x = Polynomial.var(("X",), "X")
     return Substitution({"X": x + 1})
 
 
 def symplectic_space(n: int = 1) -> SymplecticStructure:
+    from .poisson_poly import SymplecticStructure
+
     if n < 1:
         raise HomPoissonError(f"parameter n (half-dimension) must be >= 1, got {n}")
     return SymplecticStructure(n)
@@ -178,6 +185,8 @@ def entry_reports(name: str, obj) -> list:
         return [check_hom_poisson(obj), check_multiplicative(obj)]
     if isinstance(obj, HomAlgebra):
         return [check_hom_associative(obj)]
+    from .poisson_poly import LiePoissonStructure, Substitution, SymplecticStructure
+
     if isinstance(obj, LiePoissonStructure):
         return list(obj.reports)
     if isinstance(obj, SymplecticStructure):
@@ -190,6 +199,8 @@ def entry_reports(name: str, obj) -> list:
 def _canonical_relations_report(struct: SymplecticStructure):
     """{x_i, x_{i+n}} = 1 = -{x_{i+n}, x_i}, and every other generator pair
     brackets to 0."""
+    from .poly import Polynomial
+
     n = struct.n
     xs = Polynomial.variables(struct.generators)
     return make_report("canonical-relations", (
@@ -200,6 +211,9 @@ def _canonical_relations_report(struct: SymplecticStructure):
 def _substitution_report(name: str, sub: Substitution):
     """Endomorphism property on sample inputs; for the shift entry, also the
     orbit of the generator under iteration."""
+    from .poisson_poly import POLYNOMIALS
+    from .poly import Polynomial
+
     gens = next(iter(sub.images.values())).generators
     xs = Polynomial.variables(gens)
     f = xs[0] + 1

@@ -38,10 +38,13 @@ def hom_power(algebra, x: Vector, n: int) -> Vector:
 
 def _power_table(algebra, v: Vector, n: int) -> tuple[list, list]:
     """Twisted powers v^1..v^n (index 0 unused) and the twisting-map powers
-    alpha^0..alpha^(n-1), each composed once, that they and the pair powers use."""
+    alpha^0..alpha^(n-1) that they and the pair powers use.
+
+    The table starts from [I, alpha] and composes each higher power once, so
+    an n-th power check makes n - 2 compositions."""
     mu, alpha = algebra.mu, algebra.alpha
-    alphas = [LinearMap.identity(algebra.dim)]
-    for _ in range(1, n):
+    alphas = [LinearMap.identity(algebra.dim), alpha]
+    for _ in range(2, n):
         alphas.append(alphas[-1].compose(alpha))
     table = [None, v]
     for m in range(2, n + 1):

@@ -9,12 +9,15 @@ values as ``int`` instead (``int_if_integral``); every other value, from
 Vectors and tensor contractions also take sparse polynomial entries (see
 ``poly``), which is how universally quantified identities are decided with
 generic elements; a contraction or map application sums the products of each
-output coordinate in one fraction-free accumulation.
+output coordinate in one fraction-free accumulation, and a map row with one
+nonzero gives a scalar multiple of one coordinate.
 
-Square matrices keep one dense, canonical form (``LinearMap.rows``) for
-equality, hashing and serialisation, and run every product, application and
-identity test over cached views of their nonzero entries, so a diagonal or
-permutation map costs its dimension, not its square or cube.
+Square matrices keep one sparse, canonical form, the nonzero entries of each
+row and each column (``LinearMap.sparse_rows`` and ``sparse_columns``), for
+equality and hashing, and run every product, application, inverse and
+identity test over it, so a diagonal or permutation map costs its dimension,
+not its square or cube.  The dense matrix ``LinearMap.rows`` is a view built
+on demand, for serialisation and display.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ def int_if_integral(q):
     of integral values run on ``int``.
     """
     return q.numerator if q.denominator == 1 else q
-
-
-# ``poly`` imports ``rat`` from this module, so it is imported once ``rat`` exists.
-from . import poly  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -144,45 +143,38 @@ class Vector:
 # Square matrices (linear self-maps)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LinearMap:
     """Square matrix over the rationals; column j is the image of basis vector j.
 
-    ``rows[i][j]`` is the coefficient of basis vector i in the image of basis
-    vector j (the usual matrix convention).  ``rows`` is the one public,
-    canonical form (equality, hashing and serialisation read it); products
-    and applications run over the cached nonzero views ``sparse_rows`` and
-    ``sparse_columns``, so their cost follows the nonzeros, not the dimension.
+    Entry (i, j) is the coefficient of basis vector i in the image of basis
+    vector j (the usual matrix convention).  The stored, canonical form is
+    sparse: ``sparse_rows[i]`` holds the nonzero (j, value) pairs of row i and
+    ``sparse_columns[j]`` the nonzero (i, value) pairs of column j, both in
+    ascending index order.  Equality and hashing read it, and every product,
+    application and identity test runs over it, so a diagonal or permutation
+    map costs its dimension, not its square or cube.  ``rows`` is the dense
+    view, built on first read (serialisation, display, ``entry``, ``column``).
     """
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(map(rat, row)) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(map(rat, row)) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("linear map matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        self.sparse_rows = tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in rows)
+        self.sparse_columns = _transpose(self.sparse_rows)
 
     @staticmethod
-    def _of_sparse(rows: tuple, columns: tuple) -> "LinearMap":
+    def _of_lines(rows: tuple, columns: tuple) -> "LinearMap":
         """The map with the given sparse rows and columns (nonzero rationals in
         ascending index order), built without re-coercing its entries."""
-        n = len(rows)
-        dense = []
-        for line in rows:
-            row = [_ZERO] * n
-            for j, q in line:
-                row[j] = q
-            dense.append(tuple(row))
         m = object.__new__(LinearMap)
-        object.__setattr__(m, "rows", tuple(dense))
-        m.__dict__.update(sparse_rows=rows, sparse_columns=columns)
+        m.sparse_rows, m.sparse_columns = rows, columns
         return m
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
     @staticmethod
     def identity(dim: int) -> "LinearMap":
@@ -190,12 +182,18 @@ class LinearMap:
 
     @staticmethod
     def zero(dim: int) -> "LinearMap":
-        return LinearMap._of_sparse(((),) * dim, ((),) * dim)
+        return LinearMap._of_lines(((),) * dim, ((),) * dim)
 
     @staticmethod
     def diagonal(values: Iterable) -> "LinearMap":
         lines = tuple(((i, q),) if q else () for i, q in enumerate(rat(v) for v in values))
-        return LinearMap._of_sparse(lines, lines)
+        return LinearMap._of_lines(lines, lines)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The dense matrix: ``rows[i][j]`` is entry (i, j), zeros included."""
+        n = self.dim
+        return tuple(tuple(row.get(j, _ZERO) for j in range(n)) for row in map(dict, self.sparse_rows))
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -204,32 +202,43 @@ class LinearMap:
         return Vector(tuple(row[j] for row in self.rows))
 
     @cached_property
-    def sparse_rows(self) -> tuple:
-        """Row i as a tuple of its nonzero (j, value) pairs."""
-        return tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in self.rows)
-
-    @cached_property
-    def sparse_columns(self) -> tuple:
-        """Column j as a tuple of its nonzero (i, value) pairs."""
-        return _transpose(self.sparse_rows)
-
-    @cached_property
     def engine_columns(self) -> tuple:
         """``sparse_columns`` with integral values as ``int``: the view the
         sweep engine reads (see ``int_if_integral``)."""
         return tuple(tuple((i, int_if_integral(q)) for i, q in line) for line in self.sparse_columns)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return self.sparse_rows == other.sparse_rows
+
+    def __hash__(self):
+        return hash(self.sparse_rows)
+
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product; generic over the entry ring of ``v``: each
-        output coordinate is one ``poly.sum_of_products`` accumulation over
-        the row's nonzeros that meet a nonzero entry of ``v``."""
+        """Matrix-vector product; generic over the entry ring of ``v``.
+
+        A row with one nonzero (j, c) gives the scalar multiple c * v[j] (v[j]
+        itself when c = 1); any other row is one ``poly.sum_of_products``
+        accumulation over its nonzeros that meet a nonzero entry of ``v``.  A
+        zero output coordinate is ``Fraction(0)``.
+        """
+        # imported on use: ``poly`` imports this module, and a process that
+        # accumulates nothing (a basis sweep, a spec round trip) never loads it
+        from . import poly
+
         if self.dim != v.dim:
             raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
         x = v.entries
         out = []
         for line in self.sparse_rows:
-            triples = [(coeff, x[j], 1) for j, coeff in line if x[j]]
-            out.append(poly.sum_of_products(triples) if triples else _ZERO)
+            if len(line) == 1:
+                (j, c), = line
+                xj = x[j]
+                out.append((xj if c == 1 else xj * c) if xj else _ZERO)
+            else:
+                triples = [(coeff, x[j], 1) for j, coeff in line if x[j]]
+                out.append(poly.sum_of_products(triples) if triples else _ZERO)
         return Vector(tuple(out))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -243,10 +252,10 @@ class LinearMap:
             acc: dict = {}
             for k, b in line:
                 for i, a in left[k]:
-                    acc[i] = acc.get(i, _ZERO) + a * b
+                    acc[i] = acc[i] + a * b if i in acc else a * b
             columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
         columns = tuple(columns)
-        return LinearMap._of_sparse(_transpose(columns), columns)
+        return LinearMap._of_lines(_transpose(columns), columns)
 
     def kron(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product self (x) other on the product basis (i, j) ->
@@ -255,13 +264,13 @@ class LinearMap:
         d2 = other.dim
         columns = tuple(tuple((i * d2 + j, a * b) for i, a in c1 for j, b in c2)
                         for c1 in self.sparse_columns for c2 in other.sparse_columns)
-        return LinearMap._of_sparse(_transpose(columns), columns)
+        return LinearMap._of_lines(_transpose(columns), columns)
 
     def power(self, n: int) -> "LinearMap":
         if n < 0:
             raise ValueError("negative matrix powers not supported; call invert() explicitly")
-        acc = LinearMap.identity(self.dim)
-        for _ in range(n):
+        acc = self if n else LinearMap.identity(self.dim)
+        for _ in range(n - 1):
             acc = acc.compose(self)
         return acc
 
@@ -321,7 +330,7 @@ class LinearMap:
         if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
         rows = tuple(tuple(sorted((c - n, x) for c, x in pivots[col].items() if c >= n)) for col in range(n))
-        return LinearMap._of_sparse(rows, _transpose(rows))
+        return LinearMap._of_lines(rows, _transpose(rows))
 
     def kernel_vector(self) -> Vector | None:
         """A nonzero kernel vector, or None when the map is injective.
@@ -470,6 +479,8 @@ class Trilinear:
         k, and each group is summed in one accumulation by
         ``poly.sum_of_products``.
         """
+        from . import poly  # imported on use, as in ``LinearMap.apply``
+
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch(
                 f"tensor dim {self.dim} vs vectors {x.dim}, {y.dim}")

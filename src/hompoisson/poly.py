@@ -118,8 +118,8 @@ class Polynomial:
         generators = tuple(generators)
         if name not in generators:
             raise GeneratorMismatch(f"{name!r} is not among generators {generators}")
-        expo = tuple(1 if g == name else 0 for g in generators)
-        return Polynomial(generators, {expo: 1})
+        key = sum(1 << s for g, s in zip(generators, _shifts(len(generators))) if g == name)
+        return _reduced(generators, {key: 1}, 1)
 
     @staticmethod
     def variables(generators) -> tuple:

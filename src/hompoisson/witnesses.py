@@ -3,7 +3,8 @@
 Each function reproduces one case study end to end and returns a structured
 result whose ``passed`` flag certifies that every expected value came out
 exactly.  The CLI ``witness`` subcommand renders these; the acceptance tests
-assert them.
+assert them.  Each replay imports the modules it runs, so a ``witness``
+subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -12,34 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import (
-    conjugation_morphism,
-    free_poly_shift,
-    heisenberg_morphism,
-    heisenberg_p31,
-    heisenberg_p32,
-    matrix_algebra,
-    sl2_linear_poisson,
-    sl2_scaling,
-    symplectic_space,
-)
-from .constructions import (
-    beta_twisting,
-    commutator_poisson,
-    is_trivial_twisting,
-    nonrigidity_witness,
-    verify_isomorphism,
-)
 from .errors import PreconditionError
 from .linalg import LinearMap, Vector, rat
-from .poisson_poly import (
-    Substitution,
-    check_poisson_substitution,
-    manifold_nonrigidity_check,
-    translation,
-    twisted_associator,
-)
-from .poly import Polynomial
 
 GRID = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 # The fixed inputs of the replays below.
@@ -68,6 +43,10 @@ def free_poly_witness() -> FreePolyResult:
     The same value is recomputed by direct expansion (2+X)^3 - (1+X)(2+X)(3+X)
     as an independent route.
     """
+    from .catalog import free_poly_shift
+    from .poisson_poly import twisted_associator
+    from .poly import Polynomial
+
     sub = free_poly_shift()
     x = Polynomial.var(("X",), "X")
     residual = twisted_associator(sub, x, x, sub(x))
@@ -105,6 +84,9 @@ def matrix_twist_witness() -> MatrixTwistResult | None:
     both through the structure-constant machinery on the unit-matrix basis and
     through plain dense matrix arithmetic; both routes must agree.
     """
+    from .catalog import conjugation_morphism, matrix_algebra
+    from .constructions import commutator_poisson, nonrigidity_witness
+
     algebra = commutator_poisson(matrix_algebra(2))
     beta = conjugation_morphism(2)
     d = (Fraction(1, 2), Fraction(1))
@@ -152,6 +134,9 @@ def sl2_witness() -> Sl2Result:
     of f does not exist, so f is fixed instead; the probe triple never
     involves f, and the bracket-morphism certificate is skipped.
     """
+    from .catalog import sl2_linear_poisson, sl2_scaling
+    from .poisson_poly import Substitution, check_poisson_substitution, twisted_associator
+
     struct = sl2_linear_poisson()
     e, f, h = (struct.variable(g) for g in struct.generators)
     cases = []
@@ -199,6 +184,9 @@ def r2n_witness() -> TranslationResult:
     Expects trace 2 c_i and determinant condition c_i^2, and checks the orbit
     of the origin is (k c_1, ..., k c_2n) for k = 1..3.
     """
+    from .catalog import symplectic_space
+    from .poisson_poly import manifold_nonrigidity_check, translation
+
     struct = symplectic_space(R2N_HALF_DIM)
     gens = struct.generators
     f = struct.variable(gens[0])
@@ -242,6 +230,8 @@ class RigidityResult:
 
 
 def _classify_twistings(algebra, label: str, maps) -> RigidityCase:
+    from .constructions import beta_twisting, is_trivial_twisting, verify_isomorphism
+
     trivial = isomorphic = skipped = 0
     failures = []
     for beta in maps:
@@ -269,6 +259,8 @@ def heisenberg_morphism_family(family: str):
     each yields maps over a 4-tuple grid of its free parameters, and the
     caller still verifies the morphism property per target algebra.
     """
+    from .catalog import heisenberg_morphism
+
     quads = itertools.product(GRID, repeat=4)
     if family == "alpha1":
         return [heisenberg_morphism(a, 0, 0, d, u, v) for a, d, u, v in quads]
@@ -285,6 +277,8 @@ def heisenberg_morphism_family(family: str):
 
 def general_heisenberg_maps():
     """All bracket morphisms over the grid on the 2x2 block, few Z-column choices."""
+    from .catalog import heisenberg_morphism
+
     out = []
     for a, b, c, d in itertools.product(GRID, repeat=4):
         for u, v in RIGIDITY_Z_COLUMNS:
@@ -299,6 +293,8 @@ def heisenberg_rigidity_replay() -> RigidityResult:
     the isomorphism candidate is always X -> X, Y -> Y, Z -> b Z.  Any third
     outcome is recorded as a failure.
     """
+    from .catalog import heisenberg_p31, heisenberg_p32
+
     cases = []
     maps = general_heisenberg_maps()
     for zeta in RIGIDITY_ZETAS:

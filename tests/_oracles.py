@@ -39,6 +39,24 @@ def dense_tensor_kron(a, b):
              for j in range(d)] for i in range(d)]
 
 
+def dense_inverse(a):
+    """Inverse of a dense matrix by Gauss-Jordan elimination of [a | I], or
+    None when a is singular."""
+    n = len(a)
+    m = [[Fraction(q) for q in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

@@ -20,7 +20,7 @@ from hompoisson.constructions import depolarize
 from hompoisson.specfile import emit_map, emit_spec
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hompoisson.__file__)))
-BASE = {"algebra", "errors", "linalg", "poly", "specfile"}
+BASE = {"algebra", "errors", "linalg", "specfile"}
 
 # Runs the CLI as ``python -m hompoisson.cli ARGS`` would, then prints the
 # exit code and the loaded package modules as the last line of stdout.
@@ -66,8 +66,11 @@ def test_bare_import_loads_no_submodule(tmp_path):
 @pytest.mark.parametrize("argv, extra", [
     (["check", "p31.json"], set()),
     (["twist", "p31.json", "--by", "beta.json"], {"constructions"}),
-    (["power", "single.json", "--max-n", "3"], {"hompower"}),
-    (["catalog", "heisenberg-p31"], {"catalog", "poisson_poly"}),
+    (["power", "single.json", "--max-n", "3"], {"hompower", "poly"}),
+    (["catalog", "heisenberg-p31"], {"catalog"}),
+    # the replay contracts rational vectors, which ``poly.sum_of_products`` sums
+    (["witness", "matrix"], {"witnesses", "catalog", "constructions", "poly"}),
+    (["witness", "free-poly"], {"witnesses", "catalog", "poisson_poly", "poly"}),
 ])
 def test_subcommand_footprint(files, argv, extra):
     proc = python(["-c", FOOTPRINT, *argv], files)

@@ -3,15 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
+from hompoisson.hompower import generic_element
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_kron, dense_matrix, dense_tensor,
-                      dense_tensor_kron, mat_mul, random_map, random_tensor, ref_apply, ref_contract)
+from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_inverse, dense_kron, dense_matrix,
+                      dense_tensor, dense_tensor_kron, mat_mul, random_map, random_tensor, ref_apply, ref_contract)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -162,11 +163,13 @@ def test_dimension_mismatch_errors():
 # Sparse map operations against the dense oracles, on maps of every sparsity
 # ---------------------------------------------------------------------------
 
-MAP_KINDS = ("zero", "diagonal", "permutation", "singular", "dense")
+MAP_KINDS = ("zero", "diagonal", "permutation", "signed", "singular", "dense")
 # numerator and denominator drawn as integers, so failures shrink quickly
 entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 nonzero_entries = entries.filter(lambda q: q != 0)
 sparse_entries = st.one_of(st.just(Fraction(0)), entries)
+# the coefficients of one-term rows whose images are x_j itself, -x_j and x_j / 2
+one_term_coeffs = st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2)))
 
 
 def dense_identity(n):
@@ -174,15 +177,17 @@ def dense_identity(n):
 
 
 @st.composite
-def maps(draw, n, kinds=MAP_KINDS):
+def dense_rows(draw, n, kinds=MAP_KINDS):
+    """The dense rows of an n x n map of one of the given kinds."""
     kind = draw(st.sampled_from(kinds))
     rows = [[Fraction(0)] * n for _ in range(n)]
     if kind == "diagonal":
         for i, q in enumerate(draw(st.lists(sparse_entries, min_size=n, max_size=n))):
             rows[i][i] = q
-    elif kind == "permutation":
+    elif kind in ("permutation", "signed"):
         perm = draw(st.permutations(range(n)))
-        for i, q in enumerate(draw(st.lists(nonzero_entries, min_size=n, max_size=n))):
+        weights = nonzero_entries if kind == "permutation" else one_term_coeffs
+        for i, q in enumerate(draw(st.lists(weights, min_size=n, max_size=n))):
             rows[i][perm[i]] = q
     elif kind == "singular":
         rows = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -191,7 +196,11 @@ def maps(draw, n, kinds=MAP_KINDS):
         rows[-1] = [c * q for q in rows[0]] if n > 1 else [Fraction(0)]
     elif kind == "dense":
         rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
-    return LinearMap(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
+
+
+def maps(n, kinds=MAP_KINDS):
+    return dense_rows(n, kinds).map(LinearMap)
 
 
 @st.composite
@@ -276,6 +285,78 @@ def test_invert_and_kernel_match_dense_oracle(data):
         assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
         assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
         assert m.kernel_vector() is None
+
+
+BUILDS = ("rows", "diagonal", "identity", "zero", "compose", "power", "kron", "invert")
+
+
+@st.composite
+def built_maps(draw):
+    """A map built one of the ways the library builds maps, with the dense
+    matrix of the same map computed independently of the library."""
+    how = draw(st.sampled_from(BUILDS))
+    n = draw(st.integers(1, 6))
+    if how == "rows":
+        a = draw(dense_rows(n))
+        return how, LinearMap(a), a
+    if how == "diagonal":
+        values = draw(st.lists(st.one_of(one_term_coeffs, sparse_entries), min_size=n, max_size=n))
+        a = tuple(tuple(values[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+        return how, LinearMap.diagonal(values), a
+    if how == "identity":
+        return how, LinearMap.identity(n), dense_identity(n)
+    if how == "zero":
+        return how, LinearMap.zero(n), tuple((Fraction(0),) * n for _ in range(n))
+    if how == "compose":
+        a, b = draw(dense_rows(n)), draw(dense_rows(n))
+        return how, LinearMap(a).compose(LinearMap(b)), mat_mul(a, b)
+    if how == "power":
+        a, k = draw(dense_rows(n)), draw(st.integers(0, 4))
+        expected = dense_identity(n)
+        for _ in range(k):
+            expected = mat_mul(expected, a)
+        return how, LinearMap(a).power(k), expected
+    if how == "kron":
+        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        a, b = draw(dense_rows(n1)), draw(dense_rows(n2))
+        return how, LinearMap(a).kron(LinearMap(b)), dense_kron(a, b)
+    a = draw(dense_rows(n, ("diagonal", "permutation", "signed", "dense")))
+    inverse = dense_inverse(a)
+    assume(inverse is not None)
+    return how, LinearMap(a).invert(), inverse
+
+
+def check_apply(m, a, x):
+    """m applied to x equals the dense product, entry types included: a zero
+    is Fraction(0), and an entry a polynomial reached is a polynomial."""
+    out = m.apply(Vector(tuple(x))).entries
+    expected = ap(a, x)
+    assert list(out) == expected
+    assert [type(e) for e in out] == [type(e) for e in expected]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stored_form_matches_dense_oracle_however_built(data):
+    """The sparse stored form of a map built any way agrees with the dense
+    matrix: the dense view, entries, columns, application, and equality and
+    hashing with the map rebuilt from its dense rows."""
+    how, m, a = data.draw(built_maps(), label="map")
+    n = len(a)
+    assert m.dim == n
+    assert m.rows == a
+    assert all(type(q) is Fraction for row in m.rows for q in row)
+    assert [[m.entry(i, j) for j in range(n)] for i in range(n)] == [list(row) for row in a]
+    assert [m.column(j) for j in range(n)] == [Vector(tuple(row[j] for row in a)) for j in range(n)]
+    rebuilt = LinearMap(m.rows)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert m.sparse_rows == rebuilt.sparse_rows and m.sparse_columns == rebuilt.sparse_columns
+    check_apply(m, a, data.draw(st.lists(sparse_entries, min_size=n, max_size=n), label="x"))
+    # generic coordinates, some replaced by the rational or the polynomial zero
+    generic = generic_element(n).entries
+    zeros = (Fraction(0), Polynomial.zero(generic[0].generators))
+    zeroed = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(zeros)), label="zeroed")
+    check_apply(m, a, [zeroed.get(i, t) for i, t in enumerate(generic)])
 
 
 def test_invert_and_kernel_at_dim_81():
