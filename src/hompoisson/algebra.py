@@ -11,7 +11,8 @@ identically.  A check lets its arguments range over the basis at once and
 computes the residuals of all their tuples by sparse composition of the
 structure constants.  A three-argument check takes its first argument in
 doubling blocks of basis vectors (1, 2, 4, ...), one evaluation per block,
-and stops after the block that holds the tenth failing tuple.
+and stops after the block that holds the tenth failing tuple.  ``tabulate``
+builds an operation by reading the structure constants off a bilinear formula.
 
 Every report in the package, swept or not, is built by ``make_report`` under
 one witness policy: residuals are read in lexicographic order of their
@@ -177,8 +178,8 @@ def aggregate_report(identity: str, parts) -> CheckReport:
 # bilinear ``E.op(t, a, b)`` (the operation with structure constants ``t``)
 # and a linear ``E.ap(m, a)``, followed by its operands and its algebra
 # arguments.  ``VECTORS`` evaluates an identity on given vectors,
-# ``poisson_poly.POLYNOMIALS`` on polynomials, and ``sweep`` on all basis
-# tuples.
+# ``poisson_poly.POLYNOMIALS`` on polynomials, ``sweep`` on all basis tuples,
+# and ``tabulate`` reads structure constants off a bilinear formula.
 # ---------------------------------------------------------------------------
 
 def associator(E, mu, alpha, x, y, z):
@@ -383,6 +384,20 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
             lo, size = hi, 2 * size
 
     return make_report(identity, cases())
+
+
+def tabulate(dim: int, formula, *operands) -> Trilinear:
+    """The structure constants of the bilinear ``formula(E, *operands, x, y)``,
+    evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
+    (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``."""
+    x = _Form({n: {n * dim: 1} for n in range(dim)}, True)
+    y = _Form({n: {n: 1} for n in range(dim)}, False)
+    data = {}
+    for k, col in formula(_Sweep(), *operands, x, y).cols.items():
+        for code, q in col.items():
+            if q:
+                data[(*divmod(code, dim), k)] = Fraction(q)
+    return Trilinear._of(dim, data)
 
 
 def _indices(code: int, dim: int, arity: int) -> tuple:

@@ -5,6 +5,10 @@ Covers: the commutator bracket on a twisted-associative algebra, twisting by
 algebras, untwisted beta-twistings with triviality and isomorphism tests,
 polarization/depolarization, and the admissibility and flexibility checks
 that characterize when a single product encodes a full bracket/product pair.
+
+Each new operation is one bilinear formula tabulated by ``algebra.tabulate``,
+except beta(op(x, y)) (``Trilinear.map_outputs``) and the product of a tensor
+product, the Kronecker product of the factors' products (``Trilinear.kron``).
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ from .algebra import (
     HomAlgebra,
     HomPoissonAlgebra,
     aggregate_report,
+    antisymmetry,
     associator,
     check_commutative,
     check_hom_associative,
     check_morphism,
     check_multiplicative,
+    commutativity,
     jacobian,
     make_report,
     sweep,
+    tabulate,
 )
 from .errors import PreconditionError, SingularMatrixError
 from .linalg import LinearMap, Vector
@@ -42,17 +49,18 @@ def commutator_poisson(algebra: HomAlgebra) -> HomPoissonAlgebra:
     """Equip a twisted-associative algebra with its commutator bracket.
 
     The input must pass check_hom_associative; the result carries the same
-    product and twisting map, with bracket mu - mu^op.
+    product and twisting map, with bracket xy - yx (``commutativity``).
     """
     report = check_hom_associative(algebra)
     if not report.passed:
         raise PreconditionError("commutator construction requires a twisted-associative input", report)
+    bracket = tabulate(algebra.dim, commutativity, algebra.mu)
     return HomPoissonAlgebra(
         basis=algebra.basis,
-        bracket=algebra.mu - algebra.mu.op(),
+        bracket=bracket,
         mu=algebra.mu,
         alpha=algebra.alpha,
-        commutative=algebra.mu.is_symmetric(),
+        commutative=bracket.is_zero(),
     )
 
 
@@ -152,13 +160,13 @@ def nonrigidity_witness(algebra: HomPoissonAlgebra, beta: LinearMap,
     A nonzero value certifies that the beta-twisting fails the corresponding
     untwisted identity, hence is neither trivial nor isomorphic to the base.
     """
+    identity = {"mu": associator, "bracket": jacobian}.get(op)
+    if identity is None:
+        raise ValueError(f"op must be 'mu' or 'bracket', got {op!r}")
     report = check_morphism(beta, algebra, algebra, weak=True)
     if not report.passed:
         raise PreconditionError("non-rigidity probe requires a (weak) self-morphism", report)
     x, y, z = triple
-    identity = {"mu": associator, "bracket": jacobian}.get(op)
-    if identity is None:
-        raise ValueError(f"op must be 'mu' or 'bracket', got {op!r}")
     t = getattr(algebra, op).map_outputs(beta)
     return identity(VECTORS, t, LinearMap.identity(algebra.dim), x, y, z)
 
@@ -182,7 +190,7 @@ def tensor(a1: HomPoissonAlgebra, a2: HomPoissonAlgebra) -> HomPoissonAlgebra:
             raise PreconditionError(f"tensor product factor claims commutativity but fails it ({name})", rep)
     return HomPoissonAlgebra(
         basis=tuple(f"{b1}⊗{b2}" for b1 in a1.basis for b2 in a2.basis),
-        bracket=a1.bracket.kron(a2.mu) + a1.mu.kron(a2.bracket),
+        bracket=tabulate(a1.dim * a2.dim, operation_sum, a1.bracket.kron(a2.mu), a1.mu.kron(a2.bracket)),
         mu=a1.mu.kron(a2.mu),
         alpha=a1.alpha.kron(a2.alpha),
         commutative=True,
@@ -193,13 +201,17 @@ def tensor(a1: HomPoissonAlgebra, a2: HomPoissonAlgebra) -> HomPoissonAlgebra:
 # Polarization / depolarization
 # ---------------------------------------------------------------------------
 
+def operation_sum(E, s, t, x, y):
+    """s(x, y) + t(x, y)."""
+    return E.op(s, x, y) + E.op(t, x, y)
+
+
 def polarize(algebra: HomAlgebra) -> HomPoissonAlgebra:
     """Split one product into its antisymmetric and symmetric halves."""
-    mu_op = algebra.mu.op()
     return HomPoissonAlgebra(
         basis=algebra.basis,
-        bracket=(algebra.mu - mu_op).scale(_HALF),
-        mu=(algebra.mu + mu_op).scale(_HALF),
+        bracket=tabulate(algebra.dim, lambda E, mu, x, y: _HALF * commutativity(E, mu, x, y), algebra.mu),
+        mu=tabulate(algebra.dim, lambda E, mu, x, y: _HALF * antisymmetry(E, mu, x, y), algebra.mu),
         alpha=algebra.alpha,
         commutative=True,
     )
@@ -209,7 +221,7 @@ def depolarize(algebra: HomPoissonAlgebra) -> HomAlgebra:
     """Recombine bracket and product into the single product bracket + product."""
     return HomAlgebra(
         basis=algebra.basis,
-        mu=algebra.bracket + algebra.mu,
+        mu=tabulate(algebra.dim, operation_sum, algebra.bracket, algebra.mu),
         alpha=algebra.alpha,
     )
 

@@ -379,22 +379,30 @@ class Trilinear:
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
             raise ValueError("tensor dimension must be positive")
-        self.dim = dim
         data: dict[tuple[int, int, int], Fraction] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (i, j, k), value in items:
+        for (i, j, k), value in dict(entries).items():  # a repeated index keeps its last value
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
             q = rat(value)
             if q != 0:
                 data[(i, j, k)] = q
+        self._fill(dim, data)
+
+    @staticmethod
+    def _of(dim: int, data: dict) -> "Trilinear":
+        """The tensor with these entries (in range, nonzero rationals), not coerced again."""
+        t = object.__new__(Trilinear)
+        t._fill(dim, data)
+        return t
+
+    def _fill(self, dim: int, data: dict) -> None:
+        self.dim = dim
         self._entries = data
         # rows[i]: the (j, k, coefficient) entries with first index i, read by
         # the sweep engine, so integral coefficients are ints (int_if_integral)
-        rows: dict[int, list] = {}
+        self.rows = rows = {}
         for (i, j, k), q in data.items():
             rows.setdefault(i, []).append((j, k, int_if_integral(q)))
-        self.rows = rows
 
     @staticmethod
     def zero(dim: int) -> "Trilinear":
@@ -417,44 +425,16 @@ class Trilinear:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def op(self) -> "Trilinear":
-        """The opposite operation: inputs swapped."""
-        return Trilinear(self.dim, {(j, i, k): q for (i, j, k), q in self._entries.items()})
-
-    def __add__(self, other: "Trilinear") -> "Trilinear":
-        self._check_dim(other)
-        data = dict(self._entries)
-        for key, q in other._entries.items():
-            data[key] = data.get(key, _ZERO) + q
-        return Trilinear(self.dim, data)
-
-    def __sub__(self, other: "Trilinear") -> "Trilinear":
-        self._check_dim(other)
-        data = dict(self._entries)
-        for key, q in other._entries.items():
-            data[key] = data.get(key, _ZERO) - q
-        return Trilinear(self.dim, data)
-
-    def scale(self, c) -> "Trilinear":
-        c = rat(c)
-        return Trilinear(self.dim, {key: c * q for key, q in self._entries.items()})
-
     def with_entry(self, i: int, j: int, k: int, value) -> "Trilinear":
         """Copy with one structure constant replaced (used to corrupt tensors in tests)."""
-        data = dict(self._entries)
-        q = rat(value)
-        if q == 0:
-            data.pop((i, j, k), None)
-        else:
-            data[(i, j, k)] = q
-        return Trilinear(self.dim, data)
+        return Trilinear(self.dim, [*self._entries.items(), ((i, j, k), value)])
 
     def kron(self, other: "Trilinear") -> "Trilinear":
         """Kronecker product: op(x1 (x) x2, y1 (x) y2) = self(x1, y1) (x)
         other(x2, y2) on the product basis (i, j) -> i * other.dim + j, the
         second factor varying fastest (as ``LinearMap.kron``)."""
         d2 = other.dim
-        return Trilinear(self.dim * d2, {
+        return Trilinear._of(self.dim * d2, {
             (i * d2 + j, k * d2 + l, p * d2 + r): q1 * q2
             for (i, k, p), q1 in self._entries.items()
             for (j, l, r), q2 in other._entries.items()})
@@ -469,7 +449,7 @@ class Trilinear:
             for out_idx, coeff in cols[k]:
                 key = (i, j, out_idx)
                 data[key] = data.get(key, _ZERO) + coeff * q
-        return Trilinear(self.dim, data)
+        return Trilinear._of(self.dim, {key: q for key, q in data.items() if q})
 
     def contract(self, x: Vector, y: Vector) -> Vector:
         """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k].
@@ -495,9 +475,6 @@ class Trilinear:
             out[k] = poly.sum_of_products(triples)
         return Vector(tuple(out))
 
-    def is_symmetric(self) -> bool:
-        return all(q == self.entry(j, i, k) for (i, j, k), q in self._entries.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trilinear):
             return NotImplemented
@@ -505,10 +482,6 @@ class Trilinear:
 
     def __hash__(self):
         return hash((self.dim, frozenset(self._entries.items())))
-
-    def _check_dim(self, other: "Trilinear") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"tensor dims differ: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
         body = ", ".join(f"{ijk}: {q}" for ijk, q in sorted(self._entries.items()))

@@ -211,6 +211,15 @@ def test_nonrigidity_witness_conjugation():
     assert not res.is_zero()
 
 
+def test_nonrigidity_witness_rejects_unknown_op_before_the_morphism_check():
+    # beta is not a morphism, so checking it first would raise PreconditionError
+    p = commutator_poisson(matrix_algebra(2))
+    x = vec_of_mat(unit_matrix(2, 0, 1))
+    with pytest.raises(ValueError, match="op must be 'mu' or 'bracket'") as err:
+        nonrigidity_witness(p, LinearMap.diagonal([1, 2, 3, 4]), (x, x, x), op="bogus")
+    assert type(err.value) is ValueError
+
+
 # ---------------------------------------------------------------------------
 # Tensor products
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def algebras(draw):
         blocks.append((piece.bracket, piece.mu, piece.alpha))
         maps.append((piece.bracket, piece.mu, beta))
     bracket, mu, alpha = _direct_sum(blocks)
-    commutative = mu.is_symmetric()
+    M = dense_tensor(mu)
+    commutative = all(M[i][j] == M[j][i] for i in range(dim) for j in range(dim))
     base = HomPoissonAlgebra(tuple(f"b{i}" for i in range(dim)), bracket, mu, alpha, commutative)
     beta = _direct_sum(maps)[2]
     algebra = twist(base, beta) if draw(st.booleans()) else base

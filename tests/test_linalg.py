@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, tabulate
+from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import (RefPoly, ap, assert_canonical, dense_contract, dense_inverse, dense_kron, dense_matrix,
-                      dense_tensor, dense_tensor_kron, mat_mul, random_map, random_tensor, ref_apply, ref_contract)
+from _oracles import (RefPoly, add, ap, assert_canonical, basis, dense_contract, dense_inverse, dense_kron,
+                      dense_matrix, dense_tensor, dense_tensor_kron, mat_mul, op, random_map, random_tensor,
+                      ref_apply, ref_contract, scale, sub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -135,15 +139,112 @@ def test_contract_matches_dense_oracle():
         assert list(t.contract(x, y).entries) == dense_contract(t, x.entries, y.entries)
 
 
-def test_trilinear_algebra_ops():
+def test_repeated_index_keeps_last_value():
+    """A later value for the same index replaces the earlier one, and a later
+    zero removes it, as ``with_entry`` does."""
+    assert Trilinear(1, [((0, 0, 0), 1), ((0, 0, 0), 2)]) == Trilinear(1, {(0, 0, 0): 2})
+    cleared = Trilinear(1, [((0, 0, 0), 1), ((0, 0, 0), 0)])
+    assert cleared.is_zero() and cleared.rows == {} and cleared == Trilinear.zero(1)
+    assert Trilinear(1, [((0, 0, 0), 0), ((0, 0, 0), "1/2")]).entry(0, 0, 0) == Fraction(1, 2)
     t = Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 0, 1): -1})
-    assert t.op() == Trilinear(2, {(1, 0, 0): Fraction(1, 2), (0, 1, 1): -1})
-    assert (t + t.op()).is_symmetric()
-    assert (t - t.op()).op() == (t - t.op()).scale(-1)
-    assert t.scale(2).entry(0, 1, 0) == 1
-    doubler = LinearMap.diagonal([2, 2])
-    assert t.map_outputs(doubler).entry(0, 1, 0) == 1
-    assert t.with_entry(0, 1, 0, 0).entry(0, 1, 0) == 0
+    assert t.with_entry(0, 1, 0, 0) == Trilinear(2, {(1, 0, 1): -1})
+    assert t.with_entry(0, 1, 0, 3) == Trilinear(2, {(0, 1, 0): 3, (1, 0, 1): -1})
+
+
+# integral and fractional constants, zeros included
+constants = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def arrays(draw, n, symmetric=False, partner=None, sign=-1):
+    """A dense n x n x n array of constants.  ``symmetric`` mirrors each
+    T[i][j] to T[j][i]; with a ``partner`` array, drawn cells hold ``sign``
+    times its value there, so a sum with it (or with its negation) cancels."""
+    T = [[[draw(constants) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if partner is not None and draw(st.booleans()):
+            T[i][j][k] = sign * partner[i][j][k]
+        if symmetric and j < i:
+            T[i][j][k] = T[j][i][k]
+    return T
+
+
+def tensor_of(T):
+    n = len(T)
+    return Trilinear(n, {(i, j, k): T[i][j][k] for i, j, k in itertools.product(range(n), repeat=3)})
+
+
+def table(n, value):
+    """The dense array whose (i, j) fibre is value(e_i, e_j), from the oracles."""
+    return [[value(basis(n, i), basis(n, j)) for j in range(n)] for i in range(n)]
+
+
+def assert_stored_form(t, expected):
+    """t equals the dense array, stores no zero, reads its integral values as
+    int in ``rows`` and as Fraction everywhere else, and round-trips."""
+    dense = dense_tensor(t)
+    assert dense == expected
+    assert all(type(q) is Fraction for plane in dense for fibre in plane for q in fibre)
+    assert all(q != 0 and type(q) is Fraction for _, q in t.items())
+    assert sorted((i, j, k, q) for i, row in t.rows.items() for j, k, q in row) == \
+        sorted((i, j, k, q) for (i, j, k), q in t.items())
+    assert all(type(q) is (int if Fraction(q).denominator == 1 else Fraction)
+               for row in t.rows.values() for _, _, q in row)
+    again = Trilinear(t.dim, dict(t.items()))
+    assert t == again and hash(t) == hash(again)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tabulated_tensors_match_dense_oracle(data):
+    """The commutator bracket, the polarized halves, the depolarized sum, the
+    tensor bracket and ``map_outputs`` against the dense oracles."""
+    n = data.draw(st.integers(1, 3), label="dim")
+    names = tuple(f"b{i}" for i in range(n))
+    M = data.draw(arrays(n, symmetric=data.draw(st.booleans(), label="symmetric mu")), label="mu")
+    B = data.draw(arrays(n, partner=M), label="bracket")
+    mu, ident = tensor_of(M), LinearMap.identity(n)
+
+    def bracket_of(x, y):
+        return sub(op(M, x, y), op(M, y, x))
+
+    # a zero twisting map makes every product hom-associative
+    c = commutator_poisson(HomAlgebra(names, mu, LinearMap.zero(n)))
+    assert_stored_form(c.bracket, table(n, bracket_of))
+    symmetric = all(M[i][j] == M[j][i] for i in range(n) for j in range(n))
+    assert c.commutative == c.bracket.is_zero() == symmetric
+
+    p = polarize(HomAlgebra(names, mu, ident))
+    half = Fraction(1, 2)
+    assert_stored_form(p.bracket, table(n, lambda x, y: scale(half, bracket_of(x, y))))
+    assert_stored_form(p.mu, table(n, lambda x, y: scale(half, add(op(M, x, y), op(M, y, x)))))
+
+    d = depolarize(HomPoissonAlgebra(names, tensor_of(B), mu, ident))
+    assert_stored_form(d.mu, table(n, lambda x, y: add(op(B, x, y), op(M, x, y))))
+
+    beta = [[data.draw(constants, label="beta") for _ in range(n)] for _ in range(n)]
+    P = M
+    if n > 1 and data.draw(st.booleans(), label="cancel through beta"):
+        # beta(e_0) = beta(e_1) and every output has opposite e_0, e_1 parts
+        for row in beta:
+            row[1] = row[0]
+        P = [[[fibre[0], -fibre[0], *fibre[2:]] for fibre in plane] for plane in M]
+    twisted = table(n, lambda x, y: ap(beta, op(P, x, y)))
+    assert_stored_form(tensor_of(P).map_outputs(LinearMap(beta)), twisted)
+    # the same formula tabulated, where the engine's accumulation reaches zero
+    assert_stored_form(tabulate(n, lambda E, m, t, x, y: E.ap(m, E.op(t, x, y)), LinearMap(beta), tensor_of(P)),
+                       twisted)
+
+    factors = []
+    for sign in (-1, 1):
+        m = data.draw(st.integers(1, 3), label="factor dim")
+        Mf = data.draw(arrays(m, symmetric=True), label="factor mu")
+        Bf = data.draw(arrays(m, partner=Mf, sign=sign), label="factor bracket")
+        factors.append((Mf, Bf, HomPoissonAlgebra(tuple(f"b{i}" for i in range(m)), tensor_of(Bf), tensor_of(Mf),
+                                                  LinearMap.identity(m), commutative=True)))
+    (M1, B1, a1), (M2, B2, a2) = factors
+    BM, MB = dense_tensor_kron(B1, M2), dense_tensor_kron(M1, B2)
+    assert_stored_form(tensor(a1, a2).bracket, table(len(BM), lambda x, y: add(op(BM, x, y), op(MB, x, y))))
 
 
 def test_dimension_mismatch_errors():
