@@ -32,7 +32,7 @@ results are unchanged, and an integral tensor runs on machine-speed products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
@@ -111,6 +111,27 @@ def jacobi_tensor(algebra) -> Trilinear:
 # Reports
 # ---------------------------------------------------------------------------
 
+def as_data(value):
+    """The JSON form of a report, a replay result or one of their values.
+
+    A dataclass becomes an object of its fields in declaration order, leaving
+    out a field that equals its declared default; a ``Vector`` becomes the
+    list of its coordinate strings and a tuple a list; ``bool``, ``int``,
+    ``str`` and ``None`` stay; any other value (``Fraction``, ``Polynomial``)
+    becomes its ``str``.
+    """
+    if isinstance(value, Vector):
+        return [str(e) for e in value.entries]
+    if is_dataclass(value):
+        return {f.name: as_data(getattr(value, f.name)) for f in fields(value)
+                if f.default is MISSING or getattr(value, f.name) != f.default}
+    if isinstance(value, tuple):
+        return [as_data(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Witness:
     """One failing basis tuple with its exact residual."""
@@ -119,29 +140,18 @@ class Witness:
     residual: object  # Vector, or a polynomial-valued residual
 
     def as_dict(self) -> dict:
-        if isinstance(self.residual, Vector):
-            res = [str(e) for e in self.residual.entries]
-        else:
-            res = str(self.residual)
-        return {"indices": list(self.indices), "residual": res}
+        return as_data(self)
 
 
 @dataclass(frozen=True)
 class CheckReport:
     identity: str
     passed: bool
-    witnesses: tuple = ()
+    witnesses: tuple
     parts: tuple = ()
 
     def as_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "passed": self.passed,
-            "witnesses": [w.as_dict() for w in self.witnesses],
-        }
-        if self.parts:
-            d["parts"] = [p.as_dict() for p in self.parts]
-        return d
+        return as_data(self)
 
     def flat(self) -> list:
         """Leaf reports (the parts of an aggregate, or the report itself)."""

@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 
 from .algebra import (
     HomAlgebra,
     HomPoissonAlgebra,
+    as_data,
     check_commutative,
     check_hom_poisson,
     check_morphism,
@@ -27,8 +29,21 @@ EXIT_USAGE = 2
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Output
 # ---------------------------------------------------------------------------
+
+def _emit(args, body: dict, lines) -> int:
+    """Print ``body`` as JSON, or ``lines`` and the ``RESULT`` line as text;
+    the exit code follows ``body["passed"]``."""
+    passed = body["passed"]
+    if args.format == "json":
+        print(json.dumps(body, indent=2))
+    else:
+        for line in lines:
+            print(line)
+        print(f"RESULT: {'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_FAIL
+
 
 def _witness_text(witness, basis) -> str:
     if basis and all(isinstance(i, int) and 0 <= i < len(basis) for i in witness.indices):
@@ -38,37 +53,19 @@ def _witness_text(witness, basis) -> str:
     return f"    witness ({where}): residual {witness.residual}"
 
 
-def _print_reports(reports, basis=None) -> bool:
-    ok = True
-    for report in reports:
-        for leaf in report.flat():
-            print(f"{'PASS' if leaf.passed else 'FAIL'}  {leaf.identity}")
-            if not leaf.passed:
-                ok = False
-                for w in leaf.witnesses:
-                    print(_witness_text(w, basis))
-    print(f"RESULT: {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def _emit_json(command: str, reports) -> bool:
-    leaves = [leaf for report in reports for leaf in report.flat()]
-    ok = all(leaf.passed for leaf in leaves)
-    payload = {
-        "command": command,
-        "passed": ok,
-        "reports": [leaf.as_dict() for leaf in leaves],
-    }
-    print(json.dumps(payload, indent=2))
-    return ok
+def _report_lines(leaves, basis):
+    for leaf in leaves:
+        yield f"{'PASS' if leaf.passed else 'FAIL'}  {leaf.identity}"
+        if not leaf.passed:
+            for w in leaf.witnesses:
+                yield _witness_text(w, basis)
 
 
 def _finish(args, command: str, reports, basis=None) -> int:
-    if args.format == "json":
-        ok = _emit_json(command, reports)
-    else:
-        ok = _print_reports(reports, basis)
-    return EXIT_PASS if ok else EXIT_FAIL
+    leaves = [leaf for report in reports for leaf in report.flat()]
+    body = {"command": command, "passed": all(leaf.passed for leaf in leaves),
+            "reports": [as_data(leaf) for leaf in leaves]}
+    return _emit(args, body, _report_lines(leaves, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def _cmd_power(args) -> int:
             print("note: algebra is not multiplicative; two-identity criterion skipped")
     for n in range(3, args.max_n + 1):
         reports.append(check_nth_power_assoc(algebra, n))
-    return _finish(args, "power", reports, algebra.basis)
+    return _finish(args, "power", reports)
 
 
 def _cmd_catalog(args) -> int:
@@ -185,91 +182,48 @@ def _cmd_catalog(args) -> int:
 # Witness replays
 # ---------------------------------------------------------------------------
 
-def _render_free_poly(result):
-    lines = [
-        f"twisted associator at (X, X, alpha(X)): {result.residual}",
-        f"direct expansion (2+X)^3 - (1+X)(2+X)(3+X): {result.direct}",
-        f"nonzero and both routes agree: {'yes' if result.passed else 'NO'}",
-    ]
-    return result.passed, lines, {"residual": str(result.residual)}
-
-
-def _render_matrix(result):
-    if result is None:
-        return False, ["no witness matrix found in search range"], {}
-    lines = [
-        f"witness matrix rows: {result.matrix}",
-        f"twisted associator (basis coordinates): {result.residual}",
-        f"dense-arithmetic route agrees and is nonzero: {'yes' if result.passed else 'NO'}",
-    ]
-    return result.passed, lines, {"matrix": [[str(v) for v in row] for row in result.matrix],
-                                  "residual": [str(e) for e in result.residual.entries]}
-
-
-def _render_sl2(result):
-    lines = []
-    for case in result.cases:
-        tag = "morphism verified" if case.morphism_verified else "morphism check skipped"
-        lines.append(f"lambda = {case.lam}: associator(e, h, h) = {case.residual} "
-                     f"(expected {case.expected}; {tag})")
-    lines.append(f"all cases match, nonzero exactly off {{0, 1}}: {'yes' if result.passed else 'NO'}")
-    payload = {"cases": [{"lambda": str(c.lam), "residual": str(c.residual)} for c in result.cases]}
-    return result.passed, lines, payload
-
-
-def _render_r2n(result):
-    lines = []
-    for case in result.cases:
-        lines.append(f"c_i = {case.c_i}: trace = {case.trace}, determinant condition = "
-                     f"{case.determinant}, orbit check {'ok' if case.orbit_ok else 'BAD'}, "
-                     f"non-rigidity certified: {'yes' if case.non_rigid else 'NO'}")
-    lines.append(f"all probes match the expected 2c_i and c_i^2: {'yes' if result.passed else 'NO'}")
-    payload = {"cases": [{"c_i": str(c.c_i), "trace": str(c.trace),
-                          "determinant": str(c.determinant)} for c in result.cases]}
-    return result.passed, lines, payload
-
-
-def _render_rigidity(result):
-    lines = []
-    for case in result.cases:
-        lines.append(f"{case.algebra}: {case.trivial} trivial, {case.isomorphic} isomorphic "
-                     f"via Z -> bZ, {case.skipped} non-morphisms skipped, "
-                     f"{len(case.failures)} unclassified")
-    lines.append(f"no third outcome on the grid: {'yes' if result.passed else 'NO'}")
-    payload = {"cases": [{"algebra": c.algebra, "trivial": c.trivial,
-                          "isomorphic": c.isomorphic, "skipped": c.skipped,
-                          "failures": len(c.failures)} for c in result.cases]}
-    return result.passed, lines, payload
-
-
-# witness name -> (replay function in ``witnesses``, renderer of its result)
+# witness name -> replay function in ``witnesses``
 WITNESS_SCRIPTS = {
-    "free-poly": ("free_poly_witness", _render_free_poly),
-    "matrix": ("matrix_twist_witness", _render_matrix),
-    "sl2": ("sl2_witness", _render_sl2),
-    "r2n": ("r2n_witness", _render_r2n),
-    "heisenberg-rigidity": ("heisenberg_rigidity_replay", _render_rigidity),
+    "free-poly": "free_poly_witness",
+    "matrix": "matrix_twist_witness",
+    "sl2": "sl2_witness",
+    "r2n": "r2n_witness",
+    "heisenberg-rigidity": "heisenberg_rigidity_replay",
 }
 
 
+def _value_text(value) -> str:
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_value_text(v) for v in value) + ")"
+    return str(value)
+
+
+def _replay_lines(result):
+    """The first docstring line of the result's class, then one line per
+    field, or per case of a tuple of case dataclasses."""
+    yield type(result).__doc__.strip().splitlines()[0]
+    for field in fields(result):
+        if field.name == "passed":
+            continue
+        value = getattr(result, field.name)
+        if isinstance(value, tuple) and value and all(is_dataclass(v) for v in value):
+            for i, case in enumerate(value):
+                yield f"{field.name}[{i}]: " + ", ".join(
+                    f"{f.name} = {_value_text(getattr(case, f.name))}" for f in fields(case))
+        else:
+            yield f"{field.name}: {_value_text(value)}"
+
+
 def _cmd_witness(args) -> int:
-    script = WITNESS_SCRIPTS.get(args.name)
-    if script is None:
+    replay = WITNESS_SCRIPTS.get(args.name)
+    if replay is None:
         known = ", ".join(sorted(WITNESS_SCRIPTS))
         raise SpecFileError(f"unknown witness {args.name!r} (known: {known})")
     from . import witnesses
 
-    replay, render = script
-    passed, lines, payload = render(getattr(witnesses, replay)())
-    if args.format == "json":
-        body = {"command": "witness", "name": args.name, "passed": passed}
-        body.update(payload)
-        print(json.dumps(body, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        print(f"RESULT: {'PASS' if passed else 'FAIL'}")
-    return EXIT_PASS if passed else EXIT_FAIL
+    result = getattr(witnesses, replay)()
+    body = {"command": "witness", "name": args.name, "passed": result.passed, **as_data(result)}
+    return _emit(args, body, _replay_lines(result))
 
 
 # ---------------------------------------------------------------------------

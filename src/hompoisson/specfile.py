@@ -142,11 +142,17 @@ def algebra_to_dict(algebra) -> dict:
     return data
 
 
+def _write_json(data: dict, path) -> None:
+    # Callers build ``data`` before this opens (and truncates) the file, so an
+    # object that cannot be serialised leaves an existing file as it was.
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
 def emit_spec(algebra, path) -> None:
     """Write an algebra file; parse(emit(a)) reproduces a's tensors exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra), fh, indent=2)
-        fh.write("\n")
+    _write_json(algebra_to_dict(algebra), path)
 
 
 def parse_map(path) -> LinearMap:
@@ -162,11 +168,8 @@ def parse_map(path) -> LinearMap:
 
 
 def emit_map(m: LinearMap, path) -> None:
-    data = {
+    _write_json({
         "format": MAP_FORMAT,
         "dim": m.dim,
         "matrix": [[str(q) for q in row] for row in m.rows],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    }, path)

@@ -2,9 +2,10 @@
 
 Each function reproduces one case study end to end and returns a structured
 result whose ``passed`` flag certifies that every expected value came out
-exactly.  The CLI ``witness`` subcommand renders these; the acceptance tests
-assert them.  Each replay imports the modules it runs, so a ``witness``
-subcommand loads only those.
+exactly.  The CLI ``witness`` subcommand writes each result field by field,
+under the first line of its class docstring; the acceptance tests assert
+them.  Each replay imports the modules it runs, so a ``witness`` subcommand
+loads only those.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ RIGIDITY_Z_COLUMNS = ((0, 0), (1, -2))
 
 @dataclass(frozen=True)
 class FreePolyResult:
+    """The shifted product's associator at (X, X, alpha(X)) is X + 2 by two routes."""
+
     residual: Polynomial
     direct: Polynomial
     passed: bool
@@ -61,7 +64,9 @@ def free_poly_witness() -> FreePolyResult:
 
 @dataclass(frozen=True)
 class MatrixTwistResult:
-    matrix: tuple          # the found 2x2 integer matrix, row-major
+    """The conjugation twist of 2x2 matrices is not associative, by two routes."""
+
+    matrix: tuple          # the found 2x2 integer matrix, row-major; () if none
     residual: Vector       # structure-constant route
     oracle: tuple          # dense matrix-arithmetic route, row-major
     passed: bool
@@ -77,12 +82,14 @@ def _dense_conj(d, m):
     return tuple(tuple(d[i] * m[i][j] / d[j] for j in range(n)) for i in range(n))
 
 
-def matrix_twist_witness() -> MatrixTwistResult | None:
+def matrix_twist_witness() -> MatrixTwistResult:
     """Search small integer 2x2 matrices for a nonzero twisted associator.
 
     The twisting map is conjugation by diag(1/2, 1).  The residual is computed
     both through the structure-constant machinery on the unit-matrix basis and
-    through plain dense matrix arithmetic; both routes must agree.
+    through plain dense matrix arithmetic; both routes must agree.  When no
+    matrix in the search range gives one, the result fails with an empty
+    matrix and a zero residual.
     """
     from .catalog import conjugation_morphism, matrix_algebra
     from .constructions import commutator_poisson, nonrigidity_witness
@@ -106,7 +113,7 @@ def matrix_twist_witness() -> MatrixTwistResult | None:
         residual = nonrigidity_witness(algebra, beta, (vec, vec, beta.apply(vec)), op="mu")
         agreed = list(residual.entries) == [oracle[i][j] for i in range(2) for j in range(2)]
         return MatrixTwistResult(m, residual, oracle, agreed and not residual.is_zero())
-    return None
+    return MatrixTwistResult((), Vector.zero(4), (), False)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,8 @@ class Sl2Case:
 
 @dataclass(frozen=True)
 class Sl2Result:
+    """The scaled sl2 twist has associator (lam^2 - lam) e h^2 at (e, h, h)."""
+
     cases: tuple
     passed: bool
 
@@ -174,6 +183,8 @@ class TranslationCase:
 
 @dataclass(frozen=True)
 class TranslationResult:
+    """Translations of R^2n have trace 2c_i, determinant c_i^2 and the expected orbit."""
+
     cases: tuple
     passed: bool
 
@@ -225,6 +236,8 @@ class RigidityCase:
 
 @dataclass(frozen=True)
 class RigidityResult:
+    """Every verified twisting of the Heisenberg products is trivial or isomorphic."""
+
     cases: tuple
     passed: bool
 

@@ -21,6 +21,7 @@ from hompoisson.algebra import (
     hom_jacobian,
     hom_leibniz_residual,
     aggregate_report,
+    as_data,
     make_report,
 )
 from hompoisson.catalog import (
@@ -31,6 +32,7 @@ from hompoisson.catalog import (
 )
 from hompoisson.constructions import commutator_poisson, tensor
 from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.poly import Polynomial
 
 from _oracles import (
     dense_hom_associator,
@@ -286,6 +288,29 @@ def test_report_as_dict_schema():
     w = data["witnesses"][0]
     assert set(w) == {"indices", "residual"}
     assert all(isinstance(s, str) for s in w["residual"])
+
+
+def test_as_data_values():
+    @dataclasses.dataclass(frozen=True)
+    class Case:
+        flag: bool
+        count: int
+        scale: Fraction
+        poly: object
+        vector: Vector
+        rows: tuple
+        note: str = "none"
+        extra: tuple = ()
+
+    x = Polynomial.var(("X",), "X")
+    case = Case(True, 3, Fraction(1, 2), x + 2, Vector.of(1, Fraction(-3, 4)), ((1, 2), ()),
+                extra=(None,))
+    assert as_data(case) == {"flag": True, "count": 3, "scale": "1/2", "poly": "X + 2",
+                             "vector": ["1", "-3/4"], "rows": [[1, 2], []], "extra": [None]}
+    assert list(as_data(case)) == ["flag", "count", "scale", "poly", "vector", "rows", "extra"]
+    assert as_data(Case(False, 0, Fraction(2), x, Vector.of(), ())) == {
+        "flag": False, "count": 0, "scale": "2", "poly": "X", "vector": [], "rows": []}
+    assert as_data(make_report("empty", [])) == {"identity": "empty", "passed": True, "witnesses": []}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from hompoisson import witnesses
+from hompoisson.algebra import HomPoissonAlgebra
 from hompoisson.catalog import heisenberg_morphism, heisenberg_p31
-from hompoisson.cli import run_command
+from hompoisson.cli import WITNESS_SCRIPTS, run_command
 from hompoisson.constructions import depolarize, twist
-from hompoisson.linalg import Trilinear
+from hompoisson.linalg import LinearMap, Trilinear
 from hompoisson.specfile import emit_map, emit_spec, parse_spec
 
 
@@ -184,6 +187,20 @@ def test_power_reports_failure(capsys, tmp_path):
     ]
 
 
+def test_power_text_names_witnesses_by_index(capsys, tmp_path):
+    # the indices of a power report are (n, i) exponents, never basis vectors
+    mu = Trilinear(5, {(0, 1, 2): 1, (1, 2, 0): 1, (0, 0, 1): 1, (2, 0, 3): 1, (3, 3, 4): 1})
+    algebra = HomPoissonAlgebra(basis=tuple("abcde"), bracket=Trilinear.zero(5), mu=mu,
+                                alpha=LinearMap.identity(5))
+    path = tmp_path / "dim5.json"
+    emit_spec(algebra, path)
+    assert run_command(["power", str(path), "--max-n", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in lines if line.startswith("    witness")] == [
+        "witness (3)", "witness (4)", "witness (3, 2)", "witness (4, 2)", "witness (4, 3)",
+        "witness (5, 2)", "witness (5, 3)", "witness (5, 4)"]
+
+
 def test_catalog_subcommand(capsys, tmp_path):
     assert run_command(["catalog", "heisenberg-p31", "--param", "zeta=1/2"]) == 0
     assert run_command(["catalog", "sl2-linear-poisson"]) == 0
@@ -218,3 +235,58 @@ def test_witness_matrix(capsys):
 
 def test_witness_unknown(capsys):
     assert run_command(["witness", "nothing"]) == 2
+
+
+REPLAY_RESULTS = {
+    "free-poly": witnesses.FreePolyResult,
+    "matrix": witnesses.MatrixTwistResult,
+    "sl2": witnesses.Sl2Result,
+    "r2n": witnesses.TranslationResult,
+    "heisenberg-rigidity": witnesses.RigidityResult,
+}
+
+
+def _small_rigidity(monkeypatch, failures=()):
+    # the full replay takes seconds, and acceptance criterion 7 runs it
+    case = witnesses.RigidityCase("x2-product", 1, 2, 3, failures)
+    result = witnesses.RigidityResult((case,), not failures)
+    monkeypatch.setattr(witnesses, "heisenberg_rigidity_replay", lambda: result)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SCRIPTS))
+def test_witness_output_is_the_result_dataclass(capsys, monkeypatch, name):
+    if name == "heisenberg-rigidity":
+        _small_rigidity(monkeypatch)
+    result_class = REPLAY_RESULTS[name]
+    code, payload = run_json(capsys, ["witness", name])
+    assert code == 0
+    assert list(payload) == ["command", "name", "passed"] + [
+        f.name for f in dataclasses.fields(result_class) if f.name != "passed"]
+    assert (payload["command"], payload["name"], payload["passed"]) == ("witness", name, True)
+    assert run_command(["witness", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == result_class.__doc__.splitlines()[0]
+    assert lines[-1] == "RESULT: PASS"
+
+
+def test_witness_case_lines_and_failure(capsys, monkeypatch):
+    failure = ((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2)))
+    _small_rigidity(monkeypatch, (failure,))
+    assert run_command(["witness", "heisenberg-rigidity"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "cases[0]: algebra = x2-product, trivial = 1, isomorphic = 2, skipped = 3, "
+        "failures = (((1, 0, 0), (0, 1, 0), (0, 0, 1/2)))",
+        "RESULT: FAIL"]
+    code, payload = run_json(capsys, ["witness", "heisenberg-rigidity"])
+    assert code == 1 and payload["passed"] is False
+    assert payload["cases"] == [{"algebra": "x2-product", "trivial": 1, "isomorphic": 2,
+                                 "skipped": 3, "failures": [[[1, 0, 0], [0, 1, 0], [0, 0, "1/2"]]]}]
+
+
+def test_witness_matrix_without_a_witness_fails(capsys, monkeypatch):
+    monkeypatch.setattr(witnesses, "MATRIX_ENTRIES", (0,))
+    result = witnesses.matrix_twist_witness()
+    assert not result.passed and result.matrix == () and result.residual.is_zero()
+    code, payload = run_json(capsys, ["witness", "matrix"])
+    assert code == 1 and payload["passed"] is False
+    assert (payload["matrix"], payload["residual"], payload["oracle"]) == ([], ["0"] * 4, [])

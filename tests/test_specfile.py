@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hompoisson.catalog import heisenberg_morphism, heisenberg_p31, matrix_algebra
+from hompoisson.catalog import heisenberg_morphism, heisenberg_p31, matrix_algebra, sl2_linear_poisson
 from hompoisson.constructions import commutator_poisson, twist
 from hompoisson.errors import SpecFileError
 from hompoisson.linalg import LinearMap
@@ -36,6 +36,15 @@ def test_roundtrip_is_tensor_exact(builder, tmp_path):
     assert back.commutative == algebra.commutative
     again = roundtrip(back, tmp_path / "b.json")
     assert again == back
+
+
+def test_failed_emit_leaves_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "a.json"
+    emit_spec(heisenberg_p31(1), path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        emit_spec(sl2_linear_poisson(), path)
+    assert path.read_bytes() == before
 
 
 def test_single_product_roundtrip(tmp_path):
