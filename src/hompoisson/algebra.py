@@ -3,9 +3,11 @@
 A twisted algebra is a based vector space with one or two bilinear operations
 (stored as rank-3 tensors) and a linear twisting map.  Each defining identity
 is stated once, as a function of an evaluator that supplies the bilinear
-operation and the linear map, and runs on one engine in two ways: on given
-vectors (the element-level functions) and on all basis tuples (the
-``check_*`` functions).  Every identity is multilinear in the algebra
+operation and the linear map, and runs on three evaluators: ``VECTORS`` on
+given vectors (the element-level functions, through ``Trilinear.contract``
+and ``LinearMap.apply``), ``poisson_poly.POLYNOMIALS`` on polynomials, and
+the sweep engine on all basis tuples (``sweep``, behind ``check_*``) or
+pairs (``tabulate``).  Every identity is multilinear in the algebra
 arguments, so vanishing on all basis tuples is equivalent to vanishing
 identically.  A check lets its arguments range over the basis at once and
 computes the residuals of all their tuples by sparse composition of the

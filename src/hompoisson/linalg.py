@@ -29,8 +29,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, SingularMatrixError
 
-Q = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -62,6 +60,12 @@ def int_if_integral(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _basis_index(k: int, dim: int) -> int:
+    if not 0 <= k < dim:
+        raise IndexError(f"basis index {k} out of range for dim {dim}")
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------
@@ -89,8 +93,7 @@ class Vector:
 
     @staticmethod
     def unit(dim: int, i: int) -> "Vector":
-        if not 0 <= i < dim:
-            raise IndexError(f"basis index {i} out of range for dim {dim}")
+        _basis_index(i, dim)
         return Vector(tuple(_ONE if j == i else _ZERO for j in range(dim)))
 
     @staticmethod
@@ -152,8 +155,8 @@ class LinearMap:
     ``sparse_columns[j]`` the nonzero (i, value) pairs of column j, both in
     ascending index order.  Equality and hashing read it, and every product,
     application and identity test runs over it, so a diagonal or permutation
-    map costs its dimension, not its square or cube.  ``rows`` is the dense
-    view, built on first read (serialisation, display, ``entry``, ``column``).
+    map costs its dimension, not its square or cube; ``entry`` and ``column``
+    read it too.  ``rows`` is the dense view, built on first read for output.
     """
 
     def __init__(self, rows):
@@ -196,10 +199,12 @@ class LinearMap:
         return tuple(tuple(row.get(j, _ZERO) for j in range(n)) for row in map(dict, self.sparse_rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        _basis_index(j, self.dim)
+        return next((q for k, q in self.sparse_rows[_basis_index(i, self.dim)] if k == j), _ZERO)
 
     def column(self, j: int) -> Vector:
-        return Vector(tuple(row[j] for row in self.rows))
+        line = dict(self.sparse_columns[_basis_index(j, self.dim)])
+        return Vector(tuple(line.get(i, _ZERO) for i in range(self.dim)))
 
     @cached_property
     def engine_columns(self) -> tuple:

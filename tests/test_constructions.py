@@ -8,6 +8,7 @@ from hompoisson.algebra import (
     HomAlgebra,
     HomPoissonAlgebra,
     check_hom_poisson,
+    check_morphism,
     check_multiplicative,
     cyclic_associator_sum,
     hom_jacobian,
@@ -37,8 +38,10 @@ from hompoisson.constructions import (
 )
 from hompoisson.errors import PreconditionError
 from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.witnesses import general_heisenberg_maps
 
-from _oracles import mat_mul, mat_sub, random_map, random_tensor, unit_matrix, vec_of_mat
+from _oracles import (ap, dense_matrix, dense_tensor, mat_mul, mat_sub, random_map, random_tensor, unit_matrix,
+                      vec_of_mat)
 
 
 def nonassociative_algebra():
@@ -175,6 +178,65 @@ def test_beta_twisting_triviality():
     rich = beta_twisting(p, heisenberg_morphism(2, 0, 0, 3))
     assert not is_trivial_twisting(rich)
     assert rich.result.alpha.is_identity()
+
+
+def _twisting_inputs():
+    """Each input of the beta-twisting oracle test with the maps it is twisted by:
+    the zero map, the identity and a seeded sample of the rigidity grid maps."""
+    grid = random.Random(14).sample(general_heisenberg_maps(), 24)
+    for algebra in (heisenberg_p31(0), heisenberg_p31(1), heisenberg_p31(Fraction(1, 2)), heisenberg_p32()):
+        yield algebra, [LinearMap.zero(3), LinearMap.identity(3), *grid]
+    matrix = commutator_poisson(matrix_algebra(2))
+    yield matrix, [LinearMap.zero(4), LinearMap.identity(4), conjugation_morphism(2), LinearMap.diagonal([1, 2, 3, 4])]
+
+
+def test_beta_twisting_matches_the_direct_construction():
+    """beta_twisting refuses exactly the maps that are not self-morphisms, and
+    otherwise its result is beta composed with each dense operation."""
+    refused = built = 0
+    for algebra, maps in _twisting_inputs():
+        for beta in maps:
+            if not check_morphism(beta, algebra, algebra).passed:
+                with pytest.raises(PreconditionError):
+                    beta_twisting(algebra, beta)
+                refused += 1
+                continue
+            result = beta_twisting(algebra, beta).result
+            b = dense_matrix(beta)
+            for name in ("bracket", "mu"):
+                expected = [[ap(b, col) for col in row] for row in dense_tensor(getattr(algebra, name))]
+                assert dense_tensor(getattr(result, name)) == expected
+            assert result.alpha.is_identity() and result.basis == algebra.basis
+            assert result.commutative == algebra.commutative
+            built += 1
+    assert refused and built
+
+
+def test_beta_twisting_sweeps_only_the_operations(monkeypatch):
+    """With the identity as both twisting maps, beta_twisting checks the two
+    operations and not the always-passing twisting-map condition."""
+    import hompoisson.algebra as algebra_module
+    swept = []
+    real = algebra_module.sweep
+
+    def counting(identity, *args):
+        swept.append(identity)
+        return real(identity, *args)
+
+    monkeypatch.setattr(algebra_module, "sweep", counting)
+    beta_twisting(heisenberg_p31(1), heisenberg_morphism(2, 0, 0, 3))
+    assert swept == ["morphism[mu]", "morphism[bracket]"]
+    swept.clear()
+    with pytest.raises(PreconditionError) as err:
+        beta_twisting(heisenberg_p31(1), LinearMap.diagonal([1, 2, 3]))
+    assert err.value.report.identity == "weak-morphism"
+    assert [leaf.identity for leaf in err.value.report.flat()] == swept == ["morphism[mu]", "morphism[bracket]"]
+
+
+def test_beta_twisting_refuses_a_twisted_input():
+    t = twist(heisenberg_p31(1), heisenberg_morphism(2, 0, 0, 3))
+    with pytest.raises(PreconditionError):
+        beta_twisting(t, LinearMap.identity(3))
 
 
 def test_verify_isomorphism_scaled_center():

@@ -496,6 +496,30 @@ def test_invert_and_kernel_at_dim_81():
     assert LinearMap.diagonal(weights).invert() == LinearMap.diagonal([1 / w for w in weights])
 
 
+def test_entry_and_column_read_the_sparse_form():
+    """Entries and columns of a dim-729 diagonal and of a dense map equal the
+    dense oracle without building the dense view; an index outside 0..dim-1
+    raises IndexError."""
+    rng = random.Random(729)
+    values = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(729)]
+    a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(5)]
+    cases = [(LinearMap.diagonal(values), lambda i, j: values[i] if i == j else Fraction(0), range(0, 729, 91)),
+             (LinearMap(a), lambda i, j: a[i][j], range(5))]
+    for m, oracle, sample in cases:
+        n = m.dim
+        for i in sample:
+            assert [m.entry(i, j) for j in range(n)] == [oracle(i, j) for j in range(n)]
+            assert m.column(i) == Vector(tuple(oracle(k, i) for k in range(n)))
+        assert all(type(m.entry(i, i)) is Fraction for i in sample)
+        for bad in ((n, 0), (0, n), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                m.entry(*bad)
+        for bad in (n, -1):
+            with pytest.raises(IndexError):
+                m.column(bad)
+        assert "rows" not in vars(m)
+
+
 def test_engine_views_hold_ints_and_public_values_stay_fractions():
     """The sweep engine reads integral values as int; every public value is a Fraction."""
     m = LinearMap(((2, "1/2"), (0, -1)))
