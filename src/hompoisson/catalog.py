@@ -21,8 +21,12 @@ from .algebra import (
     make_report,
     morphism,
 )
-from .errors import HomPoissonError
+from .errors import HomPoissonError, ResourceLimitError
 from .linalg import LinearMap, Trilinear, rat
+
+# Desk-scale guard: the matrix algebra of size n has n^3 structure constants,
+# and a size past this budget is refused before any of them is built.
+MAX_ENTRIES = 10 ** 6
 
 HEISENBERG_BASIS = ("X", "Y", "Z")
 
@@ -85,6 +89,9 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
+    if n ** 3 > MAX_ENTRIES:
+        raise ResourceLimitError(f"matrix algebra n={n} has n^3 = {n ** 3} structure constants "
+                                 f"(budget: {MAX_ENTRIES})")
     sep = "_" if n >= 10 else ""  # E111 would name both (1, 11) and (11, 1)
     basis = tuple(f"E{i}{sep}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     idx = lambda i, j: i * n + j  # 0-based

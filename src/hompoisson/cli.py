@@ -153,6 +153,9 @@ def _cmd_power(args) -> int:
             print("note: algebra is not multiplicative; two-identity criterion skipped")
     for n in range(3, args.max_n + 1):
         reports.append(check_nth_power_assoc(algebra, n))
+    if not reports:
+        raise SpecFileError("--max-n 2 runs no check on an algebra that is not multiplicative; "
+                            "use --max-n 3 or more")
     return _finish(args, "power", reports)
 
 

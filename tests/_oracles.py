@@ -1,15 +1,19 @@
 """Independent oracles for the test suite.
 
-Everything here recomputes expected values through routes that do not share
-code with the library paths under test: dense matrix arithmetic for the
-unit-matrix algebras, naive dense tensor loops for identity residuals, and
-seeded random generators for structure constants.
+The defining identities are restated once outside the library, in the
+benchmark's dense oracle ``bench/oracle.py``; the tests load it by file path
+and compare every checker report and element-level residual against it.
+What the benchmark does not need lives here: dense matrix arithmetic for the
+unit-matrix algebras, dense views of tensors and maps, seeded random
+generators for structure constants, and a naive reference polynomial.
 """
 
 from fractions import Fraction
+import importlib.util
 import itertools
+import math
 import random
-from math import gcd
+from pathlib import Path
 
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import FIELD_BITS, MAX_EXPONENT
@@ -65,11 +69,6 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_of_vec(v, n):
-    """Coordinates on the E11, E12, ..., Enn basis back to a dense matrix."""
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-
-
 def vec_of_mat(m):
     n = len(m)
     return Vector(tuple(Fraction(m[i][j]) for i in range(n) for j in range(n)))
@@ -79,16 +78,26 @@ def unit_matrix(n, i, j):
     return tuple(tuple(Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n)) for r in range(n))
 
 
-def basis(dim, i):
-    return [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
+# ---------------------------------------------------------------------------
+# The benchmark's dense oracle, and the reports the checkers must produce
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-# ---------------------------------------------------------------------------
-# Naive dense oracles (no sparse shortcuts, no shared helpers) for every
-# defining identity, and the reports the checkers must produce: each residual
-# is evaluated on every basis tuple in lexicographic order, keeping the first
-# ten nonzero ones.
-# ---------------------------------------------------------------------------
+def load_bench(name):
+    """``bench/<name>.py`` loaded by file path as the private module
+    ``_bench_<name>``, so the import does not depend on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_oracle = load_bench("oracle")
+Dense, MorphismResiduals, PowerOracle, Residuals = (_oracle.Dense, _oracle.MorphismResiduals, _oracle.PowerOracle,
+                                                    _oracle.Residuals)
+add, apply, scale, sub, unit = _oracle.add, _oracle.apply, _oracle.scale, _oracle.sub, _oracle.unit
 
 WITNESS_CAP = 10
 
@@ -102,166 +111,54 @@ def dense_matrix(m: LinearMap):
     return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
 
 
-def op(T, x, y):
-    """out_k = sum_ij x_i y_j T[i][j][k], skipping zero coordinates and entries."""
-    d = len(T)
-    out = [Fraction(0)] * d
-    for i in range(d):
-        if x[i] == 0:
-            continue
-        for j in range(d):
-            if y[j] == 0:
-                continue
-            c = x[i] * y[j]
-            row = T[i][j]
-            for k in range(d):
-                if row[k] != 0:
-                    out[k] += c * row[k]
-    return out
+def arity(identity):
+    """The number of basis vectors a leaf identity takes."""
+    if identity == "morphism[twisting]":
+        return 1
+    binary = identity in ("antisymmetry", "commutative") or identity.startswith(("multiplicative[", "morphism["))
+    return 2 if binary else 3
 
 
-def ap(M, x):
-    """out_i = sum_j M[i][j] x_j, skipping zero coordinates and entries."""
-    d = len(x)
-    out = [Fraction(0)] * d
-    for j in range(d):
-        if x[j] == 0:
-            continue
-        for i in range(d):
-            if M[i][j] != 0:
-                out[i] += M[i][j] * x[j]
-    return out
-
-
-def add(*vs):
-    return [sum(col) for col in zip(*vs)]
-
-
-def sub(v, w):
-    return [a - b for a, b in zip(v, w)]
-
-
-def scale(c, v):
-    return [c * a for a in v]
-
-
-def oracle_associator(M, A, x, y, z):
-    """(xy)a(z) - a(x)(yz)"""
-    return sub(op(M, op(M, x, y), ap(A, z)), op(M, ap(A, x), op(M, y, z)))
-
-
-def oracle_jacobian(B, A, x, y, z):
-    """[[x,y],a(z)] + [[z,x],a(y)] + [[y,z],a(x)]"""
-    return add(op(B, op(B, x, y), ap(A, z)), op(B, op(B, z, x), ap(A, y)),
-               op(B, op(B, y, z), ap(A, x)))
-
-
-def oracle_leibniz(B, M, A, x, y, z):
-    """[a(x), yz] - [x,y]a(z) - a(y)[x,z]"""
-    return sub(sub(op(B, ap(A, x), op(M, y, z)), op(M, op(B, x, y), ap(A, z))),
-               op(M, ap(A, y), op(B, x, z)))
-
-
-def oracle_antisymmetry(B, x, y):
-    return add(op(B, x, y), op(B, y, x))
-
-
-def oracle_commutative(M, x, y):
-    return sub(op(M, x, y), op(M, y, x))
-
-
-def oracle_multiplicative(T, A, x, y):
-    """a(xy) - a(x)a(y)"""
-    return sub(ap(A, op(T, x, y)), op(T, ap(A, x), ap(A, y)))
-
-
-def oracle_morphism(F, S, T, x, y):
-    """f(xy) in the source against f(x)f(y) in the target"""
-    return sub(ap(F, op(S, x, y)), op(T, ap(F, x), ap(F, y)))
-
-
-def oracle_twisting(F, A_s, A_t, x):
-    """f a_s = a_t f on x"""
-    return sub(ap(F, ap(A_s, x)), ap(A_t, ap(F, x)))
-
-
-def oracle_admissible(M, A, x, y, z):
-    """as(x,y,z) = 1/3 [(xz)a(y) - (zx)a(y) + (yz)a(x) - (yx)a(z)]"""
-    def prod(a, b, c):
-        return op(M, op(M, a, b), ap(A, c))
-    rhs = sub(add(sub(prod(x, z, y), prod(z, x, y)), prod(y, z, x)), prod(y, x, z))
-    return sub(oracle_associator(M, A, x, y, z), scale(Fraction(1, 3), rhs))
-
-
-def oracle_flexible(M, A, x, y, z):
-    """as(x,y,z) + as(z,y,x)"""
-    return add(oracle_associator(M, A, x, y, z), oracle_associator(M, A, z, y, x))
-
-
-def dense_contract(t: Trilinear, x, y):
-    return op(dense_tensor(t), x, y)
-
-
-def dense_hom_associator(mu, alpha, x, y, z):
-    return oracle_associator(dense_tensor(mu), dense_matrix(alpha), x, y, z)
-
-
-def dense_hom_jacobian(t, alpha, x, y, z):
-    return oracle_jacobian(dense_tensor(t), dense_matrix(alpha), x, y, z)
-
-
-def oracle_leaf(identity, dim, arity, residual):
-    """(identity, passed, [(indices, residual)]) over all basis tuples."""
-    witnesses = []
-    for idx in itertools.product(range(dim), repeat=arity):
-        res = residual(*(basis(dim, i) for i in idx))
-        if any(v != 0 for v in res):
-            witnesses.append((idx, res))
-            if len(witnesses) == WITNESS_CAP:
-                break
-    return (identity, not witnesses, witnesses)
+def oracle_leaves(residuals, identities):
+    """Expected leaves (identity, passed, [(indices, residual)]) of the named
+    identities: each residual of a bench ``Residuals`` or ``MorphismResiduals``
+    on every basis tuple in lexicographic order, keeping the first ten nonzero
+    ones."""
+    leaves = []
+    for identity in identities:
+        witnesses = []
+        for idx in itertools.product(range(residuals.dim), repeat=arity(identity)):
+            res = residuals.residual(identity, idx)
+            if any(res):
+                witnesses.append((idx, res))
+                if len(witnesses) == WITNESS_CAP:
+                    break
+        leaves.append((identity, not witnesses, witnesses))
+    return leaves
 
 
 def oracle_reports(algebra):
     """Expected leaves of every single-algebra check, keyed by check name."""
-    d = algebra.dim
-    M, A = dense_tensor(algebra.mu), dense_matrix(algebra.alpha)
-    bracketed = hasattr(algebra, "bracket")
-    B = dense_tensor(algebra.bracket) if bracketed else M
-    leaf = lambda name, arity, fn: oracle_leaf(name, d, arity, fn)
-    out = {
-        "antisymmetry": [leaf("antisymmetry", 2, lambda x, y: oracle_antisymmetry(B, x, y))],
-        "commutative": [leaf("commutative", 2, lambda x, y: oracle_commutative(M, x, y))],
-        "hom-jacobi": [leaf("hom-jacobi", 3, lambda x, y, z: oracle_jacobian(B, A, x, y, z))],
-        "hom-associative": [leaf("hom-associative", 3, lambda x, y, z: oracle_associator(M, A, x, y, z))],
-        "admissible": [leaf("admissible", 3, lambda x, y, z: oracle_admissible(M, A, x, y, z))],
-        "hom-flexible": [leaf("hom-flexible", 3, lambda x, y, z: oracle_flexible(M, A, x, y, z))],
-        "multiplicative": ([leaf("multiplicative[bracket]", 2, lambda x, y: oracle_multiplicative(B, A, x, y))]
-                           if bracketed else [])
-        + [leaf("multiplicative[mu]", 2, lambda x, y: oracle_multiplicative(M, A, x, y))],
-    }
-    if bracketed:
-        out["hom-leibniz"] = [leaf("hom-leibniz", 3, lambda x, y, z: oracle_leibniz(B, M, A, x, y, z))]
-        out["hom-poisson"] = (out["antisymmetry"] + out["hom-jacobi"] + out["hom-associative"]
-                              + out["hom-leibniz"] + (out["commutative"] if algebra.commutative else []))
-    return out
+    names = {name: [name] for name in
+             ("antisymmetry", "commutative", "hom-jacobi", "hom-associative", "admissible", "hom-flexible")}
+    names["multiplicative"] = ["multiplicative[mu]"]
+    if hasattr(algebra, "bracket"):
+        names["multiplicative"].insert(0, "multiplicative[bracket]")
+        names["hom-leibniz"] = ["hom-leibniz"]
+        names["hom-poisson"] = (["antisymmetry", "hom-jacobi", "hom-associative", "hom-leibniz"]
+                                + ["commutative"] * algebra.commutative)
+    identities = dict.fromkeys(identity for leaves in names.values() for identity in leaves)
+    leaves = {leaf[0]: leaf for leaf in oracle_leaves(Residuals.of(algebra), identities)}
+    return {check: [leaves[identity] for identity in identities] for check, identities in names.items()}
 
 
-def oracle_morphism_report(f, source, target, weak):
-    """Expected leaves of check_morphism(f, source, target, weak)."""
-    d = source.dim
-    F = dense_matrix(f)
-    pairs = [("mu", source.mu, target.mu)]
-    if hasattr(source, "bracket"):
-        pairs.append(("bracket", source.bracket, target.bracket))
-    leaves = []
-    for name, s, t in pairs:
-        S, T = dense_tensor(s), dense_tensor(t)
-        leaves.append(oracle_leaf(f"morphism[{name}]", d, 2, lambda x, y: oracle_morphism(F, S, T, x, y)))
-    if not weak:
-        A_s, A_t = dense_matrix(source.alpha), dense_matrix(target.alpha)
-        leaves.append(oracle_leaf("morphism[twisting]", d, 1, lambda x: oracle_twisting(F, A_s, A_t, x)))
-    return leaves
+def evaluate(residuals, identity, *args):
+    """The identity at element arguments, by multilinearity: the sum over
+    basis tuples of the product of their coordinates times the residual."""
+    supports = ([(i, a) for i, a in enumerate(v) if a] for v in args)
+    return add([Fraction(0)] * residuals.dim, *(
+        scale(math.prod(a for _, a in picked), residuals.residual(identity, tuple(i for i, _ in picked)))
+        for picked in itertools.product(*supports)))
 
 
 def report_leaves(report):
@@ -429,7 +326,7 @@ def assert_canonical(p):
     width = len(p.generators)
     assert all(type(v) is int and v != 0 for v in p.terms.values())
     assert type(p.den) is int and p.den > 0
-    assert gcd(p.den, *p.terms.values()) == 1
+    assert math.gcd(p.den, *p.terms.values()) == 1
     assert p.terms or p.den == 1
     for key in p.terms:
         assert type(key) is int and 0 <= key < 1 << (FIELD_BITS * width)

@@ -35,8 +35,8 @@ from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
 
 from _oracles import (
-    dense_hom_associator,
-    dense_hom_jacobian,
+    Residuals,
+    evaluate,
     mat_add,
     mat_mul,
     mat_sub,
@@ -121,9 +121,11 @@ def test_element_ops_match_dense_oracle_on_random_tensors():
         mu = random_tensor(rng, 3)
         alpha = LinearMap.identity(3)
         alg = HomAlgebra(basis=("a", "b", "c"), mu=mu, alpha=alpha)
+        residuals = Residuals.of(alg)
         x, y, z = (random_vector(rng, 3) for _ in range(3))
-        assert list(hom_associator(alg, x, y, z).entries) == dense_hom_associator(mu, alpha, x.entries, y.entries, z.entries)
-        assert list(hom_jacobian(alg, x, y, z).entries) == dense_hom_jacobian(mu, alpha, x.entries, y.entries, z.entries)
+        e = (x.entries, y.entries, z.entries)
+        assert list(hom_associator(alg, x, y, z).entries) == evaluate(residuals, "hom-associative", *e)
+        assert list(hom_jacobian(alg, x, y, z).entries) == evaluate(residuals, "hom-jacobi", *e)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hompoisson import catalog
 from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, check_morphism
 from hompoisson.catalog import (
     CATALOG,
@@ -16,7 +17,7 @@ from hompoisson.catalog import (
     matrix_algebra,
     sl2_linear_poisson,
 )
-from hompoisson.errors import HomPoissonError
+from hompoisson.errors import HomPoissonError, ResourceLimitError
 from hompoisson.linalg import LinearMap, Vector
 from hompoisson.poisson_poly import LiePoissonStructure, Substitution, SymplecticStructure
 
@@ -86,6 +87,18 @@ def test_matrix_basis_names():
     assert big.dim == 121 and len(set(big.basis)) == 121
     assert big.basis[:2] == ("E1_1", "E1_2") and "E1_11" in big.basis and "E11_1" in big.basis
     assert matrix_algebra(10).basis[-1] == "E10_10"
+
+
+def test_matrix_size_is_refused_before_building(monkeypatch):
+    # n^3 = 10^15 structure constants: refused at once, nothing is built
+    with pytest.raises(ResourceLimitError, match=r"n\^3 = 1000000000000000 .*budget: 1000000"):
+        matrix_algebra(10 ** 5)
+    with pytest.raises(ValueError):
+        matrix_algebra(0)
+    monkeypatch.setattr(catalog, "MAX_ENTRIES", 8)
+    assert matrix_algebra(2).dim == 4
+    with pytest.raises(ResourceLimitError):
+        matrix_algebra(3)
 
 
 def test_heisenberg_morphism_is_bracket_morphism():

@@ -78,6 +78,8 @@ def test_usage_and_io_errors(capsys, tmp_path):
     assert run_command(["catalog", "heisenberg-p31", "--param", "zeta"]) == 2
     assert run_command(["catalog", "matrix", "--param", "n=1/0"]) == 2
     assert "n=1/0" in capsys.readouterr().err
+    assert run_command(["catalog", "matrix", "--param", "n=100000"]) == 2
+    assert "n^3 = 1000000000000000 structure constants (budget: 1000000)" in capsys.readouterr().err
     for n in ("0", "-1"):
         assert run_command(["catalog", "symplectic", "--param", f"n={n}"]) == 2
         assert f"parameter n (half-dimension) must be >= 1, got {n}" in capsys.readouterr().err
@@ -156,6 +158,17 @@ def test_polarize_depolarize_power_pipeline(capsys, p31_file, tmp_path):
     # polarize and power refuse files that still carry a bracket
     assert run_command(["polarize", p31_file]) == 2
     assert run_command(["power", p31_file]) == 2
+    # --max-n 2 checks criterion-34 on a multiplicative algebra, and refuses
+    # to run no check at all on one that is not
+    capsys.readouterr()
+    code, data = run_json(capsys, ["power", str(dep_path), "--max-n", "2"])
+    assert code == 0 and [r["identity"] for r in data["reports"]] == ["criterion-34"]
+    nonmult = tmp_path / "nonmult.json"
+    emit_spec(HomPoissonAlgebra(("a", "b"), Trilinear.zero(2), Trilinear(2, {(0, 0, 1): 1}), LinearMap.diagonal([1, 2])),
+              nonmult)
+    for fmt in ("text", "json"):
+        assert run_command(["power", str(nonmult), "--max-n", "2", "--format", fmt]) == 2
+        assert "error: --max-n 2 runs no check" in capsys.readouterr().err
 
 
 def _power_witnesses(capsys, tmp_path, mu):

@@ -40,7 +40,7 @@ from hompoisson.errors import PreconditionError
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.witnesses import general_heisenberg_maps
 
-from _oracles import (ap, dense_matrix, dense_tensor, mat_mul, mat_sub, random_map, random_tensor, unit_matrix,
+from _oracles import (apply, dense_matrix, dense_tensor, mat_mul, mat_sub, random_map, random_tensor, unit_matrix,
                       vec_of_mat)
 
 
@@ -204,7 +204,7 @@ def test_beta_twisting_matches_the_direct_construction():
             result = beta_twisting(algebra, beta).result
             b = dense_matrix(beta)
             for name in ("bracket", "mu"):
-                expected = [[ap(b, col) for col in row] for row in dense_tensor(getattr(algebra, name))]
+                expected = [[apply(b, col) for col in row] for row in dense_tensor(getattr(algebra, name))]
                 assert dense_tensor(getattr(result, name)) == expected
             assert result.alpha.is_identity() and result.basis == algebra.basis
             assert result.commutative == algebra.commutative

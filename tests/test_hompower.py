@@ -20,8 +20,9 @@ from hompoisson.hompower import (
     hom_power_pair,
 )
 from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.poly import Polynomial
 
-from _oracles import random_tensor, random_vector
+from _oracles import PowerOracle, random_map, random_rational, random_tensor, random_vector
 
 
 def p32_single():
@@ -128,6 +129,43 @@ def test_corrupted_tensor_fails_third_power():
     assert not witness.residual.is_zero()
     rep34 = check_criterion_34(alg)
     assert not rep34.passed
+
+
+def assert_witnesses_at(report, expected, values):
+    """The witnesses of ``report`` evaluated at ``values`` equal the expected
+    residuals {indices: vector} there, an unreported one is zero there, and a
+    nonzero expected value means the report fails."""
+    got = {w.indices: [q.evaluate(values) if isinstance(q, Polynomial) else q for q in w.residual.entries]
+           for w in report.witnesses}
+    assert set(got) <= set(expected)
+    assert all(got.get(key, [0] * len(values)) == value for key, value in expected.items())
+    if any(any(value) for value in expected.values()):
+        assert not report.passed
+
+
+def test_power_checks_match_the_bench_recursion():
+    """Each witness (n, i) of the power checks, evaluated at a rational point,
+    equals the benchmark oracle's residual of the twisted-power recursion."""
+    rng = random.Random(34)
+    criterion_runs = 0
+    for _ in range(24):
+        dim = rng.randint(1, 4)
+        alpha = rng.choice((LinearMap.identity(dim), LinearMap.zero(dim), random_map(rng, dim)))
+        algebra = HomAlgebra(tuple(f"b{i}" for i in range(dim)), random_tensor(rng, dim), alpha)
+        point = [random_rational(rng) for _ in range(dim)]
+        values = {f"t{i + 1}": q for i, q in enumerate(point)}
+        oracle = PowerOracle(algebra.mu, algebra.alpha, point)
+        for n in range(3, 6):
+            assert_witnesses_at(check_nth_power_assoc(algebra, n),
+                                {(n, i): value for i, value in oracle.power_residuals(n).items()}, values)
+        if check_multiplicative(algebra).passed:
+            assert_witnesses_at(check_criterion_34(algebra),
+                                {(k,): value for k, value in oracle.criterion_residuals().items()}, values)
+            criterion_runs += 1
+        else:
+            with pytest.raises(PreconditionError):
+                check_criterion_34(algebra)
+    assert criterion_runs
 
 
 def test_criterion_requires_multiplicative():

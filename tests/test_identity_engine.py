@@ -1,4 +1,4 @@
-"""The identity engine against the naive dense oracles.
+"""The identity engine against the benchmark's dense oracle.
 
 Every ``check_*`` report must equal the oracle's: leaf identity names and
 order, pass flags, witness indices (the first ten failing basis tuples in
@@ -51,22 +51,22 @@ from hompoisson.errors import PreconditionError
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 
 from _oracles import (
-    ap,
+    Dense,
+    MorphismResiduals,
+    Residuals,
+    add,
+    apply,
     dense_matrix,
     dense_tensor,
-    oracle_admissible,
-    oracle_associator,
-    oracle_flexible,
-    oracle_jacobian,
-    oracle_leaf,
-    oracle_leibniz,
-    oracle_morphism_report,
+    evaluate,
+    oracle_leaves,
     oracle_reports,
     random_map,
     random_rational,
     random_tensor,
     random_vector,
     report_leaves,
+    unit,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -204,7 +204,8 @@ def test_morphism_checks_match_oracle(case, target_kind, weak):
         target = dataclasses.replace(source, alpha=f.compose(source.alpha))
     elif target_kind == "single":
         source, target = depolarize(source), depolarize(target)
-    expected = oracle_morphism_report(f, source, target, weak)
+    residuals = MorphismResiduals(f, source, target)
+    expected = oracle_leaves(residuals, residuals.identities(weak))
     report = check_morphism(f, source, target, weak=weak)
     _assert_matches(report, expected, "weak-morphism" if weak else "morphism")
 
@@ -275,18 +276,15 @@ def late_failures(draw):
 def test_late_block_failures_match_oracle(case):
     algebra, lead = case
     single = depolarize(algebra)
-    d = algebra.dim
-    A, B, M, S = (dense_matrix(algebra.alpha), dense_tensor(algebra.bracket), dense_tensor(algebra.mu),
-                  dense_tensor(single.mu))
     checks = [
-        (check_hom_jacobi(algebra), "hom-jacobi", lambda x, y, z: oracle_jacobian(B, A, x, y, z)),
-        (check_hom_associative(algebra), "hom-associative", lambda x, y, z: oracle_associator(M, A, x, y, z)),
-        (check_hom_leibniz(algebra), "hom-leibniz", lambda x, y, z: oracle_leibniz(B, M, A, x, y, z)),
-        (check_admissible(single), "admissible", lambda x, y, z: oracle_admissible(S, A, x, y, z)),
-        (check_hom_flexible(single), "hom-flexible", lambda x, y, z: oracle_flexible(S, A, x, y, z)),
+        (check_hom_jacobi(algebra), "hom-jacobi", algebra),
+        (check_hom_associative(algebra), "hom-associative", algebra),
+        (check_hom_leibniz(algebra), "hom-leibniz", algebra),
+        (check_admissible(single), "admissible", single),
+        (check_hom_flexible(single), "hom-flexible", single),
     ]
-    for report, name, residual in checks:
-        _assert_matches(report, [oracle_leaf(name, d, 3, residual)], name)
+    for report, name, checked in checks:
+        _assert_matches(report, oracle_leaves(Residuals.of(checked), [name]), name)
         assert all(w.indices[0] >= lead for w in report.witnesses)
 
 
@@ -298,24 +296,24 @@ def test_late_block_failures_match_oracle(case):
 @given(algebras(), st.randoms(use_true_random=False))
 def test_element_functions_match_oracle(case, rng):
     algebra, beta = case
-    M, B, A = dense_tensor(algebra.mu), dense_tensor(algebra.bracket), dense_matrix(algebra.alpha)
+    residuals = Residuals.of(algebra)
     x, y, z = (random_vector(rng, algebra.dim) for _ in range(3))
     e = [list(v.entries) for v in (x, y, z)]
-    assert list(hom_associator(algebra, x, y, z).entries) == oracle_associator(M, A, *e)
-    assert list(hom_jacobian(algebra, x, y, z).entries) == oracle_jacobian(B, A, *e)
-    assert list(hom_leibniz_residual(algebra, x, y, z).entries) == oracle_leibniz(B, M, A, *e)
-    cyclic = [sum(col) for col in zip(oracle_associator(M, A, e[0], e[1], e[2]),
-                                      oracle_associator(M, A, e[2], e[0], e[1]),
-                                      oracle_associator(M, A, e[1], e[2], e[0]))]
+    assert list(hom_associator(algebra, x, y, z).entries) == evaluate(residuals, "hom-associative", *e)
+    assert list(hom_jacobian(algebra, x, y, z).entries) == evaluate(residuals, "hom-jacobi", *e)
+    assert list(hom_leibniz_residual(algebra, x, y, z).entries) == evaluate(residuals, "hom-leibniz", *e)
+    # as(x, y, z) + as(z, x, y) + as(y, z, x)
+    cyclic = add(*(evaluate(residuals, "hom-associative", *e[s:], *e[:s]) for s in (0, 2, 1)))
     assert list(cyclic_associator_sum(algebra, x, y, z).entries) == cyclic
 
     # beta*op with the identity twisting map
-    Bm = dense_matrix(beta)
-    twisted = {name: [[ap(Bm, row) for row in plane] for plane in T] for name, T in (("mu", M), ("bracket", B))}
-    ident = dense_matrix(LinearMap.identity(algebra.dim))
-    expected = {"mu": oracle_associator(twisted["mu"], ident, *e),
-                "bracket": oracle_jacobian(twisted["bracket"], ident, *e)}
-    weak_morphism = all(passed for _, passed, _ in oracle_morphism_report(beta, algebra, algebra, weak=True))
+    b = dense_matrix(beta)
+    twisted = [Dense(algebra.dim, (((i, j, k), q) for (i, j), row in Dense.of(t).rows.items()
+                                   for k, q in enumerate(apply(b, row))))
+               for t in (algebra.mu, algebra.bracket)]
+    ident = Residuals(twisted[0], [unit(algebra.dim, i) for i in range(algebra.dim)], twisted[1])
+    expected = {"mu": evaluate(ident, "hom-associative", *e), "bracket": evaluate(ident, "hom-jacobi", *e)}
+    weak_morphism = MorphismResiduals(beta, algebra, algebra).first_failure(weak=True) is None
     for name in ("mu", "bracket"):
         if weak_morphism:
             assert list(nonrigidity_witness(algebra, beta, (x, y, z), op=name).entries) == expected[name]
@@ -329,10 +327,10 @@ def test_element_functions_accept_polynomial_entries():
     s, t = Polynomial.variables(("s", "t"))
     algebra = twist(heisenberg_p31(1), heisenberg_morphism(2, 0, 0, 3))
     algebra = dataclasses.replace(algebra, mu=algebra.mu.with_entry(0, 0, 0, 1))
-    M, B, A = dense_tensor(algebra.mu), dense_tensor(algebra.bracket), dense_matrix(algebra.alpha)
+    residuals = Residuals.of(algebra)
     x, y, z = (s, t, s * t), (1 + s, t, Polynomial.const(("s", "t"), 2)), (t, s, s)
     vx, vy, vz = (Vector(v) for v in (x, y, z))
-    assert list(hom_associator(algebra, vx, vy, vz).entries) == oracle_associator(M, A, x, y, z)
-    assert list(hom_jacobian(algebra, vx, vy, vz).entries) == oracle_jacobian(B, A, x, y, z)
-    assert list(hom_leibniz_residual(algebra, vx, vy, vz).entries) == oracle_leibniz(B, M, A, x, y, z)
+    assert list(hom_associator(algebra, vx, vy, vz).entries) == evaluate(residuals, "hom-associative", x, y, z)
+    assert list(hom_jacobian(algebra, vx, vy, vz).entries) == evaluate(residuals, "hom-jacobi", x, y, z)
+    assert list(hom_leibniz_residual(algebra, vx, vy, vz).entries) == evaluate(residuals, "hom-leibniz", x, y, z)
     assert not hom_associator(algebra, vx, vy, vz).is_zero()

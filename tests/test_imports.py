@@ -1,5 +1,6 @@
-"""Import footprint: ``import hompoisson`` loads no submodule, and each CLI
-subcommand loads only the modules it runs.
+"""Import footprint: ``import hompoisson`` loads no submodule, each CLI
+subcommand loads only the modules it runs, and the benchmark's dense oracle,
+the tests' one independent restatement of the identities, loads none.
 
 The footprint tests run in a fresh interpreter, because this test process
 has already imported every module.
@@ -18,6 +19,8 @@ import hompoisson
 from hompoisson.catalog import heisenberg_morphism, heisenberg_p31
 from hompoisson.constructions import depolarize
 from hompoisson.specfile import emit_map, emit_spec
+
+from _oracles import BENCH
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hompoisson.__file__)))
 BASE = {"algebra", "errors", "linalg", "specfile"}
@@ -57,6 +60,16 @@ def files(tmp_path):
 def test_bare_import_loads_no_submodule(tmp_path):
     code = ("import sys, hompoisson; "
             "print(sorted(m for m in sys.modules if m.startswith('hompoisson.')))")
+    proc = python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bench_oracle_loads_no_package_module(tmp_path):
+    code = ("import importlib.util, sys; "
+            f"spec = importlib.util.spec_from_file_location('_bench_oracle', {str(BENCH / 'oracle.py')!r}); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hompoisson'))")
     proc = python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

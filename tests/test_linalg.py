@@ -14,9 +14,9 @@ from hompoisson.hompower import generic_element
 from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
 from hompoisson.poly import Polynomial
 
-from _oracles import (RefPoly, add, ap, assert_canonical, basis, dense_contract, dense_inverse, dense_kron,
-                      dense_matrix, dense_tensor, dense_tensor_kron, mat_mul, op, random_map, random_tensor,
-                      ref_apply, ref_contract, scale, sub)
+from _oracles import (Dense, RefPoly, add, apply, assert_canonical, dense_inverse, dense_kron, dense_matrix,
+                      dense_tensor, dense_tensor_kron, mat_mul, random_map, random_tensor, ref_apply, ref_contract,
+                      scale, sub, unit)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -136,7 +136,7 @@ def test_contract_matches_dense_oracle():
     for _ in range(10):
         t = random_tensor(rng, 3)
         x, y = random_vector(rng, 3), random_vector(rng, 3)
-        assert list(t.contract(x, y).entries) == dense_contract(t, x.entries, y.entries)
+        assert list(t.contract(x, y).entries) == Dense.of(t)(x.entries, y.entries)
 
 
 def test_repeated_index_keeps_last_value():
@@ -176,7 +176,13 @@ def tensor_of(T):
 
 def table(n, value):
     """The dense array whose (i, j) fibre is value(e_i, e_j), from the oracles."""
-    return [[value(basis(n, i), basis(n, j)) for j in range(n)] for i in range(n)]
+    return [[value(unit(n, i), unit(n, j)) for j in range(n)] for i in range(n)]
+
+
+def dense_op(T):
+    """The bench oracle's operation with the dense n x n x n array T."""
+    n = len(T)
+    return Dense(n, (((i, j, k), T[i][j][k]) for i, j, k in itertools.product(range(n), repeat=3)))
 
 
 def assert_stored_form(t, expected):
@@ -204,9 +210,10 @@ def test_tabulated_tensors_match_dense_oracle(data):
     M = data.draw(arrays(n, symmetric=data.draw(st.booleans(), label="symmetric mu")), label="mu")
     B = data.draw(arrays(n, partner=M), label="bracket")
     mu, ident = tensor_of(M), LinearMap.identity(n)
+    mu_op = dense_op(M)
 
     def bracket_of(x, y):
-        return sub(op(M, x, y), op(M, y, x))
+        return sub(mu_op(x, y), mu_op(y, x))
 
     # a zero twisting map makes every product hom-associative
     c = commutator_poisson(HomAlgebra(names, mu, LinearMap.zero(n)))
@@ -217,10 +224,10 @@ def test_tabulated_tensors_match_dense_oracle(data):
     p = polarize(HomAlgebra(names, mu, ident))
     half = Fraction(1, 2)
     assert_stored_form(p.bracket, table(n, lambda x, y: scale(half, bracket_of(x, y))))
-    assert_stored_form(p.mu, table(n, lambda x, y: scale(half, add(op(M, x, y), op(M, y, x)))))
+    assert_stored_form(p.mu, table(n, lambda x, y: scale(half, add(mu_op(x, y), mu_op(y, x)))))
 
     d = depolarize(HomPoissonAlgebra(names, tensor_of(B), mu, ident))
-    assert_stored_form(d.mu, table(n, lambda x, y: add(op(B, x, y), op(M, x, y))))
+    assert_stored_form(d.mu, table(n, dense_op(B).plus(mu_op)))
 
     beta = [[data.draw(constants, label="beta") for _ in range(n)] for _ in range(n)]
     P = M
@@ -229,7 +236,8 @@ def test_tabulated_tensors_match_dense_oracle(data):
         for row in beta:
             row[1] = row[0]
         P = [[[fibre[0], -fibre[0], *fibre[2:]] for fibre in plane] for plane in M]
-    twisted = table(n, lambda x, y: ap(beta, op(P, x, y)))
+    product = dense_op(P)
+    twisted = table(n, lambda x, y: apply(beta, product(x, y)))
     assert_stored_form(tensor_of(P).map_outputs(LinearMap(beta)), twisted)
     # the same formula tabulated, where the engine's accumulation reaches zero
     assert_stored_form(tabulate(n, lambda E, m, t, x, y: E.ap(m, E.op(t, x, y)), LinearMap(beta), tensor_of(P)),
@@ -244,7 +252,7 @@ def test_tabulated_tensors_match_dense_oracle(data):
                                                   LinearMap.identity(m), commutative=True)))
     (M1, B1, a1), (M2, B2, a2) = factors
     BM, MB = dense_tensor_kron(B1, M2), dense_tensor_kron(M1, B2)
-    assert_stored_form(tensor(a1, a2).bracket, table(len(BM), lambda x, y: add(op(BM, x, y), op(MB, x, y))))
+    assert_stored_form(tensor(a1, a2).bracket, table(len(BM), dense_op(BM).plus(dense_op(MB))))
 
 
 def test_dimension_mismatch_errors():
@@ -364,9 +372,9 @@ def test_apply_matches_dense_oracle(data):
     m = data.draw(maps(n), label="m")
     a = dense_matrix(m)
     x = data.draw(st.lists(entries, min_size=n, max_size=n), label="x")
-    assert list(m.apply(Vector(tuple(x))).entries) == ap(a, x)
+    assert list(m.apply(Vector(tuple(x))).entries) == apply(a, x)
     px = data.draw(poly_vectors(n), label="px")
-    assert list(m.apply(px).entries) == ap(a, list(px.entries))
+    assert list(m.apply(px).entries) == apply(a, list(px.entries))
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +388,7 @@ def test_invert_and_kernel_match_dense_oracle(data):
     except SingularMatrixError:
         kernel = m.kernel_vector()
         assert kernel is not None and not kernel.is_zero()
-        assert all(q == 0 for q in ap(a, list(kernel.entries)))
+        assert all(q == 0 for q in apply(a, list(kernel.entries)))
     else:
         assert mat_mul(a, dense_matrix(inv)) == dense_identity(n) == mat_mul(dense_matrix(inv), a)
         assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
@@ -431,7 +439,7 @@ def check_apply(m, a, x):
     """m applied to x equals the dense product, entry types included: a zero
     is Fraction(0), and an entry a polynomial reached is a polynomial."""
     out = m.apply(Vector(tuple(x))).entries
-    expected = ap(a, x)
+    expected = apply(a, x)
     assert list(out) == expected
     assert [type(e) for e in out] == [type(e) for e in expected]
 
@@ -482,7 +490,7 @@ def test_invert_and_kernel_at_dim_81():
         assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
         assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
         for x in probes:
-            assert ap(a, ap(dense_matrix(inv), x)) == x
+            assert apply(a, apply(dense_matrix(inv), x)) == x
         assert m.kernel_vector() is None
         # zero the weight of column 40: the kernel vector is the unit vector there
         a[where[40]][40] = Fraction(0)
@@ -491,7 +499,7 @@ def test_invert_and_kernel_at_dim_81():
             singular.invert()
         kernel = singular.kernel_vector()
         assert kernel == Vector.unit(n, 40)
-        assert all(q == 0 for q in ap(a, list(kernel.entries)))
+        assert all(q == 0 for q in apply(a, list(kernel.entries)))
     # the same diagonal built sparsely: its inverse is the entrywise reciprocal
     assert LinearMap.diagonal(weights).invert() == LinearMap.diagonal([1 / w for w in weights])
 

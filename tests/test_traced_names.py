@@ -7,23 +7,14 @@ resolves it: a module attribute, or a plain function in a class dictionary.
 """
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("_traced_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._targets()
+from _oracles import load_bench
 
 
 def test_every_traced_name_resolves():
     missing = []
-    for mod_name, path, _ in _targets():
+    for mod_name, path, _ in load_bench("spans")._targets():
         owner = importlib.import_module(f"hompoisson.{mod_name}")
         if "." in path:
             cls_name, attr = path.split(".")
