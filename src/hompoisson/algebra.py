@@ -26,9 +26,12 @@ The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) carries
 every integral value as an ``int`` and only a non-integral one as a
 ``Fraction``: it reads its operands through ``linalg.int_if_integral`` (the
 tensors' ``rows`` and the maps' ``engine_columns``), starts from ``int``
-leaves and accumulators, and converts residuals back to ``Fraction`` in the
-witnesses it reports.  Mixed ``int``/``Fraction`` arithmetic is exact, so
-results are unchanged, and an integral tensor runs on machine-speed products.
+leaves, and converts residuals back to ``Fraction`` in the witnesses it
+reports.  Mixed ``int``/``Fraction`` arithmetic is exact, so results are
+unchanged, and an integral tensor runs on machine-speed products.  Every
+accumulation stores the first contribution to an entry as it is and adds
+only where a value is already held, so an entry's first value costs no
+addition, and a difference of forms subtracts rather than adding a negation.
 """
 
 from __future__ import annotations
@@ -292,11 +295,16 @@ class _Form:
         for n, col in other.cols.items():
             acc = cols.setdefault(n, {})
             for code, q in col.items():
-                total = acc.get(code, 0) + (-q if negate else q)
+                v = acc.get(code)
+                if v is None:
+                    if q:
+                        acc[code] = -q if negate else q
+                    continue
+                total = v - q if negate else v + q
                 if total:
                     acc[code] = total
                 else:
-                    acc.pop(code, None)
+                    del acc[code]
         return _Form(cols, self.varies or other.varies)
 
     def __add__(self, other: "_Form") -> "_Form":
@@ -324,7 +332,9 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
                 f = q * qa
                 for cb, qb in bcol.items():
                     code = ca + cb
-                    col[code] = col.get(code, 0) + f * qb
+                    p = f * qb
+                    v = col.get(code)
+                    col[code] = p if v is None else v + p
     return _Form(out, a.varies or b.varies)
 
 
@@ -335,7 +345,9 @@ def _apply(m: LinearMap, a: _Form) -> _Form:
         for i, coeff in columns[j]:
             col = out.setdefault(i, {})
             for code, q in acol.items():
-                col[code] = col.get(code, 0) + coeff * q
+                p = coeff * q
+                v = col.get(code)
+                col[code] = p if v is None else v + p
     return _Form(out, a.varies)
 
 
@@ -401,14 +413,16 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
 def tabulate(dim: int, formula, *operands) -> Trilinear:
     """The structure constants of the bilinear ``formula(E, *operands, x, y)``,
     evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
-    (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``."""
+    (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
+    Each distinct coefficient becomes a ``Fraction`` once per call: most are
+    engine ``int``s shared by many entries."""
     x = _Form({n: {n * dim: 1} for n in range(dim)}, True)
     y = _Form({n: {n: 1} for n in range(dim)}, False)
-    data = {}
+    data, rational = {}, {}
     for k, col in formula(_Sweep(), *operands, x, y).cols.items():
         for code, q in col.items():
             if q:
-                data[(*divmod(code, dim), k)] = Fraction(q)
+                data[(*divmod(code, dim), k)] = rational.get(q) or rational.setdefault(q, Fraction(q))
     return Trilinear._of(dim, data)
 
 

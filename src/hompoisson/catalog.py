@@ -25,7 +25,8 @@ from .errors import HomPoissonError, ResourceLimitError
 from .linalg import LinearMap, Trilinear, rat
 
 # Desk-scale guard: the matrix algebra of size n has n^3 structure constants,
-# and a size past this budget is refused before any of them is built.
+# and checking the symplectic space of half-dimension n forms (2n)^3 bracket
+# terms; a size past this budget is refused before anything is built.
 MAX_ENTRIES = 10 ** 6
 
 HEISENBERG_BASIS = ("X", "Y", "Z")
@@ -152,6 +153,9 @@ def symplectic_space(n: int = 1) -> SymplecticStructure:
 
     if n < 1:
         raise HomPoissonError(f"parameter n (half-dimension) must be >= 1, got {n}")
+    if (2 * n) ** 3 > MAX_ENTRIES:
+        raise ResourceLimitError(f"symplectic space n={n} has (2n)^3 = {(2 * n) ** 3} bracket terms "
+                                 f"(budget: {MAX_ENTRIES})")
     return SymplecticStructure(n)
 
 

@@ -453,7 +453,9 @@ class Trilinear:
         for (i, j, k), q in self._entries.items():
             for out_idx, coeff in cols[k]:
                 key = (i, j, out_idx)
-                data[key] = data.get(key, _ZERO) + coeff * q
+                p = coeff * q
+                v = data.get(key)
+                data[key] = p if v is None else v + p
         return Trilinear._of(self.dim, {key: q for key, q in data.items() if q})
 
     def contract(self, x: Vector, y: Vector) -> Vector:

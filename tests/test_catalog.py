@@ -101,6 +101,23 @@ def test_matrix_size_is_refused_before_building(monkeypatch):
         matrix_algebra(3)
 
 
+def test_symplectic_size_is_refused_before_building(monkeypatch):
+    from hompoisson import poisson_poly
+
+    # (2n)^3 = 8 * 10^18 bracket terms: refused at once, nothing is built
+    def unbuilt(n):
+        raise AssertionError(f"SymplecticStructure({n}) built")
+
+    monkeypatch.setattr(poisson_poly, "SymplecticStructure", unbuilt)
+    with pytest.raises(ResourceLimitError, match=r"n=1000000 has \(2n\)\^3 = 8000000000000000000 .*budget: 1000000"):
+        build_catalog("symplectic", {"n": 10 ** 6})
+    monkeypatch.undo()
+    monkeypatch.setattr(catalog, "MAX_ENTRIES", 64)
+    assert build_catalog("symplectic", {"n": 2}).n == 2
+    with pytest.raises(ResourceLimitError):
+        build_catalog("symplectic", {"n": 3})
+
+
 def test_heisenberg_morphism_is_bracket_morphism():
     lie = HomPoissonAlgebra(
         basis=("X", "Y", "Z"),

@@ -83,6 +83,8 @@ def test_usage_and_io_errors(capsys, tmp_path):
     for n in ("0", "-1"):
         assert run_command(["catalog", "symplectic", "--param", f"n={n}"]) == 2
         assert f"parameter n (half-dimension) must be >= 1, got {n}" in capsys.readouterr().err
+    assert run_command(["catalog", "symplectic", "--param", "n=1000000"]) == 2
+    assert "(2n)^3 = 8000000000000000000 bracket terms (budget: 1000000)" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_command(["check", str(bad)]) == 2

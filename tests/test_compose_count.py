@@ -1,15 +1,16 @@
 """Cost regressions: how many map products the power checks and twists make,
-how many polynomials a contraction reduces, and how many accumulations a
-map application runs.
+how many polynomials a contraction reduces, how many accumulations a map
+application runs, and how many rational additions start from zero.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
-``poly._reduced`` or its accumulation ``poly.sum_of_products`` with a call
-counter.  A power check composes each power of the twisting map once
-(alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1 need no
-product), a twist composes the twisting maps once, a contraction of
-polynomial vectors sums each output coordinate in one accumulation, reduced
-once, and a map whose rows have one nonzero each applies as scalar multiples,
-with no accumulation.
+``poly._reduced``, its accumulation ``poly.sum_of_products`` or ``Fraction``
+addition with a call counter.  A power check composes each power of the
+twisting map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and
+alpha^1 need no product), a twist composes the twisting maps once, a
+contraction of polynomial vectors sums each output coordinate in one
+accumulation, reduced once, a map whose rows have one nonzero each applies as
+scalar multiples, with no accumulation, and the sweep engine and
+``Trilinear.map_outputs`` store the first contribution to an entry as it is.
 """
 
 import itertools
@@ -19,8 +20,9 @@ from fractions import Fraction
 import pytest
 
 from hompoisson import poly
-from hompoisson.catalog import heisenberg_morphism, heisenberg_p31, matrix_algebra
-from hompoisson.constructions import depolarize, tensor, twist
+from hompoisson.algebra import check_morphism, check_multiplicative
+from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
+from hompoisson.constructions import commutator_poisson, depolarize, tensor, twist
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
 from hompoisson.linalg import LinearMap, Vector
 
@@ -127,3 +129,32 @@ def test_one_term_rows_apply_without_accumulating(accumulations, m):
     assert accumulations == []
     assert out.entries == tuple(
         sum((m.entry(i, j) * x[j] for j in range(8) if m.entry(i, j)), Fraction(0)) for i in range(8))
+
+
+@pytest.fixture
+def additions_of_zero(monkeypatch):
+    calls = []
+    add, radd = Fraction.__add__, Fraction.__radd__
+
+    def counted(original):
+        def wrapper(a, b):
+            if a == 0 or b == 0:
+                calls.append((a, b))
+            return original(a, b)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__add__", counted(add))
+    monkeypatch.setattr(Fraction, "__radd__", counted(radd))
+    return calls
+
+
+def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
+    # conjugation by diag(1/2, 1, 1) scales the unit matrices by 1/2 and 2,
+    # so the twisted constants and every sweep run on Fractions
+    algebra = commutator_poisson(matrix_algebra(3))
+    beta = conjugation_morphism(3)
+    additions_of_zero.clear()
+    twisted = twist(algebra, beta)
+    assert check_multiplicative(twisted).passed
+    assert check_morphism(beta, twisted, twisted).passed
+    assert additions_of_zero == []

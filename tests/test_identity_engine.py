@@ -16,7 +16,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hompoisson.algebra import (
@@ -69,7 +69,11 @@ from _oracles import (
     unit,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None)
+# No shrinking: a failing example is reported as drawn, because shrinking it
+# through a whole-report oracle comparison (every check, every basis tuple)
+# takes minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+SETTINGS = settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def late_failures(draw):
     return HomPoissonAlgebra(tuple(f"b{i}" for i in range(lead + 3)), bracket, mu, alpha), lead
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None, phases=NO_SHRINK)
 @given(late_failures())
 def test_late_block_failures_match_oracle(case):
     algebra, lead = case
