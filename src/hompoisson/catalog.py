@@ -24,10 +24,14 @@ from .algebra import (
 from .errors import HomPoissonError, ResourceLimitError
 from .linalg import LinearMap, Trilinear, rat
 
-# Desk-scale guard: the matrix algebra of size n has n^3 structure constants,
+# Desk-scale guards: the matrix algebra of size n has n^3 structure constants,
 # and checking the symplectic space of half-dimension n forms (2n)^3 bracket
 # terms; a size past this budget is refused before anything is built.
 MAX_ENTRIES = 10 ** 6
+# The advertised check of the matrix algebra of size n, a hom-associativity
+# sweep, forms about 2n^4 products (n = 30: 1.6 * 10^6 in about 1 s); a size
+# past this budget is refused before anything is built.
+MAX_PRODUCTS = 2 * 10 ** 6
 
 HEISENBERG_BASIS = ("X", "Y", "Z")
 
@@ -93,6 +97,9 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
     if n ** 3 > MAX_ENTRIES:
         raise ResourceLimitError(f"matrix algebra n={n} has n^3 = {n ** 3} structure constants "
                                  f"(budget: {MAX_ENTRIES})")
+    if 2 * n ** 4 > MAX_PRODUCTS:
+        raise ResourceLimitError(f"matrix algebra n={n} has a hom-associativity check of 2n^4 = "
+                                 f"{2 * n ** 4} products (budget: {MAX_PRODUCTS})")
     sep = "_" if n >= 10 else ""  # E111 would name both (1, 11) and (11, 1)
     basis = tuple(f"E{i}{sep}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     idx = lambda i, j: i * n + j  # 0-based

@@ -6,6 +6,8 @@ there is no floating point anywhere in the package.  The views read by the
 sweep engine (``Trilinear.rows``, ``LinearMap.engine_columns``) hold integral
 values as ``int`` instead (``int_if_integral``); every other value, from
 ``entry``, ``items``, ``rows`` or the ``sparse_*`` views, is a ``Fraction``.
+Map products and ``Trilinear.map_outputs``, like the sweep engine, take a
+factor as is where the other is 1 rather than multiplying by 1.
 Vectors and tensor contractions also take sparse polynomial entries (see
 ``poly``), which is how universally quantified identities are decided with
 generic elements; a contraction or map application sums the products of each
@@ -257,7 +259,8 @@ class LinearMap:
             acc: dict = {}
             for k, b in line:
                 for i, a in left[k]:
-                    acc[i] = acc[i] + a * b if i in acc else a * b
+                    p = a if b == 1 else b if a == 1 else a * b
+                    acc[i] = acc[i] + p if i in acc else p
             columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
         columns = tuple(columns)
         return LinearMap._of_lines(_transpose(columns), columns)
@@ -453,7 +456,7 @@ class Trilinear:
         for (i, j, k), q in self._entries.items():
             for out_idx, coeff in cols[k]:
                 key = (i, j, out_idx)
-                p = coeff * q
+                p = q if coeff == 1 else coeff if q == 1 else coeff * q
                 v = data.get(key)
                 data[key] = p if v is None else v + p
         return Trilinear._of(self.dim, {key: q for key, q in data.items() if q})

@@ -101,6 +101,20 @@ def test_matrix_size_is_refused_before_building(monkeypatch):
         matrix_algebra(3)
 
 
+def test_matrix_check_is_priced_before_it_runs(monkeypatch):
+    # n = 60 is within the entry budget (216000 constants), but its
+    # hom-associativity sweep would form 2n^4 = 25920000 products
+    def unchecked(algebra):
+        raise AssertionError(f"hom-associativity of dim {algebra.dim} checked")
+
+    monkeypatch.setattr(catalog, "check_hom_associative", unchecked)
+    with pytest.raises(ResourceLimitError, match=r"n=60 has .* 2n\^4 = 25920000 products \(budget: 2000000\)"):
+        catalog.entry_reports("matrix", build_catalog("matrix", {"n": 60}))
+    assert matrix_algebra(31).dim == 961  # 2n^4 = 1847042
+    with pytest.raises(ResourceLimitError):
+        matrix_algebra(32)
+
+
 def test_symplectic_size_is_refused_before_building(monkeypatch):
     from hompoisson import poisson_poly
 

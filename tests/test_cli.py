@@ -80,6 +80,8 @@ def test_usage_and_io_errors(capsys, tmp_path):
     assert "n=1/0" in capsys.readouterr().err
     assert run_command(["catalog", "matrix", "--param", "n=100000"]) == 2
     assert "n^3 = 1000000000000000 structure constants (budget: 1000000)" in capsys.readouterr().err
+    assert run_command(["catalog", "matrix", "--param", "n=60"]) == 2
+    assert "2n^4 = 25920000 products (budget: 2000000)" in capsys.readouterr().err
     for n in ("0", "-1"):
         assert run_command(["catalog", "symplectic", "--param", f"n={n}"]) == 2
         assert f"parameter n (half-dimension) must be >= 1, got {n}" in capsys.readouterr().err

@@ -1,16 +1,18 @@
 """Cost regressions: how many map products the power checks and twists make,
 how many polynomials a contraction reduces, how many accumulations a map
-application runs, and how many rational additions start from zero.
+application runs, how many rational additions start from zero and how many
+rational multiplications are by one.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, its accumulation ``poly.sum_of_products`` or ``Fraction``
-addition with a call counter.  A power check composes each power of the
+addition or multiplication with a call counter.  A power check composes each power of the
 twisting map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and
 alpha^1 need no product), a twist composes the twisting maps once, a
 contraction of polynomial vectors sums each output coordinate in one
 accumulation, reduced once, a map whose rows have one nonzero each applies as
 scalar multiples, with no accumulation, and the sweep engine and
-``Trilinear.map_outputs`` store the first contribution to an entry as it is.
+``Trilinear.map_outputs`` store the first contribution to an entry as it is
+and, with ``LinearMap.compose``, take a factor as is where the other is 1.
 """
 
 import itertools
@@ -158,3 +160,32 @@ def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
     assert check_multiplicative(twisted).passed
     assert check_morphism(beta, twisted, twisted).passed
     assert additions_of_zero == []
+
+
+@pytest.fixture
+def multiplications_by_one(monkeypatch):
+    calls = []
+    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+
+    def counted(original):
+        def wrapper(a, b):
+            if a == 1 or b == 1:
+                calls.append((a, b))
+            return original(a, b)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__mul__", counted(mul))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
+    return calls
+
+
+def test_twist_and_its_checks_multiply_nothing_by_one(multiplications_by_one):
+    # beta has ones on its diagonal and the twisting map is the identity, so
+    # every sweep, the twisted constants and beta * alpha meet factors of 1
+    algebra = commutator_poisson(matrix_algebra(3))
+    beta = conjugation_morphism(3)
+    multiplications_by_one.clear()
+    twisted = twist(algebra, beta)
+    assert check_multiplicative(twisted).passed
+    assert check_morphism(beta, twisted, twisted).passed
+    assert multiplications_by_one == []

@@ -9,18 +9,24 @@ and random sparse tensors with random twisting maps (which mostly fail).
 The element-level functions are compared on random vectors.  Three-argument
 sweeps take their first argument in doubling blocks of basis vectors; their
 block counts are checked directly, and the oracle comparison also covers
-algebras of dims 7-12 whose failures start only in late blocks.
+algebras of dims 7-12 whose failures start only in late blocks.  Identities
+with declared argument symmetries are swept on orbit representatives: each
+declaration is checked on generic vectors, the oracle comparison covers
+failures spread over several blocks, and the products formed are counted.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from hompoisson import algebra as algebra_module
 from hompoisson.algebra import (
     MAX_WITNESSES,
+    VECTORS,
     HomAlgebra,
     HomPoissonAlgebra,
     associator,
@@ -36,6 +42,7 @@ from hompoisson.algebra import (
     hom_associator,
     hom_jacobian,
     hom_leibniz_residual,
+    jacobian,
     sweep,
 )
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, heisenberg_p32, matrix_algebra
@@ -44,11 +51,13 @@ from hompoisson.constructions import (
     check_hom_flexible,
     commutator_poisson,
     depolarize,
+    flexibility,
     nonrigidity_witness,
     twist,
 )
 from hompoisson.errors import PreconditionError
 from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.poly import Polynomial
 
 from _oracles import (
     Dense,
@@ -290,6 +299,116 @@ def test_late_block_failures_match_oracle(case):
     for report, name, checked in checks:
         _assert_matches(report, oracle_leaves(Residuals.of(checked), [name]), name)
         assert all(w.indices[0] >= lead for w in report.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# Orbit representatives
+# ---------------------------------------------------------------------------
+
+def _symmetry_holds(identity, perm, operands, dim):
+    """Is identity(a0, a1, a2) = identity(a_perm[0], a_perm[1], a_perm[2]) on
+    generic vectors, whose coordinates are independent variables?"""
+    gens = Polynomial.variables(tuple(f"v{s}_{n}" for s in range(3) for n in range(dim)))
+    args = [Vector(gens[s * dim:(s + 1) * dim]) for s in range(3)]
+    return identity(VECTORS, *operands, *args) == identity(VECTORS, *operands, *(args[p] for p in perm))
+
+
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_declared_symmetries_hold_on_generic_vectors(dim, rng):
+    operands = (random_tensor(rng, dim, rng.random()), random_map(rng, dim))
+    for identity in (jacobian, flexibility):
+        assert identity.symmetries
+        for perm in identity.symmetries:
+            assert _symmetry_holds(identity, perm, operands, dim)
+
+
+def test_symmetry_check_rejects_a_false_declaration():
+    operands = (random_tensor(random.Random(5), 3, 0.6), random_map(random.Random(6), 3))
+    assert not hasattr(associator, "symmetries")
+    assert not _symmetry_holds(associator, (2, 1, 0), operands, 3)
+
+
+def _relabelled(algebra, position):
+    """The algebra with basis vector i renamed ``position[i]``."""
+    dim = algebra.dim
+
+    def moved(t):
+        return Trilinear(dim, {(position[i], position[j], position[k]): q for (i, j, k), q in t.items()})
+
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            rows[position[i]][position[j]] = algebra.alpha.entry(i, j)
+    return HomPoissonAlgebra(algebra.basis, moved(algebra.bracket), moved(algebra.mu), LinearMap(rows))
+
+
+@st.composite
+def spread_failures(draw):
+    """A dim-8 direct sum of the M2 commutator algebra (twisted or not),
+    which passes hom-Jacobi and, depolarized, hom-flexibility, and two random
+    two-dimensional pieces, with basis vectors placed so that each random
+    piece has one vector in block [1, 2) or [2, 4) and one in [4, 8).  The
+    tensors have more nonzeros than the dimension, so the reduced sweep runs."""
+    rng = draw(st.randoms(use_true_random=False))
+    dense = commutator_poisson(matrix_algebra(2))
+    if draw(st.booleans()):
+        dense = twist(dense, conjugation_morphism(2, draw(st.sampled_from((-1, 2, Fraction(1, 2))))))
+    pieces = [(random_tensor(rng, 2, 0.9), random_tensor(rng, 2, 0.9), random_map(rng, 2)) for _ in range(2)]
+    bracket, mu, alpha = _direct_sum([(dense.bracket, dense.mu, dense.alpha), *pieces])
+    late, second = draw(st.permutations(range(4, 8))), draw(st.sampled_from((2, 3)))
+    position = [0, 5 - second, late[0], late[1], 1, late[2], second, late[3]]
+    return _relabelled(HomPoissonAlgebra(tuple(f"b{i}" for i in range(8)), bracket, mu, alpha), position)
+
+
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+@given(spread_failures())
+def test_orbit_sweeps_emit_early_images_in_later_blocks(algebra):
+    single = depolarize(algebra)
+    for name, check, checked, identity, operands in (
+            ("hom-jacobi", check_hom_jacobi, algebra, jacobian, (algebra.bracket, algebra.alpha)),
+            ("hom-flexible", check_hom_flexible, single, flexibility, (single.mu, single.alpha))):
+        assert algebra_module._orbit_symmetries(identity, checked.dim, operands) == identity.symmetries
+        report = check(checked)
+        _assert_matches(report, oracle_leaves(Residuals.of(checked), [name]), name)
+        # block [4, 8) is narrowed (4 * 4 >= 8): there a witness is an image
+        # when an argument that a symmetry moves to the front is below 4
+        lo = [0, 1, 2, 2, 4, 4, 4, 4]
+        front = {p[0] for p in identity.symmetries}
+        images = [w for w in report.witnesses if w.indices[0] >= 4 and any(w.indices[s] < 4 for s in front)]
+        assume(len({lo[w.indices[0]] for w in report.witnesses}) >= 3 and images)
+
+
+@pytest.fixture
+def contraction_products(monkeypatch):
+    """The products each sweep contraction forms: a coefficient of the first
+    form times one of the second, for each tensor entry joining them."""
+    counts = []
+    original = algebra_module._contract
+
+    def counted(t, a, b):
+        bcols = b.cols
+        counts.append(sum(len(acol) * len(bcols[j]) for i, acol in a.cols.items()
+                          for j, _, _ in t.rows.get(i, ()) if j in bcols))
+        return original(t, a, b)
+
+    monkeypatch.setattr(algebra_module, "_contract", counted)
+    return counts
+
+
+def test_orbit_sweeps_form_fewer_products_on_mat6(contraction_products):
+    algebra = commutator_poisson(matrix_algebra(6))
+    single = depolarize(algebra)
+    for name, identity, checked, t, full, reduced in (
+            ("hom-jacobi", jacobian, algebra, algebra.bracket, 16020, 8628),
+            ("hom-flexible", flexibility, single, single.mu, 21888, 15104)):
+        def undeclared(E, *args, identity=identity):
+            return identity(E, *args)
+
+        for residual, products in ((undeclared, full), (identity, reduced)):
+            contraction_products.clear()
+            assert sweep(name, checked.dim, 3, residual, t, checked.alpha).passed
+            assert sum(contraction_products) == products
 
 
 # ---------------------------------------------------------------------------
