@@ -33,13 +33,15 @@ indices, the first ``MAX_WITNESSES`` that are not zero become the witnesses
 with their exact values, reading stops there, and the check passes when
 there are none.
 
-The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) carries
-every integral value as an ``int`` and only a non-integral one as a
-``Fraction``: it reads its operands through ``linalg.int_if_integral`` (the
-tensors' ``rows`` and the maps' ``engine_columns``), starts from ``int``
-leaves, and converts residuals back to ``Fraction`` in the witnesses it
-reports.  Mixed ``int``/``Fraction`` arithmetic is exact, so results are
-unchanged, and an integral tensor runs on machine-speed products.  Every
+The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) computes
+on ``int`` only: every form holds ``int`` numerators over one positive ``int``
+denominator ``den``.  It reads its operands the same way (the tensors'
+``rows`` over ``Trilinear.den`` and the maps' ``engine_columns``), starts from
+leaves over 1, multiplies denominators where it multiplies numerators, and
+brings the two terms of a sum or difference to the least common multiple of
+their denominators.  A numerator is zero exactly when its value is, so the
+engine never reduces a fraction; ``Fraction(numerator, den)`` is formed only
+where a value leaves it, in a witness residual or a tabulated constant.  Every
 accumulation stores the first contribution to an entry as it is and adds
 only where a value is already held, so an entry's first value costs no
 addition, and a difference of forms subtracts rather than adding a negation.
@@ -52,6 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch
 from .linalg import LinearMap, Trilinear, Vector
@@ -308,23 +311,33 @@ def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Ve
 class _Form:
     """A multilinear map from a sweep's free basis slots to the space.
 
-    ``cols[n][code]`` is the coefficient of basis vector n at the free basis
-    indices whose mixed-radix number is ``code`` (so sorted codes are in
-    lexicographic order); a stored coefficient may be zero.  ``slots`` has
-    bit s set when the form is linear in argument s of the sweep; a form
-    without bit 0 is free of the first argument, so it is the same in every
-    block of the sweep.
+    ``cols[n][code] / den`` is the coefficient of basis vector n at the free
+    basis indices whose mixed-radix number is ``code`` (so sorted codes are
+    in lexicographic order); ``cols`` holds ``int`` numerators, and a stored
+    numerator may be zero.  ``slots`` has bit s set when the form is linear
+    in argument s of the sweep; a form without bit 0 is free of the first
+    argument, so it is the same in every block of the sweep.
     """
 
-    __slots__ = ("cols", "slots")
+    __slots__ = ("cols", "slots", "den")
 
-    def __init__(self, cols: dict, slots: int):
+    def __init__(self, cols: dict, slots: int, den: int = 1):
         self.cols = cols
         self.slots = slots
+        self.den = den
 
     def _merge(self, other: "_Form", negate: bool) -> "_Form":
-        cols = {n: dict(col) for n, col in self.cols.items()}
+        """self + other or self - other over the lcm of their denominators,
+        each side scaled to it only when its factor is not 1."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1:
+            cols = {n: dict(col) for n, col in self.cols.items()}
+        else:
+            cols = {n: {code: fa * q for code, q in col.items()} for n, col in self.cols.items()}
         for n, col in other.cols.items():
+            if fb != 1:
+                col = {code: fb * q for code, q in col.items()}
             acc = cols.setdefault(n, {})
             for code, q in col.items():
                 v = acc.get(code)
@@ -337,7 +350,7 @@ class _Form:
                     acc[code] = total
                 else:
                     del acc[code]
-        return _Form(cols, self.slots | other.slots)
+        return _Form(cols, self.slots | other.slots, den)
 
     def __add__(self, other: "_Form") -> "_Form":
         return self._merge(other, False)
@@ -346,13 +359,18 @@ class _Form:
         return self._merge(other, True)
 
     def __rmul__(self, c) -> "_Form":
-        return _Form({n: {code: c * q for code, q in col.items()} for n, col in self.cols.items()},
-                     self.slots)
+        """The rational ``c`` times the form: numerators times its numerator
+        (none when that is 1), the denominator times its denominator."""
+        cols, a = self.cols, c.numerator
+        if a != 1:
+            cols = {n: {code: a * q for code, q in col.items()} for n, col in cols.items()}
+        return _Form(cols, self.slots, self.den * c.denominator)
 
 
 def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
-    """t(a, b): the free slots of a and b are disjoint, so their codes add.
-    A factor equal to 1 is not multiplied by: the other is taken as is."""
+    """t(a, b): the free slots of a and b are disjoint, so their codes add,
+    and the numerators multiply over ``t.den * a.den * b.den``.  A factor
+    equal to 1 is not multiplied by: the other is taken as is."""
     out: dict = {}
     bcols = b.cols
     for i, acol in a.cols.items():
@@ -375,13 +393,14 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
                     p = f if qb == 1 else f * qb
                     v = col.get(code)
                     col[code] = p if v is None else v + p
-    return _Form(out, a.slots | b.slots)
+    return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
 
 
 def _apply(m: LinearMap, a: _Form) -> _Form:
-    """m(a), taking a coefficient as is where the other factor is 1."""
+    """m(a) over ``m_den * a.den``, taking a numerator as is where the other
+    factor is 1."""
     out: dict = {}
-    columns = m.engine_columns
+    columns, m_den = m.engine_columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
             col = out.setdefault(i, {})
@@ -394,7 +413,7 @@ def _apply(m: LinearMap, a: _Form) -> _Form:
                 p = coeff if q == 1 else coeff * q
                 v = col.get(code)
                 col[code] = p if v is None else v + p
-    return _Form(out, a.slots)
+    return _Form(out, a.slots, m_den * a.den)
 
 
 class _Sweep:
@@ -435,7 +454,7 @@ class _Sweep:
             for p in places:
                 cols = {n: kept for n, col in cols.items()
                         if (kept := {code: q for code, q in col.items() if code // p % dim >= lo})}
-            narrowed = _Form(cols, form.slots)
+            narrowed = _Form(cols, form.slots, form.den)
             self.narrowed[form] = (lo, narrowed)
         return narrowed
 
@@ -503,8 +522,8 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
             found.clear()
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
             first = _Form({n: {n * lead: 1} for n in range(lo, hi)}, 1)
-            block = {}
-            for n, col in residual(E, *operands, first, *rest).cols.items():
+            block, form = {}, residual(E, *operands, first, *rest)
+            for n, col in form.cols.items():
                 for code, q in col.items():
                     if q:
                         block.setdefault(code, {})[n] = q
@@ -515,7 +534,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
                 indices = _indices(code, dim, arity)
                 r = known.get(code)
                 if r is None:
-                    r = _residual_vector(block[code], dim)
+                    r = _residual_vector(block[code], form.den, dim)
                     if symmetries:
                         found.append((indices, r))
                 yield indices, r
@@ -524,12 +543,12 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     return make_report(identity, cases())
 
 
-def _residual_vector(entries: dict, dim: int) -> Vector:
+def _residual_vector(entries: dict, den: int, dim: int) -> Vector:
     """The witness residual with coordinates ``entries`` (index -> engine
-    value), every coordinate a ``Fraction``."""
+    numerator) over ``den``, every coordinate a ``Fraction``."""
     coords = [_ZERO] * dim
     for n, q in entries.items():
-        coords[n] = Fraction(q)
+        coords[n] = Fraction(q, den)
     return Vector(tuple(coords))
 
 
@@ -537,15 +556,16 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     """The structure constants of the bilinear ``formula(E, *operands, x, y)``,
     evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
     (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
-    Each distinct coefficient becomes a ``Fraction`` once per call: most are
-    engine ``int``s shared by many entries."""
+    Each distinct numerator becomes a ``Fraction`` over the form's
+    denominator once per call: most are shared by many entries."""
     x = _Form({n: {n * dim: 1} for n in range(dim)}, 1)
     y = _Form({n: {n: 1} for n in range(dim)}, 2)
     data, rational = {}, {}
-    for k, col in formula(_Sweep(), *operands, x, y).cols.items():
+    form = formula(_Sweep(), *operands, x, y)
+    for k, col in form.cols.items():
         for code, q in col.items():
             if q:
-                data[(*divmod(code, dim), k)] = rational.get(q) or rational.setdefault(q, Fraction(q))
+                data[(*divmod(code, dim), k)] = rational.get(q) or rational.setdefault(q, Fraction(q, form.den))
     return Trilinear._of(dim, data)
 
 

@@ -3,9 +3,11 @@
 All public scalars are ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms with positive denominator), so every operation here is exact;
 there is no floating point anywhere in the package.  The views read by the
-sweep engine (``Trilinear.rows``, ``LinearMap.engine_columns``) hold integral
-values as ``int`` instead (``int_if_integral``); every other value, from
-``entry``, ``items``, ``rows`` or the ``sparse_*`` views, is a ``Fraction``.
+sweep engine (``Trilinear.rows``, ``LinearMap.engine_columns``) hold ``int``
+numerators over one positive ``int`` denominator per tensor or map instead
+(``den``, the least common denominator of its entries, 1 when they are
+integral); every other value, from ``entry``, ``items``, ``LinearMap.rows`` or
+the ``sparse_*`` views, is a ``Fraction``.
 Map products and ``Trilinear.map_outputs``, like the sweep engine, take a
 factor as is where the other is 1 rather than multiplying by 1.
 Vectors and tensor contractions also take sparse polynomial entries (see
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -52,14 +55,12 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def int_if_integral(q):
-    """``q`` as an ``int`` when it is integral, else ``q`` itself.
-
-    The one scalar policy of the sweep engine (``algebra._contract`` and
-    ``_apply``): mixed ``int``/``Fraction`` arithmetic is exact, and products
-    of integral values run on ``int``.
-    """
-    return q.numerator if q.denominator == 1 else q
+def _over_common_denominator(values: Iterable) -> tuple:
+    """``(numerators, den)``: the rationals ``values`` as ``int`` numerators
+    over ``den``, the least positive common denominator of them all."""
+    pairs = [q.as_integer_ratio() for q in values]
+    den = lcm(*{d for _, d in pairs})
+    return [n if den == d else n * (den // d) for n, d in pairs], den
 
 
 def _basis_index(k: int, dim: int) -> int:
@@ -210,9 +211,12 @@ class LinearMap:
 
     @cached_property
     def engine_columns(self) -> tuple:
-        """``sparse_columns`` with integral values as ``int``: the view the
-        sweep engine reads (see ``int_if_integral``)."""
-        return tuple(tuple((i, int_if_integral(q)) for i, q in line) for line in self.sparse_columns)
+        """``(columns, den)``: ``sparse_columns`` with every value an ``int``
+        numerator over the one denominator ``den``, the view the sweep engine
+        reads."""
+        nums, den = _over_common_denominator(q for line in self.sparse_columns for _, q in line)
+        nums = iter(nums)
+        return tuple(tuple((i, next(nums)) for i, _ in line) for line in self.sparse_columns), den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -379,10 +383,12 @@ class Trilinear:
 
     ``entry(i, j, k)`` is the coefficient of basis vector k in op(e_i, e_j).
     Stored sparsely as a map from (i, j, k) to nonzero rationals; catalog
-    tensors have a handful of entries even in dimension 9 or 16.
+    tensors have a handful of entries even in dimension 9 or 16.  The sweep
+    engine reads ``rows``, the same entries grouped by first index as ``int``
+    numerators over ``den``, built with the tensor.
     """
 
-    __slots__ = ("dim", "_entries", "rows")
+    __slots__ = ("dim", "_entries", "rows", "den")
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
@@ -406,11 +412,12 @@ class Trilinear:
     def _fill(self, dim: int, data: dict) -> None:
         self.dim = dim
         self._entries = data
-        # rows[i]: the (j, k, coefficient) entries with first index i, read by
-        # the sweep engine, so integral coefficients are ints (int_if_integral)
+        # rows[i]: the (j, k, numerator) entries with first index i, read by
+        # the sweep engine: entry (i, j, k) is numerator / den
+        nums, self.den = _over_common_denominator(data.values())
         self.rows = rows = {}
-        for (i, j, k), q in data.items():
-            rows.setdefault(i, []).append((j, k, int_if_integral(q)))
+        for (i, j, k), q in zip(data, nums):
+            rows.setdefault(i, []).append((j, k, q))
 
     @staticmethod
     def zero(dim: int) -> "Trilinear":

@@ -1,11 +1,12 @@
 """Cost regressions: how many map products the power checks and twists make,
 how many polynomials a contraction reduces, how many accumulations a map
-application runs, how many rational additions start from zero and how many
-rational multiplications are by one.
+application runs, how many rational additions start from zero, how many
+rational multiplications are by one and how much ``Fraction`` arithmetic a
+sweep does.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, its accumulation ``poly.sum_of_products`` or ``Fraction``
-addition or multiplication with a call counter.  A power check composes each power of the
+arithmetic operators with a call counter.  A power check composes each power of the
 twisting map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and
 alpha^1 need no product), a twist composes the twisting maps once, a
 contraction of polynomial vectors sums each output coordinate in one
@@ -13,6 +14,9 @@ accumulation, reduced once, a map whose rows have one nonzero each applies as
 scalar multiples, with no accumulation, and the sweep engine and
 ``Trilinear.map_outputs`` store the first contribution to an entry as it is
 and, with ``LinearMap.compose``, take a factor as is where the other is 1.
+The sweep engine computes on ``int`` numerators over one denominator per
+form, so a sweep does no ``Fraction`` arithmetic at all: it only constructs
+the ``Fraction`` values of its witnesses.
 """
 
 import itertools
@@ -24,7 +28,7 @@ import pytest
 from hompoisson import poly
 from hompoisson.algebra import check_morphism, check_multiplicative
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
-from hompoisson.constructions import commutator_poisson, depolarize, tensor, twist
+from hompoisson.constructions import check_admissible, commutator_poisson, depolarize, tensor, twist
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
 from hompoisson.linalg import LinearMap, Vector
 
@@ -189,3 +193,41 @@ def test_twist_and_its_checks_multiply_nothing_by_one(multiplications_by_one):
     assert check_multiplicative(twisted).passed
     assert check_morphism(beta, twisted, twisted).passed
     assert multiplications_by_one == []
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__")
+
+
+@pytest.fixture
+def fraction_arithmetic(monkeypatch):
+    """The calls of ``Fraction`` arithmetic operators that compute a value.  A
+    call that returns NotImplemented computes nothing: Python offers 1/3 times
+    a sweep form to ``Fraction.__mul__`` first, which hands it on to the
+    form."""
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            result = original(*args)
+            if result is not NotImplemented:
+                calls.append((name, *args))
+            return result
+        return wrapper
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_sweeps_do_no_fraction_arithmetic(fraction_arithmetic):
+    # conjugation by diag(1/2, 1, 1) gives beta, the twisted constants and the
+    # twisting map denominators 2 and 4, and admissibility adds its 1/3
+    beta = conjugation_morphism(3)
+    twisted = twist(commutator_poisson(matrix_algebra(3)), beta)
+    fraction_arithmetic.clear()
+    assert check_multiplicative(twisted).passed
+    assert check_morphism(beta, twisted, twisted).passed
+    admissible = check_admissible(depolarize(twisted))
+    assert not admissible.passed
+    assert any(q.denominator > 1 for w in admissible.witnesses for q in w.residual.entries)
+    assert fraction_arithmetic == []

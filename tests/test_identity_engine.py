@@ -6,6 +6,8 @@ lexicographic order) and exact residuals.  Inputs are random algebras in
 dims 1-6: direct sums of catalog pieces twisted by block-diagonal
 self-morphisms (which pass), the same with corrupted structure constants,
 and random sparse tensors with random twisting maps (which mostly fail).
+Some are twisted by maps diagonal in ratios of distinct primes, so the
+terms of an identity reach the engine over unequal denominators.
 The element-level functions are compared on random vectors.  Three-argument
 sweeps take their first argument in doubling blocks of basis vectors; their
 block counts are checked directly, and the oracle comparison also covers
@@ -89,9 +91,27 @@ SETTINGS = settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 # Inputs
 # ---------------------------------------------------------------------------
 
-def _pieces(rng, integral):
-    """Catalog pieces with a self-morphism each: (algebra, morphism); with
-    ``integral``, every structure constant and map entry is an integer."""
+def _prime_ratio(rng):
+    """p/q or -p/q for two distinct primes p and q."""
+    p, q = rng.sample((2, 3, 5, 7, 11), 2)
+    return Fraction(rng.choice((p, -p)), q)
+
+
+def _pieces(rng, kind):
+    """Catalog pieces with a self-morphism each: (algebra, morphism).  In the
+    "integral" kind every structure constant and map entry is an integer; in
+    the "coprime" kind every morphism is diagonal in ratios of distinct
+    primes, so tensors, maps and their twists have unequal denominators."""
+    if kind == "coprime":
+        a, d, top, zeta = (_prime_ratio(rng) for _ in range(4))
+        return [
+            (heisenberg_p31(zeta), heisenberg_morphism(a, 0, 0, d)),
+            (heisenberg_p32(), heisenberg_morphism(a, 0, 0, a)),
+            (commutator_poisson(matrix_algebra(1)), LinearMap.identity(1)),
+            (commutator_poisson(matrix_algebra(2)), conjugation_morphism(2, top)),
+            (None, None),
+        ]
+    integral = kind == "integral"
     a = rng.choice((1, 2, -1) if integral else (1, 2, -1, Fraction(1, 2)))
     zeta = rng.choice((0, 1) if integral else (0, 1, Fraction(1, 2)))
     return [
@@ -101,6 +121,14 @@ def _pieces(rng, integral):
         (commutator_poisson(matrix_algebra(2)), conjugation_morphism(2, -1 if integral else a)),
         (None, None),  # a one-dimensional zero algebra
     ]
+
+
+# the structure constants each kind of corrupted input may get
+CORRUPTIONS = {
+    "corrupted": (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0)),
+    "integral": (1, -2, 3, 0),
+    "coprime": (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)),
+}
 
 
 def _direct_sum(blocks):
@@ -124,11 +152,14 @@ def algebras(draw):
     """(algebra, a self-map that is a morphism of the uncorrupted algebra).
 
     The "integral" kind has integer constants and maps, corrupted by up to two
-    integers, so passing and failing sweeps also run on ints alone.
+    integers, so passing and failing sweeps also run on integers alone.  The
+    "coprime" kind is always twisted, by a map diagonal in ratios of distinct
+    primes, and corrupted by up to two of 1/2, 2/3 and -5/7, so the terms of
+    an identity (f once against f twice in ``morphism``, the 1/3 of
+    admissibility) reach the sweep engine over unequal denominators.
     """
     rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(("structured", "corrupted", "random", "integral")))
-    integral = kind == "integral"
+    kind = draw(st.sampled_from(("structured", "corrupted", "random", "integral", "coprime")))
     if kind == "random":
         dim = draw(st.integers(1, 6))
         alpha = draw(st.sampled_from((LinearMap.identity(dim), random_map(rng, dim))))
@@ -137,11 +168,14 @@ def algebras(draw):
                                     random_tensor(rng, dim, rng.random() * 0.5), alpha,
                                     commutative=draw(st.booleans()))
         return algebra, random_map(rng, dim)
-    pieces, blocks, maps, dim = _pieces(rng, integral), [], [], 0
+    pieces, blocks, maps, dim = _pieces(rng, kind), [], [], 0
     for _ in range(draw(st.integers(1, 3))):  # the first piece always fits
         piece, beta = pieces[draw(st.integers(0, len(pieces) - 1))]
         if piece is None:
-            weight = rng.randint(1, 3) if integral else random_rational(rng) or 1
+            if kind == "integral":
+                weight = rng.randint(1, 3)
+            else:
+                weight = _prime_ratio(rng) if kind == "coprime" else random_rational(rng) or 1
             piece, beta = HomPoissonAlgebra(("o",), Trilinear(1), Trilinear(1), LinearMap.identity(1),
                                             True), LinearMap.diagonal([weight])
         if dim + piece.dim > 6:
@@ -154,13 +188,12 @@ def algebras(draw):
     commutative = all(M[i][j] == M[j][i] for i in range(dim) for j in range(dim))
     base = HomPoissonAlgebra(tuple(f"b{i}" for i in range(dim)), bracket, mu, alpha, commutative)
     beta = _direct_sum(maps)[2]
-    algebra = twist(base, beta) if draw(st.booleans()) else base
-    if kind in ("corrupted", "integral"):
-        values = (1, -2, 3, 0) if integral else (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0))
-        for _ in range(draw(st.integers(0 if integral else 1, 2))):
+    algebra = twist(base, beta) if kind == "coprime" or draw(st.booleans()) else base
+    if kind in CORRUPTIONS:
+        for _ in range(draw(st.integers(1 if kind == "corrupted" else 0, 2))):
             which = draw(st.sampled_from(("mu", "bracket")))
             i, j, k = (draw(st.integers(0, dim - 1)) for _ in range(3))
-            value = draw(st.sampled_from(values))
+            value = draw(st.sampled_from(CORRUPTIONS[kind]))
             algebra = dataclasses.replace(algebra, **{which: getattr(algebra, which).with_entry(i, j, k, value)})
     return algebra, beta
 
@@ -184,7 +217,7 @@ def _assert_matches(report, expected, identity):
     assert report.identity == identity
     assert report_leaves(report) == expected
     assert report.passed == all(passed for _, passed, _ in expected)
-    # the engine computes with ints where it can; its residuals leave it as Fractions
+    # the engine computes on int numerators; its residuals leave it as Fractions
     assert all(type(q) is Fraction for leaf in report.flat() for w in leaf.witnesses for q in w.residual.entries)
 
 
@@ -201,6 +234,8 @@ def test_algebra_checks_match_oracle(case):
 @given(algebras())
 def test_single_product_checks_match_oracle(case):
     single = depolarize(case[0])
+    summed = Residuals.depolarized(case[0]).mu  # the oracle's bracket + mu
+    assert Dense.of(single.mu).rows == {key: row for key, row in summed.rows.items() if any(row)}
     expected = oracle_reports(single)
     _assert_matches(check_admissible(single), expected["admissible"], "admissible")
     _assert_matches(check_hom_flexible(single), expected["hom-flexible"], "hom-flexible")

@@ -185,17 +185,29 @@ def dense_op(T):
     return Dense(n, (((i, j, k), T[i][j][k]) for i, j, k in itertools.product(range(n), repeat=3)))
 
 
+def assert_engine_view(numerators, den, values):
+    """The engine's ``int`` numerators over ``den`` reproduce ``values``, and
+    ``den`` is their least positive common denominator: a common denominator
+    is least exactly when it shares no factor with all the numerators (1 when
+    every value is integral)."""
+    assert type(den) is int and den > 0 and all(type(q) is int for q in numerators)
+    assert [Fraction(q, den) for q in numerators] == list(values)
+    assert math.gcd(den, *numerators) == 1
+    assert (den == 1) == all(q.denominator == 1 for q in values)
+
+
 def assert_stored_form(t, expected):
-    """t equals the dense array, stores no zero, reads its integral values as
-    int in ``rows`` and as Fraction everywhere else, and round-trips."""
+    """t equals the dense array, stores no zero, reads its values as int
+    numerators over its least common denominator in ``rows`` and as Fraction
+    everywhere else, and round-trips."""
     dense = dense_tensor(t)
     assert dense == expected
     assert all(type(q) is Fraction for plane in dense for fibre in plane for q in fibre)
     assert all(q != 0 and type(q) is Fraction for _, q in t.items())
-    assert sorted((i, j, k, q) for i, row in t.rows.items() for j, k, q in row) == \
-        sorted((i, j, k, q) for (i, j, k), q in t.items())
-    assert all(type(q) is (int if Fraction(q).denominator == 1 else Fraction)
-               for row in t.rows.values() for _, _, q in row)
+    engine = sorted((i, j, k, q) for i, row in t.rows.items() for j, k, q in row)
+    public = sorted((i, j, k, q) for (i, j, k), q in t.items())
+    assert [ijkq[:3] for ijkq in engine] == [ijkq[:3] for ijkq in public]
+    assert_engine_view([q for *_, q in engine], t.den, [q for *_, q in public])
     again = Trilinear(t.dim, dict(t.items()))
     assert t == again and hash(t) == hash(again)
 
@@ -529,12 +541,20 @@ def test_entry_and_column_read_the_sparse_form():
 
 
 def test_engine_views_hold_ints_and_public_values_stay_fractions():
-    """The sweep engine reads integral values as int; every public value is a Fraction."""
-    m = LinearMap(((2, "1/2"), (0, -1)))
-    assert m.engine_columns == m.sparse_columns
-    assert [type(q) for line in m.engine_columns for _, q in line] == [int, Fraction, int]
-    t = Trilinear(2, {(0, 1, 0): 3, (0, 1, 1): "2/3", (1, 0, 0): Fraction(4, 2)})
-    assert [type(q) for j, k, q in t.rows[0]] == [int, Fraction]
+    """The sweep engine reads int numerators over one least common
+    denominator per map or tensor; every public value is a Fraction."""
+    m = LinearMap(((2, "1/2"), (0, "-1/3")))
+    columns, den = m.engine_columns
+    assert den == 6 and columns == (((0, 12),), ((0, 3), (1, -2)))
+    assert [i for line in columns for i, _ in line] == [i for line in m.sparse_columns for i, _ in line]
+    assert_engine_view([q for line in columns for _, q in line], den,
+                       [q for line in m.sparse_columns for _, q in line])
+    assert LinearMap(((2, 4), (0, -1))).engine_columns == ((((0, 2),), ((0, 4), (1, -1))), 1)
+    assert LinearMap.zero(2).engine_columns == (((), ()), 1)
+    t = Trilinear(2, {(0, 1, 0): 3, (0, 1, 1): "2/3", (1, 0, 0): Fraction(4, 2), (1, 1, 1): "-5/4"})
+    assert t.den == 12 and t.rows == {0: [(1, 0, 36), (1, 1, 8)], 1: [(0, 0, 24), (1, 1, -15)]}
+    assert_engine_view([q for row in t.rows.values() for _, _, q in row], t.den, [q for _, q in t.items()])
+    assert Trilinear(2, {(0, 1, 0): 3, (1, 0, 0): Fraction(4, 2)}).den == 1 and Trilinear.zero(2).den == 1
     assert all(type(q) is Fraction for _, q in t.items())
     assert all(type(q) is Fraction for line in m.sparse_rows + m.sparse_columns for _, q in line)
     assert t.pair_vector(0, 1) == Vector.of(3, "2/3")
