@@ -1,5 +1,8 @@
 """Golden reports: every ``check_*`` report on a fixed list of algebras,
-compared byte for byte with ``tests/golden/reports.json``.
+compared byte for byte with ``tests/golden/reports.json``, and the files
+``emit_spec`` and ``emit_map`` write for the twist, derived, depolarize,
+polarize, tensor and invert results of the same algebras, compared byte for
+byte with ``tests/golden/emitted.json``.
 
 The list holds the catalog entries, the commutator algebras of the matrix
 entries, their depolarizations, one diagonal twist of each and one seeded
@@ -11,8 +14,9 @@ power criterion on a multiplicative algebra that fails it.  The
 than ``MAX_WITNESSES`` failing triples, with the tenth past the first block
 of first arguments that ``algebra.sweep`` evaluates, so the witness cap cuts
 them there.  A change that should leave every verdict,
-witness and exact residual unchanged must leave this file unchanged.  After
-a change that alters reports on purpose, regenerate the file with
+witness, exact residual and emitted structure constant unchanged must leave
+both files unchanged.  After a change that alters them on purpose,
+regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,7 +26,9 @@ and review its diff.
 import dataclasses
 import json
 import os
+import itertools
 import random
+import tempfile
 from fractions import Fraction
 
 from hompoisson.algebra import (
@@ -37,6 +43,7 @@ from hompoisson.algebra import (
 from hompoisson.catalog import (
     CATALOG,
     build_catalog,
+    conjugation_morphism,
     entry_reports,
     heisenberg_morphism,
     heisenberg_p31,
@@ -50,14 +57,20 @@ from hompoisson.constructions import (
     check_hom_flexible,
     commutator_poisson,
     depolarize,
+    derived,
+    polarize,
+    tensor,
     twist,
     verify_isomorphism,
 )
 from hompoisson.hompower import MAX_DIM, check_criterion_34, check_nth_power_assoc
 from hompoisson.linalg import LinearMap, Trilinear
 from hompoisson.poisson_poly import Substitution, check_poisson_substitution
+from hompoisson.specfile import emit_map, emit_spec
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "reports.json")
+EMITTED = os.path.join(GOLDEN_DIR, "emitted.json")
 SEED = 20100521
 CORRUPTIONS = (1, -2, Fraction(1, 3), 0)
 # (operation, i, j, k, value): single entries of commutator_poisson(matrix_algebra(3))
@@ -89,25 +102,30 @@ def _corrupt(algebra: HomPoissonAlgebra, rng: random.Random) -> HomPoissonAlgebr
     return HomPoissonAlgebra(algebra.basis, bracket, mu, algebra.alpha, algebra.commutative)
 
 
+def bases():
+    """(label, algebra, multiplicative self-morphism) for each base algebra."""
+    return [
+        ("heisenberg-p31", heisenberg_p31(1), heisenberg_morphism(2, 0, 0, 3)),
+        ("heisenberg-p31[zeta=1/2]", heisenberg_p31(Fraction(1, 2)), heisenberg_morphism(2, 0, 0, 3)),
+        ("heisenberg-p32", heisenberg_p32(), heisenberg_morphism(2, 0, 0, 2)),
+        ("matrix[n=2]", commutator_poisson(matrix_algebra(2)), conjugation_morphism(2)),
+        ("matrix[n=3]", commutator_poisson(matrix_algebra(3)), conjugation_morphism(3)),
+    ]
+
+
 def cases():
     """(label, algebra) pairs: the base algebras and their variants."""
     rng = random.Random(SEED)
-    bases = [
-        ("heisenberg-p31", heisenberg_p31(1)),
-        ("heisenberg-p31[zeta=1/2]", heisenberg_p31(Fraction(1, 2))),
-        ("heisenberg-p32", heisenberg_p32()),
-        ("matrix[n=2]", commutator_poisson(matrix_algebra(2))),
-        ("matrix[n=3]", commutator_poisson(matrix_algebra(3))),
-    ]
+    base_algebras = [(label, algebra) for label, algebra, _ in bases()]
     out = []
-    for label, algebra in bases:
+    for label, algebra in base_algebras:
         twisted = twist(algebra, _weights(algebra.dim), force=True)
         corrupted = _corrupt(algebra, rng)
         for name, variant in ((label, algebra), (f"{label}/twisted", twisted),
                               (f"{label}/corrupted", corrupted)):
             out.append((name, variant))
             out.append((f"{name}/depolarized", depolarize(variant)))
-    matrix3 = bases[-1][1]
+    matrix3 = base_algebras[-1][1]
     for which, i, j, k, value in CROSS_BLOCK:
         variant = dataclasses.replace(matrix3, **{which: getattr(matrix3, which).with_entry(i, j, k, value)})
         name = f"matrix[n=3]/{which}[{i},{j},{k}]={value}"
@@ -161,13 +179,70 @@ def golden() -> str:
                    for label, reports in labelled for r in reports)
 
 
+def constructed():
+    """(label, algebra or map) for each construction result that is emitted.
+
+    Each base algebra is twisted by its diagonal weights and by its
+    multiplicative self-morphism beta; the beta-twisting gives a derived
+    algebra and a depolarization that is polarized again, and the
+    corruptions are depolarized and polarized too.  The maps are inverses
+    and powers of the twisting maps, and the tensor products pair the
+    commutative bases and their beta-twistings.
+    """
+    out, commutative = [], []
+    for label, algebra, beta in bases():
+        weights = _weights(algebra.dim)
+        twisted = twist(algebra, beta)
+        single = depolarize(twisted)
+        out += [
+            (f"{label}/twist[weights]", twist(algebra, weights, force=True)),
+            (f"{label}/twist[beta]", twisted),
+            (f"{label}/twist[beta]/derived[2]", derived(twisted, 2)),
+            (f"{label}/depolarize", depolarize(algebra)),
+            (f"{label}/twist[beta]/depolarize", single),
+            (f"{label}/twist[beta]/depolarize/polarize", polarize(single)),
+            (f"{label}/weights/invert", weights.invert()),
+            (f"{label}/beta/invert", beta.invert()),
+            (f"{label}/beta^3/invert", beta.power(3).invert()),
+            (f"{label}/beta*weights", beta.compose(weights)),
+        ]
+        if algebra.commutative:
+            commutative += [(label, algebra), (f"{label}/twist[beta]", twisted)]
+    for label, algebra in cases():
+        if label.endswith("/corrupted"):
+            single = depolarize(algebra)
+            out += [(f"{label}/depolarize", single), (f"{label}/depolarize/polarize", polarize(single))]
+    for (l1, a1), (l2, a2) in itertools.combinations(commutative, 2):
+        out.append((f"tensor[{l1}, {l2}]", tensor(a1, a2)))
+    return out
+
+
+def emitted() -> str:
+    """The emitted files, one JSON line [label, file text] per result."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        for label, value in constructed():
+            (emit_map if isinstance(value, LinearMap) else emit_spec)(value, path)
+            with open(path, "rb") as fh:
+                lines.append(json.dumps([label, fh.read().decode("utf-8")]) + "\n")
+    return "".join(lines)
+
+
 def test_reports_match_golden_file():
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = fh.read()
     assert golden() == expected
 
 
+def test_emitted_files_match_golden_file():
+    with open(EMITTED, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert emitted() == expected
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        fh.write(golden())
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for path, build in ((GOLDEN, golden), (EMITTED, emitted)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(build())
