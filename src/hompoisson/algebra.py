@@ -34,19 +34,18 @@ with their exact values, reading stops there, and the check passes when
 there are none.
 
 The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) computes
-on ``int`` only: every form holds ``int`` numerators over one positive ``int``
-denominator ``den``.  It reads its operands the same way (the tensors'
-``rows`` over ``Trilinear.den`` and the maps' ``engine_columns``), starts from
-leaves over 1, multiplies denominators where it multiplies numerators, and
-brings the two terms of a sum or difference to the least common multiple of
-their denominators.  A numerator is zero exactly when its value is, so the
-engine never reduces a fraction; ``Fraction(numerator, den)`` is formed only
-where a value leaves it, in a witness residual or a tabulated constant.  Every
-accumulation stores the first contribution to an entry as it is and adds
-only where a value is already held, so an entry's first value costs no
-addition, and a difference of forms subtracts rather than adding a negation.
-A product with a factor equal to 1 is not formed: the other factor is taken
-as is.
+on ``int`` only, in the stored form of maps and tensors (see ``linalg``):
+every form holds ``int`` numerators over one positive ``int`` denominator
+``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are read as they
+are.  Products multiply numerators and denominators, and a sum or difference
+brings its two terms to the lcm of their denominators.  A numerator is zero
+exactly when its value is, so a sweep never reduces a fraction;
+``Fraction(numerator, den)`` is formed only in a witness residual, and
+``tabulate`` hands its numerators and denominator to the tensor it builds.
+Every accumulation stores the first contribution to an entry as it is and
+adds only where a value is already held, and a difference of forms subtracts
+rather than adding a negation.  A product with a factor equal to 1 is not
+formed: the other factor is taken as is.
 """
 
 from __future__ import annotations
@@ -397,10 +396,10 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
 
 
 def _apply(m: LinearMap, a: _Form) -> _Form:
-    """m(a) over ``m_den * a.den``, taking a numerator as is where the other
+    """m(a) over ``m.den * a.den``, taking a numerator as is where the other
     factor is 1."""
     out: dict = {}
-    columns, m_den = m.engine_columns
+    columns = m.columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
             col = out.setdefault(i, {})
@@ -413,7 +412,7 @@ def _apply(m: LinearMap, a: _Form) -> _Form:
                 p = coeff if q == 1 else coeff * q
                 v = col.get(code)
                 col[code] = p if v is None else v + p
-    return _Form(out, a.slots, m_den * a.den)
+    return _Form(out, a.slots, m.den * a.den)
 
 
 class _Sweep:
@@ -473,7 +472,7 @@ def _orbit_symmetries(residual, dim: int, operands) -> tuple:
     and 81, 8 and 16 bracket nonzeros) a reduced hom-Jacobi sweep took 1.6 to
     2.1 times as long as the full one."""
     symmetries = getattr(residual, "symmetries", ())
-    if symmetries and sum(len(t.items()) for t in operands if isinstance(t, Trilinear)) >= dim:
+    if symmetries and sum(sum(map(len, t.rows.values())) for t in operands if isinstance(t, Trilinear)) >= dim:
         return symmetries
     return ()
 
@@ -556,17 +555,13 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     """The structure constants of the bilinear ``formula(E, *operands, x, y)``,
     evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
     (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
-    Each distinct numerator becomes a ``Fraction`` over the form's
-    denominator once per call: most are shared by many entries."""
+    The form's numerators and denominator become the tensor's as they are,
+    reduced once to lowest terms."""
     x = _Form({n: {n * dim: 1} for n in range(dim)}, 1)
     y = _Form({n: {n: 1} for n in range(dim)}, 2)
-    data, rational = {}, {}
     form = formula(_Sweep(), *operands, x, y)
-    for k, col in form.cols.items():
-        for code, q in col.items():
-            if q:
-                data[(*divmod(code, dim), k)] = rational.get(q) or rational.setdefault(q, Fraction(q, form.den))
-    return Trilinear._of(dim, data)
+    return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
+                               for code, q in col.items()}, form.den)
 
 
 def _indices(code: int, dim: int, arity: int) -> tuple:

@@ -1,27 +1,25 @@
 """Exact rational vectors, square matrices, and rank-3 structure-constant tensors.
 
-All public scalars are ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms with positive denominator), so every operation here is exact;
-there is no floating point anywhere in the package.  The views read by the
-sweep engine (``Trilinear.rows``, ``LinearMap.engine_columns``) hold ``int``
-numerators over one positive ``int`` denominator per tensor or map instead
-(``den``, the least common denominator of its entries, 1 when they are
-integral); every other value, from ``entry``, ``items``, ``LinearMap.rows`` or
-the ``sparse_*`` views, is a ``Fraction``.
-Map products and ``Trilinear.map_outputs``, like the sweep engine, take a
-factor as is where the other is 1 rather than multiplying by 1.
+Every scalar is an exact rational; there is no floating point anywhere in the
+package.  ``LinearMap`` and ``Trilinear`` store ``int`` numerators over one
+positive ``int`` denominator ``den``, in lowest terms (no prime divides
+``den`` and every numerator), so equal values have equal fields and hashes.
+Products (``compose``, ``kron``, ``map_outputs``) multiply numerators and
+denominators and reduce once, and the sweep engine in ``algebra`` reads the
+stored form as it is.  ``Fraction`` appears only in values read out (the
+dense ``LinearMap.rows``, ``entry``, ``column``, ``items``, ``pair_vector``),
+in ``Vector`` entries, and in the division inside ``invert`` and
+``kernel_vector``.
 Vectors and tensor contractions also take sparse polynomial entries (see
 ``poly``), which is how universally quantified identities are decided with
 generic elements; a contraction or map application sums the products of each
 output coordinate in one fraction-free accumulation, and a map row with one
 nonzero gives a scalar multiple of one coordinate.
 
-Square matrices keep one sparse, canonical form, the nonzero entries of each
-row and each column (``LinearMap.sparse_rows`` and ``sparse_columns``), for
-equality and hashing, and run every product, application, inverse and
-identity test over it, so a diagonal or permutation map costs its dimension,
-not its square or cube.  The dense matrix ``LinearMap.rows`` is a view built
-on demand, for serialisation and display.
+A square matrix stores the nonzeros of each column (``LinearMap.columns``),
+and every product, application, inverse and identity test runs over them, so
+a diagonal or permutation map costs its dimension, not its square or cube.
+A tensor stores the nonzeros of each first index (``Trilinear.rows``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -56,11 +54,11 @@ def rat(value) -> Fraction:
 
 
 def _over_common_denominator(values: Iterable) -> tuple:
-    """``(numerators, den)``: the rationals ``values`` as ``int`` numerators
-    over ``den``, the least positive common denominator of them all."""
+    """``(numerators, den)``: the rationals ``values`` as an iterator of
+    ``int`` numerators over ``den``, the least positive common denominator."""
     pairs = [q.as_integer_ratio() for q in values]
     den = lcm(*{d for _, d in pairs})
-    return [n if den == d else n * (den // d) for n, d in pairs], den
+    return (n if den == d else n * (den // d) for n, d in pairs), den
 
 
 def _basis_index(k: int, dim: int) -> int:
@@ -153,13 +151,10 @@ class LinearMap:
     """Square matrix over the rationals; column j is the image of basis vector j.
 
     Entry (i, j) is the coefficient of basis vector i in the image of basis
-    vector j (the usual matrix convention).  The stored, canonical form is
-    sparse: ``sparse_rows[i]`` holds the nonzero (j, value) pairs of row i and
-    ``sparse_columns[j]`` the nonzero (i, value) pairs of column j, both in
-    ascending index order.  Equality and hashing read it, and every product,
-    application and identity test runs over it, so a diagonal or permutation
-    map costs its dimension, not its square or cube; ``entry`` and ``column``
-    read it too.  ``rows`` is the dense view, built on first read for output.
+    vector j (the usual matrix convention).  Stored as ``columns[j]``, the
+    (i, numerator) pairs of the nonzeros of column j in ascending i, over
+    ``den``; ``int_rows`` (the same by row) and the dense ``rows`` of
+    ``Fraction`` entries are built on first read.
     """
 
     def __init__(self, rows):
@@ -167,72 +162,72 @@ class LinearMap:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("linear map matrix must be square")
-        self.sparse_rows = tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in rows)
-        self.sparse_columns = _transpose(self.sparse_rows)
+        lines = [[(j, q) for j, q in enumerate(row) if q] for row in rows]
+        numerators, self.den = _over_common_denominator(q for line in lines for _, q in line)
+        self.columns = _transpose([[(j, next(numerators)) for j, _ in line] for line in lines])
 
     @staticmethod
-    def _of_lines(rows: tuple, columns: tuple) -> "LinearMap":
-        """The map with the given sparse rows and columns (nonzero rationals in
-        ascending index order), built without re-coercing its entries."""
+    def _of(columns: tuple, den: int) -> "LinearMap":
+        """The map with these integer columns (nonzero numerators in ascending
+        row order) over ``den``, reduced to lowest terms (no gcd at ``den`` 1)."""
+        g = gcd(den, *(q for line in columns for _, q in line)) if den != 1 else 1
         m = object.__new__(LinearMap)
-        m.sparse_rows, m.sparse_columns = rows, columns
+        m.columns = columns if g == 1 else tuple(tuple((i, q // g) for i, q in line) for line in columns)
+        m.den = den // g
         return m
 
     @property
     def dim(self) -> int:
-        return len(self.sparse_rows)
+        return len(self.columns)
 
     @staticmethod
     def identity(dim: int) -> "LinearMap":
-        return LinearMap.diagonal([_ONE] * dim)
+        return LinearMap._of(tuple(((i, 1),) for i in range(dim)), 1)
 
     @staticmethod
     def zero(dim: int) -> "LinearMap":
-        return LinearMap._of_lines(((),) * dim, ((),) * dim)
+        return LinearMap._of(((),) * dim, 1)
 
     @staticmethod
     def diagonal(values: Iterable) -> "LinearMap":
-        lines = tuple(((i, q),) if q else () for i, q in enumerate(rat(v) for v in values))
-        return LinearMap._of_lines(lines, lines)
+        numerators, den = _over_common_denominator([rat(v) for v in values])
+        return LinearMap._of(tuple(((i, q),) if q else () for i, q in enumerate(numerators)), den)
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """``int_rows[i]``: the (j, numerator) pairs of row i in ascending j."""
+        return _transpose(self.columns)
 
     @cached_property
     def rows(self) -> tuple:
         """The dense matrix: ``rows[i][j]`` is entry (i, j), zeros included."""
-        n = self.dim
-        return tuple(tuple(row.get(j, _ZERO) for j in range(n)) for row in map(dict, self.sparse_rows))
+        n, den = self.dim, self.den
+        return tuple(tuple(Fraction(row[j], den) if j in row else _ZERO for j in range(n))
+                     for row in map(dict, self.int_rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        _basis_index(j, self.dim)
-        return next((q for k, q in self.sparse_rows[_basis_index(i, self.dim)] if k == j), _ZERO)
+        i = _basis_index(i, self.dim)
+        return next((Fraction(q, self.den) for k, q in self.columns[_basis_index(j, self.dim)] if k == i), _ZERO)
 
     def column(self, j: int) -> Vector:
-        line = dict(self.sparse_columns[_basis_index(j, self.dim)])
-        return Vector(tuple(line.get(i, _ZERO) for i in range(self.dim)))
-
-    @cached_property
-    def engine_columns(self) -> tuple:
-        """``(columns, den)``: ``sparse_columns`` with every value an ``int``
-        numerator over the one denominator ``den``, the view the sweep engine
-        reads."""
-        nums, den = _over_common_denominator(q for line in self.sparse_columns for _, q in line)
-        nums = iter(nums)
-        return tuple(tuple((i, next(nums)) for i, _ in line) for line in self.sparse_columns), den
+        line = dict(self.columns[_basis_index(j, self.dim)])
+        return Vector(tuple(Fraction(line[i], self.den) if i in line else _ZERO for i in range(self.dim)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return self.sparse_rows == other.sparse_rows
+        return self.den == other.den and self.columns == other.columns
 
     def __hash__(self):
-        return hash(self.sparse_rows)
+        return hash((self.den, self.columns))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product; generic over the entry ring of ``v``.
 
         A row with one nonzero (j, c) gives the scalar multiple c * v[j] (v[j]
-        itself when c = 1); any other row is one ``poly.sum_of_products``
-        accumulation over its nonzeros that meet a nonzero entry of ``v``.  A
-        zero output coordinate is ``Fraction(0)``.
+        itself when c = 1, and c an ``int`` when integral); any other row is
+        one ``poly.sum_of_products`` accumulation over its nonzeros that meet
+        a nonzero entry of ``v``.  A zero output coordinate is ``Fraction(0)``.
         """
         # imported on use: ``poly`` imports this module, and a process that
         # accumulates nothing (a basis sweep, a spec round trip) never loads it
@@ -240,16 +235,17 @@ class LinearMap:
 
         if self.dim != v.dim:
             raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
-        x = v.entries
+        x, den = v.entries, self.den
         out = []
-        for line in self.sparse_rows:
+        for line in self.int_rows:
             if len(line) == 1:
                 (j, c), = line
                 xj = x[j]
+                c = c if den == 1 else Fraction(c, den) if c % den else c // den
                 out.append((xj if c == 1 else xj * c) if xj else _ZERO)
             else:
-                triples = [(coeff, x[j], 1) for j, coeff in line if x[j]]
-                out.append(poly.sum_of_products(triples) if triples else _ZERO)
+                triples = [(c, x[j], 1) for j, c in line if x[j]]
+                out.append(poly.sum_of_products(triples, den) if triples else _ZERO)
         return Vector(tuple(out))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -257,17 +253,16 @@ class LinearMap:
         product is the sum of other[k][j] times column k of self."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"map dims differ: {self.dim} vs {other.dim}")
-        left = self.sparse_columns
+        left = self.columns
         columns = []
-        for line in other.sparse_columns:
+        for line in other.columns:
             acc: dict = {}
             for k, b in line:
                 for i, a in left[k]:
-                    p = a if b == 1 else b if a == 1 else a * b
-                    acc[i] = acc[i] + p if i in acc else p
+                    v = acc.get(i)
+                    acc[i] = a * b if v is None else v + a * b
             columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
-        columns = tuple(columns)
-        return LinearMap._of_lines(_transpose(columns), columns)
+        return LinearMap._of(tuple(columns), self.den * other.den)
 
     def kron(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product self (x) other on the product basis (i, j) ->
@@ -275,8 +270,8 @@ class LinearMap:
         nonzeros of both factors."""
         d2 = other.dim
         columns = tuple(tuple((i * d2 + j, a * b) for i, a in c1 for j, b in c2)
-                        for c1 in self.sparse_columns for c2 in other.sparse_columns)
-        return LinearMap._of_lines(_transpose(columns), columns)
+                        for c1 in self.columns for c2 in other.columns)
+        return LinearMap._of(columns, self.den * other.den)
 
     def power(self, n: int) -> "LinearMap":
         if n < 0:
@@ -287,23 +282,24 @@ class LinearMap:
         return acc
 
     def is_identity(self) -> bool:
-        return all(line == ((j, _ONE),) for j, line in enumerate(self.sparse_columns))
+        return self.den == 1 and all(line == ((j, 1),) for j, line in enumerate(self.columns))
 
     def _rref(self) -> dict:
-        """Reduced row echelon form of [self | I] by exact Gaussian elimination.
+        """Reduced row echelon form of [numerators | den * I] by exact elimination.
 
-        Rows are sparse, {column: nonzero value}, with the identity block in
+        Rows are sparse, {column: nonzero value}, with the right block in
         columns n..2n-1.  ``holders[c]`` is kept as the set of rows with a
         nonzero in column c < n, so each pivot column finds its pivot (the
         first unused row holding it; with exact arithmetic no magnitude
         pivoting is needed) and the rows to clear from its nonzeros alone, and
         clearing touches only the columns where the pivot row is nonzero.
-        Returns the reduced pivot row of each pivot column; those rows do not
-        depend on the choice of pivots.
+        Values are ``int`` until a pivot row is divided by its pivot.  Returns
+        the reduced pivot row of each pivot column; those rows do not depend
+        on the choice of pivots.
         """
         n = self.dim
-        a = [dict(line) | {n + i: _ONE} for i, line in enumerate(self.sparse_rows)]
-        holders = [{i for i, _ in line} for line in self.sparse_columns]
+        a = [dict(line) | {n + i: self.den} for i, line in enumerate(self.int_rows)]
+        holders = [{i for i, _ in line} for line in self.columns]
         pivot_of_col: dict[int, int] = {}
         used: set = set()
         for col in range(n):
@@ -314,12 +310,13 @@ class LinearMap:
             pivot = a[r]
             p = pivot[col]
             if p != 1:
+                p = Fraction(p)
                 pivot = a[r] = {c: x / p for c, x in pivot.items()}
             for i in holders[col] - {r}:
                 row = a[i]
                 f = row[col]
                 for c, x in pivot.items():
-                    v = row.get(c, _ZERO) - f * x
+                    v = row.get(c, 0) - f * x
                     if v:
                         row[c] = v
                         if c < n:
@@ -333,7 +330,7 @@ class LinearMap:
         return {col: a[r] for col, r in pivot_of_col.items()}
 
     def invert(self) -> "LinearMap":
-        """Exact inverse: the right half of the reduced [self | I].
+        """Exact inverse: the right half of the reduced [numerators | den * I].
 
         Raises SingularMatrixError when a column has no pivot.
         """
@@ -341,8 +338,10 @@ class LinearMap:
         pivots = self._rref()
         if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
-        rows = tuple(tuple(sorted((c - n, x) for c, x in pivots[col].items() if c >= n)) for col in range(n))
-        return LinearMap._of_lines(rows, _transpose(rows))
+        rows = [sorted((c - n, x) for c, x in pivots[col].items() if c >= n) for col in range(n)]
+        den = lcm(*(x.denominator for row in rows for _, x in row))
+        rows = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows]
+        return LinearMap._of(_transpose(rows), den)
 
     def kernel_vector(self) -> Vector | None:
         """A nonzero kernel vector, or None when the map is injective.
@@ -358,14 +357,14 @@ class LinearMap:
         coords = [_ZERO] * n
         coords[free] = _ONE
         for col, row in pivots.items():
-            coords[col] = -row.get(free, _ZERO)
+            coords[col] = -Fraction(row.get(free, 0))
         return Vector(tuple(coords))
 
     def __repr__(self) -> str:
         return "LinearMap[" + "; ".join(" ".join(str(e) for e in row) for row in self.rows) + "]"
 
 
-def _transpose(lines: tuple) -> tuple:
+def _transpose(lines) -> tuple:
     """Sparse rows to sparse columns, or back: entry (i, j) of ``lines`` becomes (j, i)."""
     out: list = [[] for _ in lines]
     for i, line in enumerate(lines):
@@ -382,13 +381,13 @@ class Trilinear:
     """Structure constants of a bilinear operation on a based space.
 
     ``entry(i, j, k)`` is the coefficient of basis vector k in op(e_i, e_j).
-    Stored sparsely as a map from (i, j, k) to nonzero rationals; catalog
-    tensors have a handful of entries even in dimension 9 or 16.  The sweep
-    engine reads ``rows``, the same entries grouped by first index as ``int``
-    numerators over ``den``, built with the tensor.
+    Stored sparsely, as catalog tensors have a handful of entries even in
+    dimension 9 or 16: ``rows[i]`` holds the sorted (j, k, numerator) triples
+    of the nonzero entries with first index i (no key for an index without
+    one, keys ascending), and entry (i, j, k) is numerator / ``den``.
     """
 
-    __slots__ = ("dim", "_entries", "rows", "den")
+    __slots__ = ("dim", "rows", "den")
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
@@ -397,52 +396,54 @@ class Trilinear:
         for (i, j, k), value in dict(entries).items():  # a repeated index keeps its last value
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-            q = rat(value)
-            if q != 0:
-                data[(i, j, k)] = q
-        self._fill(dim, data)
+            data[(i, j, k)] = rat(value)
+        numerators, den = _over_common_denominator(data.values())
+        Trilinear._of(dim, dict(zip(data, numerators)), den, self)
 
     @staticmethod
-    def _of(dim: int, data: dict) -> "Trilinear":
-        """The tensor with these entries (in range, nonzero rationals), not coerced again."""
-        t = object.__new__(Trilinear)
-        t._fill(dim, data)
+    def _of(dim: int, data: dict, den: int, t: "Trilinear | None" = None) -> "Trilinear":
+        """The tensor with entry (i, j, k) = ``data[i, j, k] / den`` (``int``
+        numerators, indices in range), stored in ``t`` or a new tensor: zero
+        numerators dropped, in index order, in lowest terms (no gcd at ``den`` 1)."""
+        g = gcd(den, *data.values()) if den != 1 else 1
+        rows: dict = {}
+        for (i, j, k), q in sorted(data.items()):
+            if q:
+                rows.setdefault(i, []).append((j, k, q if g == 1 else q // g))
+        t = object.__new__(Trilinear) if t is None else t
+        t.dim, t.den, t.rows = dim, den // g, {i: tuple(row) for i, row in rows.items()}
         return t
-
-    def _fill(self, dim: int, data: dict) -> None:
-        self.dim = dim
-        self._entries = data
-        # rows[i]: the (j, k, numerator) entries with first index i, read by
-        # the sweep engine: entry (i, j, k) is numerator / den
-        nums, self.den = _over_common_denominator(data.values())
-        self.rows = rows = {}
-        for (i, j, k), q in zip(data, nums):
-            rows.setdefault(i, []).append((j, k, q))
 
     @staticmethod
     def zero(dim: int) -> "Trilinear":
         return Trilinear(dim)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> tuple:
+        """The ((i, j, k), value) pairs of the nonzero entries in index order,
+        each value a ``Fraction``."""
+        den = self.den
+        return tuple(((i, j, k), Fraction(q, den)) for i, row in self.rows.items() for j, k, q in row)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self._entries.get((i, j, k), _ZERO)
+        row = self.rows.get(_basis_index(i, self.dim), ())
+        jk = (_basis_index(j, self.dim), _basis_index(k, self.dim))
+        return next((Fraction(q, self.den) for jj, kk, q in row if (jj, kk) == jk), _ZERO)
 
     def pair_vector(self, i: int, j: int) -> Vector:
         """op(e_i, e_j)."""
+        j = _basis_index(j, self.dim)
         out = [_ZERO] * self.dim
-        for jj, k, _ in self.rows.get(i, ()):
+        for jj, k, q in self.rows.get(_basis_index(i, self.dim), ()):
             if jj == j:
-                out[k] = self._entries[i, j, k]
+                out[k] = Fraction(q, self.den)
         return Vector(tuple(out))
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self.rows
 
     def with_entry(self, i: int, j: int, k: int, value) -> "Trilinear":
         """Copy with one structure constant replaced (used to corrupt tensors in tests)."""
-        return Trilinear(self.dim, [*self._entries.items(), ((i, j, k), value)])
+        return Trilinear(self.dim, [*self.items(), ((i, j, k), value)])
 
     def kron(self, other: "Trilinear") -> "Trilinear":
         """Kronecker product: op(x1 (x) x2, y1 (x) y2) = self(x1, y1) (x)
@@ -451,29 +452,29 @@ class Trilinear:
         d2 = other.dim
         return Trilinear._of(self.dim * d2, {
             (i * d2 + j, k * d2 + l, p * d2 + r): q1 * q2
-            for (i, k, p), q1 in self._entries.items()
-            for (j, l, r), q2 in other._entries.items()})
+            for i, row1 in self.rows.items() for k, p, q1 in row1
+            for j, row2 in other.rows.items() for l, r, q2 in row2}, self.den * other.den)
 
     def map_outputs(self, m: LinearMap) -> "Trilinear":
         """Post-compose with a linear map: structure constants of m(op(x, y))."""
         if m.dim != self.dim:
             raise DimensionMismatch(f"map dim {m.dim} vs tensor dim {self.dim}")
-        data: dict[tuple[int, int, int], Fraction] = {}
-        cols = m.sparse_columns
-        for (i, j, k), q in self._entries.items():
-            for out_idx, coeff in cols[k]:
-                key = (i, j, out_idx)
-                p = q if coeff == 1 else coeff if q == 1 else coeff * q
-                v = data.get(key)
-                data[key] = p if v is None else v + p
-        return Trilinear._of(self.dim, {key: q for key, q in data.items() if q})
+        data: dict = {}
+        cols = m.columns
+        for i, row in self.rows.items():
+            for j, k, q in row:
+                for out_idx, coeff in cols[k]:
+                    key = (i, j, out_idx)
+                    v = data.get(key)
+                    data[key] = q * coeff if v is None else v + q * coeff
+        return Trilinear._of(self.dim, data, self.den * m.den)
 
     def contract(self, x: Vector, y: Vector) -> Vector:
         """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k].
 
         Generic over the entry ring of x and y (rationals or polynomials): the
-        (c[i][j][k], x_i, y_j) triples with nonzero x_i and y_j are grouped by
-        k, and each group is summed in one accumulation by
+        (numerator, x_i, y_j) triples with nonzero x_i and y_j are grouped by
+        k, and each group is summed over ``den`` in one accumulation by
         ``poly.sum_of_products``.
         """
         from . import poly  # imported on use, as in ``LinearMap.apply``
@@ -483,23 +484,24 @@ class Trilinear:
                 f"tensor dim {self.dim} vs vectors {x.dim}, {y.dim}")
         xs, ys = x.entries, y.entries
         groups: dict[int, list] = {}
-        for (i, j, k), q in self._entries.items():
-            xi, yj = xs[i], ys[j]
-            if xi and yj:
-                groups.setdefault(k, []).append((q, xi, yj))
+        for i, row in self.rows.items():
+            for j, k, q in row:
+                xi, yj = xs[i], ys[j]
+                if xi and yj:
+                    groups.setdefault(k, []).append((q, xi, yj))
         out = [_ZERO] * self.dim
         for k, triples in groups.items():
-            out[k] = poly.sum_of_products(triples)
+            out[k] = poly.sum_of_products(triples, self.den)
         return Vector(tuple(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trilinear):
             return NotImplemented
-        return self.dim == other.dim and self._entries == other._entries
+        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._entries.items())))
+        return hash((self.dim, self.den, tuple(self.rows.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{ijk}: {q}" for ijk, q in sorted(self._entries.items()))
+        body = ", ".join(f"{ijk}: {q}" for ijk, q in self.items())
         return f"Trilinear(dim={self.dim}, {{{body}}})"

@@ -332,17 +332,17 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def sum_of_products(triples: Iterable) -> Polynomial | Fraction:
-    """The sum of q * a * b over (q, a, b) triples: q rational, a and b
-    rationals or polynomials on one generator list.
+def sum_of_products(triples: Iterable, den: int = 1) -> Polynomial | Fraction:
+    """The sum of q * a * b over (q, a, b) triples, over ``den``: q rational,
+    a and b rationals or polynomials on one generator list.
 
     Every product is accumulated into one integer term dict over the lcm of
-    the triples' denominators, which is reduced once.  The sum is a
-    ``Fraction`` when no polynomial takes part.
+    the triples' denominators times ``den`` over its gcd with every q, and
+    reduced once.  The sum is a ``Fraction`` when no polynomial takes part.
     """
     generators = None
     parts = []
-    den = 1
+    common, g = 1, den
     for q, a, b in triples:
         d = q.denominator
         if isinstance(a, Polynomial):
@@ -356,18 +356,19 @@ def sum_of_products(triples: Iterable) -> Polynomial | Fraction:
         else:
             tb, d = {0: b.numerator}, d * b.denominator
         parts.append((q.numerator, d, ta, tb.items()))
-        den = lcm(den, d)
+        common = lcm(common, d)
+        g = gcd(g, q.numerator) if g != 1 else 1
     terms: dict[int, int] = {}
     get = terms.get
     for c, d, ta, right in parts:
-        c *= den // d
+        c = c // g * (common // d)
         for e1, n1 in ta.items():
             n1 *= c
             for e2, n2 in right:
                 e = e1 + e2
                 terms[e] = get(e, 0) + n1 * n2
     if generators is None:
-        return Fraction(terms.get(0, 0), den)
+        return Fraction(terms.get(0, 0), den // g * common)
     # Every key is the sum of two valid keys, so an exponent past the limit
     # shows as a set guard bit and has not carried into the next field.
     if reduce(or_, terms, 0) & _guard(len(generators)):
@@ -376,7 +377,7 @@ def sum_of_products(triples: Iterable) -> Polynomial | Fraction:
         terms = {e: n for e, n in terms.items() if n}
     if len(terms) > MAX_TERMS:
         raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-    return _reduced(generators, terms, den)
+    return _reduced(generators, terms, den // g * common)
 
 
 def _same(generators: tuple | None, other: tuple) -> tuple:

@@ -15,8 +15,10 @@ scalar multiples, with no accumulation, and the sweep engine and
 ``Trilinear.map_outputs`` store the first contribution to an entry as it is
 and, with ``LinearMap.compose``, take a factor as is where the other is 1.
 The sweep engine computes on ``int`` numerators over one denominator per
-form, so a sweep does no ``Fraction`` arithmetic at all: it only constructs
-the ``Fraction`` values of its witnesses.
+form, and maps and tensors store theirs the same way, so a sweep does no
+``Fraction`` arithmetic at all (it only constructs the ``Fraction`` values of
+its witnesses), and neither do the constructions built from map and tensor
+products and tabulated formulas.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import pytest
 from hompoisson import poly
 from hompoisson.algebra import check_morphism, check_multiplicative
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
-from hompoisson.constructions import check_admissible, commutator_poisson, depolarize, tensor, twist
+from hompoisson.constructions import check_admissible, commutator_poisson, depolarize, polarize, tensor, twist
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
 from hompoisson.linalg import LinearMap, Vector
 
@@ -116,9 +118,9 @@ def accumulations(monkeypatch):
     calls = []
     original = poly.sum_of_products
 
-    def counted(triples):
+    def counted(*args):
         calls.append(1)
-        return original(triples)
+        return original(*args)
 
     monkeypatch.setattr(poly, "sum_of_products", counted)
     return calls
@@ -231,3 +233,21 @@ def test_sweeps_do_no_fraction_arithmetic(fraction_arithmetic):
     assert not admissible.passed
     assert any(q.denominator > 1 for w in admissible.witnesses for q in w.residual.entries)
     assert fraction_arithmetic == []
+
+
+def test_constructions_do_no_fraction_arithmetic(fraction_arithmetic):
+    # twist runs map_outputs and compose, a power composes, a tensor product
+    # runs both kron and tabulate, and polarize and depolarize tabulate, here
+    # on denominators 2, 3 and 4; invert and kernel_vector divide, and are
+    # left out
+    beta = conjugation_morphism(3)
+    algebra = commutator_poisson(matrix_algebra(3))
+    factors = heisenberg_p31(Fraction(1, 2)), heisenberg_p31(Fraction(2, 3))
+    fraction_arithmetic.clear()
+    twisted = twist(algebra, beta, force=True)
+    cube = beta.power(3)
+    product = tensor(*factors)
+    split = polarize(depolarize(twisted))
+    assert fraction_arithmetic == []
+    assert cube.entry(1, 1) == Fraction(1, 8) and twisted.alpha == beta
+    assert product.mu.entry(0, 4, 8) == Fraction(1, 3) and split.alpha == beta

@@ -185,8 +185,8 @@ def dense_op(T):
     return Dense(n, (((i, j, k), T[i][j][k]) for i, j, k in itertools.product(range(n), repeat=3)))
 
 
-def assert_engine_view(numerators, den, values):
-    """The engine's ``int`` numerators over ``den`` reproduce ``values``, and
+def assert_lowest_terms(numerators, den, values):
+    """The stored ``int`` numerators over ``den`` reproduce ``values``, and
     ``den`` is their least positive common denominator: a common denominator
     is least exactly when it shares no factor with all the numerators (1 when
     every value is integral)."""
@@ -197,19 +197,27 @@ def assert_engine_view(numerators, den, values):
 
 
 def assert_stored_form(t, expected):
-    """t equals the dense array, stores no zero, reads its values as int
-    numerators over its least common denominator in ``rows`` and as Fraction
-    everywhere else, and round-trips."""
+    """t equals the dense array, stores its nonzero entries as sorted int
+    numerators over its least common denominator in ``rows`` and reads them
+    as Fraction everywhere else, and has the fields and hash of the tensor
+    rebuilt from its entries."""
     dense = dense_tensor(t)
     assert dense == expected
     assert all(type(q) is Fraction for plane in dense for fibre in plane for q in fibre)
     assert all(q != 0 and type(q) is Fraction for _, q in t.items())
-    engine = sorted((i, j, k, q) for i, row in t.rows.items() for j, k, q in row)
-    public = sorted((i, j, k, q) for (i, j, k), q in t.items())
-    assert [ijkq[:3] for ijkq in engine] == [ijkq[:3] for ijkq in public]
-    assert_engine_view([q for *_, q in engine], t.den, [q for *_, q in public])
-    again = Trilinear(t.dim, dict(t.items()))
-    assert t == again and hash(t) == hash(again)
+    stored = [(i, j, k, q) for i, row in t.rows.items() for j, k, q in row]
+    assert stored == sorted(stored) and all(t.rows.values())
+    public = [(i, j, k, q) for (i, j, k), q in t.items()]
+    assert [ijkq[:3] for ijkq in stored] == [ijkq[:3] for ijkq in public]
+    assert_lowest_terms([q for *_, q in stored], t.den, [q for *_, q in public])
+    assert_same_fields(t, Trilinear(t.dim, dict(t.items())))
+
+
+def assert_same_fields(a, b):
+    """a and b are equal maps or equal tensors with equal fields and hashes."""
+    assert a == b and hash(a) == hash(b)
+    names = ("columns", "den") if isinstance(a, LinearMap) else ("dim", "rows", "den")
+    assert [getattr(a, name) for name in names] == [getattr(b, name) for name in names]
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,8 +352,7 @@ def test_compose_power_and_identity_match_dense_oracle(data):
     ident = dense_identity(n)
     product = m.compose(other)
     assert product.rows == mat_mul(a, b)
-    assert product.sparse_columns == LinearMap(mat_mul(a, b)).sparse_columns
-    assert product.sparse_rows == LinearMap(mat_mul(a, b)).sparse_rows
+    assert_same_fields(product, LinearMap(mat_mul(a, b)))
     k = data.draw(st.integers(0, 4), label="power")
     expected = ident
     for _ in range(k):
@@ -364,9 +371,7 @@ def test_kron_matches_dense_oracle(data):
     expected = LinearMap(dense_kron(dense_matrix(m1), dense_matrix(m2)))
     product = m1.kron(m2)
     assert product.rows == expected.rows
-    assert product.sparse_rows == expected.sparse_rows
-    assert product.sparse_columns == expected.sparse_columns
-    assert hash(product) == hash(expected)
+    assert_same_fields(product, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,7 +379,8 @@ def test_kron_matches_dense_oracle(data):
 def test_trilinear_kron_matches_dense_oracle(d1, d2, fill, seed):
     rng = random.Random(seed)
     t1, t2 = random_tensor(rng, d1, fill), random_tensor(rng, d2, fill)
-    assert dense_tensor(t1.kron(t2)) == dense_tensor_kron(dense_tensor(t1), dense_tensor(t2))
+    expected = dense_tensor_kron(dense_tensor(t1), dense_tensor(t2))
+    assert_stored_form(t1.kron(t2), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,8 +409,7 @@ def test_invert_and_kernel_match_dense_oracle(data):
         assert all(q == 0 for q in apply(a, list(kernel.entries)))
     else:
         assert mat_mul(a, dense_matrix(inv)) == dense_identity(n) == mat_mul(dense_matrix(inv), a)
-        assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
-        assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
+        assert_same_fields(inv, LinearMap(inv.rows))
         assert m.kernel_vector() is None
 
 
@@ -459,19 +464,25 @@ def check_apply(m, a, x):
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_stored_form_matches_dense_oracle_however_built(data):
-    """The sparse stored form of a map built any way agrees with the dense
-    matrix: the dense view, entries, columns, application, and equality and
-    hashing with the map rebuilt from its dense rows."""
+    """The stored form of a map built any way agrees with the dense matrix:
+    its integer columns over ``den`` are in lowest terms and reproduce every
+    nonzero entry, and the dense view, entries, columns, application, fields
+    and hash agree with the oracle and with the map rebuilt from its dense
+    rows."""
     how, m, a = data.draw(built_maps(), label="map")
     n = len(a)
     assert m.dim == n
+    stored = [(i, j, q) for j, line in enumerate(m.columns) for i, q in line]
+    assert all(list(line) == sorted(line) for line in m.columns)
+    expected = [(i, j, a[i][j]) for j in range(n) for i in range(n) if a[i][j]]
+    assert [ijq[:2] for ijq in stored] == [ijq[:2] for ijq in expected]
+    assert_lowest_terms([q for *_, q in stored], m.den, [q for *_, q in expected])
+    assert m.int_rows == tuple(tuple((j, q) for i2, j, q in sorted(stored) if i2 == i) for i in range(n))
     assert m.rows == a
     assert all(type(q) is Fraction for row in m.rows for q in row)
     assert [[m.entry(i, j) for j in range(n)] for i in range(n)] == [list(row) for row in a]
     assert [m.column(j) for j in range(n)] == [Vector(tuple(row[j] for row in a)) for j in range(n)]
-    rebuilt = LinearMap(m.rows)
-    assert m == rebuilt and hash(m) == hash(rebuilt)
-    assert m.sparse_rows == rebuilt.sparse_rows and m.sparse_columns == rebuilt.sparse_columns
+    assert_same_fields(m, LinearMap(m.rows))
     check_apply(m, a, data.draw(st.lists(sparse_entries, min_size=n, max_size=n), label="x"))
     # generic coordinates, some replaced by the rational or the polynomial zero
     generic = generic_element(n).entries
@@ -499,8 +510,7 @@ def test_invert_and_kernel_at_dim_81():
         m = LinearMap(tuple(map(tuple, a)))
         inv = m.invert()
         assert inv.rows == tuple(map(tuple, expected))
-        assert inv.sparse_rows == LinearMap(inv.rows).sparse_rows
-        assert inv.sparse_columns == LinearMap(inv.rows).sparse_columns
+        assert_same_fields(inv, LinearMap(inv.rows))
         for x in probes:
             assert apply(a, apply(dense_matrix(inv), x)) == x
         assert m.kernel_vector() is None
@@ -540,26 +550,77 @@ def test_entry_and_column_read_the_sparse_form():
         assert "rows" not in vars(m)
 
 
-def test_engine_views_hold_ints_and_public_values_stay_fractions():
-    """The sweep engine reads int numerators over one least common
-    denominator per map or tensor; every public value is a Fraction."""
+def test_stored_form_holds_int_numerators_over_one_denominator():
+    """Maps and tensors store int numerators over their least common
+    denominator, and the sweep engine reads them as they are; every value
+    read out is a Fraction."""
     m = LinearMap(((2, "1/2"), (0, "-1/3")))
-    columns, den = m.engine_columns
-    assert den == 6 and columns == (((0, 12),), ((0, 3), (1, -2)))
-    assert [i for line in columns for i, _ in line] == [i for line in m.sparse_columns for i, _ in line]
-    assert_engine_view([q for line in columns for _, q in line], den,
-                       [q for line in m.sparse_columns for _, q in line])
-    assert LinearMap(((2, 4), (0, -1))).engine_columns == ((((0, 2),), ((0, 4), (1, -1))), 1)
-    assert LinearMap.zero(2).engine_columns == (((), ()), 1)
+    assert m.den == 6 and m.columns == (((0, 12),), ((0, 3), (1, -2)))
+    assert m.int_rows == (((0, 12), (1, 3)), ((1, -2),))
+    assert_lowest_terms([q for line in m.columns for _, q in line], m.den,
+                        [Fraction(2), Fraction(1, 2), Fraction(-1, 3)])
+    integral, zero = LinearMap(((2, 4), (0, -1))), LinearMap.zero(2)
+    assert integral.den == 1 and integral.columns == (((0, 2),), ((0, 4), (1, -1)))
+    assert zero.den == 1 and zero.columns == ((), ())
     t = Trilinear(2, {(0, 1, 0): 3, (0, 1, 1): "2/3", (1, 0, 0): Fraction(4, 2), (1, 1, 1): "-5/4"})
-    assert t.den == 12 and t.rows == {0: [(1, 0, 36), (1, 1, 8)], 1: [(0, 0, 24), (1, 1, -15)]}
-    assert_engine_view([q for row in t.rows.values() for _, _, q in row], t.den, [q for _, q in t.items()])
+    assert t.den == 12 and t.rows == {0: ((1, 0, 36), (1, 1, 8)), 1: ((0, 0, 24), (1, 1, -15))}
+    assert_lowest_terms([q for row in t.rows.values() for _, _, q in row], t.den, [q for _, q in t.items()])
     assert Trilinear(2, {(0, 1, 0): 3, (1, 0, 0): Fraction(4, 2)}).den == 1 and Trilinear.zero(2).den == 1
     assert all(type(q) is Fraction for _, q in t.items())
-    assert all(type(q) is Fraction for line in m.sparse_rows + m.sparse_columns for _, q in line)
+    assert all(type(q) is Fraction for row in m.rows for q in row)
     assert t.pair_vector(0, 1) == Vector.of(3, "2/3")
     assert all(type(q) is Fraction for q in t.pair_vector(0, 1).entries + t.pair_vector(1, 0).entries)
     assert type(t.entry(1, 0, 0)) is Fraction and type(m.entry(0, 0)) is Fraction
+    assert type(m.column(1).entries[1]) is Fraction
+
+
+def test_equal_values_have_equal_fields_however_built():
+    """Products that reduce, down to values of 1, store the same fields as
+    the same values given directly."""
+    half_three, two_third = LinearMap.diagonal((Fraction(1, 2), 3)), LinearMap.diagonal((2, Fraction(1, 3)))
+    product = half_three.compose(two_third)
+    assert product.is_identity() and product.den == 1
+    for m in (product, two_third.compose(half_three), LinearMap(((1, 0), (0, 1))),
+              LinearMap.diagonal((1, 1)), two_third.invert().compose(half_three.invert())):
+        assert_same_fields(m, LinearMap.identity(2))
+    assert_same_fields(two_third.invert(), half_three)
+    assert_same_fields(LinearMap.diagonal((Fraction(1, 2),)).kron(LinearMap.diagonal((2, 4))),
+                       LinearMap.diagonal((1, 2)))
+    t = Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 1, 1): 3})
+    ones = Trilinear(2, {(0, 1, 0): 1, (1, 1, 1): 1})
+    assert_same_fields(t.map_outputs(two_third), ones)
+    assert_same_fields(tabulate(2, lambda E, m, s, x, y: E.ap(m, E.op(s, x, y)), two_third, t), ones)
+    half, scaled = Trilinear(1, {(0, 0, 0): Fraction(1, 2)}), Trilinear(2, {(0, 1, 0): 1, (1, 1, 1): 6})
+    assert_same_fields(half.kron(scaled), t)
+    assert_same_fields(ones.map_outputs(half_three), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from((0.3, 1.0)), st.integers(0, 2 ** 16), st.data())
+def test_tensors_round_trip_to_equal_fields(n, fill, seed, data):
+    """A tensor pushed through an invertible map and back, or tabulated
+    again, stores the fields of the tensor itself."""
+    t = random_tensor(random.Random(seed), n, fill)
+    m = data.draw(maps(n, ("diagonal", "permutation", "dense")), label="m")
+    assume(m.kernel_vector() is None)
+    assert_same_fields(t.map_outputs(m).map_outputs(m.invert()), t)
+    assert_same_fields(tabulate(n, lambda E, s, x, y: E.op(s, x, y), t), t)
+    a, T = dense_matrix(m), dense_tensor(t)
+    assert_stored_form(t.map_outputs(m), [[apply(a, T[i][j]) for j in range(n)] for i in range(n)])
+
+
+def test_tensor_indices_are_range_checked():
+    """``Trilinear.entry`` and ``pair_vector`` raise IndexError for an index
+    outside 0..dim-1, as ``LinearMap.entry`` and ``Vector.unit`` do."""
+    from hompoisson.catalog import heisenberg_p31
+    mu = heisenberg_p31(1).mu
+    assert mu.entry(0, 1, 2) == 1 and mu.pair_vector(1, 0) == Vector.of(0, 0, 1)
+    for bad in ((5, 0, 0), (-1, 0, 2), (0, 3, 0), (0, -1, 2), (0, 1, 3), (0, 1, -1)):
+        with pytest.raises(IndexError):
+            mu.entry(*bad)
+    for bad in ((7, -2), (3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            mu.pair_vector(*bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,7 +648,7 @@ def test_compose_is_self_after_other():
     assert shear.compose(flip).apply(v) == shear.apply(flip.apply(v)) == Vector.of(7, 2)
     # entries that cancel leave no explicit zeros behind
     unshear = LinearMap(((1, -1), (0, 1)))
-    assert shear.compose(unshear).sparse_columns == (((0, Fraction(1)),), ((1, Fraction(1)),))
+    assert shear.compose(unshear).columns == (((0, 1),), ((1, 1),)) and shear.compose(unshear).den == 1
     assert shear.compose(unshear).is_identity()
 
 
