@@ -6,15 +6,16 @@ is stated once, as a function of an evaluator that supplies the bilinear
 operation and the linear map, and runs on three evaluators: ``VECTORS`` on
 given vectors (the element-level functions, through ``Trilinear.contract``
 and ``LinearMap.apply``), ``poisson_poly.POLYNOMIALS`` on polynomials, and
-the sweep engine on all basis tuples (``sweep``, behind ``check_*``) or
-pairs (``tabulate``).  Every identity is multilinear in the algebra
-arguments, so vanishing on all basis tuples is equivalent to vanishing
-identically.  A check lets its arguments range over the basis at once and
-computes the residuals of all their tuples by sparse composition of the
-structure constants.  A three-argument check takes its first argument in
-doubling blocks of basis vectors (1, 2, 4, ...), one evaluation per block,
-and stops after the block that holds the tenth failing tuple.  ``tabulate``
-builds an operation by reading the structure constants off a bilinear formula.
+``_Sweep`` on forms: on all basis tuples (``sweep``, behind ``check_*``) or
+pairs (``tabulate``), and on the generic element of ``hompower``.  Every
+identity is multilinear in the algebra arguments, so vanishing on all basis
+tuples is equivalent to vanishing identically.  A check lets its arguments
+range over the basis at once and computes the residuals of all their tuples
+by sparse composition of the structure constants.  A three-argument check
+takes its first argument in doubling blocks of basis vectors (1, 2, 4, ...),
+one evaluation per block, and stops after the block that holds the tenth
+failing tuple.  ``tabulate`` builds an operation by reading the structure
+constants off a bilinear formula.
 
 An identity may declare exact symmetries of its arguments beside its
 statement (``symmetric``): ``jacobian``, a cyclic sum, its two rotations, and
@@ -33,33 +34,31 @@ indices, the first ``MAX_WITNESSES`` that are not zero become the witnesses
 with their exact values, reading stops there, and the check passes when
 there are none.
 
-The sweep engine (``_Form``, ``_contract``, ``_apply``, ``sweep``) computes
-on ``int`` only, in the stored form of maps and tensors (see ``linalg``):
-every form holds ``int`` numerators over one positive ``int`` denominator
-``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are read as they
-are.  Products multiply numerators and denominators, and a sum or difference
-brings its two terms to the lcm of their denominators.  A numerator is zero
-exactly when its value is, so a sweep never reduces a fraction;
-``Fraction(numerator, den)`` is formed only in a witness residual, and
-``tabulate`` hands its numerators and denominator to the tensor it builds.
-Every accumulation stores the first contribution to an entry as it is and
-adds only where a value is already held, and a difference of forms subtracts
-rather than adding a negation.  A product with a factor equal to 1 is not
-formed: the other factor is taken as is.
+The sweep engine (``_Sweep``, ``sweep``) runs the one contraction kernel of
+``linalg`` (``_Form``, ``_contract``, ``_apply``), whose codes here number
+basis tuples.  It computes on ``int`` only, in the stored form of maps and
+tensors: every form holds ``int`` numerators over one positive ``int``
+denominator ``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are
+read as they are.  Products multiply numerators and denominators, and a sum
+or difference brings its two terms to the lcm of their denominators.  A
+numerator is zero exactly when its value is, so a sweep never reduces a
+fraction; ``Fraction(numerator, den)`` is formed only in a witness residual,
+and ``tabulate`` hands its numerators and denominator to the tensor it
+builds.  Every accumulation stores the first contribution to an entry as it
+is and adds only where a value is already held, and a difference of forms
+subtracts rather than adding a negation.  A product with a factor equal to 1
+is not formed: the other factor is taken as is.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Trilinear, Vector
+from .linalg import LinearMap, Trilinear, Vector, _Form, _apply, _contract, _vector_of
 
 MAX_WITNESSES = 10
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,117 +306,10 @@ def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Ve
 # Basis sweeps: identities on sparse forms
 # ---------------------------------------------------------------------------
 
-class _Form:
-    """A multilinear map from a sweep's free basis slots to the space.
-
-    ``cols[n][code] / den`` is the coefficient of basis vector n at the free
-    basis indices whose mixed-radix number is ``code`` (so sorted codes are
-    in lexicographic order); ``cols`` holds ``int`` numerators, and a stored
-    numerator may be zero.  ``slots`` has bit s set when the form is linear
-    in argument s of the sweep; a form without bit 0 is free of the first
-    argument, so it is the same in every block of the sweep.
-    """
-
-    __slots__ = ("cols", "slots", "den")
-
-    def __init__(self, cols: dict, slots: int, den: int = 1):
-        self.cols = cols
-        self.slots = slots
-        self.den = den
-
-    def _merge(self, other: "_Form", negate: bool) -> "_Form":
-        """self + other or self - other over the lcm of their denominators,
-        each side scaled to it only when its factor is not 1."""
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        if fa == 1:
-            cols = {n: dict(col) for n, col in self.cols.items()}
-        else:
-            cols = {n: {code: fa * q for code, q in col.items()} for n, col in self.cols.items()}
-        for n, col in other.cols.items():
-            if fb != 1:
-                col = {code: fb * q for code, q in col.items()}
-            acc = cols.setdefault(n, {})
-            for code, q in col.items():
-                v = acc.get(code)
-                if v is None:
-                    if q:
-                        acc[code] = -q if negate else q
-                    continue
-                total = v - q if negate else v + q
-                if total:
-                    acc[code] = total
-                else:
-                    del acc[code]
-        return _Form(cols, self.slots | other.slots, den)
-
-    def __add__(self, other: "_Form") -> "_Form":
-        return self._merge(other, False)
-
-    def __sub__(self, other: "_Form") -> "_Form":
-        return self._merge(other, True)
-
-    def __rmul__(self, c) -> "_Form":
-        """The rational ``c`` times the form: numerators times its numerator
-        (none when that is 1), the denominator times its denominator."""
-        cols, a = self.cols, c.numerator
-        if a != 1:
-            cols = {n: {code: a * q for code, q in col.items()} for n, col in cols.items()}
-        return _Form(cols, self.slots, self.den * c.denominator)
-
-
-def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
-    """t(a, b): the free slots of a and b are disjoint, so their codes add,
-    and the numerators multiply over ``t.den * a.den * b.den``.  A factor
-    equal to 1 is not multiplied by: the other is taken as is."""
-    out: dict = {}
-    bcols = b.cols
-    for i, acol in a.cols.items():
-        for j, k, q in t.rows.get(i, ()):
-            bcol = bcols.get(j)
-            if bcol is None:
-                continue
-            col = out.setdefault(k, {})
-            unit = q == 1
-            for ca, qa in acol.items():
-                f = qa if unit else q if qa == 1 else q * qa
-                if f == 1:
-                    for cb, qb in bcol.items():
-                        code = ca + cb
-                        v = col.get(code)
-                        col[code] = qb if v is None else v + qb
-                    continue
-                for cb, qb in bcol.items():
-                    code = ca + cb
-                    p = f if qb == 1 else f * qb
-                    v = col.get(code)
-                    col[code] = p if v is None else v + p
-    return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
-
-
-def _apply(m: LinearMap, a: _Form) -> _Form:
-    """m(a) over ``m.den * a.den``, taking a numerator as is where the other
-    factor is 1."""
-    out: dict = {}
-    columns = m.columns
-    for j, acol in a.cols.items():
-        for i, coeff in columns[j]:
-            col = out.setdefault(i, {})
-            if coeff == 1:
-                for code, q in acol.items():
-                    v = col.get(code)
-                    col[code] = q if v is None else v + q
-                continue
-            for code, q in acol.items():
-                p = coeff if q == 1 else coeff * q
-                v = col.get(code)
-                col[code] = p if v is None else v + p
-    return _Form(out, a.slots, m.den * a.den)
-
-
 class _Sweep:
     """Evaluator on forms.  Within one sweep it memoises the subterms that do
-    not vary from block to block (those free of the first argument).
+    not vary from block to block (those free of the first argument); outside
+    a sweep (``_Sweep()``), every product of forms with no slots.
 
     When ``sweep`` evaluates orbit representatives, the arguments in the
     bitmask ``narrow`` take only the basis vectors from ``lo`` on.  The
@@ -533,22 +425,14 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
                 indices = _indices(code, dim, arity)
                 r = known.get(code)
                 if r is None:
-                    r = _residual_vector(block[code], form.den, dim)
+                    cols = {n: {0: q} for n, q in block[code].items()}
+                    r = _vector_of(_Form(cols, den=form.den), dim, None)
                     if symmetries:
                         found.append((indices, r))
                 yield indices, r
             lo, size = hi, 2 * size
 
     return make_report(identity, cases())
-
-
-def _residual_vector(entries: dict, den: int, dim: int) -> Vector:
-    """The witness residual with coordinates ``entries`` (index -> engine
-    numerator) over ``den``, every coordinate a ``Fraction``."""
-    coords = [_ZERO] * dim
-    for n, q in entries.items():
-        coords[n] = Fraction(q, den)
-    return Vector(tuple(coords))
 
 
 def tabulate(dim: int, formula, *operands) -> Trilinear:

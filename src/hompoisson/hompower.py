@@ -4,15 +4,18 @@ Power identities are not multilinear, so basis sweeps do not decide them.
 Instead an element with independent polynomial coordinates t_1..t_dim is
 pushed through the power recursion; a residual that is the zero polynomial
 vector proves the identity for every element over an infinite coefficient
-field, exactly.
+field, exactly.  The recursion runs on the contraction kernel of ``linalg``
+through the evaluator on forms (``algebra._Sweep``): the two sides of an
+identity are compared as forms, and only a nonzero residual is read back
+into polynomials, for its witness.
 """
 
 from __future__ import annotations
 
-from .algebra import VECTORS, CheckReport, check_multiplicative, commutativity, make_report
+from .algebra import CheckReport, _Sweep, check_multiplicative, commutativity, make_report
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import LinearMap, Vector
-from .poly import Polynomial
+from .linalg import LinearMap, Vector, _form_of, _vector_of
+from .poly import Polynomial, _check_power
 
 # Desk-scale guards: generic n-th powers in dimension d are polynomials of
 # degree n in d variables; past these bounds the run is refused outright.
@@ -30,44 +33,52 @@ def hom_power(algebra, x: Vector, n: int) -> Vector:
     """n-th twisted power: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
     if n < 1:
         raise ValueError("twisted powers start at exponent 1")
+    _, table, _, generators = _power_table(algebra, x, n, n)
+    return _vector_of(table[n], algebra.dim, generators)
+
+
+def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
+    """The evaluator on forms, the forms of the twisted powers x^1..x^n
+    (index 0 unused), the twisting-map powers alpha^0..alpha^(n-1) that they
+    and the pair powers use, and the generator list of x.
+
+    Forms check no exponent per product, so a power of x of ``degree``, whose
+    exponents are at most ``degree`` times the largest in x, is refused past
+    ``poly.MAX_EXPONENT`` before the first product.  The table starts from
+    [I, alpha] and composes each higher power once, so an n-th power check
+    makes n - 2 compositions."""
     if x.dim != algebra.dim:
         raise ValueError(f"element dim {x.dim} != algebra dim {algebra.dim}")
-    table, _ = _power_table(algebra, x, n)
-    return table[n]
-
-
-def _power_table(algebra, v: Vector, n: int) -> tuple[list, list]:
-    """Twisted powers v^1..v^n (index 0 unused) and the twisting-map powers
-    alpha^0..alpha^(n-1) that they and the pair powers use.
-
-    The table starts from [I, alpha] and composes each higher power once, so
-    an n-th power check makes n - 2 compositions."""
-    mu, alpha = algebra.mu, algebra.alpha
+    v, generators = _form_of(x)
+    if generators is not None:
+        _check_power((code for col in v.cols.values() for code in col), len(generators), degree)
+    E, mu, alpha = _Sweep(), algebra.mu, algebra.alpha
     alphas = [LinearMap.identity(algebra.dim), alpha]
     for _ in range(2, n):
         alphas.append(alphas[-1].compose(alpha))
     table = [None, v]
     for m in range(2, n + 1):
-        table.append(mu.contract(table[-1], alphas[m - 2].apply(v)))
-    return table, alphas
+        table.append(E.op(mu, table[-1], E.ap(alphas[m - 2], v)))
+    return E, table, alphas, generators
 
 
 def hom_power_pair(algebra, x: Vector, i: int, j: int) -> Vector:
     """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j)."""
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
-    return _pair(algebra, *_power_table(algebra, x, max(i, j)), i, j)
+    E, table, alphas, generators = _power_table(algebra, x, max(i, j), i + j)
+    return _vector_of(_pair(E, algebra, table, alphas, i, j), algebra.dim, generators)
 
 
-def _pair(algebra, table: list, alphas: list, i: int, j: int) -> Vector:
-    """x^(i,j) from the tables of twisted powers of x and of alpha."""
-    return algebra.mu.contract(alphas[j - 1].apply(table[i]), alphas[i - 1].apply(table[j]))
+def _pair(E, algebra, table: list, alphas: list, i: int, j: int):
+    """The form of x^(i,j) from the tables of twisted powers of x and of alpha."""
+    return E.op(algebra.mu, E.ap(alphas[j - 1], table[i]), E.ap(alphas[i - 1], table[j]))
 
 
-def _residuals(cases):
-    """``(indices, lhs - rhs)`` for each ``(indices, lhs, rhs)`` whose sides differ:
-    comparing two reduced polynomial vectors costs less than subtracting them."""
-    return ((indices, lhs - rhs) for indices, lhs, rhs in cases if lhs != rhs)
+def _residuals(dim: int, generators: tuple, cases):
+    """``(indices, residual vector)`` for each ``(indices, residual form)``
+    that is not zero: only a witness is read back into polynomials."""
+    return ((indices, _vector_of(r, dim, generators)) for indices, r in cases if not r.is_zero())
 
 
 def _guard(algebra, n: int) -> None:
@@ -82,10 +93,10 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     if n < 2:
         raise ValueError("power associativity is defined for n >= 2")
     _guard(algebra, n)
-    table, alphas = _power_table(algebra, generic_element(algebra.dim), n)
+    E, table, alphas, generators = _power_table(algebra, generic_element(algebra.dim), n, n)
     # i = 1 is skipped: x^(n-1,1) = x^(n-1) alpha^(n-2)(x) is the recursion defining x^n.
-    return make_report(f"hom-power-associative[{n}]", _residuals(
-        ((n, i), table[n], _pair(algebra, table, alphas, n - i, i)) for i in range(2, n)))
+    return make_report(f"hom-power-associative[{n}]", _residuals(algebra.dim, generators, (
+        ((n, i), table[n] - _pair(E, algebra, table, alphas, n - i, i)) for i in range(2, n))))
 
 
 def check_criterion_34(algebra) -> CheckReport:
@@ -100,10 +111,9 @@ def check_criterion_34(algebra) -> CheckReport:
         raise PreconditionError("the two-identity criterion assumes a multiplicative algebra", mult)
     _guard(algebra, 4)
     mu, alpha = algebra.mu, algebra.alpha
-    x = generic_element(algebra.dim)
-    table, _ = _power_table(algebra, x, 4)
-    ax2 = alpha.apply(table[2])
-    return make_report("criterion-34", [
-        ((3,), commutativity(VECTORS, mu, table[2], alpha.apply(x))),
-        *_residuals([((4,), table[4], mu.contract(ax2, ax2))]),
-    ])
+    E, table, _, generators = _power_table(algebra, generic_element(algebra.dim), 4, 4)
+    ax2 = E.ap(alpha, table[2])
+    return make_report("criterion-34", _residuals(algebra.dim, generators, [
+        ((3,), commutativity(E, mu, table[2], E.ap(alpha, table[1]))),
+        ((4,), table[4] - E.op(mu, ax2, ax2)),
+    ]))

@@ -5,16 +5,18 @@ package.  ``LinearMap`` and ``Trilinear`` store ``int`` numerators over one
 positive ``int`` denominator ``den``, in lowest terms (no prime divides
 ``den`` and every numerator), so equal values have equal fields and hashes.
 Products (``compose``, ``kron``, ``map_outputs``) multiply numerators and
-denominators and reduce once, and the sweep engine in ``algebra`` reads the
-stored form as it is.  ``Fraction`` appears only in values read out (the
-dense ``LinearMap.rows``, ``entry``, ``column``, ``items``, ``pair_vector``),
-in ``Vector`` entries, and in the division inside ``invert`` and
-``kernel_vector``.
-Vectors and tensor contractions also take sparse polynomial entries (see
-``poly``), which is how universally quantified identities are decided with
-generic elements; a contraction or map application sums the products of each
-output coordinate in one fraction-free accumulation, and a map row with one
-nonzero gives a scalar multiple of one coordinate.
+denominators and reduce once.  ``Fraction`` appears only in values read out
+(the dense ``LinearMap.rows``, ``entry``, ``column``, ``items``,
+``pair_vector``), in ``Vector`` entries, and in the division inside
+``invert`` and ``kernel_vector``.
+
+One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
+product of a vector with a tensor or a map, reading the stored form as it
+is.  The sweep engine in ``algebra`` runs it on forms whose codes number
+basis tuples; ``Trilinear.contract`` and ``LinearMap.apply`` pack vectors of
+rationals or polynomials into forms keyed by ``poly``'s packed monomial keys
+and read the result back, where ``poly._of_products`` checks the exponent
+guard and the term limit.
 
 A square matrix stores the nonzeros of each column (``LinearMap.columns``),
 and every product, application, inverse and identity test runs over them, so
@@ -30,7 +32,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -222,31 +224,12 @@ class LinearMap:
         return hash((self.den, self.columns))
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product; generic over the entry ring of ``v``.
-
-        A row with one nonzero (j, c) gives the scalar multiple c * v[j] (v[j]
-        itself when c = 1, and c an ``int`` when integral); any other row is
-        one ``poly.sum_of_products`` accumulation over its nonzeros that meet
-        a nonzero entry of ``v``.  A zero output coordinate is ``Fraction(0)``.
-        """
-        # imported on use: ``poly`` imports this module, and a process that
-        # accumulates nothing (a basis sweep, a spec round trip) never loads it
-        from . import poly
-
+        """Matrix-vector product; generic over the entry ring of ``v`` (see
+        ``_vector_of``)."""
         if self.dim != v.dim:
             raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
-        x, den = v.entries, self.den
-        out = []
-        for line in self.int_rows:
-            if len(line) == 1:
-                (j, c), = line
-                xj = x[j]
-                c = c if den == 1 else Fraction(c, den) if c % den else c // den
-                out.append((xj if c == 1 else xj * c) if xj else _ZERO)
-            else:
-                triples = [(c, x[j], 1) for j, c in line if x[j]]
-                out.append(poly.sum_of_products(triples, den) if triples else _ZERO)
-        return Vector(tuple(out))
+        form, generators = _form_of(v)
+        return _vector_of(_apply(self, form), self.dim, generators)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other): column j of the
@@ -470,29 +453,14 @@ class Trilinear:
         return Trilinear._of(self.dim, data, self.den * m.den)
 
     def contract(self, x: Vector, y: Vector) -> Vector:
-        """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k].
-
-        Generic over the entry ring of x and y (rationals or polynomials): the
-        (numerator, x_i, y_j) triples with nonzero x_i and y_j are grouped by
-        k, and each group is summed over ``den`` in one accumulation by
-        ``poly.sum_of_products``.
-        """
-        from . import poly  # imported on use, as in ``LinearMap.apply``
-
+        """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k];
+        generic over the entry ring of x and y (see ``_vector_of``)."""
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch(
                 f"tensor dim {self.dim} vs vectors {x.dim}, {y.dim}")
-        xs, ys = x.entries, y.entries
-        groups: dict[int, list] = {}
-        for i, row in self.rows.items():
-            for j, k, q in row:
-                xi, yj = xs[i], ys[j]
-                if xi and yj:
-                    groups.setdefault(k, []).append((q, xi, yj))
-        out = [_ZERO] * self.dim
-        for k, triples in groups.items():
-            out[k] = poly.sum_of_products(triples, self.den)
-        return Vector(tuple(out))
+        a, generators = _form_of(x)
+        b, generators = _form_of(y, generators)
+        return _vector_of(_contract(self, a, b), self.dim, generators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trilinear):
@@ -505,3 +473,160 @@ class Trilinear:
     def __repr__(self) -> str:
         body = ", ".join(f"{ijk}: {q}" for ijk, q in self.items())
         return f"Trilinear(dim={self.dim}, {{{body}}})"
+
+
+# ---------------------------------------------------------------------------
+# Sparse forms: the one contraction kernel
+# ---------------------------------------------------------------------------
+
+class _Form:
+    """A vector with coordinates sparse in codes: monomials packed into one
+    ``int`` each, so that a product of monomials is a sum of codes.
+
+    ``cols[n][code] / den`` is the coefficient of basis vector n at ``code``
+    (``int`` numerators; a stored numerator may be zero).  In a sweep (see
+    ``algebra``) a code is the mixed-radix number of the free basis indices,
+    so sorted codes are in lexicographic order, and ``slots`` has bit s set
+    when the form is linear in argument s: a form without bit 0 is the same
+    in every block.  A vector's form (``_form_of``) uses ``poly``'s keys."""
+
+    __slots__ = ("cols", "slots", "den")
+
+    def __init__(self, cols: dict, slots: int = 0, den: int = 1):
+        self.cols = cols
+        self.slots = slots
+        self.den = den
+
+    def is_zero(self) -> bool:
+        return not any(any(col.values()) for col in self.cols.values())
+
+    def _merge(self, other: "_Form", negate: bool) -> "_Form":
+        """self + other or self - other over the lcm of their denominators,
+        each side scaled to it only when its factor is not 1."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1:
+            cols = {n: dict(col) for n, col in self.cols.items()}
+        else:
+            cols = {n: {code: fa * q for code, q in col.items()} for n, col in self.cols.items()}
+        for n, col in other.cols.items():
+            if fb != 1:
+                col = {code: fb * q for code, q in col.items()}
+            acc = cols.setdefault(n, {})
+            for code, q in col.items():
+                v = acc.get(code)
+                if v is None:
+                    if q:
+                        acc[code] = -q if negate else q
+                    continue
+                total = v - q if negate else v + q
+                if total:
+                    acc[code] = total
+                else:
+                    del acc[code]
+        return _Form(cols, self.slots | other.slots, den)
+
+    def __add__(self, other: "_Form") -> "_Form":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return self._merge(other, True)
+
+    def __rmul__(self, c) -> "_Form":
+        """The rational ``c`` times the form: numerators times its numerator
+        (none when that is 1), the denominator times its denominator."""
+        cols, a = self.cols, c.numerator
+        if a != 1:
+            cols = {n: {code: a * q for code, q in col.items()} for n, col in cols.items()}
+        return _Form(cols, self.slots, self.den * c.denominator)
+
+
+def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
+    """t(a, b): the codes of a and b add (in a sweep their free slots are
+    disjoint), and the numerators multiply over ``t.den * a.den * b.den``.  A
+    factor equal to 1 is not multiplied by: the other is taken as is."""
+    out: dict = {}
+    bcols = b.cols
+    for i, acol in a.cols.items():
+        for j, k, q in t.rows.get(i, ()):
+            bcol = bcols.get(j)
+            if bcol is None:
+                continue
+            col = out.setdefault(k, {})
+            unit = q == 1
+            for ca, qa in acol.items():
+                f = qa if unit else q if qa == 1 else q * qa
+                if f == 1:
+                    for cb, qb in bcol.items():
+                        code = ca + cb
+                        v = col.get(code)
+                        col[code] = qb if v is None else v + qb
+                    continue
+                for cb, qb in bcol.items():
+                    code = ca + cb
+                    p = f if qb == 1 else f * qb
+                    v = col.get(code)
+                    col[code] = p if v is None else v + p
+    return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
+
+
+def _apply(m: LinearMap, a: _Form) -> _Form:
+    """m(a) over ``m.den * a.den``, taking a numerator as is where the other
+    factor is 1."""
+    out: dict = {}
+    columns = m.columns
+    for j, acol in a.cols.items():
+        for i, coeff in columns[j]:
+            col = out.setdefault(i, {})
+            if coeff == 1:
+                for code, q in acol.items():
+                    v = col.get(code)
+                    col[code] = q if v is None else v + q
+                continue
+            for code, q in acol.items():
+                p = coeff if q == 1 else coeff * q
+                v = col.get(code)
+                col[code] = p if v is None else v + p
+    return _Form(out, a.slots, m.den * a.den)
+
+
+def _form_of(v: Vector, generators: tuple | None = None) -> tuple:
+    """``(form, generators)``: column n of the form is coordinate n of ``v``
+    over the lcm of their denominators, keyed as a polynomial's ``terms`` (a
+    rational under key 0; a zero has no column), and ``generators`` is the
+    list of the polynomial entries, which must equal the one given."""
+    cols, dens = {}, {}
+    for n, e in enumerate(v.entries):
+        if not e:
+            continue
+        if isinstance(e, (int, Fraction)):
+            q, dens[n] = e.as_integer_ratio()
+            cols[n] = {0: q}
+            continue
+        if generators is not None and e.generators != generators:
+            raise GeneratorMismatch(f"generator lists differ: {generators} vs {e.generators}")
+        generators, cols[n], dens[n] = e.generators, e.terms, e.den
+    den = lcm(*dens.values())
+    for n, d in dens.items():
+        if d != den:
+            cols[n] = {code: q * (den // d) for code, q in cols[n].items()}
+    return _Form(cols, den=den), generators
+
+
+def _vector_of(form: _Form, dim: int, generators: tuple | None) -> Vector:
+    """The vector of a form laid out as by ``_form_of`` on ``generators``: a
+    coordinate with no column (no product reached it) is ``Fraction(0)``, any
+    other a ``Fraction``, or with ``generators`` a ``Polynomial`` built by
+    ``poly._of_products``, which checks the exponent guard and term limit."""
+    coords = [_ZERO] * dim
+    den = form.den
+    if generators is None:
+        for n, col in form.cols.items():
+            coords[n] = Fraction(col.get(0, 0), den)
+    else:
+        # imported on use: ``poly`` imports this module, and rationals need none of it
+        from .poly import _of_products
+
+        for n, col in form.cols.items():
+            coords[n] = _of_products(generators, col, den)
+    return Vector(tuple(coords))

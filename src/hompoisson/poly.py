@@ -9,20 +9,24 @@ fields.
 A packed key holds the exponent vector in one ``int``: each generator owns a
 fixed field of ``FIELD_BITS`` bits, the first generator the most significant,
 so integer order is lexicographic order on exponent vectors and the product
-of two monomials is one integer addition.  The top bit of every field is a
-guard that stays clear: an exponent is at most ``MAX_EXPONENT``, so the sum
-of two fields never carries into the next one, and a product or constructor
-that would exceed ``MAX_EXPONENT`` raises ``ResourceLimitError``.  Exponent
+of two monomials is one integer addition.  The packed keys are also the
+codes of the contraction kernel in ``linalg`` when it runs on polynomial
+vectors.  The top bit of every field is a guard that stays clear: an
+exponent is at most ``MAX_EXPONENT``, so the sum of two fields never carries
+into the next one, and a product or constructor that would exceed
+``MAX_EXPONENT`` raises ``ResourceLimitError``.  The guard bits and the
+term-count limit ``MAX_TERMS`` of a product are checked in one function,
+``_of_products``, which both ``Polynomial.__mul__`` and the kernel's
+read-back of polynomial vectors build their result with.  Exponent
 tuples exist only where a monomial enters or leaves the kernel (the
 constructor, ``coefficient``, ``degree``, ``substitute``, ``evaluate``,
 ``sorted_terms`` and the display), and ``Fraction`` only where a coefficient
 leaves it.
 
 Sums, products and derivatives run on integers only and reduce their result
-once by a single gcd; ``sum_of_products`` sums many products in one integer
-accumulation, which is how tensor contractions of polynomial vectors run.
-Arithmetic is exact; a term-count guard refuses pathologically large
-products.  Display order is graded lexicographic, highest degree first.
+once by a single gcd.  A constant polynomial equals its ``Fraction`` value
+and hashes as it.  Display order is graded lexicographic, highest degree
+first.
 """
 
 from __future__ import annotations
@@ -58,6 +62,30 @@ def _guard(width: int) -> int:
 
 def _unpack(key: int, width: int) -> tuple:
     return tuple((key >> s) & _FIELD_MASK for s in _shifts(width))
+
+
+def _of_products(generators: tuple, terms: dict, den: int) -> "Polynomial":
+    """The polynomial ``terms`` / ``den`` of accumulated products: every key
+    valid or the sum of two valid keys, a numerator possibly zero.  A sum of
+    two valid keys shows an exponent past ``MAX_EXPONENT`` as a set guard bit,
+    uncarried; such a key, or more than ``MAX_TERMS`` terms, raises
+    ``ResourceLimitError``."""
+    if reduce(or_, terms, 0) & _guard(len(generators)):
+        raise ResourceLimitError(f"polynomial exponent exceeds {MAX_EXPONENT}")
+    if 0 in terms.values():
+        terms = {e: n for e, n in terms.items() if n}
+    if len(terms) > MAX_TERMS:
+        raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
+    return _reduced(generators, terms, den)
+
+
+def _check_power(keys: Iterable, width: int, n: int) -> None:
+    """Refuse an n-th power of a sum of the monomials ``keys`` (on ``width``
+    generators) when an exponent of it would pass ``MAX_EXPONENT``."""
+    top = max((max(_unpack(e, width), default=0) for e in keys), default=0)
+    if top * n > MAX_EXPONENT:
+        raise ResourceLimitError(
+            f"power {n} of a polynomial with exponent {top} exceeds {MAX_EXPONENT}")
 
 
 def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
@@ -180,18 +208,21 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((1, self, other),))
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = other.terms.items()
+        for e1, n1 in self.terms.items():
+            for e2, n2 in right:
+                e = e1 + e2
+                terms[e] = get(e, 0) + n1 * n2
+        return _of_products(self.generators, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        width = len(self.generators)
-        top = max((max(_unpack(e, width), default=0) for e in self.terms), default=0)
-        if top * n > MAX_EXPONENT:
-            raise ResourceLimitError(
-                f"power {n} of a polynomial with exponent {top} exceeds {MAX_EXPONENT}")
+        _check_power(self.terms, len(self.generators), n)
         result = Polynomial.const(self.generators, 1)
         base = self
         while n:
@@ -237,6 +268,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        if not self.terms.keys() - {0}:  # a constant equals, so hashes as, its Fraction
+            return hash(Fraction(self.terms.get(0, 0), self.den))
         return hash((self.generators, self.den, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
@@ -330,57 +363,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def sum_of_products(triples: Iterable, den: int = 1) -> Polynomial | Fraction:
-    """The sum of q * a * b over (q, a, b) triples, over ``den``: q rational,
-    a and b rationals or polynomials on one generator list.
-
-    Every product is accumulated into one integer term dict over the lcm of
-    the triples' denominators times ``den`` over its gcd with every q, and
-    reduced once.  The sum is a ``Fraction`` when no polynomial takes part.
-    """
-    generators = None
-    parts = []
-    common, g = 1, den
-    for q, a, b in triples:
-        d = q.denominator
-        if isinstance(a, Polynomial):
-            generators = _same(generators, a.generators)
-            ta, d = a.terms, d * a.den
-        else:
-            ta, d = {0: a.numerator}, d * a.denominator
-        if isinstance(b, Polynomial):
-            generators = _same(generators, b.generators)
-            tb, d = b.terms, d * b.den
-        else:
-            tb, d = {0: b.numerator}, d * b.denominator
-        parts.append((q.numerator, d, ta, tb.items()))
-        common = lcm(common, d)
-        g = gcd(g, q.numerator) if g != 1 else 1
-    terms: dict[int, int] = {}
-    get = terms.get
-    for c, d, ta, right in parts:
-        c = c // g * (common // d)
-        for e1, n1 in ta.items():
-            n1 *= c
-            for e2, n2 in right:
-                e = e1 + e2
-                terms[e] = get(e, 0) + n1 * n2
-    if generators is None:
-        return Fraction(terms.get(0, 0), den // g * common)
-    # Every key is the sum of two valid keys, so an exponent past the limit
-    # shows as a set guard bit and has not carried into the next field.
-    if reduce(or_, terms, 0) & _guard(len(generators)):
-        raise ResourceLimitError(f"polynomial exponent exceeds {MAX_EXPONENT}")
-    if 0 in terms.values():
-        terms = {e: n for e, n in terms.items() if n}
-    if len(terms) > MAX_TERMS:
-        raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-    return _reduced(generators, terms, den // g * common)
-
-
-def _same(generators: tuple | None, other: tuple) -> tuple:
-    if generators is not None and generators != other:
-        raise GeneratorMismatch(f"generator lists differ: {generators} vs {other}")
-    return other

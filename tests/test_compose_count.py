@@ -1,17 +1,18 @@
 """Cost regressions: how many map products the power checks and twists make,
-how many polynomials a contraction reduces, how many accumulations a map
-application runs, how many rational additions start from zero, how many
-rational multiplications are by one and how much ``Fraction`` arithmetic a
-sweep does.
+how many polynomials a contraction reduces, how many additions a map
+application makes, where vector and power products are formed, how many
+rational additions start from zero, how many rational multiplications are by
+one and how much ``Fraction`` arithmetic a sweep does.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
-``poly._reduced``, its accumulation ``poly.sum_of_products`` or ``Fraction``
-arithmetic operators with a call counter.  A power check composes each power of the
-twisting map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and
-alpha^1 need no product), a twist composes the twisting maps once, a
-contraction of polynomial vectors sums each output coordinate in one
-accumulation, reduced once, a map whose rows have one nonzero each applies as
-scalar multiples, with no accumulation, and the sweep engine and
+``poly._reduced``, the form kernel ``linalg._contract`` and ``linalg._apply``
+or ``Fraction`` arithmetic operators with a call counter.  A power check
+composes each power of the twisting map once (alpha^2..alpha^(n-1) for an
+n-th power check: alpha^0 and alpha^1 need no product), a twist composes the
+twisting maps once, a contraction of polynomial vectors reduces each output
+coordinate once, a map whose rows have one nonzero each applies with no
+addition, ``Trilinear.contract``, ``LinearMap.apply`` and the power checks
+form every product in the form kernel, and the sweep engine and
 ``Trilinear.map_outputs`` store the first contribution to an entry as it is
 and, with ``LinearMap.compose``, take a factor as is where the other is 1.
 The sweep engine computes on ``int`` numerators over one denominator per
@@ -27,12 +28,14 @@ from fractions import Fraction
 
 import pytest
 
-from hompoisson import poly
-from hompoisson.algebra import check_morphism, check_multiplicative
+from hompoisson import algebra as algebra_module
+from hompoisson import linalg, poly
+from hompoisson.algebra import HomAlgebra, check_morphism, check_multiplicative
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
 from hompoisson.constructions import check_admissible, commutator_poisson, depolarize, polarize, tensor, twist
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
-from hompoisson.linalg import LinearMap, Vector
+from hompoisson.linalg import LinearMap, Trilinear, Vector
+from hompoisson.poly import Polynomial
 
 from _oracles import random_tensor
 
@@ -115,14 +118,31 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
 
 @pytest.fixture
 def accumulations(monkeypatch):
+    """Per call of ``linalg._apply``, the additions it makes onto a value it
+    already holds: the map and the form reach it with ``int`` numerators that
+    record the additions they take part in."""
     calls = []
-    original = poly.sum_of_products
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    class Tally(int):
+        def __add__(self, other):
+            calls[-1].append((int(self), int(other)))
+            return Tally(int(self) + int(other))
 
-    monkeypatch.setattr(poly, "sum_of_products", counted)
+        def __mul__(self, other):
+            return Tally(int(self) * int(other))
+
+        __radd__, __rmul__ = __add__, __mul__
+
+    original = linalg._apply
+
+    def counted(m, a):
+        calls.append([])
+        # m is in lowest terms, so ``_of`` keeps its columns as they are
+        tallied = LinearMap._of(tuple(tuple((i, Tally(q)) for i, q in line) for line in m.columns), m.den)
+        return original(tallied, linalg._Form({n: {code: Tally(q) for code, q in col.items()}
+                                               for n, col in a.cols.items()}, a.slots, a.den))
+
+    monkeypatch.setattr(linalg, "_apply", counted)
     return calls
 
 
@@ -134,9 +154,51 @@ def accumulations(monkeypatch):
 def test_one_term_rows_apply_without_accumulating(accumulations, m):
     x = generic_element(8)
     out = m.apply(x)
-    assert accumulations == []
+    assert accumulations == [[]]
     assert out.entries == tuple(
         sum((m.entry(i, j) * x[j] for j in range(8) if m.entry(i, j)), Fraction(0)) for i in range(8))
+
+
+def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
+    """``Trilinear.contract``, ``LinearMap.apply`` and both power checks form
+    every product in ``linalg._contract`` and ``linalg._apply``: with the
+    kernel wrapped where it is bound (``linalg``, and ``algebra`` for the
+    evaluator on forms) and every other product of scalars refused
+    (``Polynomial`` and ``Fraction`` multiplication), each gives the result
+    it gave before, by calls of the kernel."""
+    single = twisted_single()
+    skewed = HomAlgebra(basis=("X", "Y", "Z"), mu=Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1}),
+                        alpha=LinearMap.identity(3))
+    x, y = generic_element(3), Vector.of(1, "1/2", -3)
+    cases = {
+        "contract": (lambda: single.mu.contract(x, y), {"_contract"}),
+        "contract of rationals": (lambda: single.mu.contract(y, y), {"_contract"}),
+        "apply": (lambda: single.alpha.apply(x), {"_apply"}),
+        "power check": (lambda: check_nth_power_assoc(skewed, 3), {"_contract", "_apply"}),
+        "criterion-34": (lambda: check_criterion_34(single), {"_contract", "_apply"}),
+        "failing criterion-34": (lambda: check_criterion_34(skewed), {"_contract", "_apply"}),
+    }
+    expected = {name: run() for name, (run, _) in cases.items()}
+    assert not expected["power check"].passed and not expected["failing criterion-34"].passed
+    assert (algebra_module._contract, algebra_module._apply) == (linalg._contract, linalg._apply)
+    calls = []
+    for module in (linalg, algebra_module):
+        for name in ("_contract", "_apply"):
+            def counted(*args, name=name, original=getattr(linalg, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+    def refuse(*args):
+        raise AssertionError("a product formed outside the kernel")
+
+    for owner in (Polynomial, Fraction):
+        monkeypatch.setattr(owner, "__mul__", refuse)
+        monkeypatch.setattr(owner, "__rmul__", refuse)
+    for name, (run, kernels) in cases.items():
+        calls.clear()
+        assert run() == expected[name], name
+        assert set(calls) == kernels, name
 
 
 @pytest.fixture

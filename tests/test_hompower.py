@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hompoisson import algebra as algebra_module
+from hompoisson import linalg
 from hompoisson.algebra import HomAlgebra, check_multiplicative
 from hompoisson.catalog import (
     heisenberg_morphism,
@@ -129,6 +131,30 @@ def test_corrupted_tensor_fails_third_power():
     assert not witness.residual.is_zero()
     rep34 = check_criterion_34(alg)
     assert not rep34.passed
+
+
+def test_over_limit_power_of_an_element_is_refused_before_multiplying(monkeypatch):
+    """A twisted power or pair power of x whose exponents would pass the limit
+    is refused from the exponents of x alone, before the kernel forms any
+    product (forms carry no exponent check of their own)."""
+    alg = p32_single()
+    t = Polynomial.var(("s", "t"), "t")
+    over = Vector((t ** 4096, Fraction(1), Fraction(0)))  # 8 * 4096 > MAX_EXPONENT
+    at = Vector((t ** 4095, Fraction(1), Fraction(0)))    # 8 * 4095 <= MAX_EXPONENT
+
+    def refuse(*args):
+        raise AssertionError("multiplied before checking the exponent limit")
+
+    with monkeypatch.context() as m:
+        for module in (linalg, algebra_module):
+            m.setattr(module, "_contract", refuse)
+            m.setattr(module, "_apply", refuse)
+        with pytest.raises(ResourceLimitError):
+            hom_power(alg, over, 8)
+        with pytest.raises(ResourceLimitError):
+            hom_power_pair(alg, over, 4, 4)
+    assert hom_power(alg, at, 2) == Vector((Fraction(0), Fraction(0), t ** 8190))
+    assert hom_power(alg, at, 8).is_zero() and hom_power_pair(alg, at, 4, 4).is_zero()
 
 
 def assert_witnesses_at(report, expected, values):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hompoisson import poly
 from hompoisson.errors import GeneratorMismatch, ResourceLimitError
 from hompoisson.linalg import Trilinear, Vector
 from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial
@@ -289,16 +288,32 @@ def test_exponent_past_the_field_maximum_is_refused(name):
     assert t.contract(Vector((top,)), Vector((other,))).entries == (top * other,)
 
 
+def test_constants_hash_as_their_rational_values():
+    """A constant polynomial equals its rational value and hashes as it, so a
+    set or a dict key takes them as one, and so do vectors holding them."""
+    three, zero = Polynomial.const(GENS, 3), Polynomial.zero(GENS)
+    half = Polynomial.const(GENS, Fraction(-1, 2))
+    assert three == Fraction(3) and hash(three) == hash(Fraction(3)) == hash(3)
+    assert half == Fraction(-1, 2) and hash(half) == hash(Fraction(-1, 2))
+    assert len({three, Fraction(3), 3}) == 1 and len({zero, Fraction(0), 0}) == 1
+    assert Vector((Fraction(0),)) == Vector((zero,))
+    assert len({Vector((Fraction(0),)), Vector((zero,))}) == 1
+    assert len({Vector((three, half)), Vector.of(3, "-1/2")}) == 1
+    x = Polynomial.var(GENS, "x")
+    assert hash(x + 3) == hash(Polynomial.var(GENS, "x") + 3) and x + 3 != three
+
+
 def test_over_limit_power_is_refused_before_multiplying(monkeypatch):
     """(v + 1) ** 32768 is refused from the exponents alone, without first
     squaring its way up to many-term polynomials."""
     v = Polynomial.var(GENS, "y")
 
-    def refuse(triples):
+    def refuse(*args):
         raise AssertionError("multiplied before checking the exponent limit")
 
     with monkeypatch.context() as m:
-        m.setattr(poly, "sum_of_products", refuse)
+        m.setattr(Polynomial, "__mul__", refuse)
+        m.setattr(Polynomial, "__rmul__", refuse)
         with pytest.raises(ResourceLimitError):
             (v + 1) ** (MAX_EXPONENT + 1)
     assert v ** MAX_EXPONENT == Polynomial(GENS, {(0, MAX_EXPONENT): 1})
