@@ -9,7 +9,9 @@ entries, their depolarizations, one diagonal twist of each and one seeded
 corruption of each (dims <= 9), followed by the reports built outside the
 basis sweeps: substitution checks on the sl2 bracket, isomorphism
 certificates for an invertible and a singular Heisenberg map, and the
-power criterion on a multiplicative algebra that fails it.  The
+power criterion on a multiplicative algebra that fails it, and last the
+results of the polynomial witness replays (``free-poly``, ``matrix``,
+``sl2`` and ``r2n``), whose residuals are polynomials.  The
 ``CROSS_BLOCK`` corruptions of the dim-9 matrix commutator algebra have more
 than ``MAX_WITNESSES`` failing triples, with the tenth past the first block
 of first arguments that ``algebra.sweep`` evaluates, so the witness cap cuts
@@ -31,9 +33,11 @@ import random
 import tempfile
 from fractions import Fraction
 
+from hompoisson import witnesses
 from hompoisson.algebra import (
     HomAlgebra,
     HomPoissonAlgebra,
+    as_data,
     check_commutative,
     check_hom_associative,
     check_hom_poisson,
@@ -170,12 +174,19 @@ def builder_reports():
     ]
 
 
+def witness_replays():
+    """(label, [result]) for each witness replay that computes polynomials."""
+    return [(f"witness/{name}", [getattr(witnesses, replay)()]) for name, replay in (
+        ("free-poly", "free_poly_witness"), ("matrix", "matrix_twist_witness"),
+        ("sl2", "sl2_witness"), ("r2n", "r2n_witness"))]
+
+
 def golden() -> str:
-    """The reports as JSON, one line per report."""
+    """The reports and replay results as JSON, one line each."""
     labelled = [(f"catalog/{name}", entry_reports(name, build_catalog(name))) for name in sorted(CATALOG)]
     labelled += [(label, _reports(algebra)) for label, algebra in cases()]
-    labelled += builder_reports()
-    return "".join(json.dumps([label, r.as_dict()], separators=(",", ":")) + "\n"
+    labelled += builder_reports() + witness_replays()
+    return "".join(json.dumps([label, as_data(r)], separators=(",", ":")) + "\n"
                    for label, reports in labelled for r in reports)
 
 
