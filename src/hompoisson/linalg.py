@@ -10,13 +10,14 @@ denominators and reduce once.  ``Fraction`` appears only in values read out
 ``pair_vector``), in ``Vector`` entries, and in the division inside
 ``invert`` and ``kernel_vector``.
 
-One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
-product of a vector with a tensor or a map, reading the stored form as it
-is.  The sweep engine in ``algebra`` runs it on forms whose codes number
-basis tuples; ``Trilinear.contract`` and ``LinearMap.apply`` pack vectors of
-rationals or polynomials into forms keyed by ``poly``'s packed monomial keys
-and read the result back, where ``poly._of_products`` checks the exponent
-guard and the term limit.
+One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s with their
+sums and scalings, forms every product of a vector with a tensor or a map
+and every ``Polynomial`` sum and product (of one-column forms), reading the
+stored form as it is.  The sweep engine in ``algebra`` runs it on forms
+whose codes number basis tuples; ``Trilinear.contract``, ``LinearMap.apply``
+and ``poly`` key their forms by ``poly``'s packed monomial keys and read the
+result back, where ``poly._of_products`` checks the exponent guard and the
+term limit.
 
 A square matrix stores the nonzeros of each column (``LinearMap.columns``),
 and every product, application, inverse and identity test runs over them, so
@@ -322,9 +323,8 @@ class LinearMap:
         if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
         rows = [sorted((c - n, x) for c, x in pivots[col].items() if c >= n) for col in range(n)]
-        den = lcm(*(x.denominator for row in rows for _, x in row))
-        rows = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows]
-        return LinearMap._of(_transpose(rows), den)
+        numerators, den = _over_common_denominator(x for row in rows for _, x in row)
+        return LinearMap._of(_transpose([[(j, next(numerators)) for j, _ in row] for row in rows]), den)
 
     def kernel_vector(self) -> Vector | None:
         """A nonzero kernel vector, or None when the map is injective.
@@ -488,7 +488,7 @@ class _Form:
     ``algebra``) a code is the mixed-radix number of the free basis indices,
     so sorted codes are in lexicographic order, and ``slots`` has bit s set
     when the form is linear in argument s: a form without bit 0 is the same
-    in every block.  A vector's form (``_form_of``) uses ``poly``'s keys."""
+    in every block.  Vectors and polynomials take ``poly``'s keys as codes."""
 
     __slots__ = ("cols", "slots", "den")
 

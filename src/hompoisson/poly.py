@@ -9,19 +9,19 @@ fields.
 A packed key holds the exponent vector in one ``int``: each generator owns a
 fixed field of ``FIELD_BITS`` bits, the first generator the most significant,
 so integer order is lexicographic order on exponent vectors and the product
-of two monomials is one integer addition.  The packed keys are also the
-codes of the contraction kernel in ``linalg`` when it runs on polynomial
-vectors.  The top bit of every field is a guard that stays clear: an
-exponent is at most ``MAX_EXPONENT``, so the sum of two fields never carries
-into the next one, and a product or constructor that would exceed
-``MAX_EXPONENT`` raises ``ResourceLimitError``.  The guard bits and the
-term-count limit ``MAX_TERMS`` of a product are checked in one function,
-``_of_products``, which both ``Polynomial.__mul__`` and the kernel's
-read-back of polynomial vectors build their result with.  Exponent
-tuples exist only where a monomial enters or leaves the kernel (the
-constructor, ``coefficient``, ``degree``, ``substitute``, ``evaluate``,
-``sorted_terms`` and the display), and ``Fraction`` only where a coefficient
-leaves it.
+of two monomials is one integer addition.  The packed keys are the codes of
+the contraction kernel in ``linalg``: a polynomial is a one-column form,
+whose sums and scalings are the kernel's and whose products are
+``_contract`` with the product of Q.  The top bit of every field is a guard
+that stays clear: an exponent is at most ``MAX_EXPONENT``, so the sum of two
+fields never carries into the next one, and a product or constructor that
+would exceed ``MAX_EXPONENT`` raises ``ResourceLimitError``.  The guard bits
+and the term-count limit ``MAX_TERMS`` of a product are checked in one
+function, ``_of_products``, which reads back every product of polynomials
+and of polynomial vectors.  Exponent tuples exist only where a monomial
+enters or leaves the kernel (the constructor, ``coefficient``, ``degree``,
+``substitute``, ``evaluate``, ``sorted_terms`` and the display), and
+``Fraction`` only where a coefficient leaves it.
 
 Sums, products and derivatives run on integers only and reduce their result
 once by a single gcd.  A constant polynomial equals its ``Fraction`` value
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm
+from math import gcd
 from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
-from .linalg import rat
+from .linalg import Trilinear, _contract, _Form, _over_common_denominator, rat
 
 MAX_TERMS = 10 ** 6
 FIELD_BITS = 16
@@ -46,6 +46,8 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _ZERO = Fraction(0)
+# the product of Q, with which the kernel contracts two polynomials' forms
+_PRODUCT = Trilinear(1, {(0, 0, 0): 1})
 
 
 @cache
@@ -126,9 +128,8 @@ class Polynomial:
                     coeffs[sum(e << s for e, s in zip(expo, shifts))] = q
         # Over the lcm of reduced denominators the numerators are already coprime
         # to it, so no further reduction is needed.
-        den = lcm(*(q.denominator for q in coeffs.values()))
-        self.terms = {e: q.numerator * (den // q.denominator) for e, q in coeffs.items()}
-        self.den = den
+        numerators, self.den = _over_common_denominator(coeffs.values())
+        self.terms = dict(zip(coeffs, numerators))
 
     # -- constructors -------------------------------------------------------
 
@@ -168,24 +169,21 @@ class Polynomial:
             return _reduced(self.generators, terms, other.denominator)
         return NotImplemented
 
-    def _combine(self, other, sign: int):
-        """self + sign * other over the lcm of the two denominators."""
+    def _form(self) -> _Form:
+        """The polynomial as a one-column form of the kernel."""
+        return _Form({0: self.terms}, 0, self.den)
+
+    def _combine(self, other, negate: bool):
+        """self + other or self - other, by the kernel's sum of forms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, sign * (den // other.den)
-        terms = {e: n * s1 for e, n in self.terms.items()} if s1 != 1 else dict(self.terms)
-        for expo, n in other.terms.items():
-            v = terms.get(expo, 0) + n * s2
-            if v:
-                terms[expo] = v
-            else:
-                terms.pop(expo, None)
-        return _reduced(self.generators, terms, den)
+        a, b = self._form(), other._form()
+        form = a - b if negate else a + b
+        return _reduced(self.generators, form.cols[0], form.den)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -193,7 +191,7 @@ class Polynomial:
         return _reduced(self.generators, {e: -n for e, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -202,20 +200,13 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial(self.generators)
-            num, den = other.numerator, other.denominator
-            return _reduced(self.generators, {e: n * num for e, n in self.terms.items()},
-                            self.den * den)
+            form = self._form().__rmul__(other)  # ``other * form`` would try Fraction.__mul__ first
+            return _reduced(self.generators, form.cols[0], form.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[int, int] = {}
-        get = terms.get
-        right = other.terms.items()
-        for e1, n1 in self.terms.items():
-            for e2, n2 in right:
-                e = e1 + e2
-                terms[e] = get(e, 0) + n1 * n2
-        return _of_products(self.generators, terms, self.den * other.den)
+        form = _contract(_PRODUCT, self._form(), other._form())
+        return _of_products(self.generators, form.cols[0], form.den)
 
     __rmul__ = __mul__
 
@@ -301,7 +292,8 @@ class Polynomial:
                 target_gens = img.generators
             elif img.generators != target_gens:
                 raise GeneratorMismatch("substitution images use inconsistent generator lists")
-        assert target_gens is not None
+        if target_gens is None:
+            raise GeneratorMismatch("no image gives the target generator list")
         image_list = [images[g] for g in self.generators]
         width = len(self.generators)
         acc = Polynomial.zero(target_gens)

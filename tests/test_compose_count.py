@@ -1,20 +1,22 @@
 """Cost regressions: how many map products the power checks and twists make,
 how many polynomials a contraction reduces, how many additions a map
-application makes, where vector and power products are formed, how many
-rational additions start from zero, how many rational multiplications are by
-one and how much ``Fraction`` arithmetic a sweep does.
+application makes, where vector, power and polynomial products and sums are
+formed, how many numerator additions start from zero, how many numerator
+multiplications are by one and how much ``Fraction`` arithmetic a sweep does.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
-``poly._reduced``, the form kernel ``linalg._contract`` and ``linalg._apply``
-or ``Fraction`` arithmetic operators with a call counter.  A power check
-composes each power of the twisting map once (alpha^2..alpha^(n-1) for an
-n-th power check: alpha^0 and alpha^1 need no product), a twist composes the
-twisting maps once, a contraction of polynomial vectors reduces each output
-coordinate once, a map whose rows have one nonzero each applies with no
-addition, ``Trilinear.contract``, ``LinearMap.apply`` and the power checks
-form every product in the form kernel, and the sweep engine and
-``Trilinear.map_outputs`` store the first contribution to an entry as it is
-and, with ``LinearMap.compose``, take a factor as is where the other is 1.
+``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
+``_Form._merge`` and ``_Form.__rmul__``) or ``Fraction`` arithmetic
+operators with a call counter, or feed the kernel ``int`` numerators that
+record their arithmetic.  A power check composes each power of the twisting
+map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1
+need no product), a twist composes the twisting maps once, a contraction of
+polynomial vectors reduces each output coordinate once, a map whose rows
+have one nonzero each applies with no addition, ``Trilinear.contract``,
+``LinearMap.apply``, the power checks and ``Polynomial`` arithmetic form
+every product and sum in the form kernel, the kernel, ``LinearMap.compose``
+and ``Trilinear.map_outputs`` store the first contribution to an entry as it
+is, and the kernel takes a numerator as is where the factor it meets is 1.
 The sweep engine computes on ``int`` numerators over one denominator per
 form, and maps and tensors store theirs the same way, so a sweep does no
 ``Fraction`` arithmetic at all (it only constructs the ``Fraction`` values of
@@ -25,6 +27,7 @@ products and tabulated formulas.
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -37,7 +40,7 @@ from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, gener
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
 
-from _oracles import random_tensor
+from _oracles import RefPoly, random_tensor
 
 
 @pytest.fixture
@@ -115,6 +118,20 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
         for k in range(t.dim))
 
 
+def _tallied_form(a, tally):
+    return linalg._Form({n: {code: tally(q) for code, q in col.items()} for n, col in a.cols.items()},
+                        a.slots, a.den)
+
+
+def _tallied_map(m, tally):
+    # m is in lowest terms, so ``_of`` keeps its columns as they are
+    return LinearMap._of(tuple(tuple((i, tally(q)) for i, q in line) for line in m.columns), m.den)
+
+
+def _tallied_tensor(t, tally):
+    # t is in lowest terms, so ``_of`` keeps its numerators as they are
+    return Trilinear._of(t.dim, {(i, j, k): tally(q) for i, row in t.rows.items() for j, k, q in row}, t.den)
+
 
 @pytest.fixture
 def accumulations(monkeypatch):
@@ -137,10 +154,7 @@ def accumulations(monkeypatch):
 
     def counted(m, a):
         calls.append([])
-        # m is in lowest terms, so ``_of`` keeps its columns as they are
-        tallied = LinearMap._of(tuple(tuple((i, Tally(q)) for i, q in line) for line in m.columns), m.den)
-        return original(tallied, linalg._Form({n: {code: Tally(q) for code, q in col.items()}
-                                               for n, col in a.cols.items()}, a.slots, a.den))
+        return original(_tallied_map(m, Tally), _tallied_form(a, Tally))
 
     monkeypatch.setattr(linalg, "_apply", counted)
     return calls
@@ -160,103 +174,185 @@ def test_one_term_rows_apply_without_accumulating(accumulations, m):
 
 
 def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
-    """``Trilinear.contract``, ``LinearMap.apply`` and both power checks form
-    every product in ``linalg._contract`` and ``linalg._apply``: with the
-    kernel wrapped where it is bound (``linalg``, and ``algebra`` for the
-    evaluator on forms) and every other product of scalars refused
-    (``Polynomial`` and ``Fraction`` multiplication), each gives the result
-    it gave before, by calls of the kernel."""
+    """``Trilinear.contract``, ``LinearMap.apply``, both power checks and
+    ``Polynomial`` ``*``, ``+``, ``-`` and ``**`` form every product and sum
+    in the kernel: ``linalg._contract``, ``linalg._apply``, ``_Form._merge``
+    and the scaling ``_Form.__rmul__``.  With the kernel wrapped where it is
+    bound (``linalg``, ``algebra`` for the evaluator on forms, ``poly`` for
+    polynomial products) and every other product of scalars refused
+    (``Fraction`` multiplication, and ``Polynomial`` multiplication but in
+    the polynomial cases), each gives the result it gave before, by calls of
+    the kernel."""
     single = twisted_single()
     skewed = HomAlgebra(basis=("X", "Y", "Z"), mu=Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1}),
                         alpha=LinearMap.identity(3))
     x, y = generic_element(3), Vector.of(1, "1/2", -3)
+    p = Polynomial(("x", "y"), {(1, 0): 1, (0, 1): Fraction(1, 2), (0, 0): -3})
+    q = Polynomial(("x", "y"), {(1, 1): Fraction(2, 3), (0, 2): 1})
     cases = {
         "contract": (lambda: single.mu.contract(x, y), {"_contract"}),
         "contract of rationals": (lambda: single.mu.contract(y, y), {"_contract"}),
         "apply": (lambda: single.alpha.apply(x), {"_apply"}),
-        "power check": (lambda: check_nth_power_assoc(skewed, 3), {"_contract", "_apply"}),
-        "criterion-34": (lambda: check_criterion_34(single), {"_contract", "_apply"}),
-        "failing criterion-34": (lambda: check_criterion_34(skewed), {"_contract", "_apply"}),
+        "power check": (lambda: check_nth_power_assoc(skewed, 3), {"_contract", "_apply", "_merge"}),
+        "criterion-34": (lambda: check_criterion_34(single), {"_contract", "_apply", "_merge"}),
+        "failing criterion-34": (lambda: check_criterion_34(skewed), {"_contract", "_apply", "_merge"}),
+        "polynomial product": (lambda: p * q, {"_contract"}),
+        "polynomial sum": (lambda: p + q, {"_merge"}),
+        "polynomial difference": (lambda: p - q, {"_merge"}),
+        "polynomial times a rational": (lambda: p * Fraction(-3, 4), {"__rmul__"}),
+        "polynomial power": (lambda: p ** 3, {"_contract"}),
     }
     expected = {name: run() for name, (run, _) in cases.items()}
     assert not expected["power check"].passed and not expected["failing criterion-34"].passed
-    assert (algebra_module._contract, algebra_module._apply) == (linalg._contract, linalg._apply)
+    assert (algebra_module._contract, algebra_module._apply, poly._contract) == (
+        linalg._contract, linalg._apply, linalg._contract)
     calls = []
-    for module in (linalg, algebra_module):
-        for name in ("_contract", "_apply"):
-            def counted(*args, name=name, original=getattr(linalg, name)):
-                calls.append(name)
-                return original(*args)
-            monkeypatch.setattr(module, name, counted)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for module, names in ((linalg, ("_contract", "_apply")), (algebra_module, ("_contract", "_apply")),
+                          (poly, ("_contract",)), (linalg._Form, ("_merge", "__rmul__"))):
+        for name in names:
+            counted(module, name)
 
     def refuse(*args):
         raise AssertionError("a product formed outside the kernel")
 
-    for owner in (Polynomial, Fraction):
-        monkeypatch.setattr(owner, "__mul__", refuse)
-        monkeypatch.setattr(owner, "__rmul__", refuse)
     for name, (run, kernels) in cases.items():
-        calls.clear()
-        assert run() == expected[name], name
+        with monkeypatch.context() as refusals:
+            for owner in (Fraction,) if name.startswith("polynomial") else (Polynomial, Fraction):
+                refusals.setattr(owner, "__mul__", refuse)
+                refusals.setattr(owner, "__rmul__", refuse)
+            calls.clear()
+            assert run() == expected[name], name
         assert set(calls) == kernels, name
+
+
+def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
+    """Feed every call of the kernel (``_contract`` where ``linalg``,
+    ``algebra`` and ``poly`` bind it, ``_apply`` where ``linalg`` and
+    ``algebra`` bind it, ``_Form._merge`` and the scaling ``_Form.__rmul__``),
+    and with ``with_map_products`` of ``LinearMap.compose`` and
+    ``Trilinear.map_outputs``, operands whose numerators are an ``int``
+    subclass that records, as ``(function, kind, a, b)``, during those calls:
+
+    - ``"add"``: an addition onto a plain ``int`` 0, that is, a first
+      contribution to an entry that was not stored as it is;
+    - ``"mul"``: a numerator multiplied by a factor of 1.  A numerator 1
+      scaled by a plain factor that is not 1 is no such product: the
+      scalings skip only a scale factor of 1.
+
+    Results carry such numerators out (a tabulated tensor keeps them), so
+    arithmetic outside the calls records nothing.  Returns the list of
+    records."""
+    log, active = [], []
+
+    class Tally(int):
+        def __add__(self, other):
+            if active and type(other) is int and other == 0:
+                log.append((active[-1], "add", int(self), other))
+            return Tally(int(self) + int(other))
+
+        def __sub__(self, other):
+            return self + -other
+
+        def __rsub__(self, other):
+            return -self + other
+
+        def __neg__(self):
+            return Tally(-int(self))
+
+        def __mul__(self, other):
+            if active and (other == 1 or (self == 1 and isinstance(other, Tally))):
+                log.append((active[-1], "mul", int(self), int(other)))
+            return Tally(int(self) * int(other))
+
+        __radd__, __rmul__ = __add__, __mul__
+
+    def tallied(owner, name, *converts):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            args = (*(convert(arg) for convert, arg in zip(converts, args)), *args[len(converts):])
+            active.append(name)
+            try:
+                return original(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    form, map_, tensor_ = (partial(f, tally=Tally) for f in (_tallied_form, _tallied_map, _tallied_tensor))
+    for module in (linalg, algebra_module, poly):
+        tallied(module, "_contract", tensor_, form, form)
+    for module in (linalg, algebra_module):
+        tallied(module, "_apply", map_, form)
+    tallied(linalg._Form, "_merge", form, form)
+    tallied(linalg._Form, "__rmul__", form)
+    if with_map_products:
+        tallied(LinearMap, "compose", map_, map_)
+        tallied(Trilinear, "map_outputs", tensor_, map_)
+    return log
 
 
 @pytest.fixture
 def additions_of_zero(monkeypatch):
-    calls = []
-    add, radd = Fraction.__add__, Fraction.__radd__
-
-    def counted(original):
-        def wrapper(a, b):
-            if a == 0 or b == 0:
-                calls.append((a, b))
-            return original(a, b)
-        return wrapper
-
-    monkeypatch.setattr(Fraction, "__add__", counted(add))
-    monkeypatch.setattr(Fraction, "__radd__", counted(radd))
-    return calls
-
-
-def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
-    # conjugation by diag(1/2, 1, 1) scales the unit matrices by 1/2 and 2,
-    # so the twisted constants and every sweep run on Fractions
-    algebra = commutator_poisson(matrix_algebra(3))
-    beta = conjugation_morphism(3)
-    additions_of_zero.clear()
-    twisted = twist(algebra, beta)
-    assert check_multiplicative(twisted).passed
-    assert check_morphism(beta, twisted, twisted).passed
-    assert additions_of_zero == []
+    """The additions onto 0 in the kernel, ``compose`` and ``map_outputs``."""
+    log = _tally_numerators(monkeypatch, with_map_products=True)
+    return lambda: [r for r in log if r[1] == "add"]
 
 
 @pytest.fixture
 def multiplications_by_one(monkeypatch):
-    calls = []
-    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+    """The multiplications by 1 in the kernel."""
+    log = _tally_numerators(monkeypatch, with_map_products=False)
+    return lambda: [r for r in log if r[1] == "mul"]
 
-    def counted(original):
-        def wrapper(a, b):
-            if a == 1 or b == 1:
-                calls.append((a, b))
-            return original(a, b)
-        return wrapper
 
-    monkeypatch.setattr(Fraction, "__mul__", counted(mul))
-    monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
-    return calls
+def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
+    # twist runs compose and map_outputs, and the checks sweep with
+    # _contract, _apply and _merge, here on denominators 2 and 4
+    algebra = commutator_poisson(matrix_algebra(3))
+    beta = conjugation_morphism(3)
+    twisted = twist(algebra, beta)
+    assert check_multiplicative(twisted).passed
+    assert check_morphism(beta, twisted, twisted).passed
+    assert not check_admissible(depolarize(twisted)).passed
+    assert additions_of_zero() == []
 
 
 def test_twist_and_its_checks_multiply_nothing_by_one(multiplications_by_one):
     # beta has ones on its diagonal and the twisting map is the identity, so
-    # every sweep, the twisted constants and beta * alpha meet factors of 1
+    # every sweep meets factors of 1, and admissibility scales by 1/3
     algebra = commutator_poisson(matrix_algebra(3))
     beta = conjugation_morphism(3)
-    multiplications_by_one.clear()
     twisted = twist(algebra, beta)
     assert check_multiplicative(twisted).passed
     assert check_morphism(beta, twisted, twisted).passed
-    assert multiplications_by_one == []
+    assert not check_admissible(depolarize(twisted)).passed
+    assert multiplications_by_one() == []
+
+
+def test_polynomial_arithmetic_adds_nothing_to_zero_and_multiplies_nothing_by_one(monkeypatch):
+    # numerators 1 and others over denominators 1, 2 and 3, so the sums
+    # scale one side or both, and products meet factors of 1
+    log = _tally_numerators(monkeypatch, with_map_products=False)
+    gens = ("x", "y")
+    f = {(1, 0): 1, (0, 1): Fraction(1, 2), (0, 0): -3}
+    g = {(1, 1): Fraction(2, 3), (0, 2): 1, (0, 0): 1}
+    p, q = Polynomial(gens, f), Polynomial(gens, g)
+    rp, rq = RefPoly(gens, f), RefPoly(gens, g)
+    results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p]
+    expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp]
+    assert results == [Polynomial(gens, r.terms) for r in expected]
+    assert log == []
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__")

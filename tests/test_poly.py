@@ -115,6 +115,9 @@ def test_generator_mismatch():
         x.diff("u")
     with pytest.raises(GeneratorMismatch):
         x.substitute({})
+    # no generators and no images: nothing gives the target generator list
+    with pytest.raises(GeneratorMismatch):
+        Polynomial.const((), 5).substitute({})
 
 
 def test_str_formatting():
