@@ -39,15 +39,20 @@ The sweep engine (``_Sweep``, ``sweep``) runs the one contraction kernel of
 basis tuples.  It computes on ``int`` only, in the stored form of maps and
 tensors: every form holds ``int`` numerators over one positive ``int``
 denominator ``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are
-read as they are.  Products multiply numerators and denominators, and a sum
-or difference brings its two terms to the lcm of their denominators.  A
-numerator is zero exactly when its value is, so a sweep never reduces a
-fraction; ``Fraction(numerator, den)`` is formed only in a witness residual,
-and ``tabulate`` hands its numerators and denominator to the tensor it
-builds.  Every accumulation stores the first contribution to an entry as it
-is and adds only where a value is already held, and a difference of forms
-subtracts rather than adding a negation.  A product with a factor equal to 1
-is not formed: the other factor is taken as is.
+read as they are.  Products multiply numerators and denominators.  A product
+that involves the first argument is left pending (``_Pending``): it records
+the kernel function, its operands and a signed rational scale, and ``+``,
+``-`` and scaling by a rational only combine such records.  A pending sum is
+formed once, where the sweep, ``tabulate`` or an enclosing product reads it,
+by ``linalg._sum``: over the lcm of its terms' denominators, each term runs
+into one output with its integer factor folded into the tensor or map
+coefficient.  The identity map is never applied: ``E.ap`` returns its
+operand.  A numerator is zero exactly when its value is, so a sweep never
+reduces a fraction; ``Fraction(numerator, den)`` is formed only in a witness
+residual, and ``tabulate`` hands its numerators and denominator to the
+tensor it builds.  Every accumulation stores the first contribution to an
+entry as it is and adds only where a value is already held.  A product with
+a factor equal to 1 is not formed: the other factor is taken as is.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Trilinear, Vector, _Form, _apply, _contract, _vector_of
+from .linalg import LinearMap, Trilinear, Vector, _add_into, _apply, _contract, _Form, _sum, _vector_of
 
 MAX_WITNESSES = 10
 
@@ -306,10 +311,52 @@ def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Ve
 # Basis sweeps: identities on sparse forms
 # ---------------------------------------------------------------------------
 
+class _Pending(tuple):
+    """A sum of scaled products that involve the first argument, not yet
+    formed: the terms ``linalg._sum`` takes.  A form added to it joins as a
+    term of ``_add_into``.  Its form has slot 0 set."""
+
+    __slots__ = ()
+
+    def form(self) -> _Form:
+        if len(self) > 1:
+            return _sum(self, 1)
+        (fn, operands, num, den), = self  # one product, formed on its own
+        form = fn(*operands, {}, num)
+        form.den = den
+        return form
+
+    def __add__(self, other):
+        return _Pending((*self, *_pending(other)))
+
+    def __sub__(self, other):
+        return _Pending((*self, *((fn, operands, -num, den) for fn, operands, num, den in _pending(other))))
+
+    def __radd__(self, other):
+        return _pending(other) + self
+
+    def __rsub__(self, other):
+        return _pending(other) - self
+
+    def __rmul__(self, c):
+        a, b = c.numerator, c.denominator
+        return _Pending((fn, operands, a * num, b * den) for fn, operands, num, den in self)
+
+
+def _pending(value) -> _Pending:
+    return value if type(value) is _Pending else _Pending(((_add_into, (value,), 1, value.den),))
+
+
+def _formed(value) -> _Form:
+    return value.form() if type(value) is _Pending else value
+
+
 class _Sweep:
-    """Evaluator on forms.  Within one sweep it memoises the subterms that do
-    not vary from block to block (those free of the first argument); outside
-    a sweep (``_Sweep()``), every product of forms with no slots.
+    """Evaluator on forms.  A product that involves the first argument is
+    left pending; within one sweep the subterms that do not vary from block
+    to block (those free of the first argument) are formed at once and
+    memoised, and outside a sweep (``_Sweep()``) every product of forms with
+    no slots.  The identity map returns its operand.
 
     When ``sweep`` evaluates orbit representatives, the arguments in the
     bitmask ``narrow`` take only the basis vectors from ``lo`` on.  The
@@ -324,15 +371,17 @@ class _Sweep:
         self.places = [dim ** (arity - 1 - s) for s in range(arity)]
         self.narrowed: dict = {}  # form -> (lo, the form narrowed to lo)
 
-    def _memo(self, fn, operand, *forms) -> _Form:
-        if any(f.slots & 1 for f in forms):
+    def _term(self, fn, operands: tuple, slots: int, den: int):
+        """``fn(*operands)``, a tensor or map and its forms, over ``den``:
+        pending when it involves the first argument, else memoised."""
+        if slots & 1:
             if self.lo:
-                forms = [f if f.slots & 1 else self._narrowed(f) for f in forms]
-            return fn(operand, *forms)
-        key = (fn, id(operand), *forms)
+                operands = (operands[0], *[f if f.slots & 1 else self._narrowed(f) for f in operands[1:]])
+            return _Pending(((fn, operands, 1, den),))
+        key = (fn, id(operands[0]), *operands[1:])
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = fn(operand, *forms)
+            hit = self.memo[key] = fn(*operands)
         return hit
 
     def _narrowed(self, form: _Form) -> _Form:
@@ -349,11 +398,19 @@ class _Sweep:
             self.narrowed[form] = (lo, narrowed)
         return narrowed
 
-    def op(self, t: Trilinear, a: _Form, b: _Form) -> _Form:
-        return self._memo(_contract, t, a, b)
+    def op(self, t: Trilinear, a, b):
+        if type(a) is _Pending:
+            a = a.form()
+        if type(b) is _Pending:
+            b = b.form()
+        return self._term(_contract, (t, a, b), a.slots | b.slots, t.den * a.den * b.den)
 
-    def ap(self, m: LinearMap, a: _Form) -> _Form:
-        return self._memo(_apply, m, a)
+    def ap(self, m: LinearMap, a):
+        if m._identity:
+            return a
+        if type(a) is _Pending:
+            a = a.form()
+        return self._term(_apply, (m, a), a.slots, m.den * a.den)
 
 
 def _orbit_symmetries(residual, dim: int, operands) -> tuple:
@@ -413,14 +470,16 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
             found.clear()
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
             first = _Form({n: {n * lead: 1} for n in range(lo, hi)}, 1)
-            block, form = {}, residual(E, *operands, first, *rest)
+            block, form = {}, _formed(residual(E, *operands, first, *rest))
             for n, col in form.cols.items():
+                if not any(col.values()):
+                    continue
                 for code, q in col.items():
                     if q:
                         block.setdefault(code, {})[n] = q
             known = {}
-            for n in range(lo, hi):
-                known.update(images.pop(n, {}))
+            for n in [n for n in images if n < hi]:  # the images of first indices in [lo, hi)
+                known.update(images.pop(n))
             for code in sorted(block.keys() | known.keys()):
                 indices = _indices(code, dim, arity)
                 r = known.get(code)
@@ -443,7 +502,7 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     reduced once to lowest terms."""
     x = _Form({n: {n * dim: 1} for n in range(dim)}, 1)
     y = _Form({n: {n: 1} for n in range(dim)}, 2)
-    form = formula(_Sweep(), *operands, x, y)
+    form = _formed(formula(_Sweep(), *operands, x, y))
     return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
                                for code, q in col.items()}, form.den)
 

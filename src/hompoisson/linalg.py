@@ -13,11 +13,15 @@ denominators and reduce once.  ``Fraction`` appears only in values read out
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s with their
 sums and scalings, forms every product of a vector with a tensor or a map
 and every ``Polynomial`` sum and product (of one-column forms), reading the
-stored form as it is.  The sweep engine in ``algebra`` runs it on forms
-whose codes number basis tuples; ``Trilinear.contract``, ``LinearMap.apply``
-and ``poly`` key their forms by ``poly``'s packed monomial keys and read the
-result back, where ``poly._of_products`` checks the exponent guard and the
-term limit.
+stored form as it is.  Every sum is formed by ``_sum``: it brings its terms,
+each a kernel call (``_contract``, ``_apply``, or ``_add_into`` for a form
+already formed) with a signed rational scale, to the lcm of their
+denominators, and runs each call into one output with its integer factor
+folded into the tensor or map coefficient.  The sweep engine in ``algebra``
+runs the kernel on forms whose codes number basis tuples;
+``Trilinear.contract``, ``LinearMap.apply`` and ``poly`` key their forms by
+``poly``'s packed monomial keys and read the result back, where
+``poly._of_products`` checks the exponent guard and the term limit.
 
 A square matrix stores the nonzeros of each column (``LinearMap.columns``),
 and every product, application, inverse and identity test runs over them, so
@@ -31,12 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_DEN = itemgetter(3)  # the denominator of a term of ``_sum``
 
 
 def rat(value) -> Fraction:
@@ -242,9 +248,11 @@ class LinearMap:
         for line in other.columns:
             acc: dict = {}
             for k, b in line:
+                unit = b == 1
                 for i, a in left[k]:
+                    p = a if unit else b if a == 1 else a * b
                     v = acc.get(i)
-                    acc[i] = a * b if v is None else v + a * b
+                    acc[i] = p if v is None else v + p
             columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
         return LinearMap._of(tuple(columns), self.den * other.den)
 
@@ -266,6 +274,11 @@ class LinearMap:
         return acc
 
     def is_identity(self) -> bool:
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> bool:
+        """Whether the map is the identity, computed once per map."""
         return self.den == 1 and all(line == ((j, 1),) for j, line in enumerate(self.columns))
 
     def _rref(self) -> dict:
@@ -446,10 +459,12 @@ class Trilinear:
         cols = m.columns
         for i, row in self.rows.items():
             for j, k, q in row:
+                unit = q == 1
                 for out_idx, coeff in cols[k]:
+                    p = coeff if unit else q if coeff == 1 else q * coeff
                     key = (i, j, out_idx)
                     v = data.get(key)
-                    data[key] = q * coeff if v is None else v + q * coeff
+                    data[key] = p if v is None else v + p
         return Trilinear._of(self.dim, data, self.den * m.den)
 
     def contract(self, x: Vector, y: Vector) -> Vector:
@@ -500,37 +515,17 @@ class _Form:
     def is_zero(self) -> bool:
         return not any(any(col.values()) for col in self.cols.values())
 
-    def _merge(self, other: "_Form", negate: bool) -> "_Form":
-        """self + other or self - other over the lcm of their denominators,
-        each side scaled to it only when its factor is not 1."""
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        if fa == 1:
-            cols = {n: dict(col) for n, col in self.cols.items()}
-        else:
-            cols = {n: {code: fa * q for code, q in col.items()} for n, col in self.cols.items()}
-        for n, col in other.cols.items():
-            if fb != 1:
-                col = {code: fb * q for code, q in col.items()}
-            acc = cols.setdefault(n, {})
-            for code, q in col.items():
-                v = acc.get(code)
-                if v is None:
-                    if q:
-                        acc[code] = -q if negate else q
-                    continue
-                total = v - q if negate else v + q
-                if total:
-                    acc[code] = total
-                else:
-                    del acc[code]
-        return _Form(cols, self.slots | other.slots, den)
+    def __add__(self, other):
+        if not isinstance(other, _Form):
+            return NotImplemented
+        return _sum([(_add_into, (self,), 1, self.den), (_add_into, (other,), 1, other.den)],
+                    self.slots | other.slots)
 
-    def __add__(self, other: "_Form") -> "_Form":
-        return self._merge(other, False)
-
-    def __sub__(self, other: "_Form") -> "_Form":
-        return self._merge(other, True)
+    def __sub__(self, other):
+        if not isinstance(other, _Form):
+            return NotImplemented
+        return _sum([(_add_into, (self,), 1, self.den), (_add_into, (other,), -1, other.den)],
+                    self.slots | other.slots)
 
     def __rmul__(self, c) -> "_Form":
         """The rational ``c`` times the form: numerators times its numerator
@@ -541,11 +536,47 @@ class _Form:
         return _Form(cols, self.slots, self.den * c.denominator)
 
 
-def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
-    """t(a, b): the codes of a and b add (in a sweep their free slots are
-    disjoint), and the numerators multiply over ``t.den * a.den * b.den``.  A
-    factor equal to 1 is not multiplied by: the other is taken as is."""
+def _sum(terms, slots: int = 0) -> _Form:
+    """The sum of ``terms``, each ``(fn, operands, num, den)`` for the
+    numerators that ``fn(*operands)`` forms times ``num``, over ``den``, in
+    one output over the lcm of the ``den``: each ``fn(*operands, out,
+    factor)`` adds into it with its integer factor."""
+    total = lcm(*map(_DEN, terms))
     out: dict = {}
+    for fn, operands, num, den in terms:
+        fn(*operands, out, num * (total // den))
+    return _Form(out, slots, total)
+
+
+def _add_into(a: _Form, out: dict, factor: int) -> None:
+    """``factor`` times the numerators of ``a``, added into the columns
+    ``out``: a column ``out`` lacks is copied, a factor of -1 subtracts, and
+    an entry that cancels is dropped."""
+    negate = factor == -1
+    for n, col in a.cols.items():
+        if factor != 1 and not negate:
+            col = {code: factor * q for code, q in col.items()}
+        acc = out.get(n)
+        if acc is None:
+            out[n] = {code: -q for code, q in col.items()} if negate else dict(col)
+            continue
+        for code, q in col.items():
+            v = acc.get(code)
+            if v is None:
+                acc[code] = -q if negate else q
+            elif v := v - q if negate else v + q:
+                acc[code] = v
+            else:
+                del acc[code]
+
+
+def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor: int = 1) -> _Form:
+    """t(a, b): the codes of a and b add (in a sweep their free slots are
+    disjoint), and the numerators multiply over ``t.den * a.den * b.den``.
+    With ``out``, the products times ``factor`` (folded into each tensor
+    coefficient) are added into it.  A factor equal to 1 is not multiplied
+    by: the other is taken as is."""
+    out = {} if out is None else out
     bcols = b.cols
     for i, acol in a.cols.items():
         for j, k, q in t.rows.get(i, ()):
@@ -553,6 +584,8 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
             if bcol is None:
                 continue
             col = out.setdefault(k, {})
+            if factor != 1:
+                q = q * factor
             unit = q == 1
             for ca, qa in acol.items():
                 f = qa if unit else q if qa == 1 else q * qa
@@ -570,14 +603,17 @@ def _contract(t: Trilinear, a: _Form, b: _Form) -> _Form:
     return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
 
 
-def _apply(m: LinearMap, a: _Form) -> _Form:
+def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> _Form:
     """m(a) over ``m.den * a.den``, taking a numerator as is where the other
-    factor is 1."""
-    out: dict = {}
+    factor is 1; with ``out``, added into it times ``factor`` (folded into
+    each map coefficient)."""
+    out = {} if out is None else out
     columns = m.columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
             col = out.setdefault(i, {})
+            if factor != 1:
+                coeff = coeff * factor
             if coeff == 1:
                 for code, q in acol.items():
                     v = col.get(code)

@@ -38,7 +38,7 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
-from .linalg import Trilinear, _contract, _Form, _over_common_denominator, rat
+from .linalg import Trilinear, _add_into, _contract, _Form, _over_common_denominator, _sum, rat
 
 MAX_TERMS = 10 ** 6
 FIELD_BITS = 16
@@ -282,7 +282,10 @@ class Polynomial:
         return _reduced(self.generators, terms, self.den)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Simultaneous substitution of every generator; an algebra morphism."""
+        """Simultaneous substitution of every generator; an algebra morphism.
+
+        Each power of an image is computed once per call, and the terms are
+        summed into one form by ``linalg._sum``."""
         for g in self.generators:
             if g not in images:
                 raise GeneratorMismatch(f"no image given for generator {g!r}")
@@ -296,14 +299,20 @@ class Polynomial:
             raise GeneratorMismatch("no image gives the target generator list")
         image_list = [images[g] for g in self.generators]
         width = len(self.generators)
-        acc = Polynomial.zero(target_gens)
+        one = Polynomial.const(target_gens, 1)
+        powers: dict = {}  # (generator position, exponent) -> that power of its image
+        terms = []
         for key, n in self.terms.items():
-            term = Polynomial.const(target_gens, Fraction(n, self.den))
-            for img, e in zip(image_list, _unpack(key, width)):
+            term = one
+            for pos, e in enumerate(_unpack(key, width)):
                 if e:
-                    term = term * img ** e
-            acc = acc + term
-        return acc
+                    power = powers.get((pos, e))
+                    if power is None:
+                        power = powers[pos, e] = image_list[pos] ** e
+                    term = power if term is one else term * power
+            terms.append((_add_into, (term._form(),), n, self.den * term.den))
+        form = _sum(terms)
+        return _reduced(target_gens, form.cols.get(0, {}), form.den)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point given as {generator: value}."""

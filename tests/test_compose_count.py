@@ -2,28 +2,33 @@
 how many polynomials a contraction reduces, how many additions a map
 application makes, where vector, power and polynomial products and sums are
 formed, how many numerator additions start from zero, how many numerator
-multiplications are by one and how much ``Fraction`` arithmetic a sweep does.
+multiplications are by one, how much ``Fraction`` arithmetic a sweep does,
+that a sweep forms no intermediate sum of forms and how many powers a
+substitution takes.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
-``_Form._merge`` and ``_Form.__rmul__``) or ``Fraction`` arithmetic
-operators with a call counter, or feed the kernel ``int`` numerators that
-record their arithmetic.  A power check composes each power of the twisting
-map once (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1
-need no product), a twist composes the twisting maps once, a contraction of
+the add-into routine ``linalg._add_into`` and ``_Form.__rmul__``),
+``Polynomial.__pow__`` or ``Fraction`` arithmetic operators with a call
+counter, or feed the kernel ``int`` numerators that record their arithmetic.
+A power check composes each power of the twisting map once
+(alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1 need no
+product), a twist composes the twisting maps once, a contraction of
 polynomial vectors reduces each output coordinate once, a map whose rows
 have one nonzero each applies with no addition, ``Trilinear.contract``,
 ``LinearMap.apply``, the power checks and ``Polynomial`` arithmetic form
-every product and sum in the form kernel, the kernel, ``LinearMap.compose``
-and ``Trilinear.map_outputs`` store the first contribution to an entry as it
-is, and the kernel takes a numerator as is where the factor it meets is 1.
-The sweep engine computes on ``int`` numerators over one denominator per
-form, and maps and tensors store theirs the same way, so a sweep does no
-``Fraction`` arithmetic at all (it only constructs the ``Fraction`` values of
-its witnesses), and neither do the constructions built from map and tensor
+every product and sum in the form kernel, the kernel (also where it adds a
+sum's terms into one output), ``LinearMap.compose`` and
+``Trilinear.map_outputs`` store the first contribution to an entry as it is
+and take a numerator as is where the factor it meets is 1.  The sweep
+engine computes on ``int`` numerators over one denominator per form, and
+maps and tensors store theirs the same way, so a sweep does no ``Fraction``
+arithmetic at all (it only constructs the ``Fraction`` values of its
+witnesses), and neither do the constructions built from map and tensor
 products and tabulated formulas.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -33,9 +38,17 @@ import pytest
 
 from hompoisson import algebra as algebra_module
 from hompoisson import linalg, poly
-from hompoisson.algebra import HomAlgebra, check_morphism, check_multiplicative
+from hompoisson.algebra import HomAlgebra, check_hom_poisson, check_morphism, check_multiplicative
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
-from hompoisson.constructions import check_admissible, commutator_poisson, depolarize, polarize, tensor, twist
+from hompoisson.constructions import (
+    check_admissible,
+    check_hom_flexible,
+    commutator_poisson,
+    depolarize,
+    polarize,
+    tensor,
+    twist,
+)
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
@@ -176,13 +189,14 @@ def test_one_term_rows_apply_without_accumulating(accumulations, m):
 def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
     """``Trilinear.contract``, ``LinearMap.apply``, both power checks and
     ``Polynomial`` ``*``, ``+``, ``-`` and ``**`` form every product and sum
-    in the kernel: ``linalg._contract``, ``linalg._apply``, ``_Form._merge``
-    and the scaling ``_Form.__rmul__``.  With the kernel wrapped where it is
-    bound (``linalg``, ``algebra`` for the evaluator on forms, ``poly`` for
-    polynomial products) and every other product of scalars refused
-    (``Fraction`` multiplication, and ``Polynomial`` multiplication but in
-    the polynomial cases), each gives the result it gave before, by calls of
-    the kernel."""
+    in the kernel: ``linalg._contract``, ``linalg._apply``, the add-into
+    routine ``linalg._add_into`` and the scaling ``_Form.__rmul__``.  With
+    the kernel wrapped where it is bound (``linalg``, ``algebra`` for the
+    evaluator on forms, ``poly`` for polynomial products) and every other
+    product of scalars refused (``Fraction`` multiplication, and
+    ``Polynomial`` multiplication but in the polynomial cases), each gives
+    the result it gave before, by calls of the kernel.  ``skewed`` has the
+    identity as its twisting map, which is never applied."""
     single = twisted_single()
     skewed = HomAlgebra(basis=("X", "Y", "Z"), mu=Trilinear(3, {(0, 1, 2): 1, (1, 2, 0): 1}),
                         alpha=LinearMap.identity(3))
@@ -193,19 +207,19 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
         "contract": (lambda: single.mu.contract(x, y), {"_contract"}),
         "contract of rationals": (lambda: single.mu.contract(y, y), {"_contract"}),
         "apply": (lambda: single.alpha.apply(x), {"_apply"}),
-        "power check": (lambda: check_nth_power_assoc(skewed, 3), {"_contract", "_apply", "_merge"}),
-        "criterion-34": (lambda: check_criterion_34(single), {"_contract", "_apply", "_merge"}),
-        "failing criterion-34": (lambda: check_criterion_34(skewed), {"_contract", "_apply", "_merge"}),
+        "power check": (lambda: check_nth_power_assoc(skewed, 3), {"_contract", "_add_into"}),
+        "criterion-34": (lambda: check_criterion_34(single), {"_contract", "_apply", "_add_into"}),
+        "failing criterion-34": (lambda: check_criterion_34(skewed), {"_contract", "_add_into"}),
         "polynomial product": (lambda: p * q, {"_contract"}),
-        "polynomial sum": (lambda: p + q, {"_merge"}),
-        "polynomial difference": (lambda: p - q, {"_merge"}),
+        "polynomial sum": (lambda: p + q, {"_add_into"}),
+        "polynomial difference": (lambda: p - q, {"_add_into"}),
         "polynomial times a rational": (lambda: p * Fraction(-3, 4), {"__rmul__"}),
         "polynomial power": (lambda: p ** 3, {"_contract"}),
     }
     expected = {name: run() for name, (run, _) in cases.items()}
     assert not expected["power check"].passed and not expected["failing criterion-34"].passed
-    assert (algebra_module._contract, algebra_module._apply, poly._contract) == (
-        linalg._contract, linalg._apply, linalg._contract)
+    assert (algebra_module._contract, algebra_module._apply, algebra_module._add_into, poly._contract) == (
+        linalg._contract, linalg._apply, linalg._add_into, linalg._contract)
     calls = []
 
     def counted(owner, name):
@@ -217,8 +231,9 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for module, names in ((linalg, ("_contract", "_apply")), (algebra_module, ("_contract", "_apply")),
-                          (poly, ("_contract",)), (linalg._Form, ("_merge", "__rmul__"))):
+    for module, names in ((linalg, ("_contract", "_apply", "_add_into")),
+                          (algebra_module, ("_contract", "_apply", "_add_into")),
+                          (poly, ("_contract",)), (linalg._Form, ("__rmul__",))):
         for name in names:
             counted(module, name)
 
@@ -238,7 +253,8 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
 def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
     """Feed every call of the kernel (``_contract`` where ``linalg``,
     ``algebra`` and ``poly`` bind it, ``_apply`` where ``linalg`` and
-    ``algebra`` bind it, ``_Form._merge`` and the scaling ``_Form.__rmul__``),
+    ``algebra`` bind it, ``_add_into`` where ``linalg``, ``algebra`` and
+    ``poly`` bind it, and the scaling ``_Form.__rmul__``),
     and with ``with_map_products`` of ``LinearMap.compose`` and
     ``Trilinear.map_outputs``, operands whose numerators are an ``int``
     subclass that records, as ``(function, kind, a, b)``, during those calls:
@@ -294,7 +310,8 @@ def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
         tallied(module, "_contract", tensor_, form, form)
     for module in (linalg, algebra_module):
         tallied(module, "_apply", map_, form)
-    tallied(linalg._Form, "_merge", form, form)
+    for module in (linalg, algebra_module, poly):
+        tallied(module, "_add_into", form)
     tallied(linalg._Form, "__rmul__", form)
     if with_map_products:
         tallied(LinearMap, "compose", map_, map_)
@@ -311,32 +328,35 @@ def additions_of_zero(monkeypatch):
 
 @pytest.fixture
 def multiplications_by_one(monkeypatch):
-    """The multiplications by 1 in the kernel."""
-    log = _tally_numerators(monkeypatch, with_map_products=False)
+    """The multiplications by 1 in the kernel, ``compose`` and ``map_outputs``."""
+    log = _tally_numerators(monkeypatch, with_map_products=True)
     return lambda: [r for r in log if r[1] == "mul"]
 
 
-def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
-    # twist runs compose and map_outputs, and the checks sweep with
-    # _contract, _apply and _merge, here on denominators 2 and 4
+def _twist_and_its_checks():
+    # twist runs compose and map_outputs on beta, which has ones on its
+    # diagonal, and the checks sweep with _contract and _apply, each adding
+    # into the one output of its identity with factors 1, -1 and the lcm
+    # ratios of denominators 2 and 4 and of the 1/3 of admissibility.  The
+    # identity map from the untwisted algebra to twisted is never applied,
+    # so its intertwining adds the first argument's form (_add_into) to a
+    # pending application of beta
     algebra = commutator_poisson(matrix_algebra(3))
     beta = conjugation_morphism(3)
     twisted = twist(algebra, beta)
     assert check_multiplicative(twisted).passed
     assert check_morphism(beta, twisted, twisted).passed
     assert not check_admissible(depolarize(twisted)).passed
+    assert not check_morphism(LinearMap.identity(9), algebra, twisted).passed
+
+
+def test_twist_and_its_checks_add_nothing_to_zero(additions_of_zero):
+    _twist_and_its_checks()
     assert additions_of_zero() == []
 
 
 def test_twist_and_its_checks_multiply_nothing_by_one(multiplications_by_one):
-    # beta has ones on its diagonal and the twisting map is the identity, so
-    # every sweep meets factors of 1, and admissibility scales by 1/3
-    algebra = commutator_poisson(matrix_algebra(3))
-    beta = conjugation_morphism(3)
-    twisted = twist(algebra, beta)
-    assert check_multiplicative(twisted).passed
-    assert check_morphism(beta, twisted, twisted).passed
-    assert not check_admissible(depolarize(twisted)).passed
+    _twist_and_its_checks()
     assert multiplications_by_one() == []
 
 
@@ -349,8 +369,9 @@ def test_polynomial_arithmetic_adds_nothing_to_zero_and_multiplies_nothing_by_on
     g = {(1, 1): Fraction(2, 3), (0, 2): 1, (0, 0): 1}
     p, q = Polynomial(gens, f), Polynomial(gens, g)
     rp, rq = RefPoly(gens, f), RefPoly(gens, g)
-    results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p]
-    expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp]
+    # p + 2p adds p with a factor of 1 (2p has denominator 1)
+    results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p, p + 2 * p]
+    expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp, rp.scale(3)]
     assert results == [Polynomial(gens, r.terms) for r in expected]
     assert log == []
 
@@ -409,3 +430,46 @@ def test_constructions_do_no_fraction_arithmetic(fraction_arithmetic):
     assert fraction_arithmetic == []
     assert cube.entry(1, 1) == Fraction(1, 8) and twisted.alpha == beta
     assert product.mu.entry(0, 4, 8) == Fraction(1, 3) and split.alpha == beta
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_sweeps_form_no_intermediate_sum(monkeypatch, twisted, corrupt):
+    """A swept identity adds its signed products into one output, so neither
+    a ``check_hom_poisson`` nor a ``check_hom_flexible`` sweep forms a sum of
+    two forms (``_Form.__add__``, ``_Form.__sub__``)."""
+    checked = commutator_poisson(matrix_algebra(3))
+    if twisted:
+        checked = twist(checked, conjugation_morphism(3))
+    if corrupt:
+        checked = dataclasses.replace(checked, mu=checked.mu.with_entry(0, 1, 2, Fraction(1, 3)))
+    single = depolarize(checked)
+    expected = check_hom_poisson(checked), check_hom_flexible(single)
+
+    def refuse(*args):
+        raise AssertionError("a sweep formed an intermediate sum of forms")
+
+    monkeypatch.setattr(linalg._Form, "__add__", refuse)
+    monkeypatch.setattr(linalg._Form, "__sub__", refuse)
+    assert (check_hom_poisson(checked), check_hom_flexible(single)) == expected
+
+
+def test_substitution_takes_each_power_of_an_image_once(monkeypatch):
+    """``Polynomial.substitute`` computes each power of an image once per
+    call, and equals the reference substitution."""
+    gens = ("x", "y", "z")
+    x, y, z = Polynomial.variables(gens)
+    p = (x + y + z + 1) ** 6
+    images = {"x": x + Fraction(1, 2), "y": y - z, "z": 3 * z}
+    reference = RefPoly(gens, {e: c for e, c in p.sorted_terms()}).substitute(
+        [RefPoly(gens, {e: c for e, c in img.sorted_terms()}) for img in images.values()])
+    powers = []
+    original = Polynomial.__pow__
+
+    def counted(self, n):
+        powers.append((self, n))
+        return original(self, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counted)
+    assert p.substitute(images) == Polynomial(gens, reference.terms)
+    assert len(powers) == len(set(powers)) == 3 * 6

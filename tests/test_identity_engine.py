@@ -26,6 +26,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from hompoisson import algebra as algebra_module
+from hompoisson import linalg
 from hompoisson.algebra import (
     MAX_WITNESSES,
     VECTORS,
@@ -55,6 +56,7 @@ from hompoisson.constructions import (
     depolarize,
     flexibility,
     nonrigidity_witness,
+    polarize,
     twist,
 )
 from hompoisson.errors import PreconditionError
@@ -417,15 +419,16 @@ def test_orbit_sweeps_emit_early_images_in_later_blocks(algebra):
 @pytest.fixture
 def contraction_products(monkeypatch):
     """The products each sweep contraction forms: a coefficient of the first
-    form times one of the second, for each tensor entry joining them."""
+    form times one of the second, for each tensor entry joining them,
+    whether the contraction forms its own output or adds into a sum's."""
     counts = []
     original = algebra_module._contract
 
-    def counted(t, a, b):
+    def counted(t, a, b, *into):
         bcols = b.cols
         counts.append(sum(len(acol) * len(bcols[j]) for i, acol in a.cols.items()
                           for j, _, _ in t.rows.get(i, ()) if j in bcols))
-        return original(t, a, b)
+        return original(t, a, b, *into)
 
     monkeypatch.setattr(algebra_module, "_contract", counted)
     return counts
@@ -444,6 +447,39 @@ def test_orbit_sweeps_form_fewer_products_on_mat6(contraction_products):
             contraction_products.clear()
             assert sweep(name, checked.dim, 3, residual, t, checked.alpha).passed
             assert sum(contraction_products) == products
+
+
+# ---------------------------------------------------------------------------
+# Fused sums
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(algebras(), st.booleans())
+def test_fused_sums_match_oracle(case, untwisted):
+    """Each swept identity adds its signed products into one output.  The
+    reports of the identities with the 1/3 of admissibility, and of the
+    polarized halves (the 1/2 of ``polarize``), on passing and failing inputs
+    and tensors over unequal denominators, equal the oracle's.  A twisting
+    map that is the identity, here built from dense rows, is never applied."""
+    algebra, _ = case
+    if untwisted:
+        dim = algebra.dim
+        algebra = dataclasses.replace(algebra, alpha=LinearMap([[int(i == j) for j in range(dim)]
+                                                                for i in range(dim)]))
+    single = depolarize(algebra)
+    halves = polarize(single)
+    applies = []
+    with pytest.MonkeyPatch.context() as m:
+        for module in (linalg, algebra_module):
+            m.setattr(module, "_apply", lambda *args, original=module._apply: applies.append(args[0]) or original(*args))
+        reports = [(check_admissible(single), oracle_reports(single), "admissible"),
+                   (check_hom_flexible(single), oracle_reports(single), "hom-flexible"),
+                   (check_hom_poisson(halves), oracle_reports(halves), "hom-poisson")]
+    for report, expected, name in reports:
+        _assert_matches(report, expected[name], name)
+    assert halves.alpha is algebra.alpha
+    assert not applies if algebra.alpha.is_identity() else applies
+    assert not untwisted or algebra.alpha.is_identity()
 
 
 # ---------------------------------------------------------------------------
