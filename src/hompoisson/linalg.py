@@ -383,7 +383,7 @@ class Trilinear:
     one, keys ascending), and entry (i, j, k) is numerator / ``den``.
     """
 
-    __slots__ = ("dim", "rows", "den")
+    __slots__ = ("dim", "rows", "den", "__dict__")  # ``__dict__`` holds the cached properties
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
@@ -436,6 +436,13 @@ class Trilinear:
 
     def is_zero(self) -> bool:
         return not self.rows
+
+    @cached_property
+    def _commutative(self) -> bool:
+        """Whether op(x, y) = op(y, x): the stored numerators are symmetric in
+        the first two indices.  Computed once per tensor, in O(nnz)."""
+        entries = {(i, j, k): q for i, row in self.rows.items() for j, k, q in row}
+        return all(entries.get((j, i, k)) == q for (i, j, k), q in entries.items())
 
     def with_entry(self, i: int, j: int, k: int, value) -> "Trilinear":
         """Copy with one structure constant replaced (used to corrupt tensors in tests)."""

@@ -8,7 +8,7 @@ from hompoisson import witnesses
 from hompoisson.algebra import HomPoissonAlgebra
 from hompoisson.catalog import heisenberg_morphism, heisenberg_p31
 from hompoisson.cli import WITNESS_SCRIPTS, run_command
-from hompoisson.constructions import depolarize, twist
+from hompoisson.constructions import depolarize, tensor, twist
 from hompoisson.linalg import LinearMap, Trilinear
 from hompoisson.specfile import emit_map, emit_spec, parse_spec
 
@@ -173,6 +173,14 @@ def test_polarize_depolarize_power_pipeline(capsys, p31_file, tmp_path):
     for fmt in ("text", "json"):
         assert run_command(["power", str(nonmult), "--max-n", "2", "--format", fmt]) == 2
         assert "error: --max-n 2 runs no check" in capsys.readouterr().err
+
+
+def test_power_refuses_a_dim_9_algebra(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    emit_spec(depolarize(tensor(heisenberg_p31(1), heisenberg_p31(1))), path)
+    for fmt in ("text", "json"):
+        assert run_command(["power", str(path), "--format", fmt]) == 2
+    assert "refused" in capsys.readouterr().err
 
 
 def _power_witnesses(capsys, tmp_path, mu):

@@ -3,8 +3,8 @@ how many polynomials a contraction reduces, how many additions a map
 application makes, where vector, power and polynomial products and sums are
 formed, how many numerator additions start from zero, how many numerator
 multiplications are by one, how much ``Fraction`` arithmetic a sweep does,
-that a sweep forms no intermediate sum of forms and how many powers a
-substitution takes.
+that a sweep or a power check forms no intermediate sum of forms, how many
+pair products a power check forms and how many powers a substitution takes.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
@@ -13,8 +13,10 @@ the add-into routine ``linalg._add_into`` and ``_Form.__rmul__``),
 counter, or feed the kernel ``int`` numerators that record their arithmetic.
 A power check composes each power of the twisting map once
 (alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1 need no
-product), a twist composes the twisting maps once, a contraction of
-polynomial vectors reduces each output coordinate once, a map whose rows
+product, and an identity alpha none), a commutative product forms each
+mirrored pair x^(n-i,i) = x^(i,n-i) once, a twist composes the twisting
+maps once, a contraction of polynomial vectors reduces each output
+coordinate once, a map whose rows
 have one nonzero each applies with no addition, ``Trilinear.contract``,
 ``LinearMap.apply``, the power checks and ``Polynomial`` arithmetic form
 every product and sum in the form kernel, the kernel (also where it adds a
@@ -37,6 +39,7 @@ from functools import partial
 import pytest
 
 from hompoisson import algebra as algebra_module
+from hompoisson import hompower as hompower_module
 from hompoisson import linalg, poly
 from hompoisson.algebra import HomAlgebra, check_hom_poisson, check_morphism, check_multiplicative
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
@@ -49,6 +52,7 @@ from hompoisson.constructions import (
     tensor,
     twist,
 )
+from hompoisson.errors import PreconditionError
 from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
@@ -86,6 +90,60 @@ def test_criterion_34_composes_at_most_twice(composes):
     composes.clear()
     assert check_criterion_34(algebra).passed
     assert len(composes) <= 2
+
+
+# k[Z7], commutative and associative, and a copy with one more product that
+# makes it not commutative; each with the identity, or Yau-twisted by the
+# automorphism g_i -> g_2i
+CYCLIC = Trilinear(7, {(i, j, (i + j) % 7): 1 for i in range(7) for j in range(7)})
+DOUBLING = LinearMap(tuple(tuple(int(r == 2 * c % 7) for c in range(7)) for r in range(7)))
+
+
+def cyclic_algebra(commutative: bool, alpha: LinearMap) -> HomAlgebra:
+    mu = CYCLIC if commutative else CYCLIC.with_entry(0, 1, 2, 1)
+    return HomAlgebra(basis=tuple(f"g{i}" for i in range(7)), mu=mu.map_outputs(alpha), alpha=alpha)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("commutative", [True, False])
+def test_power_checks_form_each_residual_product_once(monkeypatch, composes, commutative, twisted):
+    """A power residual adds its pair product into a copy of x^n, with no sum
+    of forms (``_Form.__add__``, ``_Form.__sub__``).  A commutative product
+    forms the pairs x^(n-i,i) for 2 <= i <= n/2 only (floor(n/2) - 1
+    products), any other one the n - 2 pairs for 2 <= i < n; criterion-34 on
+    a commutative product forms only alpha(x^2) alpha(x^2), the one product
+    of its second residual.  Residual products are formed by ``hompower``'s
+    binding of the kernel, the twisted powers by the evaluator's, and an
+    identity twisting map is never composed."""
+    algebra = cyclic_algebra(commutative, DOUBLING if twisted else LinearMap.identity(7))
+    products = []
+    original = hompower_module._contract
+
+    def counted(*args):
+        products.append(args[0])
+        return original(*args)
+
+    def refuse(*args):
+        raise AssertionError("a power check formed a sum of forms")
+
+    monkeypatch.setattr(hompower_module, "_contract", counted)
+    monkeypatch.setattr(linalg._Form, "__add__", refuse)
+    monkeypatch.setattr(linalg._Form, "__sub__", refuse)
+    for n in (5, 6, 7):
+        products.clear()
+        composes.clear()
+        assert check_nth_power_assoc(algebra, n).passed == commutative
+        assert len(products) == (n // 2 - 1 if commutative else n - 2), n
+        assert twisted or composes == [], n
+    if twisted and not commutative:
+        with pytest.raises(PreconditionError):
+            check_criterion_34(algebra)
+        return
+    products.clear()
+    composes.clear()
+    assert check_criterion_34(algebra).passed == commutative
+    assert len(products) == (1 if commutative else 3)
+    assert twisted or composes == []
 
 
 def test_twist_of_a_dim_81_tensor_power_composes_once(composes):
@@ -192,7 +250,8 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
     in the kernel: ``linalg._contract``, ``linalg._apply``, the add-into
     routine ``linalg._add_into`` and the scaling ``_Form.__rmul__``.  With
     the kernel wrapped where it is bound (``linalg``, ``algebra`` for the
-    evaluator on forms, ``poly`` for polynomial products) and every other
+    evaluator on forms, ``hompower`` for the power residuals, ``poly`` for
+    polynomial products) and every other
     product of scalars refused (``Fraction`` multiplication, and
     ``Polynomial`` multiplication but in the polynomial cases), each gives
     the result it gave before, by calls of the kernel.  ``skewed`` has the
@@ -218,8 +277,9 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
     }
     expected = {name: run() for name, (run, _) in cases.items()}
     assert not expected["power check"].passed and not expected["failing criterion-34"].passed
-    assert (algebra_module._contract, algebra_module._apply, algebra_module._add_into, poly._contract) == (
-        linalg._contract, linalg._apply, linalg._add_into, linalg._contract)
+    assert (algebra_module._contract, algebra_module._apply, algebra_module._add_into, poly._contract,
+            hompower_module._contract, hompower_module._add_into) == (
+        linalg._contract, linalg._apply, linalg._add_into, linalg._contract, linalg._contract, linalg._add_into)
     calls = []
 
     def counted(owner, name):
@@ -233,6 +293,7 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
 
     for module, names in ((linalg, ("_contract", "_apply", "_add_into")),
                           (algebra_module, ("_contract", "_apply", "_add_into")),
+                          (hompower_module, ("_contract", "_add_into")),
                           (poly, ("_contract",)), (linalg._Form, ("__rmul__",))):
         for name in names:
             counted(module, name)
@@ -251,10 +312,10 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
 
 
 def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
-    """Feed every call of the kernel (``_contract`` where ``linalg``,
-    ``algebra`` and ``poly`` bind it, ``_apply`` where ``linalg`` and
-    ``algebra`` bind it, ``_add_into`` where ``linalg``, ``algebra`` and
-    ``poly`` bind it, and the scaling ``_Form.__rmul__``),
+    """Feed every call of the kernel (``_contract`` and ``_add_into`` where
+    ``linalg``, ``algebra``, ``hompower`` and ``poly`` bind them, ``_apply``
+    where ``linalg`` and ``algebra`` bind it, and the scaling
+    ``_Form.__rmul__``),
     and with ``with_map_products`` of ``LinearMap.compose`` and
     ``Trilinear.map_outputs``, operands whose numerators are an ``int``
     subclass that records, as ``(function, kind, a, b)``, during those calls:
@@ -306,12 +367,11 @@ def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
         monkeypatch.setattr(owner, name, wrapper)
 
     form, map_, tensor_ = (partial(f, tally=Tally) for f in (_tallied_form, _tallied_map, _tallied_tensor))
-    for module in (linalg, algebra_module, poly):
+    for module in (linalg, algebra_module, hompower_module, poly):
         tallied(module, "_contract", tensor_, form, form)
+        tallied(module, "_add_into", form)
     for module in (linalg, algebra_module):
         tallied(module, "_apply", map_, form)
-    for module in (linalg, algebra_module, poly):
-        tallied(module, "_add_into", form)
     tallied(linalg._Form, "__rmul__", form)
     if with_map_products:
         tallied(LinearMap, "compose", map_, map_)
@@ -373,6 +433,34 @@ def test_polynomial_arithmetic_adds_nothing_to_zero_and_multiplies_nothing_by_on
     results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p, p + 2 * p]
     expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp, rp.scale(3)]
     assert results == [Polynomial(gens, r.terms) for r in expected]
+    assert log == []
+
+
+def test_power_checks_add_nothing_to_zero_and_multiply_nothing_by_one(monkeypatch):
+    # the twisting maps have numerators 1 and others over denominators 1, 2
+    # and 3, so the residuals scale x^n or their products by lcm ratios, and
+    # products meet factors of 1; commutative and not, passing and failing
+    half = LinearMap.diagonal([1, Fraction(1, 2), Fraction(1, 4)])
+    truncated = Trilinear(3, {(i, j, i + j): 1 for i in range(3) for j in range(3) if i + j < 3})
+    algebras = [
+        HomAlgebra(("a", "b", "c"), truncated.map_outputs(half), half),
+        HomAlgebra(("a", "b", "c"), truncated.with_entry(1, 1, 0, Fraction(2, 3)), LinearMap.identity(3)),
+        HomAlgebra(("a", "b", "c"), truncated.with_entry(0, 1, 0, Fraction(-1, 3)).map_outputs(half), half),
+        twisted_single(),
+    ]
+
+    def reports():
+        out = []
+        for algebra in algebras:
+            out.extend(check_nth_power_assoc(algebra, n) for n in range(3, 7))
+            if check_multiplicative(algebra).passed:
+                out.append(check_criterion_34(algebra))
+        return out
+
+    expected = reports()
+    assert {r.passed for r in expected} == {True, False}
+    log = _tally_numerators(monkeypatch, with_map_products=True)
+    assert reports() == expected
     assert log == []
 
 

@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompoisson import algebra as algebra_module
+from hompoisson import hompower as hompower_module
 from hompoisson import linalg
 from hompoisson.algebra import HomAlgebra, check_multiplicative
 from hompoisson.catalog import (
@@ -194,6 +198,91 @@ def test_power_checks_match_the_bench_recursion():
     assert criterion_runs
 
 
+SCALES = tuple(map(Fraction, (2, 3, -2, Fraction(1, 2), Fraction(-1, 3))))
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def power_inputs(draw):
+    """A product that is symmetric or not, with the identity or a diagonal
+    twisting map, and a rational point.  ``random`` draws the product;
+    ``truncated`` (k[x]/x^dim, commutative) and ``triangular`` (upper
+    triangular 2x2 matrices, not commutative) are associative, Yau-twisted by
+    a diagonal automorphism, and pass unless one more product is drawn,
+    mirrored in its first two indices when ``symmetric``."""
+    kind = draw(st.sampled_from(("random", "truncated", "triangular")))
+    dim = 3 if kind == "triangular" else draw(st.integers(1, 4))
+    symmetric = draw(st.booleans())
+    cells = list(itertools.product(range(dim), repeat=3))
+    if kind == "random":
+        entries = {}
+        for (i, j, k), q in draw(st.dictionaries(st.sampled_from(cells), rationals, max_size=2 * dim)).items():
+            entries[i, j, k] = q
+            if symmetric:
+                entries[j, i, k] = q
+        weights = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+    elif kind == "truncated":
+        entries = {(i, j, i + j): 1 for i in range(dim) for j in range(dim) if i + j < dim}
+        weights = range(dim)
+    else:  # E11, E12, E22
+        entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1}
+        weights = (0, -1, 0)
+    scale = draw(st.sampled_from(SCALES))
+    alpha = (LinearMap.diagonal([scale ** w for w in weights]) if draw(st.booleans())
+             else LinearMap.identity(dim))
+    mu = Trilinear(dim, entries).map_outputs(alpha)
+    if kind != "random" and draw(st.booleans()):
+        (i, j, k), q = draw(st.sampled_from(cells)), draw(rationals)
+        mu = mu.with_entry(i, j, k, q)
+        if symmetric:
+            mu = mu.with_entry(j, i, k, q)
+    point = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    return HomAlgebra(tuple(f"b{i}" for i in range(dim)), mu, alpha), point
+
+
+def assert_reference_witnesses(report, reference):
+    """The witnesses of ``report`` are the nonzero ``(indices, residual)``
+    of ``reference``, in its order."""
+    expected = [(indices, r) for indices, r in reference if not r.is_zero()]
+    assert [(w.indices, w.residual) for w in report.witnesses] == expected
+    assert report.passed == (not expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_inputs())
+def test_power_checks_match_the_references(drawn):
+    """On symmetric and other products, passing and failing, the power checks
+    for n = 3..7 and criterion-34 report the residuals of ``hom_power``,
+    ``hom_power_pair`` and ``Vector`` arithmetic, which equal the benchmark
+    oracle's at a rational point.  On a symmetric product the witnesses at
+    (n, i) and (n, n - i) are equal and (n, n - 1) is none."""
+    algebra, point = drawn
+    mu, alpha = algebra.mu, algebra.alpha
+    symmetric = all(mu.entry(j, i, k) == q for (i, j, k), q in mu.items())
+    x = generic_element(algebra.dim)
+    values = {f"t{i + 1}": q for i, q in enumerate(point)}
+    oracle = PowerOracle(mu, alpha, point)
+    for n in range(3, 8):
+        report = check_nth_power_assoc(algebra, n)
+        xn = hom_power(algebra, x, n)
+        assert_reference_witnesses(report, [((n, i), xn - hom_power_pair(algebra, x, n - i, i)) for i in range(2, n)])
+        assert_witnesses_at(report, {(n, i): value for i, value in oracle.power_residuals(n).items()}, values)
+        if symmetric:
+            got = {w.indices[1]: w.residual for w in report.witnesses}
+            assert n - 1 not in got
+            assert all(got[n - i] == r for i, r in got.items())
+    if not check_multiplicative(algebra).passed:
+        with pytest.raises(PreconditionError):
+            check_criterion_34(algebra)
+        return
+    report = check_criterion_34(algebra)
+    x2, ax = hom_power(algebra, x, 2), alpha.apply(x)
+    ax2 = alpha.apply(x2)
+    assert_reference_witnesses(report, [((3,), mu.contract(x2, ax) - mu.contract(ax, x2)),
+                                        ((4,), hom_power(algebra, x, 4) - mu.contract(ax2, ax2))])
+    assert_witnesses_at(report, {(k,): value for k, value in oracle.criterion_residuals().items()}, values)
+
+
 def test_criterion_requires_multiplicative():
     alg = HomAlgebra(basis=("X", "Y", "Z"), mu=Trilinear(3, {(0, 0, 2): 1}),
                      alpha=LinearMap(((0, 0, 1), (0, 1, 0), (1, 0, 0))))
@@ -202,12 +291,18 @@ def test_criterion_requires_multiplicative():
         check_criterion_34(alg)
 
 
-def test_resource_guards():
+def test_resource_guards(monkeypatch):
     big = depolarize(tensor(heisenberg_p31(1), heisenberg_p31(1)))  # dim 9
     with pytest.raises(ResourceLimitError):
         check_nth_power_assoc(big, 3)
     with pytest.raises(ResourceLimitError):
         check_nth_power_assoc(p32_single(), 9)
+
+    def refuse(*args):
+        raise AssertionError("swept an algebra past the dim guard")
+
+    # the dim guard runs before the multiplicativity sweeps
+    monkeypatch.setattr(hompower_module, "check_multiplicative", refuse)
     with pytest.raises(ResourceLimitError):
         check_criterion_34(big)
 
