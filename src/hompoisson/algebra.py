@@ -40,11 +40,12 @@ basis tuples.  It computes on ``int`` only, in the stored form of maps and
 tensors: every form holds ``int`` numerators over one positive ``int``
 denominator ``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are
 read as they are.  Products multiply numerators and denominators.  A product
-that involves the first argument is left pending (``_Pending``): it records
-the kernel function, its operands and a signed rational scale, and ``+``,
-``-`` and scaling by a rational only combine such records.  A pending sum is
-formed once, where the sweep, ``tabulate`` or an enclosing product reads it,
-by ``linalg._sum``: over the lcm of its terms' denominators, each term runs
+that involves the first argument is left pending (``linalg._Pending``): it
+records the kernel function, its operands and a signed rational scale, and
+``+``, ``-`` and scaling by a rational only combine such records; every other
+product is formed at once and memoised.  A pending sum is formed once, where
+the sweep, ``tabulate``, a power check or an enclosing product reads it, by
+``linalg._sum``: over the lcm of its terms' denominators, each term runs
 into one output with its integer factor folded into the tensor or map
 coefficient.  The identity map is never applied: ``E.ap`` returns its
 operand.  A numerator is zero exactly when its value is, so a sweep never
@@ -61,7 +62,7 @@ import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Trilinear, Vector, _add_into, _apply, _contract, _Form, _sum, _vector_of
+from .linalg import LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _Pending, _vector_of
 
 MAX_WITNESSES = 10
 
@@ -311,52 +312,11 @@ def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Ve
 # Basis sweeps: identities on sparse forms
 # ---------------------------------------------------------------------------
 
-class _Pending(tuple):
-    """A sum of scaled products that involve the first argument, not yet
-    formed: the terms ``linalg._sum`` takes.  A form added to it joins as a
-    term of ``_add_into``.  Its form has slot 0 set."""
-
-    __slots__ = ()
-
-    def form(self) -> _Form:
-        if len(self) > 1:
-            return _sum(self, 1)
-        (fn, operands, num, den), = self  # one product, formed on its own
-        form = fn(*operands, {}, num)
-        form.den = den
-        return form
-
-    def __add__(self, other):
-        return _Pending((*self, *_pending(other)))
-
-    def __sub__(self, other):
-        return _Pending((*self, *((fn, operands, -num, den) for fn, operands, num, den in _pending(other))))
-
-    def __radd__(self, other):
-        return _pending(other) + self
-
-    def __rsub__(self, other):
-        return _pending(other) - self
-
-    def __rmul__(self, c):
-        a, b = c.numerator, c.denominator
-        return _Pending((fn, operands, a * num, b * den) for fn, operands, num, den in self)
-
-
-def _pending(value) -> _Pending:
-    return value if type(value) is _Pending else _Pending(((_add_into, (value,), 1, value.den),))
-
-
-def _formed(value) -> _Form:
-    return value.form() if type(value) is _Pending else value
-
-
 class _Sweep:
-    """Evaluator on forms.  A product that involves the first argument is
-    left pending; within one sweep the subterms that do not vary from block
-    to block (those free of the first argument) are formed at once and
-    memoised, and outside a sweep (``_Sweep()``) every product of forms with
-    no slots.  The identity map returns its operand.
+    """Evaluator on forms, with one memo rule: a product that involves the
+    first argument (slot 0) is left pending, and every other product, the
+    same from block to block, is formed at once and memoised.  The identity
+    map returns its operand.
 
     When ``sweep`` evaluates orbit representatives, the arguments in the
     bitmask ``narrow`` take only the basis vectors from ``lo`` on.  The

@@ -4,12 +4,13 @@ Power identities are not multilinear, so basis sweeps do not decide them.
 Instead an element with independent polynomial coordinates t_1..t_dim is
 pushed through the power recursion; a residual that is the zero polynomial
 vector proves the identity for every element over an infinite coefficient
-field, exactly.  The recursion runs on the contraction kernel of ``linalg``
-through the evaluator on forms (``algebra._Sweep``), and each residual is
-one ``linalg._sum`` into one output: x^n (or a first product) is copied in
+field, exactly.  The recursion runs through the evaluator on forms
+(``algebra._Sweep``) with the generic element as its first argument, so
+each product is pending until read.  A residual, stated through the
+evaluator, is formed as one pending sum into one output: x^n is copied in
 and the products of the other side are added with the factor -1 folded into
 the tensor coefficients.  Only a nonzero residual is read back into
-polynomials, for its witness.
+polynomials, once per form, for its witnesses.
 
 For a commutative product x^(n-i,i) = x^(i,n-i) and x^(1,n-1) = x^n, so an
 n-th power check forms the residuals (n, i) for 2 <= i <= n/2 only: (n, i)
@@ -20,9 +21,9 @@ those of the full check.
 
 from __future__ import annotations
 
-from .algebra import CheckReport, _Sweep, check_multiplicative, make_report
-from .errors import PreconditionError, ResourceLimitError
-from .linalg import LinearMap, Vector, _add_into, _contract, _form_of, _sum, _vector_of
+from .algebra import CheckReport, _Sweep, check_multiplicative, commutativity, make_report
+from .errors import DimensionMismatch, PreconditionError, ResourceLimitError
+from .linalg import LinearMap, Vector, _Form, _form_of, _formed, _vector_of
 from .poly import Polynomial, _check_power
 
 # Desk-scale guards: generic n-th powers in dimension d are polynomials of
@@ -47,57 +48,56 @@ def hom_power(algebra, x: Vector, n: int) -> Vector:
 
 def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
     """The evaluator on forms, the forms of the twisted powers x^1..x^n
-    (index 0 unused), the twisting-map powers alpha^0..alpha^(n-1) that they
-    and the pair powers use, and the generator list of x.
+    (index 0 unused), ``twisted(k, i)``, the form of alpha^k(x^i), and the
+    generator list of x.
 
-    Forms check no exponent per product, so a power of x of ``degree``, whose
-    exponents are at most ``degree`` times the largest in x, is refused past
-    ``poly.MAX_EXPONENT`` before the first product.  The table starts from
-    [I, alpha] and composes each higher power once, so an n-th power check
-    makes n - 2 compositions, and none when alpha is the identity."""
+    The form of x takes slot 0, as ``tabulate``'s first argument, so every
+    product of it is pending until read; each power and each alpha^k(x^i)
+    is formed once.  Forms check no exponent per product, so a power of x of
+    ``degree``, whose exponents are at most ``degree`` times the largest in
+    x, is refused past ``poly.MAX_EXPONENT`` before the first product.  The
+    powers of alpha start from [I, alpha], and each higher one is composed
+    once, when first read: an n-th power check reads up to alpha^(n-2) and
+    makes n - 3 compositions, and none when alpha is the identity."""
     if x.dim != algebra.dim:
-        raise ValueError(f"element dim {x.dim} != algebra dim {algebra.dim}")
+        raise DimensionMismatch(f"element dim {x.dim} != algebra dim {algebra.dim}")
     v, generators = _form_of(x)
     if generators is not None:
         _check_power((code for col in v.cols.values() for code in col), len(generators), degree)
+    v = _Form(v.cols, 1, v.den)
     E, mu, alpha = _Sweep(), algebra.mu, algebra.alpha
-    alphas = [LinearMap.identity(algebra.dim), alpha]
-    for _ in range(2, n):
-        alphas.append(alpha if alpha._identity else alphas[-1].compose(alpha))
-    table = [None, v]
+    alphas, table, images = [LinearMap.identity(algebra.dim), alpha], [None, v], {}
+
+    def twisted(k: int, i: int) -> _Form:
+        while len(alphas) <= k:
+            alphas.append(alpha if alpha._identity else alphas[-1].compose(alpha))
+        if (k, i) not in images:
+            images[k, i] = _formed(E.ap(alphas[k], table[i]))
+        return images[k, i]
+
     for m in range(2, n + 1):
-        table.append(E.op(mu, table[-1], E.ap(alphas[m - 2], v)))
-    return E, table, alphas, generators
+        table.append(_formed(E.op(mu, table[-1], twisted(m - 2, 1))))
+    return E, table, twisted, generators
 
 
 def hom_power_pair(algebra, x: Vector, i: int, j: int) -> Vector:
     """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j)."""
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
-    E, table, alphas, generators = _power_table(algebra, x, max(i, j), i + j)
-    return _vector_of(E.op(*_pair_operands(E, algebra, table, alphas, i, j)), algebra.dim, generators)
-
-
-def _pair_operands(E, algebra, table: list, alphas: list, i: int, j: int) -> tuple:
-    """``(mu, alpha^(j-1)(x^i), alpha^(i-1)(x^j))``, whose product is x^(i,j),
-    from the tables of twisted powers of x and of alpha."""
-    return algebra.mu, E.ap(alphas[j - 1], table[i]), E.ap(alphas[i - 1], table[j])
-
-
-def _product(sign: int, t, a, b) -> tuple:
-    """The ``_sum`` term of ``sign`` times t(a, b)."""
-    return _contract, (t, a, b), sign, t.den * a.den * b.den
-
-
-def _less(form, t, a, b):
-    """``form`` - t(a, b) in one output: a copy of ``form`` and the products."""
-    return _sum([(_add_into, (form,), 1, form.den), _product(-1, t, a, b)])
+    E, _, twisted, generators = _power_table(algebra, x, max(i, j), i + j)
+    return _vector_of(_formed(E.op(algebra.mu, twisted(j - 1, i), twisted(i - 1, j))), algebra.dim, generators)
 
 
 def _residuals(dim: int, generators: tuple, cases):
     """``(indices, residual vector)`` for each ``(indices, residual form)``
-    that is not zero: only a witness is read back into polynomials."""
-    return ((indices, _vector_of(r, dim, generators)) for indices, r in cases if not r.is_zero())
+    that is not zero: only a witness is read back into polynomials, and a
+    form that several cases share is read back once."""
+    vectors: dict = {}  # form -> its vector
+    for indices, r in cases:
+        if not r.is_zero():
+            if r not in vectors:
+                vectors[r] = _vector_of(r, dim, generators)
+            yield indices, vectors[r]
 
 
 def _guard(algebra, n: int) -> None:
@@ -112,12 +112,13 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     if n < 2:
         raise ValueError("power associativity is defined for n >= 2")
     _guard(algebra, n)
-    E, table, alphas, generators = _power_table(algebra, generic_element(algebra.dim), n, n)
-    mirrored = algebra.mu._commutative
-    # i = 1 is skipped: x^(n-1,1) = x^(n-1) alpha^(n-2)(x) is the recursion
-    # defining x^n.  For a commutative product so is i = n - 1, and (n, i)
-    # for i > n/2 is the residual of (n, n - i).
-    forms = {i: _less(table[n], *_pair_operands(E, algebra, table, alphas, n - i, i))
+    E, table, twisted, generators = _power_table(algebra, generic_element(algebra.dim), n, n)
+    mu, mirrored = algebra.mu, algebra.mu._commutative
+    # x^(n-i,i) = alpha^(i-1)(x^(n-i)) alpha^(n-i-1)(x^i).  i = 1 is skipped:
+    # x^(n-1,1) = x^(n-1) alpha^(n-2)(x) is the recursion defining x^n.  For a
+    # commutative product so is i = n - 1, and (n, i) for i > n/2 is the
+    # residual of (n, n - i), read back once.
+    forms = {i: _formed(table[n] - E.op(mu, twisted(i - 1, n - i), twisted(n - i - 1, i)))
              for i in range(2, n // 2 + 1 if mirrored else n)}
     return make_report(f"hom-power-associative[{n}]", _residuals(algebra.dim, generators, (
         ((n, i), forms[min(i, n - i) if mirrored else i]) for i in range(2, n - 1 if mirrored else n))))
@@ -134,10 +135,10 @@ def check_criterion_34(algebra) -> CheckReport:
     mult = check_multiplicative(algebra)
     if not mult.passed:
         raise PreconditionError("the two-identity criterion assumes a multiplicative algebra", mult)
-    mu, alpha = algebra.mu, algebra.alpha
-    E, table, _, generators = _power_table(algebra, generic_element(algebra.dim), 4, 4)
-    x2, ax, ax2 = table[2], E.ap(alpha, table[1]), E.ap(alpha, table[2])
+    mu = algebra.mu
+    E, table, twisted, generators = _power_table(algebra, generic_element(algebra.dim), 4, 4)
+    x2, ax, ax2 = table[2], twisted(1, 1), twisted(1, 2)
     # a commutative product has x^2 alpha(x) = alpha(x) x^2
-    central = [] if mu._commutative else [((3,), _sum([_product(1, mu, x2, ax), _product(-1, mu, ax, x2)]))]
+    central = [] if mu._commutative else [((3,), _formed(commutativity(E, mu, x2, ax)))]
     return make_report("criterion-34", _residuals(algebra.dim, generators, [
-        *central, ((4,), _less(table[4], mu, ax2, ax2))]))
+        *central, ((4,), _formed(table[4] - E.op(mu, ax2, ax2)))]))

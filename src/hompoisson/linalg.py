@@ -10,15 +10,18 @@ denominators and reduce once.  ``Fraction`` appears only in values read out
 ``pair_vector``), in ``Vector`` entries, and in the division inside
 ``invert`` and ``kernel_vector``.
 
-One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s with their
-sums and scalings, forms every product of a vector with a tensor or a map
-and every ``Polynomial`` sum and product (of one-column forms), reading the
-stored form as it is.  Every sum is formed by ``_sum``: it brings its terms,
-each a kernel call (``_contract``, ``_apply``, or ``_add_into`` for a form
-already formed) with a signed rational scale, to the lcm of their
-denominators, and runs each call into one output with its integer factor
-folded into the tensor or map coefficient.  The sweep engine in ``algebra``
-runs the kernel on forms whose codes number basis tuples;
+One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
+product of a vector with a tensor or a map and every ``Polynomial`` sum and
+product (of one-column forms), reading the stored form as it is.  A sum is
+written one way, as a pending sum (``_Pending``): ``+`` and ``-`` of forms,
+and scaling by a rational, only combine its terms, each a kernel call
+(``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
+with a signed rational scale.  It is formed once, where it is read
+(``_formed``), by ``_sum``: it brings the terms to the lcm of their
+denominators and runs each call into one output with its integer factor
+folded into the tensor or map coefficient.  The evaluator on forms in
+``algebra`` runs the kernel on forms whose codes number basis tuples, and
+in ``hompower`` on the generic element;
 ``Trilinear.contract``, ``LinearMap.apply`` and ``poly`` key their forms by
 ``poly``'s packed monomial keys and read the result back, where
 ``poly._of_products`` checks the exponent guard and the term limit.
@@ -523,24 +526,47 @@ class _Form:
         return not any(any(col.values()) for col in self.cols.values())
 
     def __add__(self, other):
-        if not isinstance(other, _Form):
-            return NotImplemented
-        return _sum([(_add_into, (self,), 1, self.den), (_add_into, (other,), 1, other.den)],
-                    self.slots | other.slots)
+        return _pending(self) + other
 
     def __sub__(self, other):
-        if not isinstance(other, _Form):
-            return NotImplemented
-        return _sum([(_add_into, (self,), 1, self.den), (_add_into, (other,), -1, other.den)],
-                    self.slots | other.slots)
+        return _pending(self) - other
 
-    def __rmul__(self, c) -> "_Form":
-        """The rational ``c`` times the form: numerators times its numerator
-        (none when that is 1), the denominator times its denominator."""
-        cols, a = self.cols, c.numerator
-        if a != 1:
-            cols = {n: {code: a * q for code, q in col.items()} for n, col in cols.items()}
-        return _Form(cols, self.slots, self.den * c.denominator)
+
+class _Pending(tuple):
+    """A sum of scaled kernel products not yet formed: the terms ``_sum``
+    takes, each ``(fn, operands, num, den)``.  ``+``, ``-`` and scaling by a
+    rational only combine terms; a form joins as a term of ``_add_into``.
+    Its form has slot 0 set."""
+
+    __slots__ = ()
+
+    def form(self) -> _Form:
+        if len(self) > 1:
+            return _sum(self, 1)
+        (fn, operands, num, den), = self  # one product, formed on its own
+        form = fn(*operands, {}, num)
+        form.den = den
+        return form
+
+    def __add__(self, other):
+        return _Pending((*self, *_pending(other)))
+
+    def __sub__(self, other):
+        return _Pending((*self, *((fn, operands, -num, den) for fn, operands, num, den in _pending(other))))
+
+    def __rmul__(self, c):
+        a, b = c.numerator, c.denominator
+        return _Pending((fn, operands, a * num, b * den) for fn, operands, num, den in self)
+
+
+def _pending(value) -> _Pending:
+    """``value`` as a pending sum: a form becomes one ``_add_into`` term."""
+    return value if type(value) is _Pending else _Pending(((_add_into, (value,), 1, value.den),))
+
+
+def _formed(value) -> _Form:
+    """The form of ``value``, a form or a pending sum."""
+    return value.form() if type(value) is _Pending else value
 
 
 def _sum(terms, slots: int = 0) -> _Form:

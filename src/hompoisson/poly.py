@@ -11,8 +11,9 @@ fixed field of ``FIELD_BITS`` bits, the first generator the most significant,
 so integer order is lexicographic order on exponent vectors and the product
 of two monomials is one integer addition.  The packed keys are the codes of
 the contraction kernel in ``linalg``: a polynomial is a one-column form,
-whose sums and scalings are the kernel's and whose products are
-``_contract`` with the product of Q.  The top bit of every field is a guard
+whose sums are the kernel's and whose products are ``_contract`` with the
+product of Q; a scaling by a rational multiplies its own numerators, none
+by a factor of 1.  The top bit of every field is a guard
 that stays clear: an exponent is at most ``MAX_EXPONENT``, so the sum of two
 fields never carries into the next one, and a product or constructor that
 would exceed ``MAX_EXPONENT`` raises ``ResourceLimitError``.  The guard bits
@@ -38,7 +39,7 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
-from .linalg import Trilinear, _add_into, _contract, _Form, _over_common_denominator, _sum, rat
+from .linalg import Trilinear, _add_into, _contract, _Form, _formed, _over_common_denominator, _sum, rat
 
 MAX_TERMS = 10 ** 6
 FIELD_BITS = 16
@@ -179,7 +180,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._form(), other._form()
-        form = a - b if negate else a + b
+        form = _formed(a - b if negate else a + b)
         return _reduced(self.generators, form.cols[0], form.den)
 
     def __add__(self, other):
@@ -200,8 +201,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial(self.generators)
-            form = self._form().__rmul__(other)  # ``other * form`` would try Fraction.__mul__ first
-            return _reduced(self.generators, form.cols[0], form.den)
+            a = other.numerator
+            terms = self.terms if a == 1 else {e: a * n for e, n in self.terms.items()}
+            return _reduced(self.generators, terms, self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -3,23 +3,26 @@ how many polynomials a contraction reduces, how many additions a map
 application makes, where vector, power and polynomial products and sums are
 formed, how many numerator additions start from zero, how many numerator
 multiplications are by one, how much ``Fraction`` arithmetic a sweep does,
-that a sweep or a power check forms no intermediate sum of forms, how many
-pair products a power check forms and how many powers a substitution takes.
+that a sweep forms no intermediate sum of forms and a power residual is one
+sum, how many pair products a power check forms and reads back, and how
+many powers a substitution takes.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
-the add-into routine ``linalg._add_into`` and ``_Form.__rmul__``),
-``Polynomial.__pow__`` or ``Fraction`` arithmetic operators with a call
-counter, or feed the kernel ``int`` numerators that record their arithmetic.
-A power check composes each power of the twisting map once
-(alpha^2..alpha^(n-1) for an n-th power check: alpha^0 and alpha^1 need no
-product, and an identity alpha none), a commutative product forms each
-mirrored pair x^(n-i,i) = x^(i,n-i) once, a twist composes the twisting
+the add-into routine ``linalg._add_into`` and the sum ``linalg._sum``),
+``hompower``'s read-back ``_vector_of``, ``Polynomial`` multiplication and
+powers or ``Fraction`` arithmetic operators with a call counter, or feed the
+kernel ``int`` numerators that record their arithmetic.  A power check composes each power of the twisting
+map that it reads once (alpha^2..alpha^(n-2) for an n-th power check:
+alpha^0 and alpha^1 need no product, and an identity alpha none), a
+commutative product forms and reads back each mirrored pair
+x^(n-i,i) = x^(i,n-i) once, a twist composes the twisting
 maps once, a contraction of polynomial vectors reduces each output
 coordinate once, a map whose rows
 have one nonzero each applies with no addition, ``Trilinear.contract``,
-``LinearMap.apply``, the power checks and ``Polynomial`` arithmetic form
-every product and sum in the form kernel, the kernel (also where it adds a
+``LinearMap.apply``, the power checks and ``Polynomial`` sums and products
+form every product and sum in the form kernel (a polynomial scales its own
+numerators by a rational), the kernel (also where it adds a
 sum's terms into one output), ``LinearMap.compose`` and
 ``Trilinear.map_outputs`` store the first contribution to an entry as it is
 and take a numerator as is where the factor it meets is 1.  The sweep
@@ -53,7 +56,13 @@ from hompoisson.constructions import (
     twist,
 )
 from hompoisson.errors import PreconditionError
-from hompoisson.hompower import check_criterion_34, check_nth_power_assoc, generic_element
+from hompoisson.hompower import (
+    check_criterion_34,
+    check_nth_power_assoc,
+    generic_element,
+    hom_power,
+    hom_power_pair,
+)
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
 
@@ -107,43 +116,90 @@ def cyclic_algebra(commutative: bool, alpha: LinearMap) -> HomAlgebra:
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("commutative", [True, False])
 def test_power_checks_form_each_residual_product_once(monkeypatch, composes, commutative, twisted):
-    """A power residual adds its pair product into a copy of x^n, with no sum
-    of forms (``_Form.__add__``, ``_Form.__sub__``).  A commutative product
-    forms the pairs x^(n-i,i) for 2 <= i <= n/2 only (floor(n/2) - 1
-    products), any other one the n - 2 pairs for 2 <= i < n; criterion-34 on
-    a commutative product forms only alpha(x^2) alpha(x^2), the one product
-    of its second residual.  Residual products are formed by ``hompower``'s
-    binding of the kernel, the twisted powers by the evaluator's, and an
-    identity twisting map is never composed."""
+    """Each power residual is formed by one ``linalg._sum`` into one output:
+    one copy of x^n, the same in every residual of a check, and its pair
+    product.  A commutative product forms the pairs x^(n-i,i) for
+    2 <= i <= n/2 only (floor(n/2) - 1 products), any other one the n - 2
+    pairs for 2 <= i < n; criterion-34 on a commutative product forms only
+    alpha(x^2) alpha(x^2), the one product of its second residual.  Each
+    image alpha^k(x^i) is applied once.  An n-th power check composes
+    alpha^2..alpha^(n-2), criterion-34 alpha^2 only, and an identity
+    twisting map is never composed or applied."""
     algebra = cyclic_algebra(commutative, DOUBLING if twisted else LinearMap.identity(7))
-    products = []
-    original = hompower_module._contract
+    sums, residuals, applied = [], [], []
+    original_sum, original_residuals = linalg._sum, hompower_module._residuals
+    original_apply = algebra_module._apply
 
-    def counted(*args):
-        products.append(args[0])
-        return original(*args)
+    def apply(m, a, *args):
+        applied.append((id(m), id(a)))
+        return original_apply(m, a, *args)
 
-    def refuse(*args):
-        raise AssertionError("a power check formed a sum of forms")
+    def summed(terms, *args):
+        out = original_sum(terms, *args)
+        sums.append((out, [(fn.__name__, operands) for fn, operands, _, _ in terms]))
+        return out
 
-    monkeypatch.setattr(hompower_module, "_contract", counted)
-    monkeypatch.setattr(linalg._Form, "__add__", refuse)
-    monkeypatch.setattr(linalg._Form, "__sub__", refuse)
+    def read(dim, generators, cases):
+        cases = list(cases)
+        residuals.extend(r for _, r in cases)
+        return original_residuals(dim, generators, cases)
+
+    monkeypatch.setattr(linalg, "_sum", summed)
+    monkeypatch.setattr(hompower_module, "_residuals", read)
+    monkeypatch.setattr(algebra_module, "_apply", apply)
+
+    def residual_terms():
+        """The terms of the one sum that formed each distinct residual."""
+        assert len(set(applied)) == len(applied) and (twisted or not applied)
+        formed = {id(out): terms for out, terms in sums}
+        terms = [formed[id(r)] for r in {id(r): r for r in residuals}.values()]
+        sums.clear(), residuals.clear(), composes.clear(), applied.clear()
+        return terms
+
+    def products(terms):
+        return sum(name == "_contract" for one in terms for name, _ in one)
+
     for n in (5, 6, 7):
-        products.clear()
-        composes.clear()
         assert check_nth_power_assoc(algebra, n).passed == commutative
-        assert len(products) == (n // 2 - 1 if commutative else n - 2), n
-        assert twisted or composes == [], n
+        assert composes == ([7] * (n - 3) if twisted else []), n
+        terms = residual_terms()
+        assert products(terms) == (n // 2 - 1 if commutative else n - 2), n
+        assert all(len(one) == 2 and one[0][0] == "_add_into" for one in terms), n
+        assert len({id(one[0][1][0]) for one in terms}) == 1, n  # the one x^n
     if twisted and not commutative:
         with pytest.raises(PreconditionError):
             check_criterion_34(algebra)
         return
-    products.clear()
-    composes.clear()
     assert check_criterion_34(algebra).passed == commutative
-    assert len(products) == (1 if commutative else 3)
-    assert twisted or composes == []
+    assert composes == ([7] if twisted else [])
+    terms = residual_terms()
+    assert products(terms) == (1 if commutative else 3)
+    assert [name for name, _ in terms[-1]] == ["_add_into", "_contract"]
+
+
+def test_mirrored_residuals_are_read_back_once(monkeypatch):
+    """For a commutative product the residuals (n, i) and (n, n - i) share
+    one form, and a failing one is read back into polynomials once: on
+    k[x]/x^4 with an extra symmetric product, n = 7 fails at (7, 2)..(7, 5)
+    with 2 read-backs, and the report is the same as with one per witness."""
+    truncated = Trilinear(4, {(i, j, i + j): 1 for i in range(4) for j in range(4) if i + j < 4})
+    algebra = HomAlgebra(("one", "x", "x2", "x3"), truncated.with_entry(1, 2, 0, 1).with_entry(2, 1, 0, 1),
+                         LinearMap.identity(4))
+    reads = []
+    original = hompower_module._vector_of
+
+    def counted(form, dim, generators):
+        reads.append(form)
+        return original(form, dim, generators)
+
+    monkeypatch.setattr(hompower_module, "_vector_of", counted)
+    report = check_nth_power_assoc(algebra, 7)
+    assert [w.indices for w in report.witnesses] == [(7, 2), (7, 3), (7, 4), (7, 5)]
+    assert len(reads) == len({id(form) for form in reads}) == 2
+    # each witness equals its own read-back of the residual x^7 - x^(7-i,i)
+    for w in report.witnesses:
+        assert w.residual == hom_power(algebra, generic_element(4), 7) - hom_power_pair(
+            algebra, generic_element(4), 7 - w.indices[1], w.indices[1])
 
 
 def test_twist_of_a_dim_81_tensor_power_composes_once(composes):
@@ -192,6 +248,11 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
 def _tallied_form(a, tally):
     return linalg._Form({n: {code: tally(q) for code, q in col.items()} for n, col in a.cols.items()},
                         a.slots, a.den)
+
+
+def _tallied_polynomial(p, tally):
+    # p is in lowest terms, so ``_reduced`` keeps its numerators as they are
+    return poly._reduced(p.generators, {e: tally(n) for e, n in p.terms.items()}, p.den)
 
 
 def _tallied_map(m, tally):
@@ -247,12 +308,12 @@ def test_one_term_rows_apply_without_accumulating(accumulations, m):
 def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
     """``Trilinear.contract``, ``LinearMap.apply``, both power checks and
     ``Polynomial`` ``*``, ``+``, ``-`` and ``**`` form every product and sum
-    in the kernel: ``linalg._contract``, ``linalg._apply``, the add-into
-    routine ``linalg._add_into`` and the scaling ``_Form.__rmul__``.  With
-    the kernel wrapped where it is bound (``linalg``, ``algebra`` for the
-    evaluator on forms, ``hompower`` for the power residuals, ``poly`` for
-    polynomial products) and every other
-    product of scalars refused (``Fraction`` multiplication, and
+    in the kernel: ``linalg._contract``, ``linalg._apply`` and the add-into
+    routine ``linalg._add_into``; a polynomial times a rational scales its
+    own numerators.  With the kernel wrapped where it is bound (``linalg``,
+    where pending sums are formed, ``algebra`` for the evaluator on forms,
+    ``poly`` for polynomial products; ``hompower`` binds none of it) and
+    every other product of scalars refused (``Fraction`` multiplication, and
     ``Polynomial`` multiplication but in the polynomial cases), each gives
     the result it gave before, by calls of the kernel.  ``skewed`` has the
     identity as its twisting map, which is never applied."""
@@ -272,14 +333,14 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
         "polynomial product": (lambda: p * q, {"_contract"}),
         "polynomial sum": (lambda: p + q, {"_add_into"}),
         "polynomial difference": (lambda: p - q, {"_add_into"}),
-        "polynomial times a rational": (lambda: p * Fraction(-3, 4), {"__rmul__"}),
+        "polynomial times a rational": (lambda: p * Fraction(-3, 4), set()),
         "polynomial power": (lambda: p ** 3, {"_contract"}),
     }
     expected = {name: run() for name, (run, _) in cases.items()}
     assert not expected["power check"].passed and not expected["failing criterion-34"].passed
-    assert (algebra_module._contract, algebra_module._apply, algebra_module._add_into, poly._contract,
-            hompower_module._contract, hompower_module._add_into) == (
-        linalg._contract, linalg._apply, linalg._add_into, linalg._contract, linalg._contract, linalg._add_into)
+    assert (algebra_module._contract, algebra_module._apply, poly._contract) == (
+        linalg._contract, linalg._apply, linalg._contract)
+    assert not any(hasattr(hompower_module, name) for name in ("_sum", "_add_into", "_contract", "_apply"))
     calls = []
 
     def counted(owner, name):
@@ -292,9 +353,7 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for module, names in ((linalg, ("_contract", "_apply", "_add_into")),
-                          (algebra_module, ("_contract", "_apply", "_add_into")),
-                          (hompower_module, ("_contract", "_add_into")),
-                          (poly, ("_contract",)), (linalg._Form, ("__rmul__",))):
+                          (algebra_module, ("_contract", "_apply")), (poly, ("_contract",))):
         for name in names:
             counted(module, name)
 
@@ -312,11 +371,11 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
 
 
 def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
-    """Feed every call of the kernel (``_contract`` and ``_add_into`` where
-    ``linalg``, ``algebra``, ``hompower`` and ``poly`` bind them, ``_apply``
-    where ``linalg`` and ``algebra`` bind it, and the scaling
-    ``_Form.__rmul__``),
-    and with ``with_map_products`` of ``LinearMap.compose`` and
+    """Feed every call of the kernel (``_contract`` where ``linalg``,
+    ``algebra`` and ``poly`` bind it, ``_add_into`` where ``linalg`` and
+    ``poly`` do, ``_apply`` where ``linalg`` and ``algebra`` do), of
+    ``Polynomial`` multiplication (the polynomial, for a scaling by a
+    rational), and with ``with_map_products`` of ``LinearMap.compose`` and
     ``Trilinear.map_outputs``, operands whose numerators are an ``int``
     subclass that records, as ``(function, kind, a, b)``, during those calls:
 
@@ -366,13 +425,16 @@ def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    form, map_, tensor_ = (partial(f, tally=Tally) for f in (_tallied_form, _tallied_map, _tallied_tensor))
-    for module in (linalg, algebra_module, hompower_module, poly):
+    form, map_, tensor_, polynomial = (partial(f, tally=Tally) for f in (
+        _tallied_form, _tallied_map, _tallied_tensor, _tallied_polynomial))
+    for module in (linalg, algebra_module, poly):
         tallied(module, "_contract", tensor_, form, form)
+    for module in (linalg, poly):
         tallied(module, "_add_into", form)
     for module in (linalg, algebra_module):
         tallied(module, "_apply", map_, form)
-    tallied(linalg._Form, "__rmul__", form)
+    for name in ("__mul__", "__rmul__"):
+        tallied(Polynomial, name, polynomial)
     if with_map_products:
         tallied(LinearMap, "compose", map_, map_)
         tallied(Trilinear, "map_outputs", tensor_, map_)
@@ -429,9 +491,11 @@ def test_polynomial_arithmetic_adds_nothing_to_zero_and_multiplies_nothing_by_on
     g = {(1, 1): Fraction(2, 3), (0, 2): 1, (0, 0): 1}
     p, q = Polynomial(gens, f), Polynomial(gens, g)
     rp, rq = RefPoly(gens, f), RefPoly(gens, g)
-    # p + 2p adds p with a factor of 1 (2p has denominator 1)
-    results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p, p + 2 * p]
-    expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp, rp.scale(3)]
+    # p + 2p adds p with a factor of 1 (2p has denominator 1), and p / 3 is
+    # a scaling whose numerator is 1
+    results = [p * q, p + q, p - q, Fraction(3, 2) * p, p ** 3, (p - q) * p, p + 2 * p, Fraction(1, 3) * p]
+    expected = [rp * rq, rp + rq, rp - rq, rp.scale(Fraction(3, 2)), rp.power(3), (rp - rq) * rp, rp.scale(3),
+                rp.scale(Fraction(1, 3))]
     assert results == [Polynomial(gens, r.terms) for r in expected]
     assert log == []
 

@@ -17,7 +17,7 @@ from hompoisson.catalog import (
     matrix_algebra,
 )
 from hompoisson.constructions import depolarize, tensor, twist
-from hompoisson.errors import PreconditionError, ResourceLimitError
+from hompoisson.errors import DimensionMismatch, PreconditionError, ResourceLimitError
 from hompoisson.hompower import (
     check_criterion_34,
     check_nth_power_assoc,
@@ -64,6 +64,11 @@ def test_power_rejects_zero():
         hom_power(p32_single(), Vector.of(1, 0, 0), 0)
     with pytest.raises(ValueError):
         check_nth_power_assoc(p32_single(), 1)
+    # an element of the wrong dimension, as in ``Trilinear.contract``
+    for run in (lambda: hom_power(p32_single(), Vector.of(1, 0), 2),
+                lambda: hom_power_pair(p32_single(), Vector.of(1, 0, 0, 0), 1, 2)):
+        with pytest.raises(DimensionMismatch, match="element dim"):
+            run()
 
 
 def test_p32_powers_of_x():
