@@ -3,13 +3,13 @@
 A twisted algebra is a based vector space with one or two bilinear operations
 (stored as rank-3 tensors) and a linear twisting map.  Each defining identity
 is stated once, as a function of an evaluator that supplies the bilinear
-operation and the linear map, and runs on three evaluators: ``VECTORS`` on
-given vectors (the element-level functions, through ``Trilinear.contract``
-and ``LinearMap.apply``), ``poisson_poly.POLYNOMIALS`` on polynomials, and
-``_Sweep`` on forms: on all basis tuples (``sweep``, behind ``check_*``) or
-pairs (``tabulate``), and on the generic element of ``hompower``.  Every
-identity is multilinear in the algebra arguments, so vanishing on all basis
-tuples is equivalent to vanishing identically.  A check lets its arguments
+operation and the linear map, and runs on two evaluators:
+``poisson_poly.POLYNOMIALS`` on polynomials, and ``_Sweep`` on forms: on all
+basis tuples (``sweep``, behind ``check_*``) or pairs (``tabulate``), on
+given vectors (the element-level functions, by ``_at``), and on the generic
+element of ``hompower``.  Every identity is multilinear in the algebra
+arguments, so vanishing on all basis tuples is equivalent to vanishing
+identically.  A check lets its arguments
 range over the basis at once and computes the residuals of all their tuples
 by sparse composition of the structure constants.  A three-argument check
 takes its first argument in doubling blocks of basis vectors (1, 2, 4, ...),
@@ -38,21 +38,21 @@ The sweep engine (``_Sweep``, ``sweep``) runs the one contraction kernel of
 ``linalg`` (``_Form``, ``_contract``, ``_apply``), whose codes here number
 basis tuples.  It computes on ``int`` only, in the stored form of maps and
 tensors: every form holds ``int`` numerators over one positive ``int``
-denominator ``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are
-read as they are.  Products multiply numerators and denominators.  A product
-that involves the first argument is left pending (``linalg._Pending``): it
-records the kernel function, its operands and a signed rational scale, and
-``+``, ``-`` and scaling by a rational only combine such records; every other
-product is formed at once and memoised.  A pending sum is formed once, where
-the sweep, ``tabulate``, a power check or an enclosing product reads it, by
-``linalg._sum``: over the lcm of its terms' denominators, each term runs
+denominator ``den``, and ``Trilinear.rows`` and ``LinearMap.columns`` are read
+as they are.  Products multiply numerators and denominators.  A product that
+involves the first argument is left pending (``linalg._Pending``): it records
+the kernel function, its operands and a signed rational scale, and ``+``,
+``-`` and scaling by a rational only combine such records; every other product
+is formed at once and memoised.  A pending sum is formed once, where the
+sweep, ``tabulate``, ``_at``, a power check or an enclosing product reads it,
+by ``linalg._sum``: over the lcm of its terms' denominators, each term runs
 into one output with its integer factor folded into the tensor or map
-coefficient.  The identity map is never applied: ``E.ap`` returns its
-operand.  A numerator is zero exactly when its value is, so a sweep never
-reduces a fraction; ``Fraction(numerator, den)`` is formed only in a witness
-residual, and ``tabulate`` hands its numerators and denominator to the
-tensor it builds.  Every accumulation stores the first contribution to an
-entry as it is and adds only where a value is already held.  A product with
+coefficient.  The identity map is never applied: ``E.ap`` returns its operand.
+A numerator is zero exactly when its value is, so a sweep never reduces a
+fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
+an element-level result, and ``tabulate`` hands its numerators and denominator
+to the tensor it builds.  Every accumulation stores the first contribution to
+an entry as it is and adds only where a value is already held.  A product with
 a factor equal to 1 is not formed: the other factor is taken as is.
 """
 
@@ -62,7 +62,7 @@ import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _Pending, _vector_of
+from .linalg import LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _forms_of, _Pending, _vector_of
 
 MAX_WITNESSES = 10
 
@@ -213,7 +213,7 @@ def aggregate_report(identity: str, parts) -> CheckReport:
 # Each identity is stated once, as a function of an evaluator ``E`` with a
 # bilinear ``E.op(t, a, b)`` (the operation with structure constants ``t``)
 # and a linear ``E.ap(m, a)``, followed by its operands and its algebra
-# arguments.  ``VECTORS`` evaluates an identity on given vectors,
+# arguments.  ``_at`` evaluates an identity at given vectors,
 # ``poisson_poly.POLYNOMIALS`` on polynomials, ``sweep`` on all basis tuples,
 # and ``tabulate`` reads structure constants off a bilinear formula.
 # ---------------------------------------------------------------------------
@@ -273,39 +273,40 @@ def intertwining(E, f, source_alpha, target_alpha, x):
     return E.ap(f, E.ap(source_alpha, x)) - E.ap(target_alpha, E.ap(f, x))
 
 
-class VECTORS:
-    """Evaluates an identity on given vectors (rational or polynomial entries)."""
-
-    op = staticmethod(lambda t, a, b: t.contract(a, b))
-    ap = staticmethod(lambda m, a: m.apply(a))
-
-
 # ---------------------------------------------------------------------------
 # Element-level operations
 # ---------------------------------------------------------------------------
 
+def _at(identity, dim: int, operands: tuple, vectors: tuple) -> Vector:
+    """``identity(E, *operands, *vectors)`` at given vectors of ``dim``: one run
+    on the evaluator on forms, the first vector in slot 0, so the residual is
+    one pending sum, formed once and read back once."""
+    forms, generators = _forms_of(vectors, dim)
+    return _vector_of(_formed(identity(_Sweep(), *operands, *forms)), dim, generators)
+
+
 def hom_associator(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """(xy)a(z) - a(x)(yz) for the algebra's product and twisting map a."""
-    return associator(VECTORS, algebra.mu, algebra.alpha, x, y, z)
+    return _at(associator, algebra.dim, (algebra.mu, algebra.alpha), (x, y, z))
 
 
 def hom_jacobian(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """Cyclic sum (xy)a(z) + (zx)a(y) + (yz)a(x) of the Jacobi operation."""
-    return jacobian(VECTORS, jacobi_tensor(algebra), algebra.alpha, x, y, z)
+    return _at(jacobian, algebra.dim, (jacobi_tensor(algebra), algebra.alpha), (x, y, z))
 
 
 def cyclic_associator_sum(algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """as(x,y,z) + as(z,x,y) + as(y,z,x)."""
-    return (
-        hom_associator(algebra, x, y, z)
-        + hom_associator(algebra, z, x, y)
-        + hom_associator(algebra, y, z, x)
-    )
+    def cyclic(E, mu, alpha, x, y, z):
+        return (associator(E, mu, alpha, x, y, z) + associator(E, mu, alpha, z, x, y)
+                + associator(E, mu, alpha, y, z, x))
+
+    return _at(cyclic, algebra.dim, (algebra.mu, algebra.alpha), (x, y, z))
 
 
 def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """{a(x), yz} - {x,y}a(z) - a(y){x,z}."""
-    return leibniz(VECTORS, algebra.bracket, algebra.mu, algebra.alpha, x, y, z)
+    return _at(leibniz, algebra.dim, (algebra.bracket, algebra.mu, algebra.alpha), (x, y, z))
 
 
 # ---------------------------------------------------------------------------

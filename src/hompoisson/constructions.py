@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
-    VECTORS,
     CheckReport,
     HomAlgebra,
     HomPoissonAlgebra,
+    _at,
     aggregate_report,
     antisymmetry,
     associator,
@@ -156,7 +156,7 @@ def nonrigidity_witness(algebra: HomPoissonAlgebra, beta: LinearMap,
         raise ValueError(f"op must be 'mu' or 'bracket', got {op!r}")
     t = getattr(twist(algebra, beta), op)
     x, y, z = triple
-    return identity(VECTORS, t, LinearMap.identity(algebra.dim), x, y, z)
+    return _at(identity, algebra.dim, (t, LinearMap.identity(algebra.dim)), (x, y, z))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ Instead an element with independent polynomial coordinates t_1..t_dim is
 pushed through the power recursion; a residual that is the zero polynomial
 vector proves the identity for every element over an infinite coefficient
 field, exactly.  The recursion runs through the evaluator on forms
-(``algebra._Sweep``) with the generic element as its first argument, so
-each product is pending until read.  A residual, stated through the
-evaluator, is formed as one pending sum into one output: x^n is copied in
-and the products of the other side are added with the factor -1 folded into
-the tensor coefficients.  Only a nonzero residual is read back into
-polynomials, once per form, for its witnesses.
+(``algebra._Sweep``) with the generic element as its first argument, so each
+product is pending until read; the element enters the kernel as every given
+vector does, through ``linalg._forms_of``.  A residual, stated through the
+evaluator, is formed as one pending sum into one output: x^n is copied in and
+the products of the other side are added with the factor -1 folded into the
+tensor coefficients.  Only a nonzero residual is read back into polynomials,
+once per form, for its witnesses.
 
 For a commutative product x^(n-i,i) = x^(i,n-i) and x^(1,n-1) = x^n, so an
 n-th power check forms the residuals (n, i) for 2 <= i <= n/2 only: (n, i)
@@ -22,9 +23,9 @@ those of the full check.
 from __future__ import annotations
 
 from .algebra import CheckReport, _Sweep, check_multiplicative, commutativity, make_report
-from .errors import DimensionMismatch, PreconditionError, ResourceLimitError
-from .linalg import LinearMap, Vector, _Form, _form_of, _formed, _vector_of
-from .poly import Polynomial, _check_power
+from .errors import PreconditionError, ResourceLimitError
+from .linalg import LinearMap, Vector, _Form, _formed, _forms_of, _vector_of
+from .poly import Polynomial
 
 # Desk-scale guards: generic n-th powers in dimension d are polynomials of
 # degree n in d variables; past these bounds the run is refused outright.
@@ -53,18 +54,12 @@ def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
 
     The form of x takes slot 0, as ``tabulate``'s first argument, so every
     product of it is pending until read; each power and each alpha^k(x^i)
-    is formed once.  Forms check no exponent per product, so a power of x of
-    ``degree``, whose exponents are at most ``degree`` times the largest in
-    x, is refused past ``poly.MAX_EXPONENT`` before the first product.  The
+    is formed once.  ``linalg._forms_of`` refuses a power of x of
+    ``degree`` past ``poly.MAX_EXPONENT`` before the first product.  The
     powers of alpha start from [I, alpha], and each higher one is composed
     once, when first read: an n-th power check reads up to alpha^(n-2) and
     makes n - 3 compositions, and none when alpha is the identity."""
-    if x.dim != algebra.dim:
-        raise DimensionMismatch(f"element dim {x.dim} != algebra dim {algebra.dim}")
-    v, generators = _form_of(x)
-    if generators is not None:
-        _check_power((code for col in v.cols.values() for code in col), len(generators), degree)
-    v = _Form(v.cols, 1, v.den)
+    (v,), generators = _forms_of((x,), algebra.dim, degree)
     E, mu, alpha = _Sweep(), algebra.mu, algebra.alpha
     alphas, table, images = [LinearMap.identity(algebra.dim), alpha], [None, v], {}
 

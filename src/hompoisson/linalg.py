@@ -5,10 +5,11 @@ package.  ``LinearMap`` and ``Trilinear`` store ``int`` numerators over one
 positive ``int`` denominator ``den``, in lowest terms (no prime divides
 ``den`` and every numerator), so equal values have equal fields and hashes.
 Products (``compose``, ``kron``, ``map_outputs``) multiply numerators and
-denominators and reduce once.  ``Fraction`` appears only in values read out
-(the dense ``LinearMap.rows``, ``entry``, ``column``, ``items``,
-``pair_vector``), in ``Vector`` entries, and in the division inside
-``invert`` and ``kernel_vector``.
+denominators and reduce once; ``invert`` and ``kernel_vector`` read the rows
+of one elimination on ``int`` rows (``_eliminate``).  ``Fraction`` appears
+only in values read out (the dense ``LinearMap.rows``, ``entry``,
+``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in ``Vector``
+entries.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
@@ -20,11 +21,12 @@ with a signed rational scale.  It is formed once, where it is read
 (``_formed``), by ``_sum``: it brings the terms to the lcm of their
 denominators and runs each call into one output with its integer factor
 folded into the tensor or map coefficient.  The evaluator on forms in
-``algebra`` runs the kernel on forms whose codes number basis tuples, and
-in ``hompower`` on the generic element;
-``Trilinear.contract``, ``LinearMap.apply`` and ``poly`` key their forms by
-``poly``'s packed monomial keys and read the result back, where
-``poly._of_products`` checks the exponent guard and the term limit.
+``algebra`` runs the kernel on forms whose codes number basis tuples, and on
+given vectors.  Given vectors (of the element-level functions, ``hompower``,
+``Trilinear.contract`` and ``LinearMap.apply``) enter the kernel through
+``_forms_of`` and, like ``poly``'s forms, are keyed by packed monomial keys;
+``_vector_of`` reads the result back, where ``poly._of_products`` checks the
+exponent guard and the term limit.
 
 A square matrix stores the nonzeros of each column (``LinearMap.columns``),
 and every product, application, inverse and identity test runs over them, so
@@ -34,6 +36,7 @@ A tensor stores the nonzeros of each first index (``Trilinear.rows``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -111,7 +114,8 @@ class Vector:
 
     @staticmethod
     def of(*entries) -> "Vector":
-        return Vector(tuple(rat(e) if isinstance(e, (int, str, Fraction)) else e for e in entries))
+        """The vector of ``entries``, each but a ``Polynomial`` coerced by ``rat``."""
+        return Vector(tuple(e if _is_polynomial(e) else rat(e) for e in entries))
 
     def __getitem__(self, i: int):
         return self.entries[i]
@@ -236,10 +240,8 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product; generic over the entry ring of ``v`` (see
         ``_vector_of``)."""
-        if self.dim != v.dim:
-            raise DimensionMismatch(f"map dim {self.dim} vs vector dim {v.dim}")
-        form, generators = _form_of(v)
-        return _vector_of(_apply(self, form), self.dim, generators)
+        (a,), generators = _forms_of((v,), self.dim)
+        return _vector_of(_apply(self, a), self.dim, generators)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other): column j of the
@@ -284,63 +286,19 @@ class LinearMap:
         """Whether the map is the identity, computed once per map."""
         return self.den == 1 and all(line == ((j, 1),) for j, line in enumerate(self.columns))
 
-    def _rref(self) -> dict:
-        """Reduced row echelon form of [numerators | den * I] by exact elimination.
-
-        Rows are sparse, {column: nonzero value}, with the right block in
-        columns n..2n-1.  ``holders[c]`` is kept as the set of rows with a
-        nonzero in column c < n, so each pivot column finds its pivot (the
-        first unused row holding it; with exact arithmetic no magnitude
-        pivoting is needed) and the rows to clear from its nonzeros alone, and
-        clearing touches only the columns where the pivot row is nonzero.
-        Values are ``int`` until a pivot row is divided by its pivot.  Returns
-        the reduced pivot row of each pivot column; those rows do not depend
-        on the choice of pivots.
-        """
-        n = self.dim
-        a = [dict(line) | {n + i: self.den} for i, line in enumerate(self.int_rows)]
-        holders = [{i for i, _ in line} for line in self.columns]
-        pivot_of_col: dict[int, int] = {}
-        used: set = set()
-        for col in range(n):
-            candidates = holders[col] - used
-            if not candidates:
-                continue
-            r = min(candidates)
-            pivot = a[r]
-            p = pivot[col]
-            if p != 1:
-                p = Fraction(p)
-                pivot = a[r] = {c: x / p for c, x in pivot.items()}
-            for i in holders[col] - {r}:
-                row = a[i]
-                f = row[col]
-                for c, x in pivot.items():
-                    v = row.get(c, 0) - f * x
-                    if v:
-                        row[c] = v
-                        if c < n:
-                            holders[c].add(i)
-                    else:
-                        del row[c]
-                        if c < n:
-                            holders[c].discard(i)
-            pivot_of_col[col] = r
-            used.add(r)
-        return {col: a[r] for col, r in pivot_of_col.items()}
-
     def invert(self) -> "LinearMap":
-        """Exact inverse: the right half of the reduced [numerators | den * I].
+        """Exact inverse: the right half of the reduced [numerators | den * I],
+        each pivot row over its pivot, brought to the lcm of the pivots.
 
         Raises SingularMatrixError when a column has no pivot.
         """
         n = self.dim
-        pivots = self._rref()
+        pivots = _eliminate([dict(line) | {n + i: self.den} for i, line in enumerate(self.int_rows)], n)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
-        rows = [sorted((c - n, x) for c, x in pivots[col].items() if c >= n) for col in range(n)]
-        numerators, den = _over_common_denominator(x for row in rows for _, x in row)
-        return LinearMap._of(_transpose([[(j, next(numerators)) for j, _ in row] for row in rows]), den)
+        den = lcm(*(row[col] for col, row in pivots.items()))
+        return LinearMap._of(_transpose([[(c - n, x * (den // row[col])) for c, x in row.items() if c >= n]
+                                         for col, row in pivots.items()]), den)
 
     def kernel_vector(self) -> Vector | None:
         """A nonzero kernel vector, or None when the map is injective.
@@ -349,14 +307,14 @@ class LinearMap:
         the reduced rows there.
         """
         n = self.dim
-        pivots = self._rref()
+        pivots = _eliminate(list(map(dict, self.int_rows)), n)
         free = next((c for c in range(n) if c not in pivots), None)
         if free is None:
             return None
         coords = [_ZERO] * n
         coords[free] = _ONE
         for col, row in pivots.items():
-            coords[col] = -Fraction(row.get(free, 0))
+            coords[col] = Fraction(-row.get(free, 0), row[col])
         return Vector(tuple(coords))
 
     def __repr__(self) -> str:
@@ -370,6 +328,32 @@ def _transpose(lines) -> tuple:
         for j, q in line:
             out[j].append((i, q))
     return tuple(map(tuple, out))
+
+
+def _eliminate(rows: list, ncols: int) -> dict:
+    """Gauss-Jordan elimination of sparse ``int`` rows ({column: nonzero
+    value}) over their first ``ncols`` columns, in integers only: the pivot of
+    a column is the first row not yet a pivot row that holds it, and each
+    other row holding it becomes p * row - f * pivot row (p the pivot, f its
+    own value there) over the gcd of its entries.  Returns the row of each
+    pivot column; over its pivot it is the reduced row, which does not
+    depend on the choice of pivots.  The dicts given are not changed."""
+    rows, pivots, used = list(rows), {}, set()  # pivots: column -> index of its row
+    for col in range(ncols):
+        r = next((i for i, row in enumerate(rows) if col in row and i not in used), None)
+        if r is None:
+            continue
+        used.add(r)
+        pivot = rows[r]
+        p = pivot[col]
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f is not None and i != r:
+                row = {c: v for c in row.keys() | pivot.keys() if (v := p * row.get(c, 0) - f * pivot.get(c, 0))}
+                g = gcd(*row.values())
+                rows[i] = {c: x // g for c, x in row.items()} if g > 1 else row
+        pivots[col] = r
+    return {col: rows[r] for col, r in pivots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +464,7 @@ class Trilinear:
     def contract(self, x: Vector, y: Vector) -> Vector:
         """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k];
         generic over the entry ring of x and y (see ``_vector_of``)."""
-        if x.dim != self.dim or y.dim != self.dim:
-            raise DimensionMismatch(
-                f"tensor dim {self.dim} vs vectors {x.dim}, {y.dim}")
-        a, generators = _form_of(x)
-        b, generators = _form_of(y, generators)
+        (a, b), generators = _forms_of((x, y), self.dim)
         return _vector_of(_contract(self, a, b), self.dim, generators)
 
     def __eq__(self, other) -> bool:
@@ -659,31 +639,53 @@ def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> 
     return _Form(out, a.slots, m.den * a.den)
 
 
-def _form_of(v: Vector, generators: tuple | None = None) -> tuple:
-    """``(form, generators)``: column n of the form is coordinate n of ``v``
-    over the lcm of their denominators, keyed as a polynomial's ``terms`` (a
-    rational under key 0; a zero has no column), and ``generators`` is the
-    list of the polynomial entries, which must equal the one given."""
-    cols, dens = {}, {}
-    for n, e in enumerate(v.entries):
-        if not e:
-            continue
-        if isinstance(e, (int, Fraction)):
-            q, dens[n] = e.as_integer_ratio()
-            cols[n] = {0: q}
-            continue
-        if generators is not None and e.generators != generators:
-            raise GeneratorMismatch(f"generator lists differ: {generators} vs {e.generators}")
-        generators, cols[n], dens[n] = e.generators, e.terms, e.den
-    den = lcm(*dens.values())
-    for n, d in dens.items():
-        if d != den:
-            cols[n] = {code: q * (den // d) for code, q in cols[n].items()}
-    return _Form(cols, den=den), generators
+def _is_polynomial(e) -> bool:
+    """Whether ``e`` is a ``Polynomial``.  ``poly`` imports this module, so it
+    is looked up, not imported: no polynomial exists before it is loaded."""
+    poly = sys.modules.get(f"{__package__}.poly")
+    return poly is not None and isinstance(e, poly.Polynomial)
+
+
+def _forms_of(vectors, dim: int, degree: int = 0) -> tuple:
+    """``(forms, generators)``: the form of the s-th vector, of ``dim``, has
+    slot s and column n its coordinate n over the lcm of their denominators,
+    keyed as a polynomial's ``terms`` (a rational under key 0; a zero has no
+    column); ``generators`` is the one generator list of the polynomial
+    entries, or None.  A read-back's guard bit catches a sum of two keys
+    only, so a product of ``degree`` (default: one of each vector) past two
+    factors is refused before it is formed if its exponents could pass
+    ``poly.MAX_EXPONENT``."""
+    forms, generators = [], None
+    for s, v in enumerate(vectors):
+        if v.dim != dim:
+            raise DimensionMismatch(f"element dim {v.dim} != dim {dim}")
+        cols, dens = {}, {}
+        for n, e in enumerate(v.entries):
+            if isinstance(e, (int, Fraction)):
+                if e:
+                    cols[n], dens[n] = {0: e.numerator}, e.denominator
+                continue
+            if not _is_polynomial(e):
+                raise TypeError(f"vector coordinate {n} is {e!r}, neither a rational nor a Polynomial")
+            if not e:
+                continue
+            if generators is not None and e.generators != generators:
+                raise GeneratorMismatch(f"generator lists differ: {generators} vs {e.generators}")
+            generators, cols[n], dens[n] = e.generators, e.terms, e.den
+        den = lcm(*dens.values())
+        for n, d in dens.items():
+            if d != den:
+                cols[n] = {code: q * (den // d) for code, q in cols[n].items()}
+        forms.append(_Form(cols, 1 << s, den))
+    if generators is not None and (degree := degree or len(forms)) > 2:
+        from .poly import _check_power
+
+        _check_power((code for f in forms for col in f.cols.values() for code in col), len(generators), degree)
+    return forms, generators
 
 
 def _vector_of(form: _Form, dim: int, generators: tuple | None) -> Vector:
-    """The vector of a form laid out as by ``_form_of`` on ``generators``: a
+    """The vector of a form laid out as by ``_forms_of`` on ``generators``: a
     coordinate with no column (no product reached it) is ``Fraction(0)``, any
     other a ``Fraction``, or with ``generators`` a ``Polynomial`` built by
     ``poly._of_products``, which checks the exponent guard and term limit."""

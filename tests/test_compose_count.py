@@ -44,16 +44,27 @@ import pytest
 from hompoisson import algebra as algebra_module
 from hompoisson import hompower as hompower_module
 from hompoisson import linalg, poly
-from hompoisson.algebra import HomAlgebra, check_hom_poisson, check_morphism, check_multiplicative
+from hompoisson.algebra import (
+    HomAlgebra,
+    check_hom_poisson,
+    check_morphism,
+    check_multiplicative,
+    cyclic_associator_sum,
+    hom_associator,
+    hom_jacobian,
+    hom_leibniz_residual,
+)
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
 from hompoisson.constructions import (
     check_admissible,
     check_hom_flexible,
     commutator_poisson,
     depolarize,
+    nonrigidity_witness,
     polarize,
     tensor,
     twist,
+    verify_isomorphism,
 )
 from hompoisson.errors import PreconditionError
 from hompoisson.hompower import (
@@ -200,6 +211,26 @@ def test_mirrored_residuals_are_read_back_once(monkeypatch):
     for w in report.witnesses:
         assert w.residual == hom_power(algebra, generic_element(4), 7) - hom_power_pair(
             algebra, generic_element(4), 7 - w.indices[1], w.indices[1])
+
+
+def test_element_level_residual_is_read_back_once(monkeypatch):
+    """An element-level identity is one pending sum, formed once, so a
+    passing ``hom_jacobian`` on generic vectors reads back each output
+    coordinate into a polynomial at most once (``poly._of_products``), not
+    after every product."""
+    algebra = twist(commutator_poisson(matrix_algebra(2)), conjugation_morphism(2))
+    gens = Polynomial.variables(tuple(f"v{s}_{n}" for s in range(3) for n in range(4)))
+    x, y, z = (Vector(gens[4 * s:4 * s + 4]) for s in range(3))
+    reads = []
+    original = poly._of_products
+
+    def counted(*args):
+        reads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly, "_of_products", counted)
+    assert hom_jacobian(algebra, x, y, z).is_zero()
+    assert 0 < len(reads) <= algebra.dim
 
 
 def test_twist_of_a_dim_81_tensor_power_composes_once(composes):
@@ -528,7 +559,8 @@ def test_power_checks_add_nothing_to_zero_and_multiply_nothing_by_one(monkeypatc
     assert log == []
 
 
-FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__")
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                      "__rtruediv__", "__neg__")
 
 
 @pytest.fixture
@@ -569,8 +601,7 @@ def test_sweeps_do_no_fraction_arithmetic(fraction_arithmetic):
 def test_constructions_do_no_fraction_arithmetic(fraction_arithmetic):
     # twist runs map_outputs and compose, a power composes, a tensor product
     # runs both kron and tabulate, and polarize and depolarize tabulate, here
-    # on denominators 2, 3 and 4; invert and kernel_vector divide, and are
-    # left out
+    # on denominators 2, 3 and 4
     beta = conjugation_morphism(3)
     algebra = commutator_poisson(matrix_algebra(3))
     factors = heisenberg_p31(Fraction(1, 2)), heisenberg_p31(Fraction(2, 3))
@@ -582,6 +613,33 @@ def test_constructions_do_no_fraction_arithmetic(fraction_arithmetic):
     assert fraction_arithmetic == []
     assert cube.entry(1, 1) == Fraction(1, 8) and twisted.alpha == beta
     assert product.mu.entry(0, 4, 8) == Fraction(1, 3) and split.alpha == beta
+
+
+def test_inverses_certificates_and_element_residuals_do_no_fraction_arithmetic(fraction_arithmetic):
+    """``invert`` and ``kernel_vector`` eliminate on ``int`` rows, and the
+    element-level functions run on the evaluator on forms, so with rational
+    inputs over denominators 2 to 5 none of them, nor an isomorphism
+    certificate of an invertible or a singular candidate, does ``Fraction``
+    arithmetic."""
+    invertible = LinearMap([[1, Fraction(1, 2), 0], [0, 1, 3], [2, 0, Fraction(1, 5)]])
+    singular = LinearMap([[1, Fraction(1, 2), 0], [2, 1, 0], [0, 0, Fraction(1, 3)]])
+    heisenberg = heisenberg_p31(Fraction(1, 2))
+    algebra = commutator_poisson(matrix_algebra(2))
+    beta = conjugation_morphism(2)
+    twisted = twist(algebra, beta)
+    corrupt = dataclasses.replace(twisted, mu=twisted.mu.with_entry(0, 1, 2, Fraction(1, 3)),
+                                  bracket=twisted.bracket.with_entry(1, 2, 0, Fraction(2, 5)))
+    x, y, z = Vector.of("1/3", "1/2", "2/5", -1), Vector.of(1, "-1/2", 0, "3/5"), Vector.of("3/5", 2, "1/3", "1/4")
+    fraction_arithmetic.clear()
+    results = [invertible.invert(), singular.kernel_vector(),
+               *(verify_isomorphism(f, heisenberg, heisenberg) for f in (invertible, singular)),
+               *(f(corrupt, x, y, z)
+                 for f in (hom_associator, hom_jacobian, hom_leibniz_residual, cyclic_associator_sum)),
+               *(nonrigidity_witness(algebra, beta, (x, y, z), op=op) for op in ("mu", "bracket"))]
+    assert fraction_arithmetic == []
+    assert invertible.compose(results[0]).is_identity() and singular.apply(results[1]).is_zero()
+    assert [r.passed for r in results[2:4]] == [False, False]
+    assert all(not r.is_zero() for r in results[4:])
 
 
 @pytest.mark.parametrize("corrupt", [False, True])

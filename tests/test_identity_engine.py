@@ -29,7 +29,6 @@ from hompoisson import algebra as algebra_module
 from hompoisson import linalg
 from hompoisson.algebra import (
     MAX_WITNESSES,
-    VECTORS,
     HomAlgebra,
     HomPoissonAlgebra,
     associator,
@@ -347,7 +346,8 @@ def _symmetry_holds(identity, perm, operands, dim):
     generic vectors, whose coordinates are independent variables?"""
     gens = Polynomial.variables(tuple(f"v{s}_{n}" for s in range(3) for n in range(dim)))
     args = [Vector(gens[s * dim:(s + 1) * dim]) for s in range(3)]
-    return identity(VECTORS, *operands, *args) == identity(VECTORS, *operands, *(args[p] for p in perm))
+    return (algebra_module._at(identity, dim, operands, tuple(args))
+            == algebra_module._at(identity, dim, operands, tuple(args[p] for p in perm)))
 
 
 @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
@@ -528,3 +528,37 @@ def test_element_functions_accept_polynomial_entries():
     assert list(hom_jacobian(algebra, vx, vy, vz).entries) == evaluate(residuals, "hom-jacobi", x, y, z)
     assert list(hom_leibniz_residual(algebra, vx, vy, vz).entries) == evaluate(residuals, "hom-leibniz", x, y, z)
     assert not hom_associator(algebra, vx, vy, vz).is_zero()
+
+
+def test_element_functions_refuse_over_limit_exponents_before_multiplying(monkeypatch):
+    """A product of three vectors sums three packed keys, more than one guard
+    bit catches, so an element-level identity on polynomial vectors is
+    refused from their exponents alone when three times the largest passes
+    ``MAX_EXPONENT``, before the kernel forms any product; at
+    ``MAX_EXPONENT // 3`` it runs."""
+    from hompoisson.errors import ResourceLimitError
+    from hompoisson.poly import MAX_EXPONENT
+
+    s, t = Polynomial.variables(("s", "t"))
+    algebra = twist(heisenberg_p31(1), heisenberg_morphism(2, 0, 0, 3))
+    algebra = dataclasses.replace(algebra, mu=algebra.mu.with_entry(0, 0, 0, 1))
+    functions = (hom_associator, hom_jacobian, hom_leibniz_residual, cyclic_associator_sum)
+    top = MAX_EXPONENT // 3
+    assert top == 10922
+
+    def refuse(*args):
+        raise AssertionError("multiplied before checking the exponent limit")
+
+    with monkeypatch.context() as m:
+        for module in (linalg, algebra_module):
+            m.setattr(module, "_contract", refuse)
+            m.setattr(module, "_apply", refuse)
+        for f in functions:
+            with pytest.raises(ResourceLimitError):
+                f(algebra, Vector((s, t, Fraction(1))), Vector((t, s, s)), Vector((t ** (top + 1), s, Fraction(0))))
+    x, y, z = (t ** top, s, Fraction(1)), (t, s, s), (s, t ** top, Fraction(0))
+    residuals = Residuals.of(algebra)
+    got = hom_associator(algebra, *(Vector(v) for v in (x, y, z)))
+    assert list(got.entries) == evaluate(residuals, "hom-associative", x, y, z) and not got.is_zero()
+    for f in functions[1:]:
+        f(algebra, *(Vector(v) for v in (x, y, z)))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, tabulate
+from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, tabulate
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
-from hompoisson.linalg import LinearMap, Trilinear, Vector, rat
+from hompoisson.linalg import LinearMap, Trilinear, Vector, _eliminate, rat
 from hompoisson.poly import Polynomial
 
 from _oracles import (Dense, RefPoly, add, apply, assert_canonical, dense_inverse, dense_kron, dense_matrix,
@@ -637,6 +637,59 @@ def test_kernel_vector_is_first_free_column_vector(data):
         assert kernel is None
     else:
         assert list(kernel.entries) == [Fraction(int(q.p), int(q.q)) for q in null[0]]
+
+
+@st.composite
+def int_rows(draw):
+    """Sparse ``int`` rows over ``ncols`` columns, as many as ``ncols`` or
+    more or fewer, rows of zeros and none at all among them; a drawn
+    combination of two rows keeps the rank below the number of rows."""
+    ncols = draw(st.integers(1, 6), label="ncols")
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-6, 6).filter(bool), max_size=ncols)
+    rows = draw(st.lists(row, max_size=8), label="rows")
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        combination = {c: v for c in range(ncols) if (v := a * rows[0].get(c, 0) + b * rows[1].get(c, 0))}
+        rows.insert(draw(st.integers(0, len(rows))), combination)
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows())
+def test_elimination_matches_sympy_rref(case):
+    """The pivot columns are sympy's, as many as the rank; each returned row
+    is ``int`` throughout, and over its pivot it is sympy's reduced row.  The
+    rows given are left as they were."""
+    import sympy
+    rows, ncols = case
+    given_rows = [dict(row) for row in rows]
+    pivots = _eliminate(rows, ncols)
+    assert rows == given_rows
+    matrix = sympy.Matrix(len(rows), ncols, lambda i, c: rows[i].get(c, 0))
+    reduced, columns = matrix.rref()
+    assert tuple(pivots) == columns and len(pivots) == matrix.rank()
+    for k, (col, row) in enumerate(pivots.items()):
+        assert all(type(c) is int and type(x) is int and x for c, x in row.items())
+        assert ([Fraction(row.get(c, 0), row[col]) for c in range(ncols)]
+                == [Fraction(int(q.p), int(q.q)) for q in reduced.row(k)])
+
+
+def test_vector_entries_are_rational_or_polynomial():
+    """``Vector.of`` coerces every entry but a polynomial by ``rat``, so it
+    refuses a float; a vector built directly with an entry that is neither
+    rational nor a polynomial is refused, naming the coordinate, where a
+    product reads it."""
+    t = Polynomial.var(("t",), "t")
+    assert Vector.of(t, "1/2", 3, Fraction(2, 3)).entries == (t, Fraction(1, 2), Fraction(3), Fraction(2, 3))
+    with pytest.raises(TypeError):
+        Vector.of(1, 0.5)
+    single = HomAlgebra(("a", "b"), Trilinear(2, {(0, 1, 1): 1}), LinearMap.diagonal([1, 2]))
+    for bad in (0.5, 0.0, "1/2", None):
+        v = Vector((Fraction(1), bad))
+        for run in (lambda: single.mu.contract(v, v), lambda: single.alpha.apply(v),
+                    lambda: hom_associator(single, v, v, v)):
+            with pytest.raises(TypeError, match="coordinate 1"):
+                run()
 
 
 def test_compose_is_self_after_other():
