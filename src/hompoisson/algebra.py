@@ -60,9 +60,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _forms_of, _Pending, _vector_of
+from .linalg import _ZERO, LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _forms_of, _Pending, _vector_of
 
 MAX_WITNESSES = 10
 
@@ -405,8 +406,8 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     tuples whose arguments that a symmetry moves to the front are ``lo`` or
     more.  Every other failing tuple of the block is the image of a failing
     tuple of an earlier block, with the same residual; the images of a
-    block's failures are recorded when the next block is read.  A block is
-    narrowed so only when ``lo * (hi - lo) >= dim``: the filter reads each
+    block's failures are recorded by code when the failure is read.  A block
+    is narrowed so only when ``lo * (hi - lo) >= dim``: the filter reads each
     entry of a memoised subterm once, and narrowing skips about ``lo / dim``
     of the products that entry forms with the ``hi - lo`` first arguments,
     so in the first small blocks it costs more than it saves.  Witnesses,
@@ -414,41 +415,32 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     """
     symmetries = _orbit_symmetries(residual, dim, operands)
     E = _Sweep(dim, arity, sum({1 << p[0] for p in symmetries}))
-    rest = [_Form({n: {n * dim ** (arity - 1 - s): 1} for n in range(dim)}, 1 << s)
-            for s in range(1, arity)]
-    lead = dim ** (arity - 1)
+    lead = E.places[0]
+    rest = [_Form({n: {n * p: 1} for n in range(dim)}, 1 << s) for s, p in enumerate(E.places) if s]
 
     def cases():
         lo, size = 0, 1 if arity == 3 else dim
-        found, images = [], {}  # failures of the block just read; first index -> {code: residual}
+        owed = {}  # code of an image past the blocks read -> the residual of its failure
         while lo < dim:
             hi = min(lo + size, dim)
-            for indices, r in found:
-                for p in symmetries:
-                    a, b, c = (indices[s] for s in p)
-                    if a >= lo:
-                        images.setdefault(a, {})[(a * dim + b) * dim + c] = r
-            found.clear()
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
             first = _Form({n: {n * lead: 1} for n in range(lo, hi)}, 1)
-            block, form = {}, _formed(residual(E, *operands, first, *rest))
-            for n, col in form.cols.items():
-                if not any(col.values()):
-                    continue
-                for code, q in col.items():
-                    if q:
-                        block.setdefault(code, {})[n] = q
-            known = {}
-            for n in [n for n in images if n < hi]:  # the images of first indices in [lo, hi)
-                known.update(images.pop(n))
-            for code in sorted(block.keys() | known.keys()):
+            form = _formed(residual(E, *operands, first, *rest))
+            cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
+            failing = {code for _, col in cols for code, q in col.items() if q}
+            for code in sorted(failing.union(c for c in owed if c < hi * lead)):
                 indices = _indices(code, dim, arity)
-                r = known.get(code)
+                r = owed.pop(code, None)
                 if r is None:
-                    cols = {n: {0: q} for n, q in block[code].items()}
-                    r = _vector_of(_Form(cols, den=form.den), dim, None)
-                    if symmetries:
-                        found.append((indices, r))
+                    coords = [_ZERO] * dim
+                    for n, col in cols:
+                        if q := col.get(code):
+                            coords[n] = Fraction(q, form.den)
+                    r = Vector(tuple(coords))
+                    for p in symmetries:
+                        a, b, c = (indices[s] for s in p)
+                        if a >= hi:
+                            owed[(a * dim + b) * dim + c] = r
                 yield indices, r
             lo, size = hi, 2 * size
 

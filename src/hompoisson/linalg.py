@@ -6,10 +6,10 @@ positive ``int`` denominator ``den``, in lowest terms (no prime divides
 ``den`` and every numerator), so equal values have equal fields and hashes.
 Products (``compose``, ``kron``, ``map_outputs``) multiply numerators and
 denominators and reduce once; ``invert`` and ``kernel_vector`` read the rows
-of one elimination on ``int`` rows (``_eliminate``).  ``Fraction`` appears
-only in values read out (the dense ``LinearMap.rows``, ``entry``,
-``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in ``Vector``
-entries.
+of one elimination on ``int`` rows (``_eliminate``), made once per map.
+``Fraction`` appears only in values read out (the dense ``LinearMap.rows``,
+``entry``, ``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in
+``Vector`` entries.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
@@ -286,14 +286,21 @@ class LinearMap:
         """Whether the map is the identity, computed once per map."""
         return self.den == 1 and all(line == ((j, 1),) for j, line in enumerate(self.columns))
 
+    @cached_property
+    def _reduced(self) -> dict:
+        """The row of each pivot column of [numerators | den * I], eliminated
+        once (``_eliminate``) over the left block, which alone picks the
+        pivots: ``invert`` reads the right half, ``kernel_vector`` the left."""
+        n = self.dim
+        return _eliminate([dict(line) | {n + i: self.den} for i, line in enumerate(self.int_rows)], n)
+
     def invert(self) -> "LinearMap":
         """Exact inverse: the right half of the reduced [numerators | den * I],
         each pivot row over its pivot, brought to the lcm of the pivots.
 
         Raises SingularMatrixError when a column has no pivot.
         """
-        n = self.dim
-        pivots = _eliminate([dict(line) | {n + i: self.den} for i, line in enumerate(self.int_rows)], n)
+        n, pivots = self.dim, self._reduced
         if len(pivots) < n:
             raise SingularMatrixError("matrix is not invertible")
         den = lcm(*(row[col] for col, row in pivots.items()))
@@ -304,10 +311,9 @@ class LinearMap:
         """A nonzero kernel vector, or None when the map is injective.
 
         The vector has 1 at the first column without a pivot and is read off
-        the reduced rows there.
+        the left half of the reduced rows there.
         """
-        n = self.dim
-        pivots = _eliminate(list(map(dict, self.int_rows)), n)
+        n, pivots = self.dim, self._reduced
         free = next((c for c in range(n) if c not in pivots), None)
         if free is None:
             return None

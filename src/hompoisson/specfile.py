@@ -125,7 +125,7 @@ def parse_spec(path) -> HomPoissonAlgebra:
 
 
 def _tensor_quads(t: Trilinear) -> list:
-    return [[i + 1, j + 1, k + 1, str(q)] for (i, j, k), q in sorted(t.items())]
+    return [[i + 1, j + 1, k + 1, str(q)] for (i, j, k), q in t.items()]
 
 
 def algebra_to_dict(algebra) -> dict:

@@ -36,7 +36,7 @@ from hompoisson.constructions import (
     verify_isomorphism,
     yau_twist,
 )
-from hompoisson.errors import PreconditionError
+from hompoisson.errors import PreconditionError, SingularMatrixError
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.witnesses import general_heisenberg_maps
 
@@ -256,6 +256,43 @@ def test_verify_isomorphism_singular_fails_with_kernel():
     assert not rep.passed
     kernel = rep.parts[0].witnesses[0].residual
     assert f.apply(kernel).is_zero() and not kernel.is_zero()
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The ``ncols`` of each ``linalg._eliminate`` call, in order."""
+    from hompoisson import linalg
+
+    calls, eliminate = [], linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return calls
+
+
+def test_one_elimination_per_map(eliminations):
+    """A singular candidate is eliminated once: the failed inverse and the
+    kernel-vector witness read the same reduced rows, and the report is the
+    one two eliminations gave."""
+    p = heisenberg_p31(1)
+    rep = verify_isomorphism(LinearMap.diagonal((1, 1, 0)), p, p)
+    assert len(eliminations) == 1
+    assert rep.as_dict() == {
+        "identity": "isomorphism", "passed": False,
+        "witnesses": [{"indices": [], "residual": ["0", "0", "1"]}],
+        "parts": [{"identity": "isomorphism[invertible]", "passed": False,
+                   "witnesses": [{"indices": [], "residual": ["0", "0", "1"]}]}]}
+    singular = LinearMap([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        singular.invert()
+    assert singular.kernel_vector() == Vector.of(-2, 1, 0)
+    invertible = heisenberg_morphism(2, 0, 0, 3)
+    assert invertible.invert().compose(invertible) == LinearMap.identity(3)
+    assert invertible.kernel_vector() is None
+    assert eliminations == [3, 3, 3]
 
 
 def test_nonrigidity_witness_zero_for_identity_twist():
