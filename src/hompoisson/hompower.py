@@ -54,7 +54,8 @@ def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
 
     The form of x takes slot 0, as ``tabulate``'s first argument, so every
     product of it is pending until read; each power and each alpha^k(x^i)
-    is formed once.  ``linalg._forms_of`` refuses a power of x of
+    is formed once (an image under a power of alpha equal to an earlier one
+    is that image).  ``linalg._forms_of`` refuses a power of x of
     ``degree`` past ``poly.MAX_EXPONENT`` before the first product.  The
     powers of alpha start from [I, alpha], and each higher one is composed
     once, when first read: an n-th power check reads up to alpha^(n-2) and
@@ -66,9 +67,10 @@ def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
     def twisted(k: int, i: int) -> _Form:
         while len(alphas) <= k:
             alphas.append(alpha if alpha._identity else alphas[-1].compose(alpha))
-        if (k, i) not in images:
-            images[k, i] = _formed(E.ap(alphas[k], table[i]))
-        return images[k, i]
+        key = alphas[k], i
+        if key not in images:
+            images[key] = _formed(E.ap(alphas[k], table[i]))
+        return images[key]
 
     for m in range(2, n + 1):
         table.append(_formed(E.op(mu, table[-1], twisted(m - 2, 1))))

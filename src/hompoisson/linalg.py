@@ -13,7 +13,9 @@ of one elimination on ``int`` rows (``_eliminate``), made once per map.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
-product (of one-column forms), reading the stored form as it is.  A sum is
+product (of one-column forms), reading the stored form as it is;
+``_contract`` unpacks an operand column of one entry, the common case in
+sweeps, once instead of looping over it per tensor entry.  A sum is
 written one way, as a pending sum (``_Pending``): ``+`` and ``-`` of forms,
 and scaling by a rational, only combine its terms, each a kernel call
 (``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
@@ -245,9 +247,14 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other (matrix product self @ other): column j of the
-        product is the sum of other[k][j] times column k of self."""
+        product is the sum of other[k][j] times column k of self.  A factor
+        that is the identity returns the other one (maps are immutable)."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"map dims differ: {self.dim} vs {other.dim}")
+        if other._identity:
+            return self
+        if self._identity:
+            return other
         left = self.columns
         columns = []
         for line in other.columns:
@@ -594,17 +601,50 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
     disjoint), and the numerators multiply over ``t.den * a.den * b.den``.
     With ``out``, the products times ``factor`` (folded into each tensor
     coefficient) are added into it.  A factor equal to 1 is not multiplied
-    by: the other is taken as is."""
+    by: the other is taken as is.  A column of one entry is unpacked once:
+    a one-entry column of ``a`` before the tensor entries of its index, each
+    of which then takes its product with it and runs over the column of
+    ``b``; otherwise a one-entry column of ``b`` per tensor entry, whose
+    product with it is taken once for the run over the column of ``a``."""
     out = {} if out is None else out
-    bcols = b.cols
+    bcols, rows = b.cols, t.rows
     for i, acol in a.cols.items():
-        for j, k, q in t.rows.get(i, ()):
+        if len(acol) == 1:
+            (ca, qa), = acol.items()
+            for j, k, q in rows.get(i, ()):
+                bcol = bcols.get(j)
+                if bcol is None:
+                    continue
+                col = out.get(k)
+                if col is None:
+                    col = out[k] = {}
+                if factor != 1:
+                    q = q * factor
+                f = qa if q == 1 else q if qa == 1 else q * qa
+                for cb, qb in bcol.items():
+                    code = ca + cb
+                    p = qb if f == 1 else f if qb == 1 else f * qb
+                    v = col.get(code)
+                    col[code] = p if v is None else v + p
+            continue
+        for j, k, q in rows.get(i, ()):
             bcol = bcols.get(j)
             if bcol is None:
                 continue
-            col = out.setdefault(k, {})
+            col = out.get(k)
+            if col is None:
+                col = out[k] = {}
             if factor != 1:
                 q = q * factor
+            if len(bcol) == 1:
+                (cb, qb), = bcol.items()
+                g = qb if q == 1 else q if qb == 1 else q * qb
+                for ca, qa in acol.items():
+                    code = ca + cb
+                    p = qa if g == 1 else g if qa == 1 else g * qa
+                    v = col.get(code)
+                    col[code] = p if v is None else v + p
+                continue
             unit = q == 1
             for ca, qa in acol.items():
                 f = qa if unit else q if qa == 1 else q * qa

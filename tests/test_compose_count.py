@@ -2,10 +2,11 @@
 how many polynomials a contraction reduces, how many additions a map
 application makes, where vector, power and polynomial products and sums are
 formed, how many numerator additions start from zero, how many numerator
-multiplications are by one, how much ``Fraction`` arithmetic a sweep does,
-that a sweep forms no intermediate sum of forms and a power residual is one
-sum, how many pair products a power check forms and reads back, and how
-many powers a substitution takes.
+multiplications are by one, how many numerator additions and
+multiplications the kernel makes in all, how much ``Fraction`` arithmetic
+a sweep does, that a sweep forms no intermediate sum of forms and a power
+residual is one sum, how many pair products a power check forms and reads
+back, and how many powers a substitution takes.
 
 The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
 ``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
@@ -36,6 +37,7 @@ products and tabulated formulas.
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -401,7 +403,7 @@ def test_vector_and_power_products_run_in_the_kernel(monkeypatch):
         assert set(calls) == kernels, name
 
 
-def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
+def _tally_numerators(monkeypatch, with_map_products: bool, counts: Counter | None = None) -> list:
     """Feed every call of the kernel (``_contract`` where ``linalg``,
     ``algebra`` and ``poly`` bind it, ``_add_into`` where ``linalg`` and
     ``poly`` do, ``_apply`` where ``linalg`` and ``algebra`` do), of
@@ -416,15 +418,20 @@ def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
       scaled by a plain factor that is not 1 is no such product: the
       scalings skip only a scale factor of 1.
 
-    Results carry such numerators out (a tabulated tensor keeps them), so
-    arithmetic outside the calls records nothing.  Returns the list of
-    records."""
+    With ``counts``, every addition (a subtraction is one) and every
+    multiplication during those calls also adds one to ``counts["add"]`` or
+    ``counts["mul"]``.  Results carry such numerators out (a tabulated tensor
+    keeps them), so arithmetic outside the calls records nothing.  Returns
+    the list of records."""
     log, active = [], []
+    counts = Counter() if counts is None else counts
 
     class Tally(int):
         def __add__(self, other):
-            if active and type(other) is int and other == 0:
-                log.append((active[-1], "add", int(self), other))
+            if active:
+                counts["add"] += 1
+                if type(other) is int and other == 0:
+                    log.append((active[-1], "add", int(self), other))
             return Tally(int(self) + int(other))
 
         def __sub__(self, other):
@@ -437,8 +444,10 @@ def _tally_numerators(monkeypatch, with_map_products: bool) -> list:
             return Tally(-int(self))
 
         def __mul__(self, other):
-            if active and (other == 1 or (self == 1 and isinstance(other, Tally))):
-                log.append((active[-1], "mul", int(self), int(other)))
+            if active:
+                counts["mul"] += 1
+                if other == 1 or (self == 1 and isinstance(other, Tally)):
+                    log.append((active[-1], "mul", int(self), int(other)))
             return Tally(int(self) * int(other))
 
         __radd__, __rmul__ = __add__, __mul__
@@ -557,6 +566,29 @@ def test_power_checks_add_nothing_to_zero_and_multiply_nothing_by_one(monkeypatc
     log = _tally_numerators(monkeypatch, with_map_products=True)
     assert reports() == expected
     assert log == []
+
+
+def test_kernel_arithmetic_counts(monkeypatch):
+    """The numerator additions and multiplications the kernel makes for a
+    hom-Poisson check of the mat4 commutator algebra and for a 5th power
+    check of a Yau twist of mat2.  Unpacking a one-entry operand column once
+    changes no value, so the additions stay as they were (2,014 and 176);
+    the products formed against a one-entry column of the second operand
+    take its coefficient once per tensor entry, not once per entry of the
+    first, so the multiplications are at most 1,425 and 356 (the power
+    check makes 317)."""
+    mat2, beta = matrix_algebra(2), conjugation_morphism(2)
+    yau = HomAlgebra(mat2.basis, mat2.mu.map_outputs(beta), beta)
+    algebra = commutator_poisson(matrix_algebra(4))
+    counts = {}
+    for name, run in (("hom-poisson", lambda: check_hom_poisson(algebra)),
+                      ("power", lambda: check_nth_power_assoc(yau, 5))):
+        counts[name] = Counter()
+        with monkeypatch.context() as patches:
+            _tally_numerators(patches, with_map_products=False, counts=counts[name])
+            assert run().passed
+    assert counts["hom-poisson"]["add"] == 2014 and counts["hom-poisson"]["mul"] <= 1425
+    assert counts["power"]["add"] == 176 and counts["power"]["mul"] <= 356
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

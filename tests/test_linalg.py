@@ -11,7 +11,7 @@ from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, ta
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
-from hompoisson.linalg import LinearMap, Trilinear, Vector, _eliminate, rat
+from hompoisson.linalg import LinearMap, Trilinear, Vector, _contract, _eliminate, _Form, rat
 from hompoisson.poly import Polynomial
 
 from _oracles import (Dense, RefPoly, add, apply, assert_canonical, dense_inverse, dense_kron, dense_matrix,
@@ -703,6 +703,87 @@ def test_compose_is_self_after_other():
     unshear = LinearMap(((1, -1), (0, 1)))
     assert shear.compose(unshear).columns == (((0, 1),), ((1, 1),)) and shear.compose(unshear).den == 1
     assert shear.compose(unshear).is_identity()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_compose_with_the_identity_returns_the_other_factor(data):
+    n = data.draw(st.integers(1, 6), label="dim")
+    m = data.draw(maps(n), label="m")
+    full = LinearMap(mat_mul(dense_matrix(m), dense_identity(n)))
+    for ident in (LinearMap.identity(n), LinearMap(dense_identity(n))):
+        # of two identities, the first is returned
+        assert m.compose(ident) is m and ident.compose(m) is (ident if m.is_identity() else m)
+        assert m.compose(ident) == full and ident.compose(m) == full
+    with pytest.raises(DimensionMismatch):
+        LinearMap.identity(n + 1).compose(m)
+    with pytest.raises(DimensionMismatch):
+        m.compose(LinearMap.identity(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# The contraction kernel on sparse forms against a triple loop
+# ---------------------------------------------------------------------------
+
+KDIM = 3
+# numerators with stored zeros and, often, units of both signs
+kernel_numerators = st.sampled_from((0, 1, 1, -1, -1, 2, -3))
+
+
+@st.composite
+def kernel_columns(draw, codes=4, sizes=(None, 0, 1, 1, 2, 3)):
+    """Sparse columns {n: {code: numerator}}, codes below ``codes``, each of
+    one of ``sizes`` entries (None: absent), with stored zero numerators."""
+    columns = {}
+    for n in range(KDIM):
+        size = draw(st.sampled_from(sizes))
+        if size is not None:
+            columns[n] = draw(st.dictionaries(st.integers(0, codes - 1), kernel_numerators, min_size=size,
+                                              max_size=size))
+    return columns
+
+
+@st.composite
+def kernel_forms(draw, slot):
+    return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
+
+
+@st.composite
+def kernel_tensors(draw):
+    keys = st.tuples(*(st.integers(0, KDIM - 1),) * 3)
+    data = draw(st.dictionaries(keys, kernel_numerators.filter(bool), min_size=4, max_size=16))
+    return Trilinear._of(KDIM, data, draw(st.integers(1, 4)))
+
+
+def reference_contract(t, a, b, out, factor):
+    """The columns of ``out`` plus ``factor`` times t(a, b), by a plain triple
+    loop: an output column for every tensor entry whose operand columns are
+    both present, an entry for every code a product reaches."""
+    out = {k: dict(col) for k, col in out.items()}
+    for i, row in t.rows.items():
+        for j, k, q in row:
+            if i in a.cols and j in b.cols:
+                col = out.setdefault(k, {})
+                for ca, qa in a.cols[i].items():
+                    for cb, qb in b.cols[j].items():
+                        col[ca + cb] = col.get(ca + cb, 0) + factor * q * qa * qb
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+# a pre-filled output holds many of the codes the products reach (0 to 6)
+@given(kernel_tensors(), kernel_forms(0), kernel_forms(1), st.none() | kernel_columns(7, (None, 2, 4, 7)),
+       st.sampled_from((1, -1, 3)))
+def test_contract_matches_triple_loop(t, a, b, out, factor):
+    operands = [{n: dict(col) for n, col in f.cols.items()} for f in (a, b)]
+    expected = reference_contract(t, a, b, out or {}, factor)
+    form = _contract(t, a, b, out, factor)
+    assert form.cols == expected
+    if out is not None:
+        assert form.cols is out
+    assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
+    # the operands are read only: a sweep reuses memoised forms across blocks
+    assert [a.cols, b.cols] == operands
 
 
 # ---------------------------------------------------------------------------
