@@ -48,6 +48,10 @@ sweep, ``tabulate``, ``_at``, a power check or an enclosing product reads it,
 by ``linalg._sum``: over the lcm of its terms' denominators, each term runs
 into one output with its integer factor folded into the tensor or map
 coefficient.  The identity map is never applied: ``E.ap`` returns its operand.
+The basis arguments of a sweep and of ``tabulate`` are unit forms
+(``linalg._Form.unit``), whose codes ``_contract`` reads instead of their
+columns; a unit form stays one through ``E.ap`` of the identity and when
+``_Sweep`` narrows it.
 A numerator is zero exactly when its value is, so a sweep never reduces a
 fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
 an element-level result, and ``tabulate`` hands its numerators and denominator
@@ -352,11 +356,11 @@ class _Sweep:
             return form
         lo, narrowed = self.narrowed.get(form, (0, form))
         if lo != self.lo:
-            lo, dim, cols = self.lo, self.dim, narrowed.cols
+            lo, dim, cols, units = self.lo, self.dim, narrowed.cols, narrowed.units
             for p in places:
                 cols = {n: kept for n, col in cols.items()
                         if (kept := {code: q for code, q in col.items() if code // p % dim >= lo})}
-            narrowed = _Form(cols, form.slots, form.den)
+            narrowed = _Form(cols, form.slots, form.den, units and {n: units[n] for n in cols})
             self.narrowed[form] = (lo, narrowed)
         return narrowed
 
@@ -416,7 +420,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     symmetries = _orbit_symmetries(residual, dim, operands)
     E = _Sweep(dim, arity, sum({1 << p[0] for p in symmetries}))
     lead = E.places[0]
-    rest = [_Form({n: {n * p: 1} for n in range(dim)}, 1 << s) for s, p in enumerate(E.places) if s]
+    rest = [_Form.unit({n: n * p for n in range(dim)}, 1 << s) for s, p in enumerate(E.places) if s]
 
     def cases():
         lo, size = 0, 1 if arity == 3 else dim
@@ -424,7 +428,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
         while lo < dim:
             hi = min(lo + size, dim)
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
-            first = _Form({n: {n * lead: 1} for n in range(lo, hi)}, 1)
+            first = _Form.unit({n: n * lead for n in range(lo, hi)}, 1)
             form = _formed(residual(E, *operands, first, *rest))
             cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
             failing = {code for _, col in cols for code, q in col.items() if q}
@@ -453,8 +457,8 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
     The form's numerators and denominator become the tensor's as they are,
     reduced once to lowest terms."""
-    x = _Form({n: {n * dim: 1} for n in range(dim)}, 1)
-    y = _Form({n: {n: 1} for n in range(dim)}, 2)
+    x = _Form.unit({n: n * dim for n in range(dim)}, 1)
+    y = _Form.unit({n: n for n in range(dim)}, 2)
     form = _formed(formula(_Sweep(), *operands, x, y))
     return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
                                for code, q in col.items()}, form.den)

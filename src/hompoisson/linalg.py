@@ -13,9 +13,10 @@ of one elimination on ``int`` rows (``_eliminate``), made once per map.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
-product (of one-column forms), reading the stored form as it is;
-``_contract`` unpacks an operand column of one entry, the common case in
-sweeps, once instead of looping over it per tensor entry.  A sum is
+product (of one-column forms), reading the stored form as it is.  A
+sweep's basis arguments are unit forms, one code with numerator 1 per
+column (``_Form.units``), and ``_contract`` reads such an operand by its
+codes: a tensor entry meets it in one lookup and no multiplication.  A sum is
 written one way, as a pending sum (``_Pending``): ``+`` and ``-`` of forms,
 and scaling by a rational, only combine its terms, each a kernel call
 (``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
@@ -39,6 +40,7 @@ A tensor stores the nonzeros of each first index (``Trilinear.rows``).
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -348,23 +350,36 @@ def _eliminate(rows: list, ncols: int) -> dict:
     value}) over their first ``ncols`` columns, in integers only: the pivot of
     a column is the first row not yet a pivot row that holds it, and each
     other row holding it becomes p * row - f * pivot row (p the pivot, f its
-    own value there) over the gcd of its entries.  Returns the row of each
-    pivot column; over its pivot it is the reduced row, which does not
-    depend on the choice of pivots.  The dicts given are not changed."""
+    own value there) over the gcd of its entries.  Both are found through an
+    index that lists under each column the rows that may hold it: a row's
+    own columns and those of every pivot row it is combined with (a listed
+    row that cancelled the column is passed over), so the cost follows the
+    nonzeros.  Returns the row of each pivot column; over its pivot it is the
+    reduced row, which does not depend on the choice of pivots.  The dicts
+    given are not changed."""
     rows, pivots, used = list(rows), {}, set()  # pivots: column -> index of its row
+    holders = defaultdict(set)  # column -> indices of the rows that may hold it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
     for col in range(ncols):
-        r = next((i for i, row in enumerate(rows) if col in row and i not in used), None)
+        held = [i for i in holders[col] if col in rows[i]]
+        r = min((i for i in held if i not in used), default=None)
         if r is None:
             continue
         used.add(r)
         pivot = rows[r]
         p = pivot[col]
-        for i, row in enumerate(rows):
-            f = row.get(col)
-            if f is not None and i != r:
-                row = {c: v for c in row.keys() | pivot.keys() if (v := p * row.get(c, 0) - f * pivot.get(c, 0))}
-                g = gcd(*row.values())
-                rows[i] = {c: x // g for c, x in row.items()} if g > 1 else row
+        for i in held:
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[col]
+            row = {c: v for c in row.keys() | pivot.keys() if (v := p * row.get(c, 0) - f * pivot.get(c, 0))}
+            g = gcd(*row.values())
+            rows[i] = {c: x // g for c, x in row.items()} if g > 1 else row
+            for c in pivot:
+                holders[c].add(i)
         pivots[col] = r
     return {col: rows[r] for col, r in pivots.items()}
 
@@ -506,14 +521,24 @@ class _Form:
     ``algebra``) a code is the mixed-radix number of the free basis indices,
     so sorted codes are in lexicographic order, and ``slots`` has bit s set
     when the form is linear in argument s: a form without bit 0 is the same
-    in every block.  Vectors and polynomials take ``poly``'s keys as codes."""
+    in every block.  A unit form (``unit``), such as a sweep's basis
+    argument, holds one code with numerator 1 in each column, and ``units``
+    maps each column to that code (None on any other form), which
+    ``_contract`` reads instead of the column.  Vectors and polynomials take
+    ``poly``'s keys as codes."""
 
-    __slots__ = ("cols", "slots", "den")
+    __slots__ = ("cols", "slots", "den", "units")
 
-    def __init__(self, cols: dict, slots: int = 0, den: int = 1):
+    def __init__(self, cols: dict, slots: int = 0, den: int = 1, units: dict | None = None):
         self.cols = cols
         self.slots = slots
         self.den = den
+        self.units = units
+
+    @staticmethod
+    def unit(units: dict, slots: int) -> "_Form":
+        """The unit form whose column n holds numerator 1 at ``units[n]``."""
+        return _Form({n: {code: 1} for n, code in units.items()}, slots, 1, units)
 
     def is_zero(self) -> bool:
         return not any(any(col.values()) for col in self.cols.values())
@@ -601,16 +626,54 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
     disjoint), and the numerators multiply over ``t.den * a.den * b.den``.
     With ``out``, the products times ``factor`` (folded into each tensor
     coefficient) are added into it.  A factor equal to 1 is not multiplied
-    by: the other is taken as is.  A column of one entry is unpacked once:
-    a one-entry column of ``a`` before the tensor entries of its index, each
-    of which then takes its product with it and runs over the column of
-    ``b``; otherwise a one-entry column of ``b`` per tensor entry, whose
-    product with it is taken once for the run over the column of ``a``."""
+    by: the other is taken as is.  A unit operand is read by its codes
+    (``_Form.units``), so a tensor entry meets it in one lookup: with both
+    operands unit the entry is one product, its coefficient at ``ca + cb``;
+    with a unit ``b`` the entry runs over the column of ``a`` at code
+    ``cb``, with a unit ``a`` over the column of ``b`` at code ``ca``.
+    Otherwise a one-entry column of ``b`` is unpacked once per tensor entry,
+    whose product with it is taken once for the run over the column of
+    ``a``."""
     out = {} if out is None else out
-    bcols, rows = b.cols, t.rows
-    for i, acol in a.cols.items():
-        if len(acol) == 1:
-            (ca, qa), = acol.items()
+    rows, bcols, aunits, bunits = t.rows, b.cols, a.units, b.units
+    if aunits is not None and bunits is not None:
+        for i, ca in aunits.items():
+            for j, k, q in rows.get(i, ()):
+                cb = bunits.get(j)
+                if cb is None:
+                    continue
+                col = out.get(k)
+                if col is None:
+                    col = out[k] = {}
+                if factor != 1:
+                    q = q * factor
+                code = ca + cb
+                v = col.get(code)
+                col[code] = q if v is None else v + q
+    elif bunits is not None:
+        for i, acol in a.cols.items():
+            for j, k, q in rows.get(i, ()):
+                cb = bunits.get(j)
+                if cb is None:
+                    continue
+                col = out.get(k)
+                if col is None:
+                    col = out[k] = {}
+                if factor != 1:
+                    q = q * factor
+                if q == 1:
+                    for ca, qa in acol.items():
+                        code = ca + cb
+                        v = col.get(code)
+                        col[code] = qa if v is None else v + qa
+                    continue
+                for ca, qa in acol.items():
+                    code = ca + cb
+                    p = q if qa == 1 else q * qa
+                    v = col.get(code)
+                    col[code] = p if v is None else v + p
+    elif aunits is not None:
+        for i, ca in aunits.items():
             for j, k, q in rows.get(i, ()):
                 bcol = bcols.get(j)
                 if bcol is None:
@@ -620,35 +683,7 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                     col = out[k] = {}
                 if factor != 1:
                     q = q * factor
-                f = qa if q == 1 else q if qa == 1 else q * qa
-                for cb, qb in bcol.items():
-                    code = ca + cb
-                    p = qb if f == 1 else f if qb == 1 else f * qb
-                    v = col.get(code)
-                    col[code] = p if v is None else v + p
-            continue
-        for j, k, q in rows.get(i, ()):
-            bcol = bcols.get(j)
-            if bcol is None:
-                continue
-            col = out.get(k)
-            if col is None:
-                col = out[k] = {}
-            if factor != 1:
-                q = q * factor
-            if len(bcol) == 1:
-                (cb, qb), = bcol.items()
-                g = qb if q == 1 else q if qb == 1 else q * qb
-                for ca, qa in acol.items():
-                    code = ca + cb
-                    p = qa if g == 1 else g if qa == 1 else g * qa
-                    v = col.get(code)
-                    col[code] = p if v is None else v + p
-                continue
-            unit = q == 1
-            for ca, qa in acol.items():
-                f = qa if unit else q if qa == 1 else q * qa
-                if f == 1:
+                if q == 1:
                     for cb, qb in bcol.items():
                         code = ca + cb
                         v = col.get(code)
@@ -656,9 +691,43 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                     continue
                 for cb, qb in bcol.items():
                     code = ca + cb
-                    p = f if qb == 1 else f * qb
+                    p = q if qb == 1 else q * qb
                     v = col.get(code)
                     col[code] = p if v is None else v + p
+    else:
+        for i, acol in a.cols.items():
+            for j, k, q in rows.get(i, ()):
+                bcol = bcols.get(j)
+                if bcol is None:
+                    continue
+                col = out.get(k)
+                if col is None:
+                    col = out[k] = {}
+                if factor != 1:
+                    q = q * factor
+                if len(bcol) == 1:
+                    (cb, qb), = bcol.items()
+                    g = qb if q == 1 else q if qb == 1 else q * qb
+                    for ca, qa in acol.items():
+                        code = ca + cb
+                        p = qa if g == 1 else g if qa == 1 else g * qa
+                        v = col.get(code)
+                        col[code] = p if v is None else v + p
+                    continue
+                unit = q == 1
+                for ca, qa in acol.items():
+                    f = qa if unit else q if qa == 1 else q * qa
+                    if f == 1:
+                        for cb, qb in bcol.items():
+                            code = ca + cb
+                            v = col.get(code)
+                            col[code] = qb if v is None else v + qb
+                        continue
+                    for cb, qb in bcol.items():
+                        code = ca + cb
+                        p = f if qb == 1 else f * qb
+                        v = col.get(code)
+                        col[code] = p if v is None else v + p
     return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
 
 
@@ -670,7 +739,9 @@ def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> 
     columns = m.columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
-            col = out.setdefault(i, {})
+            col = out.get(i)
+            if col is None:
+                col = out[i] = {}
             if factor != 1:
                 coeff = coeff * factor
             if coeff == 1:

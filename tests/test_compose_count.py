@@ -51,10 +51,12 @@ from hompoisson.algebra import (
     check_hom_poisson,
     check_morphism,
     check_multiplicative,
+    commutativity,
     cyclic_associator_sum,
     hom_associator,
     hom_jacobian,
     hom_leibniz_residual,
+    tabulate,
 )
 from hompoisson.catalog import conjugation_morphism, heisenberg_morphism, heisenberg_p31, matrix_algebra
 from hompoisson.constructions import (
@@ -279,8 +281,9 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
 
 
 def _tallied_form(a, tally):
+    # a unit form stays one, so the kernel takes the same path on it
     return linalg._Form({n: {code: tally(q) for code, q in col.items()} for n, col in a.cols.items()},
-                        a.slots, a.den)
+                        a.slots, a.den, a.units)
 
 
 def _tallied_polynomial(p, tally):
@@ -572,23 +575,36 @@ def test_kernel_arithmetic_counts(monkeypatch):
     """The numerator additions and multiplications the kernel makes for a
     hom-Poisson check of the mat4 commutator algebra and for a 5th power
     check of a Yau twist of mat2.  Unpacking a one-entry operand column once
-    changes no value, so the additions stay as they were (2,014 and 176);
-    the products formed against a one-entry column of the second operand
-    take its coefficient once per tensor entry, not once per entry of the
-    first, so the multiplications are at most 1,425 and 356 (the power
-    check makes 317)."""
+    and reading a unit operand by its codes change no value, so the
+    additions stay as they were (2,014 and 176); the products formed
+    against a one-entry column of the second operand take its coefficient
+    once per tensor entry, not once per entry of the first, so the
+    multiplications are at most 1,425 and 356 (the power check makes 317).
+    The check's sweeps pass a basis argument, a unit form, to every product
+    they form, and some products take two; those of the tabulated
+    commutator all take two."""
     mat2, beta = matrix_algebra(2), conjugation_morphism(2)
     yau = HomAlgebra(mat2.basis, mat2.mu.map_outputs(beta), beta)
     algebra = commutator_poisson(matrix_algebra(4))
-    counts = {}
-    for name, run in (("hom-poisson", lambda: check_hom_poisson(algebra)),
-                      ("power", lambda: check_nth_power_assoc(yau, 5))):
-        counts[name] = Counter()
+    contract = algebra_module._contract
+    counts, units = {}, {}
+    for name, run in (("hom-poisson", lambda: check_hom_poisson(algebra).passed),
+                      ("power", lambda: check_nth_power_assoc(yau, 5).passed),
+                      ("tabulate", lambda: not tabulate(mat2.dim, commutativity, mat2.mu).is_zero())):
+        counts[name], units[name] = Counter(), []
+
+        def recorded(t, a, b, *rest, seen=units[name]):
+            seen.append((a.units is not None) + (b.units is not None))
+            return contract(t, a, b, *rest)
+
         with monkeypatch.context() as patches:
+            # recorded inside the tallying wrapper, so it sees the tallied operands
+            patches.setattr(algebra_module, "_contract", recorded)
             _tally_numerators(patches, with_map_products=False, counts=counts[name])
-            assert run().passed
+            assert run()
     assert counts["hom-poisson"]["add"] == 2014 and counts["hom-poisson"]["mul"] <= 1425
     assert counts["power"]["add"] == 176 and counts["power"]["mul"] <= 356
+    assert (set(units["hom-poisson"]), set(units["tabulate"])) == ({1, 2}, {2})
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

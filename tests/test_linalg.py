@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, tabulate
+from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, _Sweep, hom_associator, tabulate
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
@@ -745,7 +745,21 @@ def kernel_columns(draw, codes=4, sizes=(None, 0, 1, 1, 2, 3)):
 
 @st.composite
 def kernel_forms(draw, slot):
-    return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
+    """A form of argument ``slot``: sparse columns, a unit form (one code with
+    numerator 1 per column, ``_Form.units``), or a unit form of all basis
+    vectors narrowed by the sweep evaluator to those from ``lo`` on."""
+    kind = draw(st.sampled_from(("columns", "unit", "narrowed")))
+    if kind == "columns":
+        return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
+    if kind == "unit":
+        form = _Form.unit(draw(st.dictionaries(st.integers(0, KDIM - 1), st.integers(0, 3))), 1 << slot)
+    else:
+        E = _Sweep(KDIM, 2, 1 << slot)
+        E.lo = draw(st.integers(1, KDIM - 1))
+        form = E._narrowed(_Form.unit({n: n * E.places[slot] for n in range(KDIM)}, 1 << slot))
+        assert form.units == {n: n * E.places[slot] for n in range(E.lo, KDIM)}
+    form.den = draw(st.integers(1, 4))
+    return form
 
 
 @st.composite
@@ -775,7 +789,7 @@ def reference_contract(t, a, b, out, factor):
 @given(kernel_tensors(), kernel_forms(0), kernel_forms(1), st.none() | kernel_columns(7, (None, 2, 4, 7)),
        st.sampled_from((1, -1, 3)))
 def test_contract_matches_triple_loop(t, a, b, out, factor):
-    operands = [{n: dict(col) for n, col in f.cols.items()} for f in (a, b)]
+    operands = [({n: dict(col) for n, col in f.cols.items()}, f.units and dict(f.units)) for f in (a, b)]
     expected = reference_contract(t, a, b, out or {}, factor)
     form = _contract(t, a, b, out, factor)
     assert form.cols == expected
@@ -783,7 +797,7 @@ def test_contract_matches_triple_loop(t, a, b, out, factor):
         assert form.cols is out
     assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
     # the operands are read only: a sweep reuses memoised forms across blocks
-    assert [a.cols, b.cols] == operands
+    assert [(a.cols, a.units), (b.cols, b.units)] == operands
 
 
 # ---------------------------------------------------------------------------
