@@ -50,8 +50,8 @@ into one output with its integer factor folded into the tensor or map
 coefficient.  The identity map is never applied: ``E.ap`` returns its operand.
 The basis arguments of a sweep and of ``tabulate`` are unit forms
 (``linalg._Form.unit``), whose codes ``_contract`` reads instead of their
-columns; a unit form stays one through ``E.ap`` of the identity and when
-``_Sweep`` narrows it.
+columns, built once for each range and place (``_basis``); a unit form
+stays one through ``E.ap`` of the identity and when ``_Sweep`` narrows it.
 A numerator is zero exactly when its value is, so a sweep never reduces a
 fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
 an element-level result, and ``tabulate`` hands its numerators and denominator
@@ -65,6 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DimensionMismatch
 from .linalg import _ZERO, LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _forms_of, _Pending, _vector_of
@@ -420,7 +421,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     symmetries = _orbit_symmetries(residual, dim, operands)
     E = _Sweep(dim, arity, sum({1 << p[0] for p in symmetries}))
     lead = E.places[0]
-    rest = [_Form.unit({n: n * p for n in range(dim)}, 1 << s) for s, p in enumerate(E.places) if s]
+    rest = [_basis(0, dim, p, s) for s, p in enumerate(E.places) if s]
 
     def cases():
         lo, size = 0, 1 if arity == 3 else dim
@@ -428,7 +429,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
         while lo < dim:
             hi = min(lo + size, dim)
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
-            first = _Form.unit({n: n * lead for n in range(lo, hi)}, 1)
+            first = _basis(lo, hi, lead, 0)
             form = _formed(residual(E, *operands, first, *rest))
             cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
             failing = {code for _, col in cols for code, q in col.items() if q}
@@ -457,11 +458,19 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
     The form's numerators and denominator become the tensor's as they are,
     reduced once to lowest terms."""
-    x = _Form.unit({n: n * dim for n in range(dim)}, 1)
-    y = _Form.unit({n: n for n in range(dim)}, 2)
+    x, y = _basis(0, dim, dim, 0), _basis(0, dim, 1, 1)
     form = _formed(formula(_Sweep(), *operands, x, y))
     return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
                                for code, q in col.items()}, form.den)
+
+
+@cache
+def _basis(lo: int, hi: int, place: int, slot: int) -> _Form:
+    """The unit form of basis vectors ``lo`` to ``hi - 1`` as argument
+    ``slot``, basis vector n at code ``n * place``.  Kept for every later
+    sweep of the same shape: the kernel and the evaluator only read a
+    form's columns."""
+    return _Form.unit({n: n * place for n in range(lo, hi)}, 1 << slot)
 
 
 def _indices(code: int, dim: int, arity: int) -> tuple:

@@ -40,7 +40,6 @@ A tensor stores the nonzeros of each first index (``Trilinear.rows``).
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -350,36 +349,23 @@ def _eliminate(rows: list, ncols: int) -> dict:
     value}) over their first ``ncols`` columns, in integers only: the pivot of
     a column is the first row not yet a pivot row that holds it, and each
     other row holding it becomes p * row - f * pivot row (p the pivot, f its
-    own value there) over the gcd of its entries.  Both are found through an
-    index that lists under each column the rows that may hold it: a row's
-    own columns and those of every pivot row it is combined with (a listed
-    row that cancelled the column is passed over), so the cost follows the
-    nonzeros.  Returns the row of each pivot column; over its pivot it is the
-    reduced row, which does not depend on the choice of pivots.  The dicts
-    given are not changed."""
+    own value there) over the gcd of its entries.  Returns the row of each
+    pivot column; over its pivot it is the reduced row, which does not
+    depend on the choice of pivots.  The dicts given are not changed."""
     rows, pivots, used = list(rows), {}, set()  # pivots: column -> index of its row
-    holders = defaultdict(set)  # column -> indices of the rows that may hold it
-    for i, row in enumerate(rows):
-        for c in row:
-            holders[c].add(i)
     for col in range(ncols):
-        held = [i for i in holders[col] if col in rows[i]]
-        r = min((i for i in held if i not in used), default=None)
+        r = next((i for i, row in enumerate(rows) if col in row and i not in used), None)
         if r is None:
             continue
         used.add(r)
         pivot = rows[r]
         p = pivot[col]
-        for i in held:
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[col]
-            row = {c: v for c in row.keys() | pivot.keys() if (v := p * row.get(c, 0) - f * pivot.get(c, 0))}
-            g = gcd(*row.values())
-            rows[i] = {c: x // g for c, x in row.items()} if g > 1 else row
-            for c in pivot:
-                holders[c].add(i)
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f is not None and i != r:
+                row = {c: v for c in row.keys() | pivot.keys() if (v := p * row.get(c, 0) - f * pivot.get(c, 0))}
+                g = gcd(*row.values())
+                rows[i] = {c: x // g for c, x in row.items()} if g > 1 else row
         pivots[col] = r
     return {col: rows[r] for col, r in pivots.items()}
 
