@@ -6,12 +6,16 @@ pushed through the power recursion; a residual that is the zero polynomial
 vector proves the identity for every element over an infinite coefficient
 field, exactly.  The recursion runs through the evaluator on forms
 (``algebra._Sweep``) with the generic element as its first argument, so each
-product is pending until read; the element enters the kernel as every given
-vector does, through ``linalg._forms_of``.  A residual, stated through the
-evaluator, is formed as one pending sum into one output: x^n is copied in and
-the products of the other side are added with the factor -1 folded into the
-tensor coefficients.  Only a nonzero residual is read back into polynomials,
-once per form, for its witnesses.
+product is pending until read.  The generic element is a unit form, built
+once per dimension (``_generic``): coordinate n is the monomial t_(n+1) with
+numerator 1, so the kernel reads it by its codes in x x, in alpha(x) and,
+with alpha the identity, in every product of a power of x with x.  A given
+vector (``hom_power``, ``hom_power_pair``) enters the kernel through
+``linalg._forms_of``, which refuses an exponent that could pass the limit.  A
+residual, stated through the evaluator, is formed as one pending sum into one
+output: x^n is copied in and the products of the other side are added with
+the factor -1 folded into the tensor coefficients.  Only a nonzero residual
+is read back into polynomials, once per form, for its witnesses.
 
 For a commutative product x^(n-i,i) = x^(i,n-i) and x^(1,n-1) = x^n, so an
 n-th power check forms the residuals (n, i) for 2 <= i <= n/2 only: (n, i)
@@ -22,10 +26,12 @@ those of the full check.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebra import CheckReport, _Sweep, check_multiplicative, commutativity, make_report
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import LinearMap, Vector, _Form, _formed, _forms_of, _vector_of
-from .poly import Polynomial
+from .poly import Polynomial, _shifts
 
 # Desk-scale guards: generic n-th powers in dimension d are polynomials of
 # degree n in d variables; past these bounds the run is refused outright.
@@ -33,34 +39,45 @@ MAX_POWER = 8
 MAX_DIM = 8
 
 
+def _generators(dim: int) -> tuple:
+    return tuple(f"t{i}" for i in range(1, dim + 1))
+
+
 def generic_element(dim: int) -> Vector:
     """The vector of independent variables t1..t_dim: an element whose powers
     are polynomial identities in its coordinates."""
-    return Vector(Polynomial.variables(tuple(f"t{i}" for i in range(1, dim + 1))))
+    return Vector(Polynomial.variables(_generators(dim)))
+
+
+@cache
+def _generic(dim: int) -> _Form:
+    """The form of ``generic_element(dim)`` in slot 0, a unit form: column n
+    holds numerator 1 at the packed key of t_(n+1).  Kept for every later
+    check of the same dimension: the kernel and the evaluator only read it."""
+    return _Form.unit({n: 1 << s for n, s in enumerate(_shifts(dim))}, 1)
 
 
 def hom_power(algebra, x: Vector, n: int) -> Vector:
     """n-th twisted power: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
     if n < 1:
         raise ValueError("twisted powers start at exponent 1")
-    _, table, _, generators = _power_table(algebra, x, n, n)
+    (v,), generators = _forms_of((x,), algebra.dim, n)
+    _, table, _ = _power_table(algebra, v, n)
     return _vector_of(table[n], algebra.dim, generators)
 
 
-def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
+def _power_table(algebra, v: _Form, n: int) -> tuple:
     """The evaluator on forms, the forms of the twisted powers x^1..x^n
-    (index 0 unused), ``twisted(k, i)``, the form of alpha^k(x^i), and the
-    generator list of x.
+    (index 0 unused) of the form ``v`` of x, and ``twisted(k, i)``, the form
+    of alpha^k(x^i).
 
-    The form of x takes slot 0, as ``tabulate``'s first argument, so every
-    product of it is pending until read; each power and each alpha^k(x^i)
-    is formed once (an image under a power of alpha equal to an earlier one
-    is that image).  ``linalg._forms_of`` refuses a power of x of
-    ``degree`` past ``poly.MAX_EXPONENT`` before the first product.  The
-    powers of alpha start from [I, alpha], and each higher one is composed
-    once, when first read: an n-th power check reads up to alpha^(n-2) and
-    makes n - 3 compositions, and none when alpha is the identity."""
-    (v,), generators = _forms_of((x,), algebra.dim, degree)
+    ``v`` takes slot 0, as ``tabulate``'s first argument, so every product
+    of it is pending until read; each power and each alpha^k(x^i) is formed
+    once (an image under a power of alpha equal to an earlier one is that
+    image), and ``v`` itself is only read.  The powers of alpha start from
+    [I, alpha], and each higher one is composed once, when first read: an
+    n-th power check reads up to alpha^(n-2) and makes n - 3 compositions,
+    and none when alpha is the identity."""
     E, mu, alpha = _Sweep(), algebra.mu, algebra.alpha
     alphas, table, images = [LinearMap.identity(algebra.dim), alpha], [None, v], {}
 
@@ -74,14 +91,15 @@ def _power_table(algebra, x: Vector, n: int, degree: int) -> tuple:
 
     for m in range(2, n + 1):
         table.append(_formed(E.op(mu, table[-1], twisted(m - 2, 1))))
-    return E, table, twisted, generators
+    return E, table, twisted
 
 
 def hom_power_pair(algebra, x: Vector, i: int, j: int) -> Vector:
     """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j)."""
     if i < 1 or j < 1:
         raise ValueError("pair powers need positive exponents")
-    E, _, twisted, generators = _power_table(algebra, x, max(i, j), i + j)
+    (v,), generators = _forms_of((x,), algebra.dim, i + j)
+    E, _, twisted = _power_table(algebra, v, max(i, j))
     return _vector_of(_formed(E.op(algebra.mu, twisted(j - 1, i), twisted(i - 1, j))), algebra.dim, generators)
 
 
@@ -109,8 +127,8 @@ def check_nth_power_assoc(algebra, n: int) -> CheckReport:
     if n < 2:
         raise ValueError("power associativity is defined for n >= 2")
     _guard(algebra, n)
-    E, table, twisted, generators = _power_table(algebra, generic_element(algebra.dim), n, n)
-    mu, mirrored = algebra.mu, algebra.mu._commutative
+    E, table, twisted = _power_table(algebra, _generic(algebra.dim), n)
+    generators, mu, mirrored = _generators(algebra.dim), algebra.mu, algebra.mu._commutative
     # x^(n-i,i) = alpha^(i-1)(x^(n-i)) alpha^(n-i-1)(x^i).  i = 1 is skipped:
     # x^(n-1,1) = x^(n-1) alpha^(n-2)(x) is the recursion defining x^n.  For a
     # commutative product so is i = n - 1, and (n, i) for i > n/2 is the
@@ -132,8 +150,8 @@ def check_criterion_34(algebra) -> CheckReport:
     mult = check_multiplicative(algebra)
     if not mult.passed:
         raise PreconditionError("the two-identity criterion assumes a multiplicative algebra", mult)
-    mu = algebra.mu
-    E, table, twisted, generators = _power_table(algebra, generic_element(algebra.dim), 4, 4)
+    mu, generators = algebra.mu, _generators(algebra.dim)
+    E, table, twisted = _power_table(algebra, _generic(algebra.dim), 4)
     x2, ax, ax2 = table[2], twisted(1, 1), twisted(1, 2)
     # a commutative product has x^2 alpha(x) = alpha(x) x^2
     central = [] if mu._commutative else [((3,), _formed(commutativity(E, mu, x2, ax)))]

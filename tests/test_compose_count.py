@@ -582,7 +582,9 @@ def test_kernel_arithmetic_counts(monkeypatch):
     multiplications are at most 1,425 and 356 (the power check makes 317).
     The check's sweeps pass a basis argument, a unit form, to every product
     they form, and some products take two; those of the tabulated
-    commutator all take two."""
+    commutator all take two.  The power check starts from the generic
+    element as a unit form: x x takes two, and the products of twisted
+    powers take none."""
     mat2, beta = matrix_algebra(2), conjugation_morphism(2)
     yau = HomAlgebra(mat2.basis, mat2.mu.map_outputs(beta), beta)
     algebra = commutator_poisson(matrix_algebra(4))
@@ -605,6 +607,7 @@ def test_kernel_arithmetic_counts(monkeypatch):
     assert counts["hom-poisson"]["add"] == 2014 and counts["hom-poisson"]["mul"] <= 1425
     assert counts["power"]["add"] == 176 and counts["power"]["mul"] <= 356
     assert (set(units["hom-poisson"]), set(units["tabulate"])) == ({1, 2}, {2})
+    assert Counter(units["power"]) == {2: 1, 0: 6}
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

@@ -111,6 +111,43 @@ def test_generic_element_coordinates_are_variables():
     assert names == ["t1", "t2", "t3"]
 
 
+@pytest.mark.parametrize("dim", range(1, hompower_module.MAX_DIM + 1))
+def test_generic_form_is_the_unit_form_of_the_generic_element(dim):
+    """The power checks start from one cached form per dimension: the form
+    ``_forms_of`` makes of ``generic_element(dim)``, as a unit form in slot 0
+    whose code in column n is the packed key of t_(n+1)."""
+    (form,), generators = linalg._forms_of((generic_element(dim),), dim)
+    g = hompower_module._generic(dim)
+    assert (g.cols, g.den, g.slots) == (form.cols, form.den, 1)
+    assert g.units == {n: code for n, col in g.cols.items() for code in col}
+    assert all(col == {g.units[n]: 1} for n, col in g.cols.items()) and len(g.cols) == dim
+    assert generators == tuple(f"t{i}" for i in range(1, dim + 1))
+    assert hompower_module._generic(dim) is g
+
+
+def test_power_checks_leave_the_generic_form_unchanged():
+    """The checks only read the cached generic form, through every product
+    path: x x with both operands unit, a power of x times x with the identity
+    twist, images of x under a twist, and failing residuals read back."""
+    rng = random.Random(30)
+    algebras = [p32_single(), depolarized_twisted_p31()]
+    for dim in (1, 2, 3, 4):
+        for alpha in (LinearMap.identity(dim), random_map(rng, dim)):
+            algebras.append(HomAlgebra(tuple(f"b{i}" for i in range(dim)), random_tensor(rng, dim), alpha))
+    forms = {a.dim: hompower_module._generic(a.dim) for a in algebras}
+    before = {dim: ({n: dict(col) for n, col in g.cols.items()}, dict(g.units), g.den, g.slots)
+              for dim, g in forms.items()}
+    reports = []
+    for algebra in algebras:
+        reports.extend(check_nth_power_assoc(algebra, n) for n in range(2, 7))
+        if check_multiplicative(algebra).passed:
+            reports.append(check_criterion_34(algebra))
+    assert {r.passed for r in reports} == {True, False}
+    for dim, g in forms.items():
+        assert hompower_module._generic(dim) is g
+        assert (g.cols, g.units, g.den, g.slots) == before[dim]
+
+
 @pytest.mark.parametrize("builder", MULTIPLICATIVE_SINGLES)
 def test_depolarized_catalog_is_power_associative(builder):
     alg = builder()

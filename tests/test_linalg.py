@@ -11,7 +11,7 @@ from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, _Sweep, hom_associ
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
-from hompoisson.linalg import LinearMap, Trilinear, Vector, _contract, _eliminate, _Form, rat
+from hompoisson.linalg import LinearMap, Trilinear, Vector, _apply, _contract, _eliminate, _Form, rat
 from hompoisson.poly import Polynomial
 
 from _oracles import (Dense, RefPoly, add, apply, assert_canonical, dense_inverse, dense_kron, dense_matrix,
@@ -801,6 +801,44 @@ def test_contract_matches_triple_loop(t, a, b, out, factor):
     assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
     # the operands are read only: a sweep reuses memoised forms across blocks
     assert [(a.cols, a.units), (b.cols, b.units)] == operands
+
+
+@st.composite
+def kernel_maps(draw):
+    """A map of ``KDIM`` with columns of 0 to ``KDIM`` nonzero numerators,
+    units of both signs among them."""
+    columns = tuple(tuple(sorted(draw(st.dictionaries(st.integers(0, KDIM - 1), kernel_numerators.filter(bool),
+                                                       max_size=KDIM)).items()))
+                    for _ in range(KDIM))
+    return LinearMap._of(columns, draw(st.integers(1, 4)))
+
+
+def reference_apply(m, a, out, factor):
+    """The columns of ``out`` plus ``factor`` times m(a), by a plain double
+    loop: an output column for every map entry whose operand column is
+    present, an entry for every code of that column."""
+    out = {i: dict(col) for i, col in out.items()}
+    for j, line in enumerate(m.columns):
+        if j in a.cols:
+            for i, coeff in line:
+                col = out.setdefault(i, {})
+                for code, q in a.cols[j].items():
+                    col[code] = col.get(code, 0) + factor * coeff * q
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_maps(), kernel_forms(0), st.none() | kernel_columns(7, (None, 2, 4, 7)), st.sampled_from((1, -1, 3)))
+def test_apply_matches_double_loop(m, a, out, factor):
+    operand = ({n: dict(col) for n, col in a.cols.items()}, a.units and dict(a.units))
+    expected = reference_apply(m, a, out or {}, factor)
+    form = _apply(m, a, out, factor)
+    assert form.cols == expected
+    if out is not None:
+        assert form.cols is out
+    assert (form.slots, form.den) == (a.slots, m.den * a.den)
+    # the operand is read only: a sweep reuses memoised forms across blocks
+    assert (a.cols, a.units) == operand
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hompoisson.errors import GeneratorMismatch, ResourceLimitError
 from hompoisson.linalg import Trilinear, Vector
-from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial
+from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial, _of_products, _shifts
 
 from _oracles import RefPoly, assert_canonical
 
@@ -346,3 +346,23 @@ def test_coefficient_outside_the_fields_is_zero():
         Polynomial(GENS, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(GENS, {(1,): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_read_back_of_products_drops_zeros_and_common_factors(width, data):
+    """A kernel output read back by ``_of_products`` holds stored zero
+    numerators and numerators sharing a factor with the denominator; the
+    polynomial it returns is canonical and equal to the one the constructor
+    builds from the nonzero coefficients, and the output is not changed."""
+    gens = NAMES[:width]
+    numerators = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * width),
+                                           st.sampled_from((0, 0, 1, -1, 2, -3, 4)), max_size=6), label="numerators")
+    factor, den = data.draw(st.integers(1, 6), label="factor"), data.draw(st.integers(1, 5), label="den")
+    terms = {sum(e << s for e, s in zip(expo, _shifts(width))): factor * n for expo, n in numerators.items()}
+    stored = dict(terms)
+    p = _of_products(gens, terms, factor * den)
+    assert_canonical(p)
+    expected = Polynomial(gens, {expo: Fraction(n, den) for expo, n in numerators.items()})
+    assert (p.generators, p.terms, p.den) == (expected.generators, expected.terms, expected.den)
+    assert terms == stored
