@@ -8,8 +8,8 @@ field, exactly.  The recursion runs through the evaluator on forms
 (``algebra._Sweep``) with the generic element as its first argument, so each
 product is pending until read.  The generic element is a unit form, built
 once per dimension (``_generic``): coordinate n is the monomial t_(n+1) with
-numerator 1, so the kernel reads it by its codes in x x, in alpha(x) and,
-with alpha the identity, in every product of a power of x with x.  A given
+numerator 1, so ``linalg._contract`` reads it by its codes in x x and, with
+alpha the identity, in every product of a power of x with x.  A given
 vector (``hom_power``, ``hom_power_pair``) enters the kernel through
 ``linalg._forms_of``, which refuses an exponent that could pass the limit.  A
 residual, stated through the evaluator, is formed as one pending sum into one

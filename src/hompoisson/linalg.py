@@ -16,10 +16,10 @@ product of a vector with a tensor or a map and every ``Polynomial`` sum and
 product (of one-column forms), reading the stored form as it is.  A
 sweep's basis arguments and the power checks' generic element are unit
 forms, one code with numerator 1 per column (``_Form.units``), and
-``_contract`` and ``_apply`` read such an operand by its codes: a tensor
-entry or map coefficient meets it in one lookup and no multiplication.  A
-sum is written one way, as a pending sum (``_Pending``): ``+`` and ``-`` of
-forms, and scaling by a rational, only combine its terms, each a kernel call
+``_contract`` reads such an operand by its codes: a tensor entry meets it in
+one lookup and no multiplication.  A sum is written one way, as a pending
+sum (``_Pending``): ``+`` and ``-`` of forms, and scaling by a rational, only
+combine its terms, each a kernel call
 (``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
 with a signed rational scale.  It is formed once, where it is read
 (``_formed``), by ``_sum``: it brings the terms to the lcm of their
@@ -512,9 +512,8 @@ class _Form:
     in every block.  A unit form (``unit``), such as a sweep's basis
     argument or the power checks' generic element, holds one code with
     numerator 1 in each column, and ``units`` maps each column to that code
-    (None on any other form), which ``_contract`` and ``_apply`` read
-    instead of the column.  Vectors and polynomials take ``poly``'s keys as
-    codes."""
+    (None on any other form), which ``_contract`` reads instead of the
+    column.  Vectors and polynomials take ``poly``'s keys as codes."""
 
     __slots__ = ("cols", "slots", "den", "units")
 
@@ -723,22 +722,9 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
 def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> _Form:
     """m(a) over ``m.den * a.den``, taking a numerator as is where the other
     factor is 1; with ``out``, added into it times ``factor`` (folded into
-    each map coefficient).  A unit operand is read by its codes
-    (``_Form.units``): each map coefficient is one entry, at the code of its
-    column."""
+    each map coefficient)."""
     out = {} if out is None else out
-    columns, units = m.columns, a.units
-    if units is not None:
-        for j, code in units.items():
-            for i, coeff in columns[j]:
-                col = out.get(i)
-                if col is None:
-                    col = out[i] = {}
-                if factor != 1:
-                    coeff = coeff * factor
-                v = col.get(code)
-                col[code] = coeff if v is None else v + coeff
-        return _Form(out, a.slots, m.den * a.den)
+    columns = m.columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:
             col = out.get(i)

@@ -71,14 +71,15 @@ def _of_products(generators: tuple, terms: dict, den: int) -> "Polynomial":
     """The polynomial ``terms`` / ``den`` of accumulated products: every key
     valid or the sum of two valid keys, a numerator possibly zero.  A sum of
     two valid keys shows an exponent past ``MAX_EXPONENT`` as a set guard bit,
-    uncarried; such a key, or more than ``MAX_TERMS`` nonzero terms, raises
+    uncarried; such a key, or more than ``MAX_TERMS`` terms, raises
     ``ResourceLimitError``."""
     if reduce(or_, terms, 0) & _guard(len(generators)):
         raise ResourceLimitError(f"polynomial exponent exceeds {MAX_EXPONENT}")
-    out = _reduced(generators, terms, den)
-    if len(out.terms) > MAX_TERMS:
+    if 0 in terms.values():
+        terms = {e: n for e, n in terms.items() if n}
+    if len(terms) > MAX_TERMS:
         raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-    return out
+    return _reduced(generators, terms, den)
 
 
 def _check_power(keys: Iterable, width: int, n: int) -> None:
@@ -91,13 +92,12 @@ def _check_power(keys: Iterable, width: int, n: int) -> None:
 
 
 def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
-    """The polynomial terms/den (den > 0) in canonical form: the stored zero
-    numerators are dropped and the rest divided by the gcd in one pass, made
-    only when there is a zero or a gcd other than 1."""
-    g = gcd(den, *terms.values()) if den != 1 else 1
-    if g != 1 or 0 in terms.values():
-        den //= g
-        terms = {e: n // g for e, n in terms.items() if n}
+    """The polynomial terms/den (nonzero numerators, den > 0) in canonical form."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: n // g for e, n in terms.items()}
     out = object.__new__(Polynomial)
     out.generators = generators
     out.terms = terms
