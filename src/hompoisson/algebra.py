@@ -28,6 +28,16 @@ failing tuple of the block is the image of one found in an earlier block,
 with the same residual.  Witnesses, their order and the stop rule are the
 same as for the full sweep.
 
+A tensor may also declare basis permutations as automorphisms
+(``Trilinear.perms``): ``catalog.matrix_algebra`` does, and ``tabulate``
+passes on what all its tensor operands declare (so ``commutator_poisson``,
+``polarize`` and ``depolarize`` do); no other tensor declares any.  Every
+sweep certifies them on its own operands (``_certified``), takes the first
+argument on the least vector of each orbit of those left (``_arguments``)
+and reads every other tuple's residual off one of those, since
+residual(g x, g y, g z) = g residual(x, y, z).  Witnesses, their order and
+the stop rule are again those of the full sweep.
+
 Every report in the package, swept or not, is built by ``make_report`` under
 one witness policy: residuals are read in lexicographic order of their
 indices, the first ``MAX_WITNESSES`` that are not zero become the witnesses
@@ -66,6 +76,7 @@ import itertools
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache
+from heapq import heappop, heappush
 
 from .errors import DimensionMismatch
 from .linalg import _ZERO, LinearMap, Trilinear, Vector, _apply, _contract, _Form, _formed, _forms_of, _Pending, _vector_of
@@ -393,6 +404,51 @@ def _orbit_symmetries(residual, dim: int, operands) -> tuple:
     return ()
 
 
+def _certified(operands) -> tuple:
+    """The basis permutations ``sweep`` reduces by: those that every tensor
+    operand declares and certifies (``Trilinear._automorphisms``) and that
+    commute with every map operand (the identity map always does); none
+    without a tensor operand."""
+    perms = None
+    for t in operands:
+        if type(t) is Trilinear:
+            if not t.perms:
+                return ()
+            perms = t._automorphisms if perms is None else [p for p in perms if p in t._automorphisms]
+    if not perms:
+        return ()
+    return tuple(p for p in perms if all(m._identity or m._commutes(p) for m in operands if type(m) is LinearMap))
+
+
+@cache
+def _arguments(perms: tuple, dim: int, arity: int) -> tuple:
+    """``(blocks, rest, images)``, the basis arguments of a sweep whose
+    certified permutations are ``perms``, kept like ``_basis``: ``images[r]``
+    a pair ``(x, g)`` for each x but r in the orbit of its least vector r, g a
+    group element that maps r to x; ``blocks`` the ``(lo, hi, first)`` of 1,
+    2, 4, ... orbit minima (all of them below arity 3) from ``lo`` on in the
+    unit form ``first``, up to ``hi``, the next block's first minimum or
+    ``dim``; ``rest`` the whole basis as each later argument."""
+    images, seen = {}, set()
+    for r in range(dim):
+        if r not in seen:
+            seen.add(r)
+            found = [(r, tuple(range(dim)))]
+            for x, g in found:
+                for p in perms:
+                    if p[x] not in seen:
+                        seen.add(p[x])
+                        found.append((p[x], tuple(p[n] for n in g)))
+            images[r] = tuple(found[1:])
+    reps, lead = (*images, dim), dim ** (arity - 1)
+    blocks, start, size = [], 0, 1 if arity == 3 else dim
+    while start < len(images):
+        stop = min(start + size, len(images))
+        blocks.append((reps[start], reps[stop], _Form.unit({n: n * lead for n in reps[start:stop]}, 1)))
+        start, size = stop, 2 * size
+    return tuple(blocks), tuple(_basis(0, dim, dim ** (arity - 1 - s), s) for s in range(1, arity)), images
+
+
 def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckReport:
     """Check ``residual(E, *operands, *args)`` on all basis tuples of ``arity``.
 
@@ -417,23 +473,33 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     of the products that entry forms with the ``hi - lo`` first arguments,
     so in the first small blocks it costs more than it saves.  Witnesses,
     their order and the stop rule are the same either way.
+
+    When basis permutations are certified on the operands at this call
+    (``_certified``), the first argument takes only the least vector of
+    each orbit of their group, in blocks of 1, 2, 4, ... of those, and no
+    argument symmetry.  A failure read at representative r owes its image,
+    with the residual permuted, at each x of r's orbit (``_arguments``); each
+    block yields its own failures and the images owed up to the next
+    representative in lexicographic order.  Undeclared tensors (from
+    ``with_entry``, ``Trilinear(...)``, spec files, ``tensor`` or ``twist``)
+    and maps that commute with no declared permutation gain nothing.
     """
-    symmetries = _orbit_symmetries(residual, dim, operands)
+    perms = _certified(operands)
+    blocks, rest, images = _arguments(perms, dim, arity)
+    symmetries = () if perms else _orbit_symmetries(residual, dim, operands)
     E = _Sweep(dim, arity, sum({1 << p[0] for p in symmetries}))
     lead = E.places[0]
-    rest = [_basis(0, dim, p, s) for s, p in enumerate(E.places) if s]
 
     def cases():
-        lo, size = 0, 1 if arity == 3 else dim
-        owed = {}  # code of an image past the blocks read -> the residual of its failure
-        while lo < dim:
-            hi = min(lo + size, dim)
+        owed = {}  # code of an image past the tuples read -> its residual, or (a residual, g)
+        for lo, hi, first in blocks:
             E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
-            first = _basis(lo, hi, lead, 0)
             form = _formed(residual(E, *operands, first, *rest))
             cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
             failing = {code for _, col in cols for code, q in col.items() if q}
-            for code in sorted(failing.union(c for c in owed if c < hi * lead)):
+            heap = sorted(failing.union(c for c in owed if c < hi * lead))
+            while heap:
+                code = heappop(heap)
                 indices = _indices(code, dim, arity)
                 r = owed.pop(code, None)
                 if r is None:
@@ -446,8 +512,15 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
                         a, b, c = (indices[s] for s in p)
                         if a >= hi:
                             owed[(a * dim + b) * dim + c] = r
+                    for x, g in images.get(indices[0], ()):
+                        image = sum(g[i] * place for i, place in zip(indices, E.places))
+                        owed[image] = r, g
+                        if x < hi:
+                            heappush(heap, image)
+                elif type(r) is tuple:  # g moves coordinate n of the residual r to g[n]
+                    r, g = r
+                    r = Vector(tuple(e for _, e in sorted(zip(g, r.entries))))
                 yield indices, r
-            lo, size = hi, 2 * size
 
     return make_report(identity, cases())
 
@@ -457,11 +530,16 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
     (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
     The form's numerators and denominator become the tensor's as they are,
-    reduced once to lowest terms."""
+    reduced once to lowest terms.  The tensor declares the basis
+    permutations that every tensor operand declares: the formula applies
+    only ``E.op`` and ``E.ap``, so whatever is an automorphism of all its
+    operands is one of the result (``sweep`` certifies them anyway)."""
     x, y = _basis(0, dim, dim, 0), _basis(0, dim, 1, 1)
     form = _formed(formula(_Sweep(), *operands, x, y))
+    declared = [t.perms for t in operands if type(t) is Trilinear]
+    perms = tuple(p for p in declared[0] if all(p in other for other in declared[1:])) if declared else ()
     return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
-                               for code, q in col.items()}, form.den)
+                               for code, q in col.items()}, form.den, perms=perms)
 
 
 @cache

@@ -91,6 +91,9 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
     """Full matrix algebra on the unit-matrix basis, identity twisting map.
 
     Basis names are ``E{i}{j}`` for n <= 9 and ``E{i}_{j}`` from n = 10 on.
+    The product declares the automorphisms E_ij -> E_s(i)s(j) of the index
+    transposition (0 1) and the n-cycle s(i) = i + 1 mod n, which generate
+    every index permutation (see ``Trilinear.perms``).
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
@@ -108,7 +111,10 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
         for b in range(n):
             for c in range(n):
                 entries[(idx(a, b), idx(b, c), idx(a, c))] = 1
-    return HomAlgebra(basis=basis, mu=Trilinear(n * n, entries), alpha=LinearMap.identity(n * n))
+    perms = tuple(dict.fromkeys(tuple(idx(s[i], s[j]) for i in range(n) for j in range(n))
+                                for s in ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1))
+    return HomAlgebra(basis=basis, mu=Trilinear._of(n * n, entries, 1, perms=perms),
+                      alpha=LinearMap.identity(n * n))
 
 
 def conjugation_morphism(n: int = 2, top=Fraction(1, 2)) -> LinearMap:

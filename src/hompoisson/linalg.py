@@ -291,6 +291,12 @@ class LinearMap:
     def is_identity(self) -> bool:
         return self._identity
 
+    def _commutes(self, p: tuple) -> bool:
+        """Whether the map commutes with the basis permutation ``p`` (``p[i]``
+        the image of basis vector i): column p[j] is column j permuted by p."""
+        columns = self.columns
+        return all(columns[p[j]] == tuple(sorted([(p[i], q) for i, q in line])) for j, line in enumerate(columns))
+
     @cached_property
     def _identity(self) -> bool:
         """Whether the map is the identity, computed once per map."""
@@ -384,9 +390,15 @@ class Trilinear:
     dimension 9 or 16: ``rows[i]`` holds the sorted (j, k, numerator) triples
     of the nonzero entries with first index i (no key for an index without
     one, keys ascending), and entry (i, j, k) is numerator / ``den``.
+
+    ``perms`` holds basis permutations (``p[i]`` the image of basis vector
+    i) declared as automorphisms of the operation, by ``catalog`` and
+    ``algebra.tabulate`` only; a sweep uses those it certifies
+    (``_automorphisms``).  They take no part in equality, hashing or
+    ``repr``, and every other way of building a tensor declares none.
     """
 
-    __slots__ = ("dim", "rows", "den", "__dict__")  # ``__dict__`` holds the cached properties
+    __slots__ = ("dim", "rows", "den", "perms", "__dict__")  # ``__dict__`` holds the cached properties
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
@@ -400,17 +412,18 @@ class Trilinear:
         Trilinear._of(dim, dict(zip(data, numerators)), den, self)
 
     @staticmethod
-    def _of(dim: int, data: dict, den: int, t: "Trilinear | None" = None) -> "Trilinear":
+    def _of(dim: int, data: dict, den: int, t: "Trilinear | None" = None, perms: tuple = ()) -> "Trilinear":
         """The tensor with entry (i, j, k) = ``data[i, j, k] / den`` (``int``
         numerators, indices in range), stored in ``t`` or a new tensor: zero
-        numerators dropped, in index order, in lowest terms (no gcd at ``den`` 1)."""
+        numerators dropped, in index order, in lowest terms (no gcd at ``den`` 1),
+        declaring ``perms``."""
         g = gcd(den, *data.values()) if den != 1 else 1
         rows: dict = {}
         for (i, j, k), q in sorted(data.items()):
             if q:
                 rows.setdefault(i, []).append((j, k, q if g == 1 else q // g))
         t = object.__new__(Trilinear) if t is None else t
-        t.dim, t.den, t.rows = dim, den // g, {i: tuple(row) for i, row in rows.items()}
+        t.dim, t.den, t.rows, t.perms = dim, den // g, {i: tuple(row) for i, row in rows.items()}, perms
         return t
 
     @staticmethod
@@ -446,6 +459,16 @@ class Trilinear:
         the first two indices.  Computed once per tensor, in O(nnz)."""
         entries = {(i, j, k): q for i, row in self.rows.items() for j, k, q in row}
         return all(entries.get((j, i, k)) == q for (i, j, k), q in entries.items())
+
+    @cached_property
+    def _automorphisms(self) -> tuple:
+        """The declared ``perms`` certified on the stored form: permutations of
+        the basis that map each row onto the row of its image, every entry
+        (j, k, q) of row i onto (p[j], p[k], q) of row p[i].  Computed once
+        per tensor, in O(nnz) per permutation."""
+        rows = self.rows
+        return tuple(p for p in self.perms if sorted(p) == list(range(self.dim)) and all(
+            rows.get(p[i]) == tuple(sorted([(p[j], p[k], q) for j, k, q in row])) for i, row in rows.items()))
 
     def with_entry(self, i: int, j: int, k: int, value) -> "Trilinear":
         """Copy with one structure constant replaced (used to corrupt tensors in tests)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import or_
+from operator import countOf, or_
 from typing import Iterable, Mapping
 
 from .errors import GeneratorMismatch, ResourceLimitError
@@ -75,11 +75,15 @@ def _of_products(generators: tuple, terms: dict, den: int) -> "Polynomial":
     ``ResourceLimitError``."""
     if reduce(or_, terms, 0) & _guard(len(generators)):
         raise ResourceLimitError(f"polynomial exponent exceeds {MAX_EXPONENT}")
-    if 0 in terms.values():
-        terms = {e: n for e, n in terms.items() if n}
-    if len(terms) > MAX_TERMS:
+    if len(terms) > MAX_TERMS and len(terms) - countOf(terms.values(), 0) > MAX_TERMS:
         raise ResourceLimitError(f"polynomial product exceeds {MAX_TERMS} terms")
-    return _reduced(generators, terms, den)
+    g = gcd(den, *terms.values()) if den != 1 else 1  # gcd ignores the zeros
+    if g != 1 or 0 in terms.values():
+        den //= g
+        terms = {e: n // g for e, n in terms.items() if n}
+    out = object.__new__(Polynomial)
+    out.generators, out.terms, out.den = generators, terms, den
+    return out
 
 
 def _check_power(keys: Iterable, width: int, n: int) -> None:

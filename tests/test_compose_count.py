@@ -505,8 +505,13 @@ def _twist_and_its_checks():
     # ratios of denominators 2 and 4 and of the 1/3 of admissibility.  The
     # identity map from the untwisted algebra to twisted is never applied,
     # so its intertwining adds the first argument's form (_add_into) to a
-    # pending application of beta
+    # pending application of beta.  The untwisted algebra keeps the basis
+    # permutations matrix_algebra declares, so its hom-Poisson and, after
+    # depolarization, flexibility checks sweep on orbit representatives
     algebra = commutator_poisson(matrix_algebra(3))
+    assert algebra_module._certified((algebra.bracket, algebra.mu, algebra.alpha))
+    assert check_hom_poisson(algebra).passed
+    assert check_hom_flexible(depolarize(algebra)).passed
     beta = conjugation_morphism(3)
     twisted = twist(algebra, beta)
     assert check_multiplicative(twisted).passed
@@ -584,13 +589,20 @@ def test_kernel_arithmetic_counts(monkeypatch):
     they form, and some products take two; those of the tabulated
     commutator all take two.  The power check starts from the generic
     element as a unit form: x x takes two, and the products of twisted
-    powers take none."""
+    powers take none.  These counts are of the full sweeps, on a copy of
+    the algebra whose tensors declare no basis permutation; with the
+    permutations ``matrix_algebra`` declares, the sweeps take their first
+    argument on the representatives E00 and E01 only, and make exactly 295
+    additions and 249 multiplications."""
     mat2, beta = matrix_algebra(2), conjugation_morphism(2)
     yau = HomAlgebra(mat2.basis, mat2.mu.map_outputs(beta), beta)
-    algebra = commutator_poisson(matrix_algebra(4))
+    declared = commutator_poisson(matrix_algebra(4))
+    algebra = dataclasses.replace(declared, bracket=Trilinear(16, dict(declared.bracket.items())),
+                                  mu=Trilinear(16, dict(declared.mu.items())))
     contract = algebra_module._contract
     counts, units = {}, {}
     for name, run in (("hom-poisson", lambda: check_hom_poisson(algebra).passed),
+                      ("orbits", lambda: check_hom_poisson(declared).passed),
                       ("power", lambda: check_nth_power_assoc(yau, 5).passed),
                       ("tabulate", lambda: not tabulate(mat2.dim, commutativity, mat2.mu).is_zero())):
         counts[name], units[name] = Counter(), []
@@ -605,6 +617,7 @@ def test_kernel_arithmetic_counts(monkeypatch):
             _tally_numerators(patches, with_map_products=False, counts=counts[name])
             assert run()
     assert counts["hom-poisson"]["add"] == 2014 and counts["hom-poisson"]["mul"] <= 1425
+    assert (counts["orbits"]["add"], counts["orbits"]["mul"]) == (295, 249)
     assert counts["power"]["add"] == 176 and counts["power"]["mul"] <= 356
     assert (set(units["hom-poisson"]), set(units["tabulate"])) == ({1, 2}, {2})
     assert Counter(units["power"]) == {2: 1, 0: 6}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hompoisson import poly
 from hompoisson.errors import GeneratorMismatch, ResourceLimitError
 from hompoisson.linalg import Trilinear, Vector
 from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial, _of_products, _shifts
@@ -366,3 +367,28 @@ def test_read_back_of_products_drops_zeros_and_common_factors(width, data):
     expected = Polynomial(gens, {expo: Fraction(n, den) for expo, n in numerators.items()})
     assert (p.generators, p.terms, p.den) == (expected.generators, expected.terms, expected.den)
     assert terms == stored
+
+
+def test_a_product_that_cancels_and_shares_a_factor_with_its_denominator(monkeypatch):
+    """(x + y)/2 times (2x - 2y)/3: the cross terms cancel, left as a stored
+    zero numerator, and the other numerators 2 and -2 share the factor 2 with
+    the denominator 6.  The read-back drops the zero and divides by 2, and
+    the product is the canonical (x^2 - y^2)/3."""
+    x, y = Polynomial.variables(GENS)
+    p, q = Fraction(1, 2) * (x + y), Fraction(2, 3) * (x - y)
+    read = []
+
+    def recorded(generators, terms, den):
+        read.append((dict(terms), den))
+        return _of_products(generators, terms, den)
+
+    monkeypatch.setattr(poly, "_of_products", recorded)
+    product = p * q
+    (terms, den), = read
+    assert sorted(terms.values()) == [-2, 0, 2] and den == 6
+    assert_canonical(product)
+    expected = RefPoly(GENS, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}) * RefPoly(
+        GENS, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-2, 3)})
+    assert product == Polynomial(GENS, expected.terms) == Polynomial(GENS, {(2, 0): Fraction(1, 3),
+                                                                            (0, 2): Fraction(-1, 3)})
+    assert sorted(product.terms.values()) == [-1, 1] and product.den == 3
