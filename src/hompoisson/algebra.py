@@ -35,8 +35,10 @@ passes on what all its tensor operands declare (so ``commutator_poisson``,
 sweep certifies them on its own operands (``_certified``), takes the first
 argument on the least vector of each orbit of those left (``_arguments``)
 and reads every other tuple's residual off one of those, since
-residual(g x, g y, g z) = g residual(x, y, z).  Witnesses, their order and
-the stop rule are again those of the full sweep.
+residual(g x, g y, g z) = g residual(x, y, z).  A sweep with an undeclared
+tensor or a map operand other than the identity keeps none and runs in
+full.  Witnesses, their order and the stop rule are again those of the full
+sweep.
 
 Every report in the package, swept or not, is built by ``make_report`` under
 one witness policy: residuals are read in lexicographic order of their
@@ -404,20 +406,26 @@ def _orbit_symmetries(residual, dim: int, operands) -> tuple:
     return ()
 
 
-def _certified(operands) -> tuple:
-    """The basis permutations ``sweep`` reduces by: those that every tensor
-    operand declares and certifies (``Trilinear._automorphisms``) and that
-    commute with every map operand (the identity map always does); none
-    without a tensor operand."""
-    perms = None
+def _common(operands, attr: str) -> tuple:
+    """The permutations that attribute ``attr`` of every tensor operand
+    lists, in the first one's order; none without a tensor operand."""
+    common = None
     for t in operands:
         if type(t) is Trilinear:
-            if not t.perms:
+            own = getattr(t, attr)
+            if not own:
                 return ()
-            perms = t._automorphisms if perms is None else [p for p in perms if p in t._automorphisms]
-    if not perms:
+            common = own if common is None or common == own else tuple(p for p in common if p in own)
+    return common or ()
+
+
+def _certified(operands) -> tuple:
+    """The basis permutations ``sweep`` reduces by: those that every tensor
+    operand declares (``perms``) and certifies (``Trilinear._automorphisms``),
+    when every map operand is the identity; none without a tensor operand."""
+    if not _common(operands, "perms") or not all(m._identity for m in operands if type(m) is LinearMap):
         return ()
-    return tuple(p for p in perms if all(m._identity or m._commutes(p) for m in operands if type(m) is LinearMap))
+    return _common(operands, "_automorphisms")
 
 
 @cache
@@ -482,7 +490,7 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     block yields its own failures and the images owed up to the next
     representative in lexicographic order.  Undeclared tensors (from
     ``with_entry``, ``Trilinear(...)``, spec files, ``tensor`` or ``twist``)
-    and maps that commute with no declared permutation gain nothing.
+    and any map operand other than the identity gain nothing.
     """
     perms = _certified(operands)
     blocks, rest, images = _arguments(perms, dim, arity)
@@ -536,10 +544,8 @@ def tabulate(dim: int, formula, *operands) -> Trilinear:
     operands is one of the result (``sweep`` certifies them anyway)."""
     x, y = _basis(0, dim, dim, 0), _basis(0, dim, 1, 1)
     form = _formed(formula(_Sweep(), *operands, x, y))
-    declared = [t.perms for t in operands if type(t) is Trilinear]
-    perms = tuple(p for p in declared[0] if all(p in other for other in declared[1:])) if declared else ()
     return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
-                               for code, q in col.items()}, form.den, perms=perms)
+                               for code, q in col.items()}, form.den, perms=_common(operands, "perms"))
 
 
 @cache

@@ -291,12 +291,6 @@ class LinearMap:
     def is_identity(self) -> bool:
         return self._identity
 
-    def _commutes(self, p: tuple) -> bool:
-        """Whether the map commutes with the basis permutation ``p`` (``p[i]``
-        the image of basis vector i): column p[j] is column j permuted by p."""
-        columns = self.columns
-        return all(columns[p[j]] == tuple(sorted([(p[i], q) for i, q in line])) for j, line in enumerate(columns))
-
     @cached_property
     def _identity(self) -> bool:
         """Whether the map is the identity, computed once per map."""

@@ -81,9 +81,7 @@ def _of_products(generators: tuple, terms: dict, den: int) -> "Polynomial":
     if g != 1 or 0 in terms.values():
         den //= g
         terms = {e: n // g for e, n in terms.items() if n}
-    out = object.__new__(Polynomial)
-    out.generators, out.terms, out.den = generators, terms, den
-    return out
+    return _polynomial(generators, terms, den)
 
 
 def _check_power(keys: Iterable, width: int, n: int) -> None:
@@ -102,10 +100,14 @@ def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
         if g != 1:
             den //= g
             terms = {e: n // g for e, n in terms.items()}
+    return _polynomial(generators, terms, den)
+
+
+def _polynomial(generators: tuple, terms: dict, den: int) -> "Polynomial":
+    """The polynomial with these fields, already canonical; every polynomial
+    that ``_reduced`` and ``_of_products`` return is built here."""
     out = object.__new__(Polynomial)
-    out.generators = generators
-    out.terms = terms
-    out.den = den
+    out.generators, out.terms, out.den = generators, terms, den
     return out
 
 

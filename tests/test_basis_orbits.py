@@ -79,18 +79,14 @@ def is_automorphism(p, t):
     return all(t.entry(p[i], p[j], p[k]) == t.entry(i, j, k) for i, j, k in itertools.product(range(d), repeat=3))
 
 
-def commutes(p, m):
-    d = m.dim
-    return all(m.entry(p[i], p[j]) == m.entry(i, j) for i, j in itertools.product(range(d), repeat=2))
-
-
 def expected_kept(perms, operands):
     """The declared permutations a sweep on ``operands`` may keep: declared
-    by every tensor operand, automorphisms of each, commuting with each map."""
+    by every tensor operand and automorphisms of each, when every map is the
+    identity."""
     tensors = [t for t in operands if isinstance(t, Trilinear)]
     maps = [m for m in operands if isinstance(m, LinearMap)]
     return [p for p in perms if tensors and all(p in t.perms and is_automorphism(p, t) for t in tensors)
-            and all(commutes(p, m) for m in maps)]
+            and all(m == LinearMap.identity(m.dim) for m in maps)]
 
 
 def orbit(seed, perms):
@@ -120,7 +116,8 @@ def planted_tensor(rng, dim, perms, orbits):
 
 
 def planted_map(rng, dim, perms):
-    """The identity, or a random map commuting with ``perms``."""
+    """The identity, or a random map commuting with ``perms``, with which a
+    sweep still keeps no permutation."""
     if rng.random() < 0.3:
         return LinearMap.identity(dim)
     rows = [[0] * dim for _ in range(dim)]
@@ -159,7 +156,7 @@ def symmetric_algebras(draw):
     under some of the generators, so those stay automorphisms and the others
     most likely do not.  Sometimes a random permutation, most likely no
     automorphism, is declared as well, or the twisting map is replaced by a
-    random one, which most likely commutes with no permutation."""
+    random one."""
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(("random", "square", "matrix")))
     if kind == "random":
@@ -228,7 +225,8 @@ def test_orbit_sweeps_match_undeclared_sweeps_and_oracle(case):
 
 def test_wrongly_declared_generators_are_refused():
     # the M3 product with one constant changed keeps neither generator, and
-    # the conjugation by diag(2, 1, 1) commutes with neither
+    # a twisting map other than the identity, here the conjugation by
+    # diag(2, 1, 1), keeps none either
     mat = matrix_algebra(3)
     bad = declared(mat.mu.with_entry(0, 1, 1, 5), mat.mu.perms)
     assert bad._automorphisms == ()

@@ -8,8 +8,8 @@ a sweep does, that a sweep forms no intermediate sum of forms and a power
 residual is one sum, how many pair products a power check forms and reads
 back, and how many powers a substitution takes.
 
-The tests wrap ``LinearMap.compose``, the polynomial kernel's reduction
-``poly._reduced``, the form kernel (``linalg._contract``, ``linalg._apply``,
+The tests wrap ``LinearMap.compose``, the polynomial kernel's constructor
+``poly._polynomial``, the form kernel (``linalg._contract``, ``linalg._apply``,
 the add-into routine ``linalg._add_into`` and the sum ``linalg._sum``),
 ``hompower``'s read-back ``_vector_of``, ``Polynomial`` multiplication and
 powers or ``Fraction`` arithmetic operators with a call counter, or feed the
@@ -254,14 +254,16 @@ def test_twist_of_a_dim_81_tensor_power_composes_once(composes):
 
 @pytest.fixture
 def reductions(monkeypatch):
+    # every polynomial that a sum, a product or a read-back reduces is built
+    # by ``_polynomial``, whichever of ``_reduced`` and ``_of_products`` reduced it
     calls = []
-    original = poly._reduced
+    original = poly._polynomial
 
     def counted(generators, terms, den):
         calls.append(len(terms))
         return original(generators, terms, den)
 
-    monkeypatch.setattr(poly, "_reduced", counted)
+    monkeypatch.setattr(poly, "_polynomial", counted)
     return calls
 
 
@@ -274,7 +276,7 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
     y = Vector(tuple(Fraction(k + 1, 2) * v + k for k, v in enumerate(x.entries)))
     reductions.clear()
     out = t.contract(x, y)
-    assert len(reductions) <= len({k for (_, _, k), _ in t.items()})
+    assert 0 < len(reductions) <= len({k for (_, _, k), _ in t.items()})
     assert out.entries == tuple(
         sum((q * x[i] * y[j] for (i, j, kk), q in t.items() if kk == k), Fraction(0))
         for k in range(t.dim))
