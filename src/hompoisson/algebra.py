@@ -17,28 +17,17 @@ one evaluation per block, and stops after the block that holds the tenth
 failing tuple.  ``tabulate`` builds an operation by reading the structure
 constants off a bilinear formula.
 
-An identity may declare exact symmetries of its arguments beside its
-statement (``symmetric``): ``jacobian``, a cyclic sum, its two rotations, and
-``constructions.flexibility`` the swap of x and z.  Such an identity is swept
-on orbit representatives when its tensors have at least ``dim`` nonzeros
-together (``_orbit_symmetries``): in a block from first index ``lo`` to
-``hi`` with ``lo * (hi - lo) >= dim``, only the tuples whose arguments that a
-symmetry moves to the front are ``lo`` or more are evaluated, and every other
-failing tuple of the block is the image of one found in an earlier block,
-with the same residual.  Witnesses, their order and the stop rule are the
-same as for the full sweep.
-
-A tensor may also declare basis permutations as automorphisms
-(``Trilinear.perms``): ``catalog.matrix_algebra`` does, and ``tabulate``
-passes on what all its tensor operands declare (so ``commutator_poisson``,
-``polarize`` and ``depolarize`` do); no other tensor declares any.  Every
-sweep certifies them on its own operands (``_certified``), takes the first
-argument on the least vector of each orbit of those left (``_arguments``)
-and reads every other tuple's residual off one of those, since
-residual(g x, g y, g z) = g residual(x, y, z).  A sweep with an undeclared
-tensor or a map operand other than the identity keeps none and runs in
-full.  Witnesses, their order and the stop rule are again those of the full
-sweep.
+A sweep has one orbit path, on basis permutations.  A tensor may declare
+some as automorphisms (``Trilinear.perms``): ``catalog.matrix_algebra``
+does, and ``tabulate`` passes on what all its tensor operands declare.
+Every sweep certifies them on its own operands (``_certified``), takes the
+first argument on the least vector of each orbit (``_arguments``) and reads
+every other tuple's residual off one of those, since residual(g x, g y, g z)
+= g residual(x, y, z).  A sweep with an undeclared tensor (from spec files,
+``with_entry``, ``tensor`` or ``twist``) or a map operand other than the
+identity runs in full, even for ``jacobian``, a cyclic sum, and
+``constructions.flexibility``.  Witnesses, their order and the stop rule are
+those of the full sweep.
 
 Every report in the package, swept or not, is built by ``make_report`` under
 one witness policy: residuals are read in lexicographic order of their
@@ -63,7 +52,7 @@ coefficient.  The identity map is never applied: ``E.ap`` returns its operand.
 The basis arguments of a sweep and of ``tabulate`` are unit forms
 (``linalg._Form.unit``), whose codes ``_contract`` reads instead of their
 columns, built once for each range and place (``_basis``); a unit form
-stays one through ``E.ap`` of the identity and when ``_Sweep`` narrows it.
+stays one through ``E.ap`` of the identity.
 A numerator is zero exactly when its value is, so a sweep never reduces a
 fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
 an element-level result, and ``tabulate`` hands its numerators and denominator
@@ -237,27 +226,11 @@ def aggregate_report(identity: str, parts) -> CheckReport:
 # and ``tabulate`` reads structure constants off a bilinear formula.
 # ---------------------------------------------------------------------------
 
-def symmetric(*perms):
-    """Declare the argument symmetries of a three-argument identity.
-
-    Each ``p`` in ``perms`` states that residual(a0, a1, a2) equals
-    residual(a_p[0], a_p[1], a_p[2]) exactly, whatever the operands.  With the
-    identity permutation, ``perms`` must form a group, so that the images of
-    a tuple are its whole orbit; ``sweep`` then evaluates orbit
-    representatives only.
-    """
-    def declare(identity):
-        identity.symmetries = perms
-        return identity
-    return declare
-
-
 def associator(E, mu, alpha, x, y, z):
     """(xy)a(z) - a(x)(yz)."""
     return E.op(mu, E.op(mu, x, y), E.ap(alpha, z)) - E.op(mu, E.ap(alpha, x), E.op(mu, y, z))
 
 
-@symmetric((1, 2, 0), (2, 0, 1))
 def jacobian(E, t, alpha, x, y, z):
     """Cyclic sum (xy)a(z) + (zx)a(y) + (yz)a(x)."""
     return (E.op(t, E.op(t, x, y), E.ap(alpha, z))
@@ -336,47 +309,22 @@ class _Sweep:
     """Evaluator on forms, with one memo rule: a product that involves the
     first argument (slot 0) is left pending, and every other product, the
     same from block to block, is formed at once and memoised.  The identity
-    map returns its operand.
+    map returns its operand.  Arguments are read as given: ``sweep`` picks
+    the first argument's basis vectors (``_arguments``)."""
 
-    When ``sweep`` evaluates orbit representatives, the arguments in the
-    bitmask ``narrow`` take only the basis vectors from ``lo`` on.  The
-    memoised subterms stay full-basis: where one meets the first argument it
-    is read through a filter on the code digits of its narrowed arguments,
-    which by multilinearity is the subterm of the narrowed arguments.
-    """
-
-    def __init__(self, dim: int = 0, arity: int = 0, narrow: int = 0):
+    def __init__(self):
         self.memo: dict = {}
-        self.dim, self.narrow, self.lo = dim, narrow, 0
-        self.places = [dim ** (arity - 1 - s) for s in range(arity)]
-        self.narrowed: dict = {}  # form -> (lo, the form narrowed to lo)
 
     def _term(self, fn, operands: tuple, slots: int, den: int):
         """``fn(*operands)``, a tensor or map and its forms, over ``den``:
         pending when it involves the first argument, else memoised."""
         if slots & 1:
-            if self.lo:
-                operands = (operands[0], *[f if f.slots & 1 else self._narrowed(f) for f in operands[1:]])
             return _Pending(((fn, operands, 1, den),))
         key = (fn, id(operands[0]), *operands[1:])
         hit = self.memo.get(key)
         if hit is None:
             hit = self.memo[key] = fn(*operands)
         return hit
-
-    def _narrowed(self, form: _Form) -> _Form:
-        places = [p for s, p in enumerate(self.places) if form.slots & self.narrow & 1 << s]
-        if not places:
-            return form
-        lo, narrowed = self.narrowed.get(form, (0, form))
-        if lo != self.lo:
-            lo, dim, cols, units = self.lo, self.dim, narrowed.cols, narrowed.units
-            for p in places:
-                cols = {n: kept for n, col in cols.items()
-                        if (kept := {code: q for code, q in col.items() if code // p % dim >= lo})}
-            narrowed = _Form(cols, form.slots, form.den, units and {n: units[n] for n in cols})
-            self.narrowed[form] = (lo, narrowed)
-        return narrowed
 
     def op(self, t: Trilinear, a, b):
         if type(a) is _Pending:
@@ -391,19 +339,6 @@ class _Sweep:
         if type(a) is _Pending:
             a = a.form()
         return self._term(_apply, (m, a), a.slots, m.den * a.den)
-
-
-def _orbit_symmetries(residual, dim: int, operands) -> tuple:
-    """The argument permutations ``sweep`` reduces ``residual`` by: those
-    declared with ``symmetric``, when the identity's tensors hold at least
-    ``dim`` nonzeros together.  On sparser tensors the filters cost more than
-    the products they skip: on tensor powers of Heisenberg algebras (dims 27
-    and 81, 8 and 16 bracket nonzeros) a reduced hom-Jacobi sweep took 1.6 to
-    2.1 times as long as the full one."""
-    symmetries = getattr(residual, "symmetries", ())
-    if symmetries and sum(sum(map(len, t.rows.values())) for t in operands if isinstance(t, Trilinear)) >= dim:
-        return symmetries
-    return ()
 
 
 def _common(operands, attr: str) -> tuple:
@@ -433,10 +368,10 @@ def _arguments(perms: tuple, dim: int, arity: int) -> tuple:
     """``(blocks, rest, images)``, the basis arguments of a sweep whose
     certified permutations are ``perms``, kept like ``_basis``: ``images[r]``
     a pair ``(x, g)`` for each x but r in the orbit of its least vector r, g a
-    group element that maps r to x; ``blocks`` the ``(lo, hi, first)`` of 1,
-    2, 4, ... orbit minima (all of them below arity 3) from ``lo`` on in the
-    unit form ``first``, up to ``hi``, the next block's first minimum or
-    ``dim``; ``rest`` the whole basis as each later argument."""
+    group element that maps r to x; ``blocks`` the ``(hi, first)`` of 1, 2,
+    4, ... orbit minima (all of them below arity 3) in the unit form
+    ``first``, ``hi`` the next block's first minimum or ``dim``; ``rest``
+    the whole basis as each later argument."""
     images, seen = {}, set()
     for r in range(dim):
         if r not in seen:
@@ -452,7 +387,7 @@ def _arguments(perms: tuple, dim: int, arity: int) -> tuple:
     blocks, start, size = [], 0, 1 if arity == 3 else dim
     while start < len(images):
         stop = min(start + size, len(images))
-        blocks.append((reps[start], reps[stop], _Form.unit({n: n * lead for n in reps[start:stop]}, 1)))
+        blocks.append((reps[stop], _Form.unit({n: n * lead for n in reps[start:stop]}, 1)))
         start, size = stop, 2 * size
     return tuple(blocks), tuple(_basis(0, dim, dim ** (arity - 1 - s), s) for s in range(1, arity)), images
 
@@ -470,64 +405,46 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     ``make_report`` reads them, so the sweep stops after the block that holds
     the ``MAX_WITNESSES``-th failing tuple.
 
-    An identity with declared argument symmetries (``_orbit_symmetries``) is
-    evaluated on orbit representatives: in block ``[lo, hi)`` only on the
-    tuples whose arguments that a symmetry moves to the front are ``lo`` or
-    more.  Every other failing tuple of the block is the image of a failing
-    tuple of an earlier block, with the same residual; the images of a
-    block's failures are recorded by code when the failure is read.  A block
-    is narrowed so only when ``lo * (hi - lo) >= dim``: the filter reads each
-    entry of a memoised subterm once, and narrowing skips about ``lo / dim``
-    of the products that entry forms with the ``hi - lo`` first arguments,
-    so in the first small blocks it costs more than it saves.  Witnesses,
-    their order and the stop rule are the same either way.
-
-    When basis permutations are certified on the operands at this call
-    (``_certified``), the first argument takes only the least vector of
-    each orbit of their group, in blocks of 1, 2, 4, ... of those, and no
-    argument symmetry.  A failure read at representative r owes its image,
-    with the residual permuted, at each x of r's orbit (``_arguments``); each
-    block yields its own failures and the images owed up to the next
-    representative in lexicographic order.  Undeclared tensors (from
+    The one orbit path: with basis permutations certified on the operands
+    (``_certified``), the first argument takes the least vector of each
+    orbit, in blocks of 1, 2, 4, ... of those.  A failure read at
+    representative r owes its image, with the residual permuted, at each x
+    of r's orbit (``_arguments``); each block yields its own failures and the
+    images owed up to the next representative.  Undeclared tensors (from
     ``with_entry``, ``Trilinear(...)``, spec files, ``tensor`` or ``twist``)
-    and any map operand other than the identity gain nothing.
+    and map operands other than the identity are swept in full, whatever the
+    identity's symmetry in its arguments: hom-Jacobi of the M_6 commutator
+    algebra forms 1,244 products as built, and 16,020 (3.7 ms on a 2-vCPU
+    host) rebuilt without declarations.
     """
-    perms = _certified(operands)
-    blocks, rest, images = _arguments(perms, dim, arity)
-    symmetries = () if perms else _orbit_symmetries(residual, dim, operands)
-    E = _Sweep(dim, arity, sum({1 << p[0] for p in symmetries}))
-    lead = E.places[0]
+    places = [dim ** (arity - 1 - s) for s in range(arity)]
+    blocks, rest, images = _arguments(_certified(operands), dim, arity)
+    E = _Sweep()
 
     def cases():
-        owed = {}  # code of an image past the tuples read -> its residual, or (a residual, g)
-        for lo, hi, first in blocks:
-            E.lo = lo if symmetries and lo * (hi - lo) >= dim else 0
+        owed = {}  # code of an image past the tuples read -> (a residual, g)
+        for hi, first in blocks:
             form = _formed(residual(E, *operands, first, *rest))
             cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
             failing = {code for _, col in cols for code, q in col.items() if q}
-            heap = sorted(failing.union(c for c in owed if c < hi * lead))
+            heap = sorted(failing.union(c for c in owed if c < hi * places[0]))
             while heap:
                 code = heappop(heap)
                 indices = _indices(code, dim, arity)
-                r = owed.pop(code, None)
-                if r is None:
+                if code in owed:  # g moves coordinate n of the residual r to g[n]
+                    r, g = owed.pop(code)
+                    r = Vector(tuple(e for _, e in sorted(zip(g, r.entries))))
+                else:
                     coords = [_ZERO] * dim
                     for n, col in cols:
                         if q := col.get(code):
                             coords[n] = Fraction(q, form.den)
                     r = Vector(tuple(coords))
-                    for p in symmetries:
-                        a, b, c = (indices[s] for s in p)
-                        if a >= hi:
-                            owed[(a * dim + b) * dim + c] = r
                     for x, g in images.get(indices[0], ()):
-                        image = sum(g[i] * place for i, place in zip(indices, E.places))
+                        image = sum(g[i] * place for i, place in zip(indices, places))
                         owed[image] = r, g
                         if x < hi:
                             heappush(heap, image)
-                elif type(r) is tuple:  # g moves coordinate n of the residual r to g[n]
-                    r, g = r
-                    r = Vector(tuple(e for _, e in sorted(zip(g, r.entries))))
                 yield indices, r
 
     return make_report(identity, cases())

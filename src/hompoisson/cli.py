@@ -167,9 +167,12 @@ def _cmd_catalog(args) -> int:
         if "=" not in item:
             raise SpecFileError(f"--param expects name=value, got {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in params:
+            raise SpecFileError(f"--param {key!r} given more than once")
         try:
-            params[key.strip()] = rat(value.strip())
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            params[key] = rat(value.strip())
+        except (ValueError, TypeError) as exc:
             raise SpecFileError(f"--param {item!r}: {exc}") from exc
     obj = catalog.build_catalog(args.name, params)
     reports = catalog.entry_reports(args.name, obj)

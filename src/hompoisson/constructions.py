@@ -34,7 +34,6 @@ from .algebra import (
     jacobian,
     make_report,
     sweep,
-    symmetric,
     tabulate,
 )
 from .errors import PreconditionError, SingularMatrixError
@@ -222,7 +221,6 @@ def admissibility(E, mu, alpha, x, y, z):
     return associator(E, mu, alpha, x, y, z) - _THIRD * rhs
 
 
-@symmetric((2, 1, 0))
 def flexibility(E, mu, alpha, x, y, z):
     """as(x,y,z) + as(z,y,x)."""
     return associator(E, mu, alpha, x, y, z) + associator(E, mu, alpha, z, y, x)

@@ -69,7 +69,10 @@ def rat(value) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"decimal notation not allowed for exact rationals: {value!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -61,7 +61,7 @@ def _parse_rat(path, field, value) -> Fraction:
         raise _fail(path, field, f"coefficients must be exact rationals (\"p/q\" or integer), got {value!r}")
     try:
         return rat(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _fail(path, field, f"bad rational {value!r}: {exc}") from exc
 
 

@@ -77,7 +77,9 @@ def test_usage_and_io_errors(capsys, tmp_path):
     assert run_command(["catalog", "unknown-name"]) == 2
     assert run_command(["catalog", "heisenberg-p31", "--param", "zeta"]) == 2
     assert run_command(["catalog", "matrix", "--param", "n=1/0"]) == 2
-    assert "n=1/0" in capsys.readouterr().err
+    assert "--param 'n=1/0': zero denominator in '1/0'" in capsys.readouterr().err
+    assert run_command(["catalog", "matrix", "--param", "n=2", "--param", " n =3"]) == 2
+    assert "--param 'n' given more than once" in capsys.readouterr().err
     assert run_command(["catalog", "matrix", "--param", "n=100000"]) == 2
     assert "n^3 = 1000000000000000 structure constants (budget: 1000000)" in capsys.readouterr().err
     assert run_command(["catalog", "matrix", "--param", "n=60"]) == 2

@@ -11,20 +11,18 @@ terms of an identity reach the engine over unequal denominators.
 The element-level functions are compared on random vectors.  Three-argument
 sweeps take their first argument in doubling blocks of basis vectors; their
 block counts are checked directly, and the oracle comparison also covers
-algebras of dims 7-12 whose failures start only in late blocks.  Identities
-with declared argument symmetries are swept on orbit representatives: each
-declaration is checked on generic vectors, the oracle comparison covers
-failures spread over several blocks, and the products formed are counted.
+algebras of dims 7-12 whose failures start only in late blocks, and of dim
+8 whose failures spread over several blocks.  The products formed by full
+and orbit sweeps of the mat6 commutator algebra are counted.
 Block and product counts of the full sweeps are taken on tensors that
 declare no basis permutation (``tests/test_basis_orbits.py`` covers those).
 """
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hompoisson import algebra as algebra_module
@@ -345,31 +343,6 @@ def test_late_block_failures_match_oracle(case):
 # Orbit representatives
 # ---------------------------------------------------------------------------
 
-def _symmetry_holds(identity, perm, operands, dim):
-    """Is identity(a0, a1, a2) = identity(a_perm[0], a_perm[1], a_perm[2]) on
-    generic vectors, whose coordinates are independent variables?"""
-    gens = Polynomial.variables(tuple(f"v{s}_{n}" for s in range(3) for n in range(dim)))
-    args = [Vector(gens[s * dim:(s + 1) * dim]) for s in range(3)]
-    return (algebra_module._at(identity, dim, operands, tuple(args))
-            == algebra_module._at(identity, dim, operands, tuple(args[p] for p in perm)))
-
-
-@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
-@given(st.integers(1, 4), st.randoms(use_true_random=False))
-def test_declared_symmetries_hold_on_generic_vectors(dim, rng):
-    operands = (random_tensor(rng, dim, rng.random()), random_map(rng, dim))
-    for identity in (jacobian, flexibility):
-        assert identity.symmetries
-        for perm in identity.symmetries:
-            assert _symmetry_holds(identity, perm, operands, dim)
-
-
-def test_symmetry_check_rejects_a_false_declaration():
-    operands = (random_tensor(random.Random(5), 3, 0.6), random_map(random.Random(6), 3))
-    assert not hasattr(associator, "symmetries")
-    assert not _symmetry_holds(associator, (2, 1, 0), operands, 3)
-
-
 def _relabelled(algebra, position):
     """The algebra with basis vector i renamed ``position[i]``."""
     dim = algebra.dim
@@ -389,8 +362,9 @@ def spread_failures(draw):
     """A dim-8 direct sum of the M2 commutator algebra (twisted or not),
     which passes hom-Jacobi and, depolarized, hom-flexibility, and two random
     two-dimensional pieces, with basis vectors placed so that each random
-    piece has one vector in block [1, 2) or [2, 4) and one in [4, 8).  The
-    tensors have more nonzeros than the dimension, so the reduced sweep runs."""
+    piece has one vector in block [1, 2) or [2, 4) and one in [4, 8), so
+    failures spread over several blocks.  The tensors are rebuilt and
+    declare no basis permutation, so the sweeps run in full."""
     rng = draw(st.randoms(use_true_random=False))
     dense = commutator_poisson(matrix_algebra(2))
     if draw(st.booleans()):
@@ -406,18 +380,9 @@ def spread_failures(draw):
 @given(spread_failures())
 def test_orbit_sweeps_emit_early_images_in_later_blocks(algebra):
     single = depolarize(algebra)
-    for name, check, checked, identity, operands in (
-            ("hom-jacobi", check_hom_jacobi, algebra, jacobian, (algebra.bracket, algebra.alpha)),
-            ("hom-flexible", check_hom_flexible, single, flexibility, (single.mu, single.alpha))):
-        assert algebra_module._orbit_symmetries(identity, checked.dim, operands) == identity.symmetries
-        report = check(checked)
-        _assert_matches(report, oracle_leaves(Residuals.of(checked), [name]), name)
-        # block [4, 8) is narrowed (4 * 4 >= 8): there a witness is an image
-        # when an argument that a symmetry moves to the front is below 4
-        lo = [0, 1, 2, 2, 4, 4, 4, 4]
-        front = {p[0] for p in identity.symmetries}
-        images = [w for w in report.witnesses if w.indices[0] >= 4 and any(w.indices[s] < 4 for s in front)]
-        assume(len({lo[w.indices[0]] for w in report.witnesses}) >= 3 and images)
+    for name, check, checked in (("hom-jacobi", check_hom_jacobi, algebra),
+                                 ("hom-flexible", check_hom_flexible, single)):
+        _assert_matches(check(checked), oracle_leaves(Residuals.of(checked), [name]), name)
 
 
 @pytest.fixture
@@ -441,20 +406,15 @@ def contraction_products(monkeypatch):
 def test_orbit_sweeps_form_fewer_products_on_mat6(contraction_products):
     algebra = commutator_poisson(matrix_algebra(6))
     single = depolarize(algebra)
-    for name, identity, checked, t, full, reduced, orbits in (
-            ("hom-jacobi", jacobian, algebra, algebra.bracket, 16020, 8628, 1244),
-            ("hom-flexible", flexibility, single, single.mu, 21888, 15104, 1990)):
-        def undeclared(E, *args, identity=identity):
-            return identity(E, *args)
-
-        # the tensor rebuilt declares no basis permutation; as built, it
-        # declares those of matrix_algebra, and the orbit representatives
-        # E00 and E01 take the place of the argument symmetries
-        plain = Trilinear(t.dim, dict(t.items()))
-        for residual, tensor, products in ((undeclared, plain, full), (identity, plain, reduced),
-                                           (identity, t, orbits)):
+    for name, identity, checked, t, full, orbits in (
+            ("hom-jacobi", jacobian, algebra, algebra.bracket, 16020, 1244),
+            ("hom-flexible", flexibility, single, single.mu, 21888, 1990)):
+        # the tensor rebuilt declares no basis permutation and is swept in
+        # full; as built, it declares those of matrix_algebra, and the first
+        # argument takes the orbit representatives E00 and E01 only
+        for tensor, products in ((Trilinear(t.dim, dict(t.items())), full), (t, orbits)):
             contraction_products.clear()
-            assert sweep(name, checked.dim, 3, residual, tensor, checked.alpha).passed
+            assert sweep(name, checked.dim, 3, identity, tensor, checked.alpha).passed
             assert sum(contraction_products) == products
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, _Sweep, hom_associator, tabulate
+from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, tabulate
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
@@ -745,22 +745,13 @@ def kernel_columns(draw, codes=4, sizes=(None, 0, 1, 1, 2, 3)):
 
 @st.composite
 def kernel_forms(draw, slot):
-    """A form of argument ``slot``: sparse columns, a unit form (one code with
-    numerator 1 per column, ``_Form.units``), or a unit form of all basis
-    vectors narrowed by the sweep evaluator to those from ``lo`` on.  Sparse
-    columns are drawn three times in five, so that both operands are sparse,
-    the only case that reaches the general path, in about a third of the
-    examples."""
-    kind = draw(st.sampled_from(("columns", "columns", "columns", "unit", "narrowed")))
-    if kind == "columns":
+    """A form of argument ``slot``: sparse columns, or a unit form (one code
+    with numerator 1 per column, ``_Form.units``).  Sparse columns are drawn
+    three times in five, so that both operands are sparse, the only case
+    that reaches the general path, in about a third of the examples."""
+    if draw(st.sampled_from(("columns", "columns", "columns", "unit", "unit"))) == "columns":
         return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
-    if kind == "unit":
-        form = _Form.unit(draw(st.dictionaries(st.integers(0, KDIM - 1), st.integers(0, 3))), 1 << slot)
-    else:
-        E = _Sweep(KDIM, 2, 1 << slot)
-        E.lo = draw(st.integers(1, KDIM - 1))
-        form = E._narrowed(_Form.unit({n: n * E.places[slot] for n in range(KDIM)}, 1 << slot))
-        assert form.units == {n: n * E.places[slot] for n in range(E.lo, KDIM)}
+    form = _Form.unit(draw(st.dictionaries(st.integers(0, KDIM - 1), st.integers(0, 3))), 1 << slot)
     form.den = draw(st.integers(1, 4))
     return form
 

@@ -96,6 +96,9 @@ def test_decimal_coefficients_rejected(tmp_path):
     doc["mu"] = [[1, 1, 1, "0.5"]]
     with pytest.raises(SpecFileError, match="bad rational"):
         parse_spec(write(tmp_path, doc))
+    doc["mu"] = [[1, 1, 1, "1/0"]]
+    with pytest.raises(SpecFileError, match=r"bad rational '1/0': zero denominator in '1/0'"):
+        parse_spec(write(tmp_path, doc))
 
 
 def test_malformed_json_names_line(tmp_path):
