@@ -57,8 +57,7 @@ A numerator is zero exactly when its value is, so a sweep never reduces a
 fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
 an element-level result, and ``tabulate`` hands its numerators and denominator
 to the tensor it builds.  Every accumulation stores the first contribution to
-an entry as it is and adds only where a value is already held.  A product with
-a factor equal to 1 is not formed: the other factor is taken as is.
+an entry as it is and adds only where a value is already held.
 """
 
 from __future__ import annotations

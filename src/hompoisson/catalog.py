@@ -118,8 +118,10 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
 
 
 def conjugation_morphism(n: int = 2, top=Fraction(1, 2)) -> LinearMap:
-    """Conjugation by diag(top, 1, ..., 1) as a map on the unit-matrix basis."""
+    """Conjugation by diag(top, 1, ..., 1), ``top`` nonzero, as a map on the unit-matrix basis."""
     top = rat(top)
+    if top == 0:
+        raise ValueError("conjugation parameter top must be nonzero")
     d = [top] + [Fraction(1)] * (n - 1)
     diag = []
     for i in range(n):

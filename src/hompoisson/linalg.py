@@ -266,9 +266,8 @@ class LinearMap:
         for line in other.columns:
             acc: dict = {}
             for k, b in line:
-                unit = b == 1
                 for i, a in left[k]:
-                    p = a if unit else b if a == 1 else a * b
+                    p = a * b
                     v = acc.get(i)
                     acc[i] = p if v is None else v + p
             columns.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
@@ -489,9 +488,8 @@ class Trilinear:
         cols = m.columns
         for i, row in self.rows.items():
             for j, k, q in row:
-                unit = q == 1
                 for out_idx, coeff in cols[k]:
-                    p = coeff if unit else q if coeff == 1 else q * coeff
+                    p = q * coeff
                     key = (i, j, out_idx)
                     v = data.get(key)
                     data[key] = p if v is None else v + p
@@ -633,8 +631,7 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
     """t(a, b): the codes of a and b add (in a sweep their free slots are
     disjoint), and the numerators multiply over ``t.den * a.den * b.den``.
     With ``out``, the products times ``factor`` (folded into each tensor
-    coefficient) are added into it.  A factor equal to 1 is not multiplied
-    by: the other is taken as is.  A unit operand is read by its codes
+    coefficient) are added into it.  A unit operand is read by its codes
     (``_Form.units``), so a tensor entry meets it in one lookup: with both
     operands unit the entry is one product, its coefficient at ``ca + cb``;
     with a unit ``b`` the entry runs over the column of ``a`` at code
@@ -653,8 +650,7 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                 col = out.get(k)
                 if col is None:
                     col = out[k] = {}
-                if factor != 1:
-                    q = q * factor
+                q = q * factor
                 code = ca + cb
                 v = col.get(code)
                 col[code] = q if v is None else v + q
@@ -667,17 +663,10 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                 col = out.get(k)
                 if col is None:
                     col = out[k] = {}
-                if factor != 1:
-                    q = q * factor
-                if q == 1:
-                    for ca, qa in acol.items():
-                        code = ca + cb
-                        v = col.get(code)
-                        col[code] = qa if v is None else v + qa
-                    continue
+                q = q * factor
                 for ca, qa in acol.items():
                     code = ca + cb
-                    p = q if qa == 1 else q * qa
+                    p = q * qa
                     v = col.get(code)
                     col[code] = p if v is None else v + p
     elif aunits is not None:
@@ -689,17 +678,10 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                 col = out.get(k)
                 if col is None:
                     col = out[k] = {}
-                if factor != 1:
-                    q = q * factor
-                if q == 1:
-                    for cb, qb in bcol.items():
-                        code = ca + cb
-                        v = col.get(code)
-                        col[code] = qb if v is None else v + qb
-                    continue
+                q = q * factor
                 for cb, qb in bcol.items():
                     code = ca + cb
-                    p = q if qb == 1 else q * qb
+                    p = q * qb
                     v = col.get(code)
                     col[code] = p if v is None else v + p
     else:
@@ -711,38 +693,29 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                 col = out.get(k)
                 if col is None:
                     col = out[k] = {}
-                if factor != 1:
-                    q = q * factor
+                q = q * factor
                 if len(bcol) == 1:
                     (cb, qb), = bcol.items()
-                    g = qb if q == 1 else q if qb == 1 else q * qb
+                    g = q * qb
                     for ca, qa in acol.items():
                         code = ca + cb
-                        p = qa if g == 1 else g if qa == 1 else g * qa
+                        p = g * qa
                         v = col.get(code)
                         col[code] = p if v is None else v + p
                     continue
-                unit = q == 1
                 for ca, qa in acol.items():
-                    f = qa if unit else q if qa == 1 else q * qa
-                    if f == 1:
-                        for cb, qb in bcol.items():
-                            code = ca + cb
-                            v = col.get(code)
-                            col[code] = qb if v is None else v + qb
-                        continue
+                    f = q * qa
                     for cb, qb in bcol.items():
                         code = ca + cb
-                        p = f if qb == 1 else f * qb
+                        p = f * qb
                         v = col.get(code)
                         col[code] = p if v is None else v + p
     return _Form(out, a.slots | b.slots, t.den * a.den * b.den)
 
 
 def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> _Form:
-    """m(a) over ``m.den * a.den``, taking a numerator as is where the other
-    factor is 1; with ``out``, added into it times ``factor`` (folded into
-    each map coefficient)."""
+    """m(a) over ``m.den * a.den``; with ``out``, added into it times
+    ``factor`` (folded into each map coefficient)."""
     out = {} if out is None else out
     columns = m.columns
     for j, acol in a.cols.items():
@@ -750,15 +723,9 @@ def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> 
             col = out.get(i)
             if col is None:
                 col = out[i] = {}
-            if factor != 1:
-                coeff = coeff * factor
-            if coeff == 1:
-                for code, q in acol.items():
-                    v = col.get(code)
-                    col[code] = q if v is None else v + q
-                continue
+            coeff = coeff * factor
             for code, q in acol.items():
-                p = coeff if q == 1 else coeff * q
+                p = coeff * q
                 v = col.get(code)
                 col[code] = p if v is None else v + p
     return _Form(out, a.slots, m.den * a.den)

@@ -12,17 +12,17 @@ so integer order is lexicographic order on exponent vectors and the product
 of two monomials is one integer addition.  The packed keys are the codes of
 the contraction kernel in ``linalg``: a polynomial is a one-column form,
 whose sums are the kernel's and whose products are ``_contract`` with the
-product of Q; a scaling by a rational multiplies its own numerators, none
-by a factor of 1.  The top bit of every field is a guard
-that stays clear: an exponent is at most ``MAX_EXPONENT``, so the sum of two
-fields never carries into the next one, and a product or constructor that
-would exceed ``MAX_EXPONENT`` raises ``ResourceLimitError``.  The guard bits
-and the term-count limit ``MAX_TERMS`` of a product are checked in one
-function, ``_of_products``, which reads back every product of polynomials
-and of polynomial vectors.  Exponent tuples exist only where a monomial
-enters or leaves the kernel (the constructor, ``coefficient``, ``degree``,
-``substitute``, ``evaluate``, ``sorted_terms`` and the display), and
-``Fraction`` only where a coefficient leaves it.
+product of Q; a scaling by a rational multiplies its own numerators.  The
+top bit of every field is a guard that stays clear: an exponent is at most
+``MAX_EXPONENT``, so the sum of two fields never carries into the next one,
+and a product or constructor that would exceed ``MAX_EXPONENT`` raises
+``ResourceLimitError``.  The guard bits and the term-count limit
+``MAX_TERMS`` of a product are checked in one function, ``_of_products``,
+which reads back every product of polynomials and of polynomial vectors.
+Exponent tuples exist only where a monomial enters or leaves the kernel (the
+constructor, ``coefficient``, ``degree``, ``substitute``, ``evaluate``,
+``sorted_terms`` and the display), and ``Fraction`` only where a
+coefficient leaves it.
 
 Sums, products and derivatives run on integers only and reduce their result
 once by a single gcd.  A constant polynomial equals its ``Fraction`` value
@@ -103,6 +103,14 @@ def _reduced(generators: tuple, terms: dict, den: int) -> "Polynomial":
     return _polynomial(generators, terms, den)
 
 
+def _distinct(generators) -> tuple:
+    """``generators`` as a tuple; a name listed twice raises ``GeneratorMismatch``."""
+    generators = tuple(generators)
+    if len(set(generators)) != len(generators):
+        raise GeneratorMismatch(f"generator names repeat in {generators}")
+    return generators
+
+
 def _polynomial(generators: tuple, terms: dict, den: int) -> "Polynomial":
     """The polynomial with these fields, already canonical; every polynomial
     that ``_reduced`` and ``_of_products`` return is built here."""
@@ -118,7 +126,7 @@ class Polynomial:
     __slots__ = ("generators", "terms", "den")
 
     def __init__(self, generators, terms: Mapping | None = None):
-        self.generators = tuple(generators)
+        self.generators = _distinct(generators)
         coeffs: dict[int, Fraction] = {}
         if terms:
             width = len(self.generators)
@@ -151,7 +159,7 @@ class Polynomial:
 
     @staticmethod
     def var(generators, name) -> "Polynomial":
-        generators = tuple(generators)
+        generators = _distinct(generators)
         if name not in generators:
             raise GeneratorMismatch(f"{name!r} is not among generators {generators}")
         key = sum(1 << s for g, s in zip(generators, _shifts(len(generators))) if g == name)
@@ -208,7 +216,7 @@ class Polynomial:
             if not other:
                 return Polynomial(self.generators)
             a = other.numerator
-            terms = self.terms if a == 1 else {e: a * n for e, n in self.terms.items()}
+            terms = {e: a * n for e, n in self.terms.items()}
             return _reduced(self.generators, terms, self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:

@@ -9,6 +9,7 @@ from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, check_morphism
 from hompoisson.catalog import (
     CATALOG,
     build_catalog,
+    conjugation_morphism,
     entry_reports,
     heisenberg_linear_poisson,
     heisenberg_morphism,
@@ -160,3 +161,8 @@ def test_lie_structures_validate():
     assert sl2.generators == ("e", "f", "h")
     hei = heisenberg_linear_poisson()
     assert hei.constants.entry(0, 1, 2) == 1
+
+
+def test_conjugation_parameter_must_be_nonzero():
+    with pytest.raises(ValueError, match="top must be nonzero"):
+        conjugation_morphism(2, top=0)

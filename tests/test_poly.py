@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hompoisson import poly
 from hompoisson.errors import GeneratorMismatch, ResourceLimitError
 from hompoisson.linalg import Trilinear, Vector
+from hompoisson.poisson_poly import PoissonStructure
 from hompoisson.poly import FIELD_BITS, MAX_EXPONENT, Polynomial, _of_products, _shifts
 
 from _oracles import RefPoly, assert_canonical
@@ -119,6 +120,17 @@ def test_generator_mismatch():
     # no generators and no images: nothing gives the target generator list
     with pytest.raises(GeneratorMismatch):
         Polynomial.const((), 5).substitute({})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial.var(("x", "x"), "x"),
+    lambda: Polynomial(("x", "x"), {(1, 0): 1}),
+    lambda: PoissonStructure(("x", "x"), {}).variable("x"),
+])
+def test_repeated_generator_names_are_refused(build):
+    # on ("x", "x"), var("x") would be x * x, and x^(1, 0) and x^(0, 1) unequal but both "x"
+    with pytest.raises(GeneratorMismatch, match=r"repeat in \('x', 'x'\)"):
+        build()
 
 
 def test_str_formatting():
