@@ -19,11 +19,13 @@ constants off a bilinear formula.
 
 A sweep has one orbit path, on basis permutations.  A tensor may declare
 some as automorphisms (``Trilinear.perms``): ``catalog.matrix_algebra``
-does, and ``tabulate`` passes on what all its tensor operands declare.
-Every sweep certifies them on its own operands (``_certified``), takes the
-first argument on the least vector of each orbit (``_arguments``) and reads
-every other tuple's residual off one of those, since residual(g x, g y, g z)
-= g residual(x, y, z).  A sweep with an undeclared tensor (from spec files,
+does, and ``tabulate`` passes on what all its tensor operands declare, with
+their certificate: a permutation certified on all its operands is not
+checked again on the result.  Every sweep certifies them on its own
+operands (``_certified``, cached per tensor), takes the first argument on
+the least vector of each orbit (``_arguments``) and reads every other
+tuple's residual off one of those, since residual(g x, g y, g z) = g
+residual(x, y, z).  A sweep with an undeclared tensor (from spec files,
 ``with_entry``, ``tensor`` or ``twist``) or a map operand other than the
 identity runs in full, even for ``jacobian``, a cyclic sum, and
 ``constructions.flexibility``.  Witnesses, their order and the stop rule are
@@ -452,16 +454,23 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
 def tabulate(dim: int, formula, *operands) -> Trilinear:
     """The structure constants of the bilinear ``formula(E, *operands, x, y)``,
     evaluated once on all basis pairs as ``sweep`` lays out arity 2: entry
-    (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``.
-    The form's numerators and denominator become the tensor's as they are,
-    reduced once to lowest terms.  The tensor declares the basis
-    permutations that every tensor operand declares: the formula applies
-    only ``E.op`` and ``E.ap``, so whatever is an automorphism of all its
-    operands is one of the result (``sweep`` certifies them anyway)."""
+    (i, j, k) is the coefficient of basis vector k at code ``i * dim + j``,
+    so its key in ``Trilinear._of`` is ``code * dim + k``.  The form's
+    numerators and denominator become the tensor's as they are, reduced
+    once to lowest terms.  The tensor declares the basis permutations that
+    every tensor operand declares, and carries their certificate
+    (``Trilinear._automorphisms``): the formula applies only ``E.op`` and
+    ``E.ap``, so a permutation certified on all its operands
+    (``_certified``) is an automorphism of the result, and only the other
+    declared ones are certified on it."""
     x, y = _basis(0, dim, dim, 0), _basis(0, dim, 1, 1)
     form = _formed(formula(_Sweep(), *operands, x, y))
-    return Trilinear._of(dim, {(*divmod(code, dim), k): q for k, col in form.cols.items()
-                               for code, q in col.items()}, form.den, perms=_common(operands, "perms"))
+    perms = _common(operands, "perms")
+    t = Trilinear._of(dim, {code * dim + k: q for k, col in form.cols.items() for code, q in col.items()}, form.den,
+                      perms=perms)
+    if perms:
+        t._automorphisms = t._certify(perms, _certified(operands))
+    return t
 
 
 @cache

@@ -110,7 +110,7 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                entries[(idx(a, b), idx(b, c), idx(a, c))] = 1
+                entries[(idx(a, b) * n * n + idx(b, c)) * n * n + idx(a, c)] = 1
     perms = tuple(dict.fromkeys(tuple(idx(s[i], s[j]) for i in range(n) for j in range(n))
                                 for s in ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1))
     return HomAlgebra(basis=basis, mu=Trilinear._of(n * n, entries, 1, perms=perms),

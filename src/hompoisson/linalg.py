@@ -9,7 +9,9 @@ denominators and reduce once; ``invert`` and ``kernel_vector`` read the rows
 of one elimination on ``int`` rows (``_eliminate``), made once per map.
 ``Fraction`` appears only in values read out (the dense ``LinearMap.rows``,
 ``entry``, ``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in
-``Vector`` entries.
+``Vector`` entries.  Every tensor is built by one constructor,
+``Trilinear._of``, on integer keys ``(i * dim + j) * dim + k``, which sort
+in index order.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
@@ -17,7 +19,10 @@ product (of one-column forms), reading the stored form as it is.  A
 sweep's basis arguments and the power checks' generic element are unit
 forms, one code with numerator 1 per column (``_Form.units``), and
 ``_contract`` reads such an operand by its codes: a tensor entry meets it in
-one lookup and no multiplication.  A sum is written one way, as a pending
+one lookup and no multiplication.  ``_contract`` runs from the operand with
+fewer columns, through the tensor's cached opposite (``Trilinear._opposite``)
+when that is the second, so it looks up only the tensor rows that operand
+meets.  A sum is written one way, as a pending
 sum (``_Pending``): ``+`` and ``-`` of forms, and scaling by a rational, only
 combine its terms, each a kernel call
 (``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
@@ -36,7 +41,8 @@ exponent guard and the term limit.
 A square matrix stores the nonzeros of each column (``LinearMap.columns``),
 and every product, application, inverse and identity test runs over them, so
 a diagonal or permutation map costs its dimension, not its square or cube.
-A tensor stores the nonzeros of each first index (``Trilinear.rows``).
+A tensor stores the nonzeros of each first index (``Trilinear.rows``), and
+caches its opposite, the same entries by second index.
 """
 
 from __future__ import annotations
@@ -390,8 +396,9 @@ class Trilinear:
     ``perms`` holds basis permutations (``p[i]`` the image of basis vector
     i) declared as automorphisms of the operation, by ``catalog`` and
     ``algebra.tabulate`` only; a sweep uses those it certifies
-    (``_automorphisms``).  They take no part in equality, hashing or
-    ``repr``, and every other way of building a tensor declares none.
+    (``_automorphisms``, which ``tabulate`` fills from its operands'
+    certificates).  They take no part in equality, hashing or ``repr``, and
+    every other way of building a tensor declares none.
     """
 
     __slots__ = ("dim", "rows", "den", "perms", "__dict__")  # ``__dict__`` holds the cached properties
@@ -399,25 +406,32 @@ class Trilinear:
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
         if dim <= 0:
             raise ValueError("tensor dimension must be positive")
-        data: dict[tuple[int, int, int], Fraction] = {}
+        data: dict[int, Fraction] = {}
         for (i, j, k), value in dict(entries).items():  # a repeated index keeps its last value
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-            data[(i, j, k)] = rat(value)
+            data[(i * dim + j) * dim + k] = rat(value)
         numerators, den = _over_common_denominator(data.values())
         Trilinear._of(dim, dict(zip(data, numerators)), den, self)
 
     @staticmethod
     def _of(dim: int, data: dict, den: int, t: "Trilinear | None" = None, perms: tuple = ()) -> "Trilinear":
-        """The tensor with entry (i, j, k) = ``data[i, j, k] / den`` (``int``
-        numerators, indices in range), stored in ``t`` or a new tensor: zero
-        numerators dropped, in index order, in lowest terms (no gcd at ``den`` 1),
-        declaring ``perms``."""
+        """The one tensor constructor: entry (i, j, k) = ``data[(i * dim + j)
+        * dim + k] / den`` (``int`` keys and numerators, indices in range),
+        stored in ``t`` or a new tensor: zero numerators dropped, in index
+        order (the order of the keys as integers), in lowest terms (no gcd at
+        ``den`` 1), declaring ``perms``."""
         g = gcd(den, *data.values()) if den != 1 else 1
         rows: dict = {}
-        for (i, j, k), q in sorted(data.items()):
-            if q:
-                rows.setdefault(i, []).append((j, k, q if g == 1 else q // g))
+        last, square = None, dim * dim
+        for key in sorted(data):
+            if q := data[key]:
+                i, jk = divmod(key, square)
+                if i != last:  # sorted, the keys of one row are consecutive
+                    row = rows[i] = []
+                    last = i
+                j, k = divmod(jk, dim)
+                row.append((j, k, q if g == 1 else q // g))
         t = object.__new__(Trilinear) if t is None else t
         t.dim, t.den, t.rows, t.perms = dim, den // g, {i: tuple(row) for i, row in rows.items()}, perms
         return t
@@ -450,33 +464,54 @@ class Trilinear:
         return not self.rows
 
     @cached_property
+    def _opposite(self) -> "Trilinear":
+        """The tensor of the opposite operation, op'(x, y) = op(y, x): the same
+        entries over the same ``den``, entry (i, j, k) stored as (j, i, k), so
+        grouped by second index.  It declares no permutations.  Built once
+        per tensor; ``_contract`` runs from its smaller operand through it."""
+        dim = self.dim
+        return Trilinear._of(dim, {(j * dim + i) * dim + k: q for i, row in self.rows.items() for j, k, q in row},
+                             self.den)
+
+    @cached_property
     def _commutative(self) -> bool:
-        """Whether op(x, y) = op(y, x): the stored numerators are symmetric in
-        the first two indices.  Computed once per tensor, in O(nnz)."""
-        entries = {(i, j, k): q for i, row in self.rows.items() for j, k, q in row}
-        return all(entries.get((j, i, k)) == q for (i, j, k), q in entries.items())
+        """Whether op(x, y) = op(y, x): the tensor equals its opposite."""
+        return self._opposite.rows == self.rows
 
     @cached_property
     def _automorphisms(self) -> tuple:
-        """The declared ``perms`` certified on the stored form: permutations of
-        the basis that map each row onto the row of its image, every entry
-        (j, k, q) of row i onto (p[j], p[k], q) of row p[i].  Computed once
-        per tensor, in O(nnz) per permutation."""
-        rows = self.rows
-        return tuple(p for p in self.perms if sorted(p) == list(range(self.dim)) and all(
+        """The declared ``perms`` certified on the stored form (``_certify``).
+        Computed once per tensor, in O(nnz) per permutation;
+        ``algebra.tabulate`` fills it on the tensors it builds."""
+        return self._certify(self.perms)
+
+    def _certify(self, perms: tuple, proven: tuple = ()) -> tuple:
+        """The permutations of ``perms``, in their order, that are in
+        ``proven`` or map each row onto the row of its image: every entry
+        (j, k, q) of row i onto (p[j], p[k], q) of row p[i]."""
+        rows, basis = self.rows, list(range(self.dim))
+        return tuple(p for p in perms if p in proven or sorted(p) == basis and all(
             rows.get(p[i]) == tuple(sorted([(p[j], p[k], q) for j, k, q in row])) for i, row in rows.items()))
 
     def with_entry(self, i: int, j: int, k: int, value) -> "Trilinear":
-        """Copy with one structure constant replaced (used to corrupt tensors in tests)."""
-        return Trilinear(self.dim, [*self.items(), ((i, j, k), value)])
+        """Copy with one structure constant replaced (used to corrupt tensors
+        in tests), declaring no permutations: the stored numerators brought
+        to the common denominator, and a zero value removes the entry."""
+        dim, (n, d) = self.dim, rat(value).as_integer_ratio()
+        den = lcm(self.den, d)
+        f = den // self.den
+        data = {(a * dim + b) * dim + c: q * f for a, row in self.rows.items() for b, c, q in row}
+        data[(_basis_index(i, dim) * dim + _basis_index(j, dim)) * dim + _basis_index(k, dim)] = n * (den // d)
+        return Trilinear._of(dim, data, den)
 
     def kron(self, other: "Trilinear") -> "Trilinear":
         """Kronecker product: op(x1 (x) x2, y1 (x) y2) = self(x1, y1) (x)
         other(x2, y2) on the product basis (i, j) -> i * other.dim + j, the
         second factor varying fastest (as ``LinearMap.kron``)."""
         d2 = other.dim
-        return Trilinear._of(self.dim * d2, {
-            (i * d2 + j, k * d2 + l, p * d2 + r): q1 * q2
+        dim = self.dim * d2
+        return Trilinear._of(dim, {
+            ((i * d2 + j) * dim + k * d2 + l) * dim + p * d2 + r: q1 * q2
             for i, row1 in self.rows.items() for k, p, q1 in row1
             for j, row2 in other.rows.items() for l, r, q2 in row2}, self.den * other.den)
 
@@ -485,15 +520,16 @@ class Trilinear:
         if m.dim != self.dim:
             raise DimensionMismatch(f"map dim {m.dim} vs tensor dim {self.dim}")
         data: dict = {}
-        cols = m.columns
+        cols, dim = m.columns, self.dim
         for i, row in self.rows.items():
             for j, k, q in row:
+                base = (i * dim + j) * dim
                 for out_idx, coeff in cols[k]:
                     p = q * coeff
-                    key = (i, j, out_idx)
+                    key = base + out_idx
                     v = data.get(key)
                     data[key] = p if v is None else v + p
-        return Trilinear._of(self.dim, data, self.den * m.den)
+        return Trilinear._of(dim, data, self.den * m.den)
 
     def contract(self, x: Vector, y: Vector) -> Vector:
         """Evaluate the bilinear operation: out_k = sum_ij x_i y_j c[i][j][k];
@@ -631,15 +667,20 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
     """t(a, b): the codes of a and b add (in a sweep their free slots are
     disjoint), and the numerators multiply over ``t.den * a.den * b.den``.
     With ``out``, the products times ``factor`` (folded into each tensor
-    coefficient) are added into it.  A unit operand is read by its codes
-    (``_Form.units``), so a tensor entry meets it in one lookup: with both
-    operands unit the entry is one product, its coefficient at ``ca + cb``;
-    with a unit ``b`` the entry runs over the column of ``a`` at code
-    ``cb``, with a unit ``a`` over the column of ``b`` at code ``ca``.
-    Otherwise a one-entry column of ``b`` is unpacked once per tensor entry,
-    whose product with it is taken once for the run over the column of
-    ``a``."""
+    coefficient) are added into it.  The kernel runs from the operand with
+    fewer columns: when that is ``b``, it forms t'(b, a) on the tensor's
+    opposite t' (``Trilinear._opposite``), which has the same products,
+    codes and denominator, so it looks up only the rows of ``b``'s columns.
+    A unit operand is read by its codes (``_Form.units``), so a tensor entry
+    meets it in one lookup: with both operands unit the entry is one
+    product, its coefficient at ``ca + cb``; with a unit ``b`` the entry
+    runs over the column of ``a`` at code ``cb``, with a unit ``a`` over the
+    column of ``b`` at code ``ca``.  Otherwise a one-entry column of ``b``
+    is unpacked once per tensor entry, whose product with it is taken once
+    for the run over the column of ``a``."""
     out = {} if out is None else out
+    if len(b.cols) < len(a.cols):
+        t, a, b = t._opposite, b, a
     rows, bcols, aunits, bunits = t.rows, b.cols, a.units, b.units
     if aunits is not None and bunits is not None:
         for i, ca in aunits.items():

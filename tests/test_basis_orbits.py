@@ -30,6 +30,7 @@ from hompoisson.algebra import (
     check_hom_associative,
     check_hom_poisson,
     check_multiplicative,
+    commutativity,
     sweep,
     tabulate,
 )
@@ -60,7 +61,8 @@ SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
 
 def declared(t, perms):
     """``t`` declaring the basis permutations ``perms``."""
-    return Trilinear._of(t.dim, {(i, j, k): q for i, row in t.rows.items() for j, k, q in row}, t.den,
+    n = t.dim
+    return Trilinear._of(n, {(i * n + j) * n + k: q for i, row in t.rows.items() for j, k, q in row}, t.den,
                          perms=tuple(perms))
 
 
@@ -273,6 +275,22 @@ def test_tabulate_passes_on_what_every_tensor_operand_declares():
     for operands in ((one, mat.mu), (mat.mu, one)):
         assert tabulate(9, operation_sum, *operands).perms == mat.mu.perms[1:]
     assert tabulate(9, antisymmetry, undeclared(mat).mu).perms == ()
+
+
+@SETTINGS
+@given(symmetric_algebras())
+def test_tabulate_carries_the_certificate_a_fresh_certification_gives(case):
+    """``tabulate`` fills the cached ``_automorphisms`` of the tensor it
+    builds, taking the permutations certified on its operands as shown; the
+    cache equals the certification of the same rows and ``perms`` rebuilt,
+    on planted symmetries, corruptions, wrongly declared generators and
+    random twisting maps (with which the operands certify nothing)."""
+    algebra, _ = case
+    single = depolarize(algebra)
+    for t in (single.mu, polarize(single).bracket, polarize(single).mu, tabulate(algebra.dim, commutativity, single.mu),
+              tabulate(algebra.dim, lambda E, m, s, x, y: E.ap(m, E.op(s, x, y)), algebra.alpha, algebra.bracket)):
+        assert "_automorphisms" in vars(t) or not t.perms
+        assert t._automorphisms == declared(t, t.perms)._automorphisms
 
 
 def test_other_constructions_declare_nothing(tmp_path):

@@ -297,7 +297,8 @@ def _tallied_map(m, tally):
 
 def _tallied_tensor(t, tally):
     # t is in lowest terms, so ``_of`` keeps its numerators as they are
-    return Trilinear._of(t.dim, {(i, j, k): tally(q) for i, row in t.rows.items() for j, k, q in row}, t.den)
+    n = t.dim
+    return Trilinear._of(n, {(i * n + j) * n + k: tally(q) for i, row in t.rows.items() for j, k, q in row}, t.den)
 
 
 @pytest.fixture
@@ -728,3 +729,33 @@ def test_substitution_takes_each_power_of_an_image_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__pow__", counted)
     assert p.substitute(images) == Polynomial(gens, reference.terms)
     assert len(powers) == len(set(powers)) == 3 * 6
+
+
+class _CountedRows(dict):
+    """Tensor rows that log every ``get``, the lookup ``_contract`` makes per
+    column of the operand it runs from."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+def test_contract_looks_up_the_rows_of_the_smaller_operand_only():
+    """A full-basis unit first operand against a block of one basis vector,
+    as a sweep's later argument meets its first-argument block: the kernel
+    runs from the block, through the tensor's opposite, and looks up one
+    row, not one per column of the full operand (36 on M_6)."""
+    mu = matrix_algebra(6).mu
+    lookups = []
+    opposite = mu._opposite
+    mu.rows, opposite.rows = _CountedRows(mu.rows, lookups), _CountedRows(opposite.rows, lookups)
+    full = linalg._Form.unit({n: n * 36 for n in range(36)}, 2)
+    block = linalg._Form.unit({7: 0}, 1)
+    form = linalg._contract(mu, full, block)
+    assert lookups == [7]
+    # E_a1 E_11 = E_a1, at the code of E_a1 in the full operand
+    assert form.cols == {6 * a + 1: {(6 * a + 1) * 36: 1} for a in range(6)}

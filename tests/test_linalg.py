@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, tabulate
@@ -149,6 +149,11 @@ def test_repeated_index_keeps_last_value():
     t = Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 0, 1): -1})
     assert t.with_entry(0, 1, 0, 0) == Trilinear(2, {(1, 0, 1): -1})
     assert t.with_entry(0, 1, 0, 3) == Trilinear(2, {(0, 1, 0): 3, (1, 0, 1): -1})
+    # the stored numerators are brought to the new common denominator, and reduced again
+    third = t.with_entry(1, 1, 0, Fraction(-1, 3))
+    assert third.den == 6
+    assert third == Trilinear(2, {(0, 1, 0): Fraction(1, 2), (1, 0, 1): -1, (1, 1, 0): Fraction(-1, 3)})
+    assert third.with_entry(1, 1, 0, 0) == t and third.with_entry(0, 1, 0, 0).with_entry(1, 1, 0, 0).den == 1
 
 
 # integral and fractional constants, zeros included
@@ -610,14 +615,17 @@ def test_tensors_round_trip_to_equal_fields(n, fill, seed, data):
 
 
 def test_tensor_indices_are_range_checked():
-    """``Trilinear.entry`` and ``pair_vector`` raise IndexError for an index
-    outside 0..dim-1, as ``LinearMap.entry`` and ``Vector.unit`` do."""
+    """``Trilinear.entry``, ``pair_vector`` and ``with_entry`` raise
+    IndexError for an index outside 0..dim-1, as ``LinearMap.entry`` and
+    ``Vector.unit`` do."""
     from hompoisson.catalog import heisenberg_p31
     mu = heisenberg_p31(1).mu
     assert mu.entry(0, 1, 2) == 1 and mu.pair_vector(1, 0) == Vector.of(0, 0, 1)
     for bad in ((5, 0, 0), (-1, 0, 2), (0, 3, 0), (0, -1, 2), (0, 1, 3), (0, 1, -1)):
         with pytest.raises(IndexError):
             mu.entry(*bad)
+        with pytest.raises(IndexError):
+            mu.with_entry(*bad, 1)
     for bad in ((7, -2), (3, 0), (0, 3), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
             mu.pair_vector(*bad)
@@ -760,7 +768,8 @@ def kernel_forms(draw, slot):
 def kernel_tensors(draw):
     keys = st.tuples(*(st.integers(0, KDIM - 1),) * 3)
     data = draw(st.dictionaries(keys, kernel_numerators.filter(bool), min_size=4, max_size=16))
-    return Trilinear._of(KDIM, data, draw(st.integers(1, 4)))
+    return Trilinear._of(KDIM, {(i * KDIM + j) * KDIM + k: q for (i, j, k), q in data.items()},
+                         draw(st.integers(1, 4)))
 
 
 def reference_contract(t, a, b, out, factor):
@@ -792,6 +801,71 @@ def test_contract_matches_triple_loop(t, a, b, out, factor):
     assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
     # the operands are read only: a sweep reuses memoised forms across blocks
     assert [(a.cols, a.units), (b.cols, b.units)] == operands
+
+
+@st.composite
+def sized_kernel_forms(draw, slot, unit, size):
+    """A form of argument ``slot`` with ``size`` columns: a unit form, or
+    sparse columns of 0 to 3 entries with stored zero numerators."""
+    indices = draw(st.lists(st.integers(0, KDIM - 1), min_size=size, max_size=size, unique=True))
+    if unit:
+        form = _Form.unit({n: draw(st.integers(0, 3)) for n in indices}, 1 << slot)
+    else:
+        form = _Form({n: draw(st.dictionaries(st.integers(0, 3), kernel_numerators, max_size=3)) for n in indices},
+                     1 << slot)
+    form.den = draw(st.integers(1, 4))
+    return form
+
+
+@pytest.mark.parametrize("a_unit, b_unit, swapped, into_out",
+                         list(itertools.product((False, True), repeat=4)))
+# not shrunk: a failing example is reported as drawn, at once for all 16 cases
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_contract_from_either_operand_matches_triple_loop(a_unit, b_unit, swapped, into_out, data):
+    """Each of the four kernel paths, with ``b`` the operand of fewer columns
+    (run through the tensor's opposite) and without, alone and into an
+    output: every case is drawn, and the tensor's opposite is built exactly
+    when ``b`` has fewer columns."""
+    t = data.draw(kernel_tensors())
+    na = data.draw(st.integers(1 if swapped else 0, KDIM))
+    nb = data.draw(st.integers(0, na - 1) if swapped else st.integers(na, KDIM))
+    a, b = data.draw(sized_kernel_forms(0, a_unit, na)), data.draw(sized_kernel_forms(1, b_unit, nb))
+    out = data.draw(kernel_columns(7, (None, 2, 4, 7))) if into_out else None
+    factor = data.draw(st.sampled_from((1, -1, 3)))
+    assert (len(b.cols) < len(a.cols)) == swapped
+    assert (a.units is not None, b.units is not None) == (a_unit, b_unit)
+    operands = [({n: dict(col) for n, col in f.cols.items()}, f.units and dict(f.units)) for f in (a, b)]
+    expected = reference_contract(t, a, b, out or {}, factor)
+    form = _contract(t, a, b, out, factor)
+    assert ("_opposite" in vars(t)) == swapped
+    assert form.cols == expected
+    if into_out:
+        assert form.cols is out
+    assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
+    assert [(a.cols, a.units), (b.cols, b.units)] == operands
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_tensors(), st.booleans())
+def test_opposite_and_commutative_match_the_dense_transpose(t, symmetric):
+    """``_opposite`` holds entry (i, j, k) at (j, i, k) over the same
+    denominator and declares nothing; it is its own inverse; and
+    ``_commutative`` agrees with a dense symmetry test.  Half the tensors
+    are made symmetric by adding their opposite."""
+    n = KDIM
+    if symmetric:
+        dense = dense_tensor(t)
+        t = Trilinear(n, {(i, j, k): dense[i][j][k] + dense[j][i][k]
+                          for i in range(n) for j in range(n) for k in range(n)})
+    dense, opposite = dense_tensor(t), t._opposite
+    assert dense_tensor(opposite) == [[[dense[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    assert opposite.den == t.den and opposite.perms == ()
+    assert opposite._opposite.rows == t.rows
+    symmetric_dense = all(dense[i][j][k] == dense[j][i][k] for i in range(n) for j in range(n) for k in range(n))
+    assert t._commutative == symmetric_dense
+    if symmetric:
+        assert t._commutative
 
 
 @st.composite
