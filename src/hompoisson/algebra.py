@@ -23,7 +23,8 @@ does, and ``tabulate`` passes on what all its tensor operands declare, with
 their certificate: a permutation certified on all its operands is not
 checked again on the result.  Every sweep certifies them on its own
 operands (``_certified``, cached per tensor), takes the first argument on
-the least vector of each orbit (``_arguments``) and reads every other
+the least vector r of each orbit and the second on the least vector of
+each orbit of r's stabiliser (``_arguments``), and reads every other
 tuple's residual off one of those, since residual(g x, g y, g z) = g
 residual(x, y, z).  A sweep with an undeclared tensor (from spec files,
 ``with_entry``, ``tensor`` or ``twist``) or a map operand other than the
@@ -308,10 +309,11 @@ def hom_leibniz_residual(algebra: HomPoissonAlgebra, x: Vector, y: Vector, z: Ve
 
 class _Sweep:
     """Evaluator on forms, with one memo rule: a product that involves the
-    first argument (slot 0) is left pending, and every other product, the
-    same from block to block, is formed at once and memoised.  The identity
-    map returns its operand.  Arguments are read as given: ``sweep`` picks
-    the first argument's basis vectors (``_arguments``)."""
+    first argument (slot 0) is left pending, and every other product is
+    formed at once and memoised on its operand forms, so blocks that share
+    their later arguments share it.  The identity map returns its operand.
+    Arguments are read as given: ``sweep`` picks the basis vectors of each
+    (``_arguments``)."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -364,33 +366,71 @@ def _certified(operands) -> tuple:
     return _common(operands, "_automorphisms")
 
 
-@cache
-def _arguments(perms: tuple, dim: int, arity: int) -> tuple:
-    """``(blocks, rest, images)``, the basis arguments of a sweep whose
-    certified permutations are ``perms``, kept like ``_basis``: ``images[r]``
-    a pair ``(x, g)`` for each x but r in the orbit of its least vector r, g a
-    group element that maps r to x; ``blocks`` the ``(hi, first)`` of 1, 2,
-    4, ... orbit minima (all of them below arity 3) in the unit form
-    ``first``, ``hi`` the next block's first minimum or ``dim``; ``rest``
-    the whole basis as each later argument."""
-    images, seen = {}, set()
+def _orbits(gens: tuple, dim: int) -> dict:
+    """The orbits on the basis of the group that ``gens`` generate: for the
+    least vector r of each, a transversal, one group element g per vector
+    g[r] of the orbit, in the order found, the identity first."""
+    orbits, seen, identity = {}, set(), tuple(range(dim))
     for r in range(dim):
         if r not in seen:
             seen.add(r)
-            found = [(r, tuple(range(dim)))]
-            for x, g in found:
-                for p in perms:
-                    if p[x] not in seen:
-                        seen.add(p[x])
-                        found.append((p[x], tuple(p[n] for n in g)))
-            images[r] = tuple(found[1:])
-    reps, lead = (*images, dim), dim ** (arity - 1)
+            found = [identity]
+            for g in found:
+                for p in gens:
+                    if p[g[r]] not in seen:
+                        seen.add(p[g[r]])
+                        found.append(tuple(p[n] for n in g))
+            orbits[r] = tuple(found)
+    return orbits
+
+
+def _stabiliser(perms: tuple, r: int, transversal: tuple) -> tuple:
+    """Generators of the stabiliser G_r of r in the group that ``perms``
+    generate, from the transversal of r's orbit (``_orbits``) by Schreier's
+    lemma: u_{p(x)}^-1 p u_x for each generator p and each x of the orbit,
+    u_x the element that maps r to x, repeats and the identity left out."""
+    dim, inverses = len(transversal[0]), {}
+    for u in transversal:
+        inverse = [0] * dim
+        for n, m in enumerate(u):
+            inverse[m] = n
+        inverses[u[r]] = inverse
+    gens = dict.fromkeys(tuple(inverses[p[u[r]]][p[n]] for n in u) for u in transversal for p in perms)
+    gens.pop(transversal[0], None)
+    return tuple(gens)
+
+
+@cache
+def _arguments(perms: tuple, dim: int, arity: int) -> tuple:
+    """``(blocks, images, orbits)``, the basis arguments of a sweep whose
+    certified permutations are ``perms``, kept like ``_basis``.
+
+    ``images`` maps the least vector r of each orbit to its transversal
+    (``_orbits``).  For arity 2 and 3, ``orbits[r]`` holds the orbits of
+    the stabiliser G_r of r, with their transversals, when G_r is not
+    trivial; its generators come from Schreier's lemma (``_stabiliser``),
+    and no group is enumerated.  ``blocks`` holds the ``(hi, args)`` of 1,
+    2, 4, ... orbit minima (all of them below arity 3): ``args`` the unit
+    forms of the sweep's arguments, the minima first; then the least vectors
+    of their stabilisers' orbits, or the whole basis (``_basis``) where a
+    stabiliser is trivial; then the whole basis.  ``hi`` is the next block's
+    first minimum, or ``dim``."""
+    places = [dim ** (arity - 1 - s) for s in range(arity)]
+    images = _orbits(perms, dim)
+    orbits = {r: _orbits(gens, dim) for r, transversal in images.items()
+              if arity > 1 and perms and (gens := _stabiliser(perms, r, transversal))}
+    minima, rest = (*images, dim), tuple(_basis(0, dim, places[s], s) for s in range(1, arity))
     blocks, start, size = [], 0, 1 if arity == 3 else dim
     while start < len(images):
         stop = min(start + size, len(images))
-        blocks.append((reps[stop], _Form.unit({n: n * lead for n in reps[start:stop]}, 1)))
+        block = minima[start:stop]
+        args = (_Form.unit({r: r * places[0] for r in block}, 1), *rest)
+        if all(r in orbits for r in block):
+            second = sorted({s for r in block for s in orbits[r]})
+            args = (args[0], _Form.unit({s: s * places[1] for s in second}, 2), *rest[1:])
+        blocks.append((minima[stop], args))
         start, size = stop, 2 * size
-    return tuple(blocks), tuple(_basis(0, dim, dim ** (arity - 1 - s), s) for s in range(1, arity)), images
+    return tuple(blocks), images, orbits
 
 
 def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckReport:
@@ -402,50 +442,62 @@ def sweep(identity: str, dim: int, arity: int, residual, *operands) -> CheckRepo
     a passing sweep makes ``dim.bit_length()`` evaluations.  Each evaluation
     yields the residuals of every tuple in its block by sparse composition,
     at a cost that follows the tensor nonzeros; subterms free of the first
-    argument are computed once per sweep.  Blocks are evaluated only as
+    argument are computed once for all blocks that share the later
+    arguments.  Blocks are evaluated only as
     ``make_report`` reads them, so the sweep stops after the block that holds
     the ``MAX_WITNESSES``-th failing tuple.
 
     The one orbit path: with basis permutations certified on the operands
-    (``_certified``), the first argument takes the least vector of each
-    orbit, in blocks of 1, 2, 4, ... of those.  A failure read at
-    representative r owes its image, with the residual permuted, at each x
-    of r's orbit (``_arguments``); each block yields its own failures and the
-    images owed up to the next representative.  Undeclared tensors (from
-    ``with_entry``, ``Trilinear(...)``, spec files, ``tensor`` or ``twist``)
-    and map operands other than the identity are swept in full, whatever the
-    identity's symmetry in its arguments: hom-Jacobi of the M_6 commutator
-    algebra forms 1,244 products as built, and 16,020 (3.7 ms on a 2-vCPU
-    host) rebuilt without declarations.
+    (``_certified``), the first argument takes the least vector r of each
+    orbit, in blocks of 1, 2, 4, ... of those, and the second argument the
+    least vectors of the orbits of r's stabiliser G_r (``_arguments``).  A
+    failure read at (r, s, z) owes its image (h r, h g s, h g z), with the
+    residual permuted by h g, for h in r's transversal and g in the
+    transversal of s's G_r-orbit.  A failure read at (r, y, z) with y not
+    one of those least vectors is left out, as it is owed as an image.  Each
+    block yields its own failures and the images owed up to the next
+    representative.  With a trivial group the plan is the full sweep's, and
+    the later arguments of every block are the same cached ``_basis`` forms.
+    Undeclared tensors (from ``with_entry``, ``Trilinear(...)``, spec files,
+    ``tensor`` or ``twist``) and map operands other than the identity are
+    swept in full, whatever the identity's symmetry in its arguments:
+    hom-Jacobi of the M_6 commutator algebra forms 448 products as built,
+    and 16,020 rebuilt without declarations.
     """
-    places = [dim ** (arity - 1 - s) for s in range(arity)]
-    blocks, rest, images = _arguments(_certified(operands), dim, arity)
+    places, perms = [dim ** (arity - 1 - s) for s in range(arity)], _certified(operands)
+    blocks, images, orbits = _arguments(perms, dim, arity)
     E = _Sweep()
 
     def cases():
-        owed = {}  # code of an image past the tuples read -> (a residual, g)
-        for hi, first in blocks:
-            form = _formed(residual(E, *operands, first, *rest))
+        owed = {}  # code of an image past the tuples read -> (a residual, h, g)
+        for hi, args in blocks:
+            form = _formed(residual(E, *operands, *args))
             cols = [(n, col) for n, col in form.cols.items() if any(col.values())]
             failing = {code for _, col in cols for code, q in col.items() if q}
+            if orbits:  # (r, y, ...) with y off the least vectors of G_r's orbits is owed
+                failing = {c for c in failing if (stab := orbits.get(c // places[0])) is None
+                           or c // places[1] % dim in stab}
             heap = sorted(failing.union(c for c in owed if c < hi * places[0]))
             while heap:
                 code = heappop(heap)
                 indices = _indices(code, dim, arity)
-                if code in owed:  # g moves coordinate n of the residual r to g[n]
-                    r, g = owed.pop(code)
-                    r = Vector(tuple(e for _, e in sorted(zip(g, r.entries))))
+                if code in owed:  # h g moves coordinate n of the residual r to h[g[n]]
+                    r, h, g = owed.pop(code)
+                    r = Vector(tuple(e for _, e in sorted(zip((h[n] for n in g), r.entries))))
                 else:
                     coords = [_ZERO] * dim
                     for n, col in cols:
                         if q := col.get(code):
                             coords[n] = Fraction(q, form.den)
                     r = Vector(tuple(coords))
-                    for x, g in images.get(indices[0], ()):
-                        image = sum(g[i] * place for i, place in zip(indices, places))
-                        owed[image] = r, g
-                        if x < hi:
-                            heappush(heap, image)
+                    if perms:  # every (h, g) but the first, (identity, identity), owes an image
+                        hs, stab = images[indices[0]], orbits.get(indices[0])
+                        gs = stab[indices[1]] if stab else hs[:1]
+                        for h, g in itertools.islice(itertools.product(hs, gs), 1, None):
+                            image = sum(h[g[i]] * place for i, place in zip(indices, places))
+                            owed[image] = r, h, g
+                            if image < hi * places[0]:
+                                heappush(heap, image)
                 yield indices, r
 
     return make_report(identity, cases())

@@ -11,7 +11,8 @@ of one elimination on ``int`` rows (``_eliminate``), made once per map.
 ``entry``, ``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in
 ``Vector`` entries.  Every tensor is built by one constructor,
 ``Trilinear._of``, on integer keys ``(i * dim + j) * dim + k``, which sort
-in index order.
+in index order; only a tensor's cached opposite regroups rows already in
+stored form.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
@@ -416,11 +417,11 @@ class Trilinear:
 
     @staticmethod
     def _of(dim: int, data: dict, den: int, t: "Trilinear | None" = None, perms: tuple = ()) -> "Trilinear":
-        """The one tensor constructor: entry (i, j, k) = ``data[(i * dim + j)
-        * dim + k] / den`` (``int`` keys and numerators, indices in range),
-        stored in ``t`` or a new tensor: zero numerators dropped, in index
-        order (the order of the keys as integers), in lowest terms (no gcd at
-        ``den`` 1), declaring ``perms``."""
+        """The one tensor constructor that normalises: entry (i, j, k) =
+        ``data[(i * dim + j) * dim + k] / den`` (``int`` keys and numerators,
+        indices in range), stored in ``t`` or a new tensor: zero numerators
+        dropped, in index order (the order of the keys as integers), in
+        lowest terms (no gcd at ``den`` 1), declaring ``perms``."""
         g = gcd(den, *data.values()) if den != 1 else 1
         rows: dict = {}
         last, square = None, dim * dim
@@ -432,8 +433,15 @@ class Trilinear:
                     last = i
                 j, k = divmod(jk, dim)
                 row.append((j, k, q if g == 1 else q // g))
+        return Trilinear._stored(dim, {i: tuple(row) for i, row in rows.items()}, den // g, perms, t)
+
+    @staticmethod
+    def _stored(dim: int, rows: dict, den: int, perms: tuple = (), t: "Trilinear | None" = None) -> "Trilinear":
+        """``t`` or a new tensor holding ``rows`` over ``den`` as they are:
+        the step that ``_of`` and ``_opposite`` end in, given rows already
+        in stored form."""
         t = object.__new__(Trilinear) if t is None else t
-        t.dim, t.den, t.rows, t.perms = dim, den // g, {i: tuple(row) for i, row in rows.items()}, perms
+        t.dim, t.den, t.rows, t.perms = dim, den, rows, perms
         return t
 
     @staticmethod
@@ -468,10 +476,15 @@ class Trilinear:
         """The tensor of the opposite operation, op'(x, y) = op(y, x): the same
         entries over the same ``den``, entry (i, j, k) stored as (j, i, k), so
         grouped by second index.  It declares no permutations.  Built once
-        per tensor; ``_contract`` runs from its smaller operand through it."""
-        dim = self.dim
-        return Trilinear._of(dim, {(j * dim + i) * dim + k: q for i, row in self.rows.items() for j, k, q in row},
-                             self.den)
+        per tensor; ``_contract`` runs from its smaller operand through it.
+        The stored rows are regrouped by second index in one pass: they are
+        read in index order, so each new row is too, and the numerators
+        stay in lowest terms over ``den``."""
+        rows: dict = {}
+        for i, row in self.rows.items():
+            for j, k, q in row:
+                rows.setdefault(j, []).append((i, k, q))
+        return Trilinear._stored(self.dim, {j: tuple(rows[j]) for j in sorted(rows)}, self.den)
 
     @cached_property
     def _commutative(self) -> bool:

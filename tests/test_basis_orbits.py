@@ -14,6 +14,7 @@ Which generators a sweep keeps is checked against a dense brute force.
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -256,14 +257,20 @@ def test_matrix_algebra_declares_two_certified_generators(n):
     assert mu._automorphisms == mu.perms
     assert all(is_automorphism(p, mu) for p in mu.perms)
     # the index permutations leave the diagonal and the off-diagonal units,
-    # whose least vectors E00 and E01 a sweep takes in blocks [E00], [E01]
-    blocks, images = algebra_module._arguments(mu.perms, n * n, 3)[::2]
+    # whose least vectors E00 and E01 a sweep takes in blocks [E00], [E01];
+    # their stabilisers leave 5 and 10 orbits for n >= 4, and the second
+    # argument is the whole basis where a stabiliser is trivial (E01 for
+    # n = 3, both for n = 2)
+    blocks, images, _ = algebra_module._arguments(mu.perms, n * n, 3)
     assert tuple(images) == ((0, 1) if n > 1 else (0,))
-    assert [(hi, tuple(first.units)) for hi, first in blocks] == [(1, (0,)), (n * n, (1,))][:len(images)]
-    assert sorted(x for r in images for x, _ in images[r]) == sorted(set(range(n * n)) - set(images))
+    seconds = {1: (1,), 2: (4, 4), 3: (5, 9)}.get(n, (5, 10))
+    assert [(hi, tuple(first.units), len(second.units)) for hi, (first, second, _) in blocks] == \
+        [(1, (0,), seconds[0]), (n * n, (1,), seconds[-1])][:len(images)]
+    assert sorted(g[r] for r in images for g in images[r]) == list(range(n * n))
     for r in images:
-        for x, g in images[r]:
-            assert g[r] == x and sorted(g) == list(range(n * n))
+        assert images[r][0] == tuple(range(n * n))
+        for g in images[r]:
+            assert sorted(g) == list(range(n * n))
 
 
 def test_tabulate_passes_on_what_every_tensor_operand_declares():
@@ -346,8 +353,159 @@ def test_failing_orbit_sweep_yields_images_in_lexicographic_order():
     perms = [(1, 2, 3, 0)]
     t = declared(planted_tensor(random.Random(12), 4, perms, 2), perms)
     algebra = HomAlgebra(("a", "b", "c", "d"), t, LinearMap.identity(4))
-    assert t._automorphisms == tuple(perms) and tuple(algebra_module._arguments(t._automorphisms, 4, 3)[2]) == (0,)
+    assert t._automorphisms == tuple(perms) and tuple(algebra_module._arguments(t._automorphisms, 4, 3)[1]) == (0,)
     report = check_hom_associative(algebra)
     assert report.as_dict() == check_hom_associative(undeclared(algebra)).as_dict()
     assert report_leaves(report) == oracle_reports(algebra)["hom-associative"]
     assert {w.indices[0] for w in report.witnesses} == {0, 1, 2} and len(report.witnesses) == 10
+
+
+# ---------------------------------------------------------------------------
+# The second argument on orbits of the first argument's stabiliser
+# ---------------------------------------------------------------------------
+
+def group(perms, dim):
+    """Every element of the group ``perms`` generate, by closure."""
+    found = [tuple(range(dim))]
+    for g in found:
+        for p in perms:
+            h = tuple(p[n] for n in g)
+            if h not in found:
+                found.append(h)
+    return found
+
+
+def planted_corruption(algebra, perms, seeds):
+    """``algebra`` with a value added to bracket and product on the orbit of
+    each index triple of ``seeds`` under ``perms``, which therefore stay
+    automorphisms, both tensors declaring ``perms``."""
+    changed = {}
+    for name in ("bracket", "mu"):
+        entries = dict(getattr(algebra, name).items())
+        for seed, value in seeds:
+            for ijk in orbit(seed, perms):
+                entries[ijk] = entries.get(ijk, 0) + value
+        changed[name] = declared(Trilinear(algebra.dim, entries), perms)
+    return dataclasses.replace(algebra, **changed)
+
+
+def assert_matches_undeclared_and_oracle(algebra):
+    plain = undeclared(algebra)
+    single = depolarize(algebra)
+    expected = oracle_reports(algebra)
+    expected.update((name, leaves) for name, leaves in oracle_reports(single).items()
+                    if name in ("admissible", "hom-flexible"))
+    reports = {}
+    for name, check in CHECKS.items():
+        reports[name] = check(algebra)
+        assert reports[name].as_dict() == check(plain).as_dict(), name
+        assert report_leaves(reports[name]) == expected[name], name
+    return reports
+
+
+def off_minima(witnesses, perms, dim, arity):
+    """The witnesses read at (r, y, ...), r a first-argument minimum and y no
+    least vector of a stabiliser orbit of r: those a sweep reads as images."""
+    _, images, orbits = algebra_module._arguments(perms, dim, arity)
+    return [w.indices for w in witnesses if w.indices[0] in orbits and w.indices[1] not in orbits[w.indices[0]]]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_failures_off_the_stabiliser_minima_match_undeclared_sweeps_and_oracle(n):
+    # E23 (or E12 for n = 3) is no least vector of an orbit of the stabiliser
+    # of E00 (the least is E12, or E11), nor E32 of that of E01 (E23): the
+    # corruptions on the orbits of (E00, E23, E00) and (E01, E32, E11) make
+    # the sweeps fail there, at arity 2 (antisymmetry, multiplicativity) and
+    # at arity 3, where the union of the minima's stabiliser minima takes y
+    # for one minimum and not for the other
+    algebra = commutator_poisson(matrix_algebra(n))
+    perms = algebra.bracket.perms
+    e = lambda i, j: i * n + j
+    seeds = [((e(0, 0), e(n - 2, n - 1), e(0, 0)), Fraction(1)),
+             ((e(0, 1), e(n - 1, n - 2), e(1, 1)), Fraction(-1, 2))]
+    corrupted = planted_corruption(algebra, perms, seeds)
+    assert corrupted.bracket._automorphisms == corrupted.mu._automorphisms == perms
+    reports = assert_matches_undeclared_and_oracle(corrupted)
+    antisymmetric = reports["hom-poisson"].parts[0]
+    assert not antisymmetric.passed and off_minima(antisymmetric.witnesses, perms, n * n, 2)
+    assert any(off_minima(part.witnesses, perms, n * n, 3) for part in reports["hom-poisson"].parts[1:])
+
+
+@st.composite
+def stabiliser_cases(draw):
+    """A corrupted algebra whose tensors declare a group with trivial
+    stabilisers (a fixed-point-free cycle, its powers) or a large one (S_n
+    on the units of M_n), each corruption spread over its orbit so that the
+    group stays certified."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 6))
+        step = draw(st.sampled_from([s for s in range(1, dim) if math.gcd(s, dim) == 1]))
+        perms = [tuple((i + step) % dim for i in range(dim))]
+        algebra = HomPoissonAlgebra(tuple(f"b{i}" for i in range(dim)), planted_tensor(rng, dim, perms, dim),
+                                    planted_tensor(rng, dim, perms, dim), LinearMap.identity(dim))
+    else:
+        algebra = commutator_poisson(matrix_algebra(draw(st.integers(2, 4))))
+        perms = list(algebra.bracket.perms)
+    seeds = [(tuple(rng.randrange(algebra.dim) for _ in range(3)), draw(st.sampled_from((1, -2, Fraction(1, 3)))))
+             for _ in range(draw(st.integers(0, 2)))]
+    return planted_corruption(algebra, perms, seeds), tuple(perms)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(stabiliser_cases())
+def test_trivial_and_large_stabilisers_match_undeclared_sweeps_and_oracle(case):
+    algebra, perms = case
+    assert algebra.bracket._automorphisms == perms
+    assert_matches_undeclared_and_oracle(algebra)
+    # a fixed-point-free cycle generates a group whose stabilisers are trivial
+    if len(perms) == 1 and all(p != i for i, p in enumerate(perms[0])):
+        assert algebra_module._arguments(perms, algebra.dim, 3)[2] == {}
+
+
+def assert_plan_matches_brute_force(perms, dim, arity):
+    """The plan's orbit minima and transversals, at both levels, against the
+    enumerated group and its stabilisers."""
+    elements = group(perms, dim)
+    blocks, images, orbits = algebra_module._arguments(tuple(perms), dim, arity)
+    assert list(images) == sorted({min(g[x] for g in elements) for x in range(dim)})
+    for r, transversal in images.items():
+        assert transversal[0] == tuple(range(dim)) and all(g in elements for g in transversal)
+        assert sorted(g[r] for g in transversal) == sorted({g[r] for g in elements})
+        stabiliser = [g for g in elements if g[r] == r]
+        minima = sorted({min(g[y] for g in stabiliser) for y in range(dim)})
+        if len(stabiliser) == 1 or arity == 1:
+            assert r not in orbits
+            continue
+        assert list(orbits[r]) == minima
+        for s, transversal in orbits[r].items():
+            assert transversal[0] == tuple(range(dim)) and all(g in stabiliser for g in transversal)
+            assert sorted(g[s] for g in transversal) == sorted({g[s] for g in stabiliser})
+    for hi, (first, *later) in blocks:
+        if later and all(r in orbits for r in first.units):
+            assert sorted(later[0].units) == sorted({s for r in first.units for s in orbits[r]})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_plan_matches_a_brute_force_enumeration_on_matrix_algebras(n, arity):
+    assert_plan_matches_brute_force(matrix_algebra(n).mu.perms, n * n, arity)
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda dim: st.lists(st.permutations(range(dim)).map(tuple), max_size=3)
+                                 .map(lambda perms: (dim, perms))), st.sampled_from((2, 3)))
+def test_plan_matches_a_brute_force_enumeration_on_random_groups(case, arity):
+    dim, perms = case
+    assert_plan_matches_brute_force(perms, dim, arity)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_undeclared_sweep_blocks_share_the_cached_full_basis_arguments(arity):
+    dim = 9
+    blocks, images, orbits = algebra_module._arguments((), dim, arity)
+    assert orbits == {} and list(images) == list(range(dim))
+    assert all(transversal == (tuple(range(dim)),) for transversal in images.values())
+    for _, (first, *later) in blocks:
+        assert later == [algebra_module._basis(0, dim, dim ** (arity - 1 - s), s) for s in range(1, arity)]
+        assert all(a is b for a, b in zip(later, blocks[0][1][1:]))

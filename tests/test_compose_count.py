@@ -575,8 +575,9 @@ def test_kernel_arithmetic_counts(monkeypatch):
     powers take none.  These counts are of the full sweeps, on a copy of
     the algebra whose tensors declare no basis permutation; with the
     permutations ``matrix_algebra`` declares, the sweeps take their first
-    argument on the representatives E00 and E01 only, and make 295
-    additions and 1,268 multiplications."""
+    argument on the representatives E00 and E01 only, and their second on
+    the least vectors of those representatives' stabiliser orbits, and make
+    168 additions and 822 multiplications."""
     mat2, beta = matrix_algebra(2), conjugation_morphism(2)
     yau = HomAlgebra(mat2.basis, mat2.mu.map_outputs(beta), beta)
     declared = commutator_poisson(matrix_algebra(4))
@@ -600,7 +601,7 @@ def test_kernel_arithmetic_counts(monkeypatch):
             _tally_numerators(patches, with_map_products=False, counts=counts[name])
             assert run()
     assert {name: (c["add"], c["mul"]) for name, c in counts.items()} == {
-        "hom-poisson": (2500, 7404), "orbits": (295, 1268), "power": (176, 430), "tabulate": (2, 16)}
+        "hom-poisson": (2500, 7404), "orbits": (168, 822), "power": (176, 430), "tabulate": (2, 16)}
     assert (set(units["hom-poisson"]), set(units["tabulate"])) == ({1, 2}, {2})
     assert Counter(units["power"]) == {2: 1, 0: 6}
 

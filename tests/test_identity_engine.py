@@ -407,11 +407,12 @@ def test_orbit_sweeps_form_fewer_products_on_mat6(contraction_products):
     algebra = commutator_poisson(matrix_algebra(6))
     single = depolarize(algebra)
     for name, identity, checked, t, full, orbits in (
-            ("hom-jacobi", jacobian, algebra, algebra.bracket, 16020, 1244),
-            ("hom-flexible", flexibility, single, single.mu, 21888, 1990)):
+            ("hom-jacobi", jacobian, algebra, algebra.bracket, 16020, 448),
+            ("hom-flexible", flexibility, single, single.mu, 21888, 744)):
         # the tensor rebuilt declares no basis permutation and is swept in
-        # full; as built, it declares those of matrix_algebra, and the first
-        # argument takes the orbit representatives E00 and E01 only
+        # full; as built, it declares those of matrix_algebra, the first
+        # argument takes the orbit representatives E00 and E01 only, and the
+        # second the least vectors of their stabilisers' 5 and 10 orbits
         for tensor, products in ((Trilinear(t.dim, dict(t.items())), full), (t, orbits)):
             contraction_products.clear()
             assert sweep(name, checked.dim, 3, identity, tensor, checked.alpha).passed

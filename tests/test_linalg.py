@@ -868,6 +868,23 @@ def test_opposite_and_commutative_match_the_dense_transpose(t, symmetric):
         assert t._commutative
 
 
+@settings(max_examples=100, deadline=None)
+@given(kernel_tensors(), st.booleans())
+def test_opposite_regroups_to_the_tensor_of_swapped_keys(t, declares):
+    """``_opposite`` regroups the stored rows, with no sort or gcd: its rows,
+    in their order, and ``den`` are those of the tensor ``_of`` builds from
+    the swapped keys, and it declares nothing, also when ``t`` declares a
+    permutation.  Drawn tensors have ``den`` 1 to 4 in lowest terms."""
+    n = KDIM
+    if declares:
+        t = Trilinear._of(n, {(i * n + j) * n + k: q for i, row in t.rows.items() for j, k, q in row}, t.den,
+                          perms=((2, 0, 1),))
+    swapped = Trilinear._of(n, {(j * n + i) * n + k: q for i, row in t.rows.items() for j, k, q in row}, t.den)
+    opposite = t._opposite
+    assert list(opposite.rows.items()) == list(swapped.rows.items())
+    assert (opposite.dim, opposite.den, opposite.perms) == (n, swapped.den, ())
+
+
 @st.composite
 def kernel_maps(draw):
     """A map of ``KDIM`` with columns of 0 to ``KDIM`` nonzero numerators,
