@@ -10,6 +10,12 @@ symmetry (invariant random tensors, and direct sums of two equal passing
 pieces), catalog matrix algebras, corruptions that keep the symmetry of
 some generators and break the others, and wrongly declared generators.
 Which generators a sweep keeps is checked against a dense brute force.
+
+The second argument ranges over the least vectors of the orbits of the
+first argument's stabiliser.  Failures placed at second arguments off those
+vectors, groups with trivial stabilisers (fixed-point-free cycles) and a
+large one (S_n on M_n) are checked the same way, and the plan's orbits and
+transversals against an enumeration of the group.
 """
 
 import dataclasses
@@ -205,20 +211,29 @@ CHECKS = {
 # Reports against the undeclared run and the oracle
 # ---------------------------------------------------------------------------
 
+def assert_matches_undeclared_and_oracle(algebra):
+    """Each check's report on ``algebra`` equals the report on its undeclared
+    copy and the dense oracle's; the reports are returned."""
+    plain = undeclared(algebra)
+    single = depolarize(algebra)
+    expected = oracle_reports(algebra)
+    expected.update((name, leaves) for name, leaves in oracle_reports(single).items()
+                    if name in ("admissible", "hom-flexible"))
+    reports = {}
+    for name, check in CHECKS.items():
+        reports[name] = check(algebra)
+        assert reports[name].as_dict() == check(plain).as_dict(), name
+        assert report_leaves(reports[name]) == expected[name], name
+    return reports
+
+
 @SETTINGS
 @given(symmetric_algebras())
 def test_orbit_sweeps_match_undeclared_sweeps_and_oracle(case):
     algebra, perms = case
-    plain = undeclared(algebra)
     single = depolarize(algebra)
     assert single.mu.perms == tuple(perms)
-    expected = oracle_reports(algebra)
-    expected.update((name, leaves) for name, leaves in oracle_reports(single).items()
-                    if name in ("admissible", "hom-flexible"))
-    for name, check in CHECKS.items():
-        report = check(algebra)
-        assert report.as_dict() == check(plain).as_dict(), name
-        assert report_leaves(report) == expected[name], name
+    assert_matches_undeclared_and_oracle(algebra)
     # the generators each sweep keeps are exactly those a dense brute force accepts
     for operands in ((algebra.bracket, algebra.alpha), (algebra.bracket, algebra.mu, algebra.alpha),
                      (algebra.bracket,), (algebra.mu,), (single.mu, single.alpha),
@@ -389,24 +404,10 @@ def planted_corruption(algebra, perms, seeds):
     return dataclasses.replace(algebra, **changed)
 
 
-def assert_matches_undeclared_and_oracle(algebra):
-    plain = undeclared(algebra)
-    single = depolarize(algebra)
-    expected = oracle_reports(algebra)
-    expected.update((name, leaves) for name, leaves in oracle_reports(single).items()
-                    if name in ("admissible", "hom-flexible"))
-    reports = {}
-    for name, check in CHECKS.items():
-        reports[name] = check(algebra)
-        assert reports[name].as_dict() == check(plain).as_dict(), name
-        assert report_leaves(reports[name]) == expected[name], name
-    return reports
-
-
 def off_minima(witnesses, perms, dim, arity):
     """The witnesses read at (r, y, ...), r a first-argument minimum and y no
     least vector of a stabiliser orbit of r: those a sweep reads as images."""
-    _, images, orbits = algebra_module._arguments(perms, dim, arity)
+    orbits = algebra_module._arguments(perms, dim, arity)[2]
     return [w.indices for w in witnesses if w.indices[0] in orbits and w.indices[1] not in orbits[w.indices[0]]]
 
 
