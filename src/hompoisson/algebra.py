@@ -175,9 +175,6 @@ class Witness:
     indices: tuple
     residual: object  # Vector, or a polynomial-valued residual
 
-    def as_dict(self) -> dict:
-        return as_data(self)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -185,9 +182,6 @@ class CheckReport:
     passed: bool
     witnesses: tuple
     parts: tuple = ()
-
-    def as_dict(self) -> dict:
-        return as_data(self)
 
     def flat(self) -> list:
         """Leaf reports (the parts of an aggregate, or the report itself)."""

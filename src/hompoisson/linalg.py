@@ -8,11 +8,10 @@ Products (``compose``, ``kron``, ``map_outputs``) multiply numerators and
 denominators and reduce once; ``invert`` and ``kernel_vector`` read the rows
 of one elimination on ``int`` rows (``_eliminate``), made once per map.
 ``Fraction`` appears only in values read out (the dense ``LinearMap.rows``,
-``entry``, ``column``, ``items``, ``pair_vector``, ``kernel_vector``) and in
-``Vector`` entries.  Every tensor is built by one constructor,
-``Trilinear._of``, on integer keys ``(i * dim + j) * dim + k``, which sort
-in index order; only a tensor's cached opposite regroups rows already in
-stored form.
+``entry``, ``items``, ``kernel_vector``) and in ``Vector`` entries.  Every
+tensor is built by one constructor, ``Trilinear._of``, on integer keys
+``(i * dim + j) * dim + k``, which sort in index order; only a tensor's
+cached opposite regroups rows already in stored form.
 
 One sparse kernel, ``_contract`` and ``_apply`` on ``_Form``s, forms every
 product of a vector with a tensor or a map and every ``Polynomial`` sum and
@@ -92,6 +91,9 @@ def _over_common_denominator(values: Iterable) -> tuple:
 
 
 def _basis_index(k: int, dim: int) -> int:
+    """``k``, checked to be an ``int`` (not a ``bool``) in ``range(dim)``."""
+    if type(k) is not int:
+        raise TypeError(f"basis index {k!r} is not an int")
     if not 0 <= k < dim:
         raise IndexError(f"basis index {k} out of range for dim {dim}")
     return k
@@ -138,37 +140,8 @@ class Vector:
     def __iter__(self) -> Iterator:
         return iter(self.entries)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "Vector":
-        return Vector(tuple(c * a for a in self.entries))
-
-    def __rmul__(self, c) -> "Vector":
-        return self.scale(c)
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.dim == other.dim and all(a == b for a, b in zip(self.entries, other.entries))
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def _check_dim(self, other: "Vector") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"vector dims differ: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -191,6 +164,8 @@ class LinearMap:
     def __init__(self, rows):
         rows = tuple(tuple(map(rat, row)) for row in rows)
         n = len(rows)
+        if not n:
+            raise DimensionMismatch("linear map matrix must not be empty")
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("linear map matrix must be square")
         lines = [[(j, q) for j, q in enumerate(row) if q] for row in rows]
@@ -216,12 +191,11 @@ class LinearMap:
         return LinearMap._of(tuple(((i, 1),) for i in range(dim)), 1)
 
     @staticmethod
-    def zero(dim: int) -> "LinearMap":
-        return LinearMap._of(((),) * dim, 1)
-
-    @staticmethod
     def diagonal(values: Iterable) -> "LinearMap":
-        numerators, den = _over_common_denominator([rat(v) for v in values])
+        values = [rat(v) for v in values]
+        if not values:
+            raise DimensionMismatch("diagonal map must have at least one entry")
+        numerators, den = _over_common_denominator(values)
         return LinearMap._of(tuple(((i, q),) if q else () for i, q in enumerate(numerators)), den)
 
     @cached_property
@@ -239,10 +213,6 @@ class LinearMap:
     def entry(self, i: int, j: int) -> Fraction:
         i = _basis_index(i, self.dim)
         return next((Fraction(q, self.den) for k, q in self.columns[_basis_index(j, self.dim)] if k == i), _ZERO)
-
-    def column(self, j: int) -> Vector:
-        line = dict(self.columns[_basis_index(j, self.dim)])
-        return Vector(tuple(Fraction(line[i], self.den) if i in line else _ZERO for i in range(self.dim)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -405,13 +375,13 @@ class Trilinear:
     __slots__ = ("dim", "rows", "den", "perms", "__dict__")  # ``__dict__`` holds the cached properties
 
     def __init__(self, dim: int, entries: Mapping | Iterable = ()):
+        if type(dim) is not int:
+            raise TypeError(f"tensor dimension {dim!r} is not an int")
         if dim <= 0:
             raise ValueError("tensor dimension must be positive")
         data: dict[int, Fraction] = {}
         for (i, j, k), value in dict(entries).items():  # a repeated index keeps its last value
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-            data[(i * dim + j) * dim + k] = rat(value)
+            data[(_basis_index(i, dim) * dim + _basis_index(j, dim)) * dim + _basis_index(k, dim)] = rat(value)
         numerators, den = _over_common_denominator(data.values())
         Trilinear._of(dim, dict(zip(data, numerators)), den, self)
 
@@ -458,15 +428,6 @@ class Trilinear:
         row = self.rows.get(_basis_index(i, self.dim), ())
         jk = (_basis_index(j, self.dim), _basis_index(k, self.dim))
         return next((Fraction(q, self.den) for jj, kk, q in row if (jj, kk) == jk), _ZERO)
-
-    def pair_vector(self, i: int, j: int) -> Vector:
-        """op(e_i, e_j)."""
-        j = _basis_index(j, self.dim)
-        out = [_ZERO] * self.dim
-        for jj, k, q in self.rows.get(_basis_index(i, self.dim), ()):
-            if jj == j:
-                out[k] = Fraction(q, self.den)
-        return Vector(tuple(out))
 
     def is_zero(self) -> bool:
         return not self.rows

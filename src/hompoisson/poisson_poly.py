@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .errors import GeneratorMismatch, PreconditionError
 from .linalg import LinearMap, Trilinear, rat
-from .poly import Polynomial
+from .poly import Polynomial, _distinct
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +41,6 @@ class Substitution:
 
     def __post_init__(self):
         object.__setattr__(self, "images", dict(self.images))
-
-    @staticmethod
-    def identity(generators) -> "Substitution":
-        return Substitution({g: Polynomial.var(generators, g) for g in generators})
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return f.substitute(self.images)
@@ -64,12 +60,23 @@ class PoissonStructure:
 
     ``relations[(i, j)]`` is the polynomial {x_i, x_j}; pairs left out
     bracket to zero.  The bracket of two polynomials is the biderivation
-    {f, g} = sum_{i,j} {x_i, x_j} df/dx_i dg/dx_j.
+    {f, g} = sum_{i,j} {x_i, x_j} df/dx_i dg/dx_j.  The generators must be
+    distinct, each key a pair of generator indices, and each value a
+    rational or a polynomial on the generators.
     """
 
     def __init__(self, generators, relations: Mapping):
-        self.generators = tuple(generators)
+        self.generators = gens = _distinct(generators)
         self.relations = dict(relations)
+        for key, value in self.relations.items():
+            if not (type(key) is tuple and len(key) == 2
+                    and all(type(i) is int and 0 <= i < len(gens) for i in key)):
+                raise ValueError(f"relation key {key!r} is not a pair of generator indices in 0..{len(gens) - 1}")
+            if isinstance(value, Polynomial):
+                if value.generators != gens:
+                    raise GeneratorMismatch(f"relation {key!r} lives on {value.generators}, not on {gens}")
+            elif type(value) not in (int, Fraction):
+                raise ValueError(f"relation {key!r} is {value!r}, neither a rational nor a Polynomial")
 
     def variable(self, name) -> Polynomial:
         return Polynomial.var(self.generators, name)

@@ -20,9 +20,8 @@ and a product or constructor that would exceed ``MAX_EXPONENT`` raises
 ``MAX_TERMS`` of a product are checked in one function, ``_of_products``,
 which reads back every product of polynomials and of polynomial vectors.
 Exponent tuples exist only where a monomial enters or leaves the kernel (the
-constructor, ``coefficient``, ``degree``, ``substitute``, ``evaluate``,
-``sorted_terms`` and the display), and ``Fraction`` only where a
-coefficient leaves it.
+constructor, ``substitute``, ``evaluate``, ``sorted_terms`` and the
+display), and ``Fraction`` only where a coefficient leaves it.
 
 Sums, products and derivatives run on integers only and reduce their result
 once by a single gcd.  A constant polynomial equals its ``Fraction`` value
@@ -245,24 +244,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        width = len(self.generators)
-        return max((sum(_unpack(e, width)) for e in self.terms), default=-1)
-
-    def coefficient(self, expo) -> Fraction:
-        """The coefficient of one exponent tuple; 0 for a tuple of the wrong
-        length or with an exponent outside 0..MAX_EXPONENT."""
-        expo = tuple(expo)
-        width = len(self.generators)
-        if len(expo) != width or any(not 0 <= e <= MAX_EXPONENT for e in expo):
-            return _ZERO
-        key = sum(e << s for e, s in zip(expo, _shifts(width)))
-        return Fraction(self.terms.get(key, 0), self.den)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get(0, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):

@@ -265,29 +265,6 @@ def _classify_twistings(algebra, label: str, maps) -> RigidityCase:
     return RigidityCase(label, trivial, isomorphic, skipped, tuple(failures))
 
 
-def heisenberg_morphism_family(family: str):
-    """Candidate twisting maps for one of the five parameter families.
-
-    Families 1-3 target the XY-product algebras, 4-5 the X^2-product algebra;
-    each yields maps over a 4-tuple grid of its free parameters, and the
-    caller still verifies the morphism property per target algebra.
-    """
-    from .catalog import heisenberg_morphism
-
-    quads = itertools.product(GRID, repeat=4)
-    if family == "alpha1":
-        return [heisenberg_morphism(a, 0, 0, d, u, v) for a, d, u, v in quads]
-    if family == "alpha2":
-        return [heisenberg_morphism(a, b, 0, 0, u, v) for a, b, u, v in quads if b != 0]
-    if family == "alpha3":
-        return [heisenberg_morphism(0, 0, c, d, u, v) for c, d, u, v in quads if c != 0]
-    if family == "alpha4":
-        return [heisenberg_morphism(0, 0, c, d, u, v) for c, d, u, v in quads]
-    if family == "alpha5":
-        return [heisenberg_morphism(a, 0, c, a, u, v) for a, c, u, v in quads if a != 0]
-    raise ValueError(f"unknown family {family!r}")
-
-
 def general_heisenberg_maps():
     """All bracket morphisms over the grid on the 2x2 block, few Z-column choices."""
     from .catalog import heisenberg_morphism

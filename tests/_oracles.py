@@ -272,9 +272,6 @@ class RefPoly:
             total += q
         return total
 
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), Fraction(0))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 

@@ -285,7 +285,7 @@ def test_aggregate_keeps_the_first_ten_witnesses_in_part_order():
 
 def test_report_as_dict_schema():
     rep = check_hom_jacobi(corrupted_bracket_algebra())
-    data = rep.as_dict()
+    data = as_data(rep)
     assert set(data) == {"identity", "passed", "witnesses"}
     w = data["witnesses"][0]
     assert set(w) == {"indices", "residual"}

@@ -8,10 +8,11 @@ from hompoisson import catalog
 from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, check_morphism
 from hompoisson.catalog import (
     CATALOG,
+    HEISENBERG_BASIS,
+    HEISENBERG_BRACKET,
     build_catalog,
     conjugation_morphism,
     entry_reports,
-    heisenberg_linear_poisson,
     heisenberg_morphism,
     heisenberg_p31,
     heisenberg_p32,
@@ -54,19 +55,22 @@ def test_entry_kinds():
     assert isinstance(build_catalog("free-poly"), Substitution)
 
 
+E = [Vector.unit(3, i) for i in range(3)]
+
+
 def test_p31_structure():
     p0 = heisenberg_p31(0)
     assert p0.mu.is_zero()
-    assert p0.bracket.pair_vector(0, 1) == Vector.of(0, 0, 1)
+    assert p0.bracket.contract(E[0], E[1]) == Vector.of(0, 0, 1)
     p = heisenberg_p31(1)
-    assert p.mu.pair_vector(0, 1) == Vector.of(0, 0, 1)
-    assert p.mu.pair_vector(1, 0) == Vector.of(0, 0, 1)
-    assert p.mu.pair_vector(0, 0).is_zero()
+    assert p.mu.contract(E[0], E[1]) == Vector.of(0, 0, 1)
+    assert p.mu.contract(E[1], E[0]) == Vector.of(0, 0, 1)
+    assert p.mu.contract(E[0], E[0]).is_zero()
 
 
 def test_p32_structure():
     p = heisenberg_p32()
-    assert p.mu.pair_vector(0, 0) == Vector.of(0, 0, 1)
+    assert p.mu.contract(E[0], E[0]) == Vector.of(0, 0, 1)
     assert sum(1 for _ in p.mu.items()) == 1
 
 
@@ -146,23 +150,29 @@ def test_heisenberg_morphism_is_bracket_morphism():
         m = heisenberg_morphism(*params)
         assert check_morphism(m, lie, lie).passed
     zero = heisenberg_morphism(0, 0, 0, 0, 0, 0)
-    assert zero == LinearMap.zero(3)
+    assert zero == LinearMap.diagonal([0] * 3)
 
 
 def test_heisenberg_morphism_center_coefficient():
     m = heisenberg_morphism(2, 3, 4, 5, 6, 7)
     assert m.entry(2, 2) == 2 * 5 - 4 * 3
-    assert m.column(0) == Vector.of(2, 4, 6)
-    assert m.column(1) == Vector.of(3, 5, 7)
+    assert m.apply(E[0]) == Vector.of(2, 4, 6)
+    assert m.apply(E[1]) == Vector.of(3, 5, 7)
 
 
 def test_lie_structures_validate():
     sl2 = sl2_linear_poisson()
     assert sl2.generators == ("e", "f", "h")
-    hei = heisenberg_linear_poisson()
+    hei = LiePoissonStructure(HEISENBERG_BASIS, HEISENBERG_BRACKET)
     assert hei.constants.entry(0, 1, 2) == 1
 
 
 def test_conjugation_parameter_must_be_nonzero():
     with pytest.raises(ValueError, match="top must be nonzero"):
         conjugation_morphism(2, top=0)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_conjugation_size_must_be_positive(n):
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        conjugation_morphism(n)

@@ -1,15 +1,18 @@
 """Import footprint: ``import hompoisson`` loads no submodule, each CLI
 subcommand loads only the modules it runs, and the benchmark's dense oracle,
-the tests' one independent restatement of the identities, loads none.
+the tests' one independent restatement of the identities, loads none.  The
+public functions and methods of every module are pinned.
 
 The footprint tests run in a fresh interpreter, because this test process
 has already imported every module.
 """
 
+import ast
 import dataclasses
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -118,3 +121,66 @@ def test_main_exit_codes(files, spec, code, tail):
     else:
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1] == tail
+
+
+# The public surface, pinned: for each module, its public top-level functions
+# and the public methods of its public classes, as ``Class.method``.  Names
+# with a leading underscore, dunder methods included, are not pinned.
+PUBLIC_SURFACE = {
+    "__init__": (),
+    "algebra": (
+        "CheckReport.flat", "HomAlgebra.dim", "HomPoissonAlgebra.dim", "aggregate_report", "antisymmetry", "as_data",
+        "associator", "check_antisymmetry", "check_commutative", "check_hom_associative", "check_hom_jacobi",
+        "check_hom_leibniz", "check_hom_poisson", "check_morphism", "check_multiplicative", "commutativity",
+        "cyclic_associator_sum", "hom_associator", "hom_jacobian", "hom_leibniz_residual", "intertwining",
+        "jacobi_tensor", "jacobian", "leibniz", "make_report", "morphism", "sweep", "tabulate",
+    ),
+    "catalog": (
+        "build_catalog", "conjugation_morphism", "entry_reports", "free_poly_shift", "heisenberg_morphism",
+        "heisenberg_p31", "heisenberg_p32", "matrix_algebra", "sl2_linear_poisson", "sl2_scaling", "symplectic_space",
+    ),
+    "cli": ("main", "run_command"),
+    "constructions": (
+        "admissibility", "beta_twisting", "check_admissible", "check_hom_flexible", "commutator_poisson", "depolarize",
+        "derived", "flexibility", "is_trivial_twisting", "nonrigidity_witness", "operation_sum", "polarize", "tensor",
+        "twist", "verify_isomorphism", "yau_twist",
+    ),
+    "errors": (),
+    "hompower": ("check_criterion_34", "check_nth_power_assoc", "generic_element", "hom_power", "hom_power_pair"),
+    "linalg": (
+        "LinearMap.apply", "LinearMap.compose", "LinearMap.diagonal", "LinearMap.dim", "LinearMap.entry",
+        "LinearMap.identity", "LinearMap.int_rows", "LinearMap.invert", "LinearMap.is_identity",
+        "LinearMap.kernel_vector", "LinearMap.kron", "LinearMap.power", "LinearMap.rows", "Trilinear.contract",
+        "Trilinear.entry", "Trilinear.is_zero", "Trilinear.items", "Trilinear.kron", "Trilinear.map_outputs",
+        "Trilinear.with_entry", "Trilinear.zero", "Vector.dim", "Vector.is_zero", "Vector.of", "Vector.unit",
+        "Vector.zero", "rat",
+    ),
+    "poisson_poly": (
+        "PoissonStructure.bracket", "PoissonStructure.variable", "Substitution.iterate", "check_poisson_substitution",
+        "manifold_nonrigidity_check", "translation", "twisted_associator", "twisted_product",
+    ),
+    "poly": (
+        "Polynomial.const", "Polynomial.diff", "Polynomial.evaluate", "Polynomial.is_zero", "Polynomial.sorted_terms",
+        "Polynomial.substitute", "Polynomial.var", "Polynomial.variables", "Polynomial.zero",
+    ),
+    "specfile": ("algebra_to_dict", "emit_map", "emit_spec", "parse_map", "parse_spec"),
+    "witnesses": (
+        "free_poly_witness", "general_heisenberg_maps", "heisenberg_rigidity_replay", "matrix_twist_witness",
+        "r2n_witness", "sl2_witness",
+    ),
+}
+
+
+def test_public_surface_is_pinned():
+    """Adding, removing or renaming a public function or method means editing
+    ``PUBLIC_SURFACE`` on purpose.  The sources are read with ``ast``, so
+    nothing is imported."""
+    public = lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    surface = {}
+    for path in sorted(pathlib.Path(hompoisson.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        names = [node.name for node in body if public(node)]
+        names += [f"{cls.name}.{node.name}" for cls in body
+                  if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") for node in cls.body if public(node)]
+        surface[path.stem] = tuple(sorted(names))
+    assert surface == PUBLIC_SURFACE

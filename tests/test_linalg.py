@@ -73,7 +73,7 @@ def test_invert_diagonal_and_identity():
 
 def test_invert_singular():
     with pytest.raises(SingularMatrixError):
-        LinearMap.zero(3).invert()
+        LinearMap.diagonal([0] * 3).invert()
     m = LinearMap(((1, 2), (2, 4)))
     with pytest.raises(SingularMatrixError):
         m.invert()
@@ -113,8 +113,8 @@ def test_contract_zero_and_catalog_products():
     zeta = Fraction(1, 2)
     from hompoisson.catalog import heisenberg_p31 as build
     q = build(zeta)
-    assert q.mu.contract(ex, ey) == zeta * Vector.unit(3, 2)
-    assert q.mu.contract(ey, ex) == zeta * Vector.unit(3, 2)
+    assert q.mu.contract(ex, ey) == Vector.of(0, 0, zeta)
+    assert q.mu.contract(ey, ex) == Vector.of(0, 0, zeta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,9 +125,9 @@ def test_contract_is_bilinear(i, j, a, b, seed):
     t = random_tensor(rng, 3)
     x, xp = Vector.unit(3, i), Vector.unit(3, j)
     y = random_vector(rng, 3)
-    combo = t.contract(a * x + b * xp, y)
-    split = a * t.contract(x, y) + b * t.contract(xp, y)
-    assert combo == split
+    combo = t.contract(Vector(add(scale(a, x), scale(b, xp))), y)
+    split = add(scale(a, t.contract(x, y)), scale(b, t.contract(xp, y)))
+    assert list(combo) == split
 
 
 def test_contract_matches_dense_oracle():
@@ -241,7 +241,7 @@ def test_tabulated_tensors_match_dense_oracle(data):
         return sub(mu_op(x, y), mu_op(y, x))
 
     # a zero twisting map makes every product hom-associative
-    c = commutator_poisson(HomAlgebra(names, mu, LinearMap.zero(n)))
+    c = commutator_poisson(HomAlgebra(names, mu, LinearMap.diagonal([0] * n)))
     assert_stored_form(c.bracket, table(n, bracket_of))
     symmetric = all(M[i][j] == M[j][i] for i in range(n) for j in range(n))
     assert c.commutative == c.bracket.is_zero() == symmetric
@@ -287,10 +287,14 @@ def test_dimension_mismatch_errors():
         LinearMap.identity(2).compose(LinearMap.identity(3))
     with pytest.raises(DimensionMismatch):
         Trilinear.zero(2).contract(Vector.of(1, 2, 3), Vector.of(1, 2, 3))
-    with pytest.raises(DimensionMismatch):
-        Vector.of(1) + Vector.of(1, 2)
     with pytest.raises(IndexError):
         Trilinear(2, {(0, 0, 2): 1})
+    # a map has dimension at least 1, as a tensor does
+    for empty in ((), [], iter(())):
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            LinearMap(empty)
+        with pytest.raises(DimensionMismatch, match="at least one entry"):
+            LinearMap.diagonal(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def built_maps(draw):
     if how == "identity":
         return how, LinearMap.identity(n), dense_identity(n)
     if how == "zero":
-        return how, LinearMap.zero(n), tuple((Fraction(0),) * n for _ in range(n))
+        return how, LinearMap.diagonal([0] * n), tuple((Fraction(0),) * n for _ in range(n))
     if how == "compose":
         a, b = draw(dense_rows(n)), draw(dense_rows(n))
         return how, LinearMap(a).compose(LinearMap(b)), mat_mul(a, b)
@@ -486,7 +490,7 @@ def test_stored_form_matches_dense_oracle_however_built(data):
     assert m.rows == a
     assert all(type(q) is Fraction for row in m.rows for q in row)
     assert [[m.entry(i, j) for j in range(n)] for i in range(n)] == [list(row) for row in a]
-    assert [m.column(j) for j in range(n)] == [Vector(tuple(row[j] for row in a)) for j in range(n)]
+    assert [m.apply(Vector.unit(n, j)) for j in range(n)] == [Vector(tuple(row[j] for row in a)) for j in range(n)]
     assert_same_fields(m, LinearMap(m.rows))
     check_apply(m, a, data.draw(st.lists(sparse_entries, min_size=n, max_size=n), label="x"))
     # generic coordinates, some replaced by the rational or the polynomial zero
@@ -532,9 +536,9 @@ def test_invert_and_kernel_at_dim_81():
 
 
 def test_entry_and_column_read_the_sparse_form():
-    """Entries and columns of a dim-729 diagonal and of a dense map equal the
-    dense oracle without building the dense view; an index outside 0..dim-1
-    raises IndexError."""
+    """Entries, and columns read as the images of unit vectors, of a dim-729
+    diagonal and of a dense map equal the dense oracle without building the
+    dense view; an entry index outside 0..dim-1 raises IndexError."""
     rng = random.Random(729)
     values = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(729)]
     a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(5)]
@@ -544,14 +548,11 @@ def test_entry_and_column_read_the_sparse_form():
         n = m.dim
         for i in sample:
             assert [m.entry(i, j) for j in range(n)] == [oracle(i, j) for j in range(n)]
-            assert m.column(i) == Vector(tuple(oracle(k, i) for k in range(n)))
+            assert m.apply(Vector.unit(n, i)) == Vector(tuple(oracle(k, i) for k in range(n)))
         assert all(type(m.entry(i, i)) is Fraction for i in sample)
         for bad in ((n, 0), (0, n), (-1, 0), (0, -1)):
             with pytest.raises(IndexError):
                 m.entry(*bad)
-        for bad in (n, -1):
-            with pytest.raises(IndexError):
-                m.column(bad)
         assert "rows" not in vars(m)
 
 
@@ -564,7 +565,7 @@ def test_stored_form_holds_int_numerators_over_one_denominator():
     assert m.int_rows == (((0, 12), (1, 3)), ((1, -2),))
     assert_lowest_terms([q for line in m.columns for _, q in line], m.den,
                         [Fraction(2), Fraction(1, 2), Fraction(-1, 3)])
-    integral, zero = LinearMap(((2, 4), (0, -1))), LinearMap.zero(2)
+    integral, zero = LinearMap(((2, 4), (0, -1))), LinearMap.diagonal([0, 0])
     assert integral.den == 1 and integral.columns == (((0, 2),), ((0, 4), (1, -1)))
     assert zero.den == 1 and zero.columns == ((), ())
     t = Trilinear(2, {(0, 1, 0): 3, (0, 1, 1): "2/3", (1, 0, 0): Fraction(4, 2), (1, 1, 1): "-5/4"})
@@ -573,10 +574,11 @@ def test_stored_form_holds_int_numerators_over_one_denominator():
     assert Trilinear(2, {(0, 1, 0): 3, (1, 0, 0): Fraction(4, 2)}).den == 1 and Trilinear.zero(2).den == 1
     assert all(type(q) is Fraction for _, q in t.items())
     assert all(type(q) is Fraction for row in m.rows for q in row)
-    assert t.pair_vector(0, 1) == Vector.of(3, "2/3")
-    assert all(type(q) is Fraction for q in t.pair_vector(0, 1).entries + t.pair_vector(1, 0).entries)
+    e0, e1 = Vector.unit(2, 0), Vector.unit(2, 1)
+    assert t.contract(e0, e1) == Vector.of(3, "2/3")
+    assert all(type(q) is Fraction for q in t.contract(e0, e1).entries + t.contract(e1, e0).entries)
     assert type(t.entry(1, 0, 0)) is Fraction and type(m.entry(0, 0)) is Fraction
-    assert type(m.column(1).entries[1]) is Fraction
+    assert type(m.apply(e1).entries[1]) is Fraction
 
 
 def test_equal_values_have_equal_fields_however_built():
@@ -615,20 +617,31 @@ def test_tensors_round_trip_to_equal_fields(n, fill, seed, data):
 
 
 def test_tensor_indices_are_range_checked():
-    """``Trilinear.entry``, ``pair_vector`` and ``with_entry`` raise
+    """The ``Trilinear`` constructor, ``entry`` and ``with_entry`` raise
     IndexError for an index outside 0..dim-1, as ``LinearMap.entry`` and
-    ``Vector.unit`` do."""
+    ``Vector.unit`` do, and TypeError for an index that is not an ``int``
+    (a float, a ``Fraction`` or a ``bool``); the constructor refuses a
+    dimension that is not an ``int`` the same way."""
     from hompoisson.catalog import heisenberg_p31
     mu = heisenberg_p31(1).mu
-    assert mu.entry(0, 1, 2) == 1 and mu.pair_vector(1, 0) == Vector.of(0, 0, 1)
+    assert mu.entry(0, 1, 2) == 1
     for bad in ((5, 0, 0), (-1, 0, 2), (0, 3, 0), (0, -1, 2), (0, 1, 3), (0, 1, -1)):
         with pytest.raises(IndexError):
             mu.entry(*bad)
         with pytest.raises(IndexError):
             mu.with_entry(*bad, 1)
-    for bad in ((7, -2), (3, 0), (0, 3), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
-            mu.pair_vector(*bad)
+            Trilinear(3, {bad: 1})
+    for bad in ((0.5, 0, 0), (0, 1.0, 2), (0, 1, Fraction(2)), (Fraction(1, 2), 0, 0), (True, 0, 0), (0, False, 2)):
+        with pytest.raises(TypeError, match="basis index .* is not an int"):
+            mu.entry(*bad)
+        with pytest.raises(TypeError, match="basis index .* is not an int"):
+            mu.with_entry(*bad, 1)
+        with pytest.raises(TypeError, match="basis index .* is not an int"):
+            Trilinear(3, {bad: 1})
+    for dim in (2.0, Fraction(2), True):
+        with pytest.raises(TypeError, match="tensor dimension"):
+            Trilinear(dim, {(0, 0, 0): 1})
 
 
 @settings(max_examples=40, deadline=None)

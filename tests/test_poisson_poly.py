@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hompoisson.catalog import (
+    HEISENBERG_BASIS,
+    HEISENBERG_BRACKET,
     free_poly_shift,
-    heisenberg_linear_poisson,
     sl2_linear_poisson,
     sl2_scaling,
 )
@@ -41,7 +42,7 @@ def rand_poly(rng, gens, degree=3):
 # ---------------------------------------------------------------------------
 
 def test_generator_brackets_equal_lie_brackets():
-    for struct in (sl2_linear_poisson(), heisenberg_linear_poisson()):
+    for struct in (sl2_linear_poisson(), LiePoissonStructure(HEISENBERG_BASIS, HEISENBERG_BRACKET)):
         gens = struct.generators
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
@@ -77,7 +78,7 @@ def test_invalid_structure_constants_rejected():
 
 def test_bracket_axioms_on_random_polynomials():
     rng = random.Random(5)
-    for struct in (sl2_linear_poisson(), heisenberg_linear_poisson()):
+    for struct in (sl2_linear_poisson(), LiePoissonStructure(HEISENBERG_BASIS, HEISENBERG_BRACKET)):
         gens = struct.generators
         br = struct.bracket
         for _ in range(6):
@@ -102,6 +103,30 @@ def test_quadratic_relations_give_a_poisson_bracket():
         assert (s.bracket(f, g) + s.bracket(g, f)).is_zero()
         jac = s.bracket(f, s.bracket(g, h)) + s.bracket(g, s.bracket(h, f)) + s.bracket(h, s.bracket(f, g))
         assert jac.is_zero()
+
+
+@pytest.mark.parametrize("generators, relations, error, match", [
+    (("x", "y"), {(0, 5): 1}, ValueError, r"relation key \(0, 5\)"),
+    (("x", "y"), {(0, -1): 1}, ValueError, r"relation key \(0, -1\)"),
+    (("x", "y"), {(0, 1, 0): 1}, ValueError, r"relation key \(0, 1, 0\)"),
+    (("x", "y"), {(0.0, 1): 1}, ValueError, r"relation key \(0.0, 1\)"),
+    (("x", "y"), {(True, 1): 1}, ValueError, r"relation key \(True, 1\)"),
+    (("x", "y"), {0: 1}, ValueError, "relation key 0 "),
+    (("x", "y"), {(0, 1): 0.5}, ValueError, r"relation \(0, 1\) is 0.5"),
+    (("x", "y"), {(0, 1): "1/2"}, ValueError, r"relation \(0, 1\) is '1/2'"),
+    (("x", "y"), {(1, 0): Polynomial.var(("x", "z"), "z")}, GeneratorMismatch, r"relation \(1, 0\)"),
+    (("x", "x"), {}, GeneratorMismatch, "repeat"),
+])
+def test_malformed_structure_rejected_at_construction(generators, relations, error, match):
+    with pytest.raises(error, match=match):
+        PoissonStructure(generators, relations)
+
+
+def test_rational_relations_accepted():
+    gens = ("x", "y")
+    x, y = Polynomial.variables(gens)
+    s = PoissonStructure(gens, {(0, 1): Fraction(1, 2), (1, 0): -1, (0, 0): Polynomial.const(gens, 0)})
+    assert s.bracket(x, y) == Fraction(1, 2) and s.bracket(y, x) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +171,8 @@ def test_bracket_generator_mismatch():
 
 def test_identity_substitution_is_morphism():
     s = sl2_linear_poisson()
-    assert check_poisson_substitution(s, Substitution.identity(s.generators)).passed
+    ident = Substitution({g: s.variable(g) for g in s.generators})
+    assert check_poisson_substitution(s, ident).passed
 
 
 def test_sl2_scaling_is_morphism():
@@ -266,9 +292,8 @@ def test_passing_substitutions_are_bracket_morphisms(data):
 # ---------------------------------------------------------------------------
 
 def test_twisted_product_identity_stays_associative():
-    gens = ("X",)
-    ident = Substitution.identity(gens)
-    x = Polynomial.var(gens, "X")
+    x = Polynomial.var(("X",), "X")
+    ident = Substitution({"X": x})
     assert twisted_associator(ident, x, x + 1, x * x).is_zero()
 
 

@@ -100,8 +100,8 @@ def test_evaluate():
 
 def test_degree_and_zero():
     x, y = Polynomial.variables(GENS)
-    assert (x * x * y).degree() == 3
-    assert Polynomial.zero(GENS).degree() == -1
+    assert sum((x * x * y - y).sorted_terms()[0][0]) == 3
+    assert Polynomial.zero(GENS).sorted_terms() == []
     assert Polynomial.zero(GENS) == 0
     assert (x - x) == 0
     assert x != 0
@@ -206,10 +206,7 @@ def test_arithmetic_matches_reference(drawn, c, k, data):
         check(f.diff(name), rf.diff(pos))
     values = data.draw(st.lists(coeffs, min_size=len(gens), max_size=len(gens)), label="point")
     assert f.evaluate(dict(zip(gens, values))) == rf.evaluate(values)
-    probe = data.draw(st.tuples(*[st.integers(0, 3)] * len(gens)), label="probe")
-    for expo in list(rf.terms) + [probe]:
-        assert f.coefficient(expo) == rf.coefficient(expo)
-    assert f.constant_term() == rf.coefficient((0,) * len(gens))
+    assert dict(f.sorted_terms()) == rf.terms
     assert (f == g) == (rf.terms == rg.terms)
     assert (f == c) == (rf.terms == const.terms)
     assert f + g == g + f and hash(f + g) == hash(g + f)
@@ -252,7 +249,7 @@ def test_cancellation_to_zero_resets_the_denominator():
               (third - third) * third, Polynomial(GENS, {(1, 1): 0})):
         assert p.is_zero() and p == 0 and p.terms == {} and p.den == 1
         assert p == zero and hash(p) == hash(zero)
-        assert str(p) == "0" and p.coefficient((0, 0)) == 0
+        assert str(p) == "0" and p.sorted_terms() == []
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +263,7 @@ def test_exponent_at_the_field_maximum_builds_and_displays():
     assert_canonical(corner)
     assert str(corner) == f"-1/2*x^{top}*y^{top} + 3*x^{top} + y^{top}"
     assert corner.sorted_terms()[0] == ((top, top), Fraction(-1, 2))
-    assert corner.degree() == 2 * top
-    assert corner.coefficient((top, top)) == Fraction(-1, 2)
-    assert corner.coefficient((0, top)) == 1 and corner.coefficient((top, 0)) == 3
+    assert dict(corner.sorted_terms()) == {(top, top): Fraction(-1, 2), (top, 0): 3, (0, top): 1}
     # reached by products and powers as well as by the constructor
     assert x ** top * y ** top == Polynomial(GENS, {(top, top): 1})
     assert (x ** (top - 1) * x) * y ** top == x ** top * y ** top
@@ -347,18 +342,12 @@ def test_packed_keys_order_as_exponent_tuples(expos):
         assert Polynomial(gens, {expo: 1}).sorted_terms() == [(expo, 1)]
 
 
-def test_coefficient_outside_the_fields_is_zero():
-    f = Polynomial(GENS, {(0, 0): 5, (1, 0): 7, (1, 2): Fraction(1, 3)})
+def test_exponent_tuple_outside_the_fields_is_refused():
     wide = 1 << FIELD_BITS  # packed without a range check, these would alias x or 1
     for expo in ((-1, 0), (0, -1), (MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1),
                  (0, wide), (1, -wide), (1,), (1, 2, 0), (), (0, 0, 0)):
-        assert f.coefficient(expo) == 0
-    assert f.coefficient((1, 2)) == Fraction(1, 3) and f.coefficient((0, 0)) == 5
-    assert f.coefficient((1, 0)) == 7
-    with pytest.raises(ValueError):
-        Polynomial(GENS, {(-1, 0): 1})
-    with pytest.raises(ValueError):
-        Polynomial(GENS, {(1,): 1})
+        with pytest.raises((ValueError, ResourceLimitError)):
+            Polynomial(GENS, {expo: 1})
 
 
 @settings(max_examples=150, deadline=None)
