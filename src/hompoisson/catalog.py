@@ -119,8 +119,6 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
 
 def conjugation_morphism(n: int = 2, top=Fraction(1, 2)) -> LinearMap:
     """Conjugation by diag(top, 1, ..., 1), ``top`` nonzero, as a map on the unit-matrix basis."""
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     top = rat(top)
     if top == 0:
         raise ValueError("conjugation parameter top must be nonzero")

@@ -25,7 +25,7 @@ from .algebra import (
     morphism,
 )
 from .errors import GeneratorMismatch, PreconditionError
-from .linalg import LinearMap, Trilinear, rat
+from .linalg import LinearMap, Trilinear, _basis_index, rat
 from .poly import Polynomial, _distinct
 
 
@@ -69,9 +69,14 @@ class PoissonStructure:
         self.generators = gens = _distinct(generators)
         self.relations = dict(relations)
         for key, value in self.relations.items():
-            if not (type(key) is tuple and len(key) == 2
-                    and all(type(i) is int and 0 <= i < len(gens) for i in key)):
-                raise ValueError(f"relation key {key!r} is not a pair of generator indices in 0..{len(gens) - 1}")
+            try:
+                if not (type(key) is tuple and len(key) == 2):
+                    raise TypeError
+                for i in key:
+                    _basis_index(i, len(gens))
+            except (TypeError, IndexError):
+                raise ValueError(f"relation key {key!r} is not a pair of generator indices "
+                                 f"in 0..{len(gens) - 1}") from None
             if isinstance(value, Polynomial):
                 if value.generators != gens:
                     raise GeneratorMismatch(f"relation {key!r} lives on {value.generators}, not on {gens}")

@@ -344,9 +344,11 @@ def test_packed_keys_order_as_exponent_tuples(expos):
 
 def test_exponent_tuple_outside_the_fields_is_refused():
     wide = 1 << FIELD_BITS  # packed without a range check, these would alias x or 1
-    for expo in ((-1, 0), (0, -1), (MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1),
-                 (0, wide), (1, -wide), (1,), (1, 2, 0), (), (0, 0, 0)):
-        with pytest.raises((ValueError, ResourceLimitError)):
+    for expo in ((-1, 0), (0, -1), (1, -wide), (1,), (1, 2, 0), (), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            Polynomial(GENS, {expo: 1})
+    for expo in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (0, wide)):
+        with pytest.raises(ResourceLimitError):
             Polynomial(GENS, {expo: 1})
 
 
