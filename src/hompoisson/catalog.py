@@ -2,7 +2,9 @@
 
 Every entry is built from structure constants spelled out here and passes its
 advertised checks at build time (verified in the test suite and by the
-``catalog`` CLI subcommand).  The polynomial-ring entries import
+``catalog`` CLI subcommand).  Each entry is one row of ``CATALOG``: its
+builder, the names of the builder's parameters (their defaults are the
+builder's own) and the checks it advertises.  The polynomial-ring entries import
 ``poisson_poly`` and ``poly`` on use, so building and checking a
 finite-dimensional entry loads neither.
 """
@@ -95,6 +97,8 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
     transposition (0 1) and the n-cycle s(i) = i + 1 mod n, which generate
     every index permutation (see ``Trilinear.perms``).
     """
+    if type(n) is not int:
+        raise TypeError(f"matrix size n={n!r} is not an int")
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     if n ** 3 > MAX_ENTRIES:
@@ -119,6 +123,8 @@ def matrix_algebra(n: int = 2) -> HomAlgebra:
 
 def conjugation_morphism(n: int = 2, top=Fraction(1, 2)) -> LinearMap:
     """Conjugation by diag(top, 1, ..., 1), ``top`` nonzero, as a map on the unit-matrix basis."""
+    if type(n) is not int:
+        raise TypeError(f"matrix size n={n!r} is not an int")
     top = rat(top)
     if top == 0:
         raise ValueError("conjugation parameter top must be nonzero")
@@ -168,52 +174,39 @@ def symplectic_space(n: int = 1) -> SymplecticStructure:
     return SymplecticStructure(n)
 
 
+# name -> (builder, parameter names, advertised checks of the built entry)
 CATALOG = {
-    "heisenberg-p31": (heisenberg_p31, {"zeta": Fraction(1)}),
-    "heisenberg-p32": (heisenberg_p32, {}),
-    "matrix": (matrix_algebra, {"n": 2}),
-    "sl2-linear-poisson": (sl2_linear_poisson, {}),
-    "symplectic": (symplectic_space, {"n": 1}),
-    "free-poly": (free_poly_shift, {}),
+    "heisenberg-p31": (heisenberg_p31, ("zeta",), lambda a: [check_hom_poisson(a), check_multiplicative(a)]),
+    "heisenberg-p32": (heisenberg_p32, (), lambda a: [check_hom_poisson(a), check_multiplicative(a)]),
+    "matrix": (matrix_algebra, ("n",), lambda a: [check_hom_associative(a)]),
+    "sl2-linear-poisson": (sl2_linear_poisson, (), lambda s: list(s.reports)),
+    "symplectic": (symplectic_space, ("n",), lambda s: [_canonical_relations_report(s)]),
+    "free-poly": (free_poly_shift, (), lambda sub: [_shift_report(sub)]),
 }
 
 
 def build_catalog(name: str, params: dict | None = None):
-    """Build a named catalog entry; unknown names and parameters are errors."""
+    """Build a named catalog entry; unknown names and parameters are errors,
+    and so is a size ``n`` that is not an integer."""
     if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise HomPoissonError(f"unknown catalog entry {name!r} (known: {known})")
-    builder, defaults = CATALOG[name]
-    merged = dict(defaults)
-    for key, value in (params or {}).items():
-        if key not in defaults:
+    builder, names, _ = CATALOG[name]
+    params = dict(params or {})
+    for key in params:
+        if key not in names:
             raise HomPoissonError(f"catalog entry {name!r} takes no parameter {key!r}")
-        merged[key] = value
-    if "n" in merged:
-        n = merged["n"]
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                raise HomPoissonError(f"parameter n must be an integer, got {n}")
-            n = int(n)
-        merged["n"] = int(n)
-    return builder(**merged)
+    if "n" in params:
+        n = rat(params["n"])
+        if n.denominator != 1:
+            raise HomPoissonError(f"parameter n must be an integer, got {n}")
+        params["n"] = int(n)
+    return builder(**params)
 
 
 def entry_reports(name: str, obj) -> list:
     """The checks a built catalog entry advertises, as reports."""
-    if isinstance(obj, HomPoissonAlgebra):
-        return [check_hom_poisson(obj), check_multiplicative(obj)]
-    if isinstance(obj, HomAlgebra):
-        return [check_hom_associative(obj)]
-    from .poisson_poly import LiePoissonStructure, Substitution, SymplecticStructure
-
-    if isinstance(obj, LiePoissonStructure):
-        return list(obj.reports)
-    if isinstance(obj, SymplecticStructure):
-        return [_canonical_relations_report(obj)]
-    if isinstance(obj, Substitution):
-        return [_substitution_report(name, obj)]
-    raise HomPoissonError(f"no self-check known for catalog entry {name!r}")
+    return CATALOG[name][2](obj)
 
 
 def _canonical_relations_report(struct: SymplecticStructure):
@@ -228,9 +221,9 @@ def _canonical_relations_report(struct: SymplecticStructure):
         for a, xa in enumerate(xs) for b, xb in enumerate(xs)))
 
 
-def _substitution_report(name: str, sub: Substitution):
-    """Endomorphism property on sample inputs; for the shift entry, also the
-    orbit of the generator under iteration."""
+def _shift_report(sub: Substitution):
+    """Endomorphism property on sample inputs, and the orbit X -> X + k of
+    the generator under iteration."""
     from .poisson_poly import POLYNOMIALS
     from .poly import Polynomial
 
@@ -239,7 +232,6 @@ def _substitution_report(name: str, sub: Substitution):
     f = xs[0] + 1
     g = xs[0] * xs[0] + 2
     cases = [((0,), morphism(POLYNOMIALS, sub, operator.mul, operator.mul, f, g))]
-    if name == "free-poly":
-        x = xs[0]
-        cases += [((k,), sub.iterate(x, k) - (x + k)) for k in (1, 2, 3)]
+    x = xs[0]
+    cases += [((k,), sub.iterate(x, k) - (x + k)) for k in (1, 2, 3)]
     return make_report("substitution-endomorphism", cases)

@@ -1,5 +1,9 @@
 """Command-line driver: verify algebra files and replay the worked examples.
 
+Each subcommand is one row of ``_COMMANDS``: its handler, help line and
+arguments.  Every subcommand takes ``--format``, and a handler that builds an
+algebra hands it to ``_finish``, which writes it to ``--out`` when given.
+
 Exit codes: 0 all checks passed, 1 at least one check failed (witnesses are
 printed), 2 usage or input errors.
 """
@@ -61,7 +65,10 @@ def _report_lines(leaves, basis):
                 yield _witness_text(w, basis)
 
 
-def _finish(args, command: str, reports, basis=None) -> int:
+def _finish(args, command: str, reports, basis=None, built=None) -> int:
+    """Write the ``built`` algebra to ``--out`` if one is given, then report ``reports``."""
+    if built is not None and args.out:
+        emit_spec(built, args.out)
     leaves = [leaf for report in reports for leaf in report.flat()]
     body = {"command": command, "passed": all(leaf.passed for leaf in leaves),
             "reports": [as_data(leaf) for leaf in leaves]}
@@ -88,9 +95,7 @@ def _cmd_twist(args) -> int:
     if not morphism.passed:
         return _finish(args, "twist", [morphism], algebra.basis)
     twisted = twist(algebra, beta, force=True)
-    if args.out:
-        emit_spec(twisted, args.out)
-    return _finish(args, "twist", [morphism, check_hom_poisson(twisted)], algebra.basis)
+    return _finish(args, "twist", [morphism, check_hom_poisson(twisted)], algebra.basis, twisted)
 
 
 def _cmd_tensor(args) -> int:
@@ -106,9 +111,7 @@ def _cmd_tensor(args) -> int:
     if not all(r.passed for r in reports):
         return _finish(args, "tensor", reports)
     product = tensor(a, b)
-    if args.out:
-        emit_spec(product, args.out)
-    return _finish(args, "tensor", reports + [check_hom_poisson(product)], product.basis)
+    return _finish(args, "tensor", reports + [check_hom_poisson(product)], product.basis, product)
 
 
 def _single_product(algebra: HomPoissonAlgebra, path, verb: str) -> HomAlgebra:
@@ -123,10 +126,8 @@ def _cmd_polarize(args) -> int:
 
     algebra = _single_product(parse_spec(args.spec), args.spec, "polarize")
     split = polarize(algebra)
-    if args.out:
-        emit_spec(split, args.out)
     return _finish(args, "polarize",
-                   [check_admissible(algebra), check_hom_poisson(split)], algebra.basis)
+                   [check_admissible(algebra), check_hom_poisson(split)], algebra.basis, split)
 
 
 def _cmd_depolarize(args) -> int:
@@ -134,9 +135,7 @@ def _cmd_depolarize(args) -> int:
 
     algebra = parse_spec(args.spec)
     merged = depolarize(algebra)
-    if args.out:
-        emit_spec(merged, args.out)
-    return _finish(args, "depolarize", [check_admissible(merged)], algebra.basis)
+    return _finish(args, "depolarize", [check_admissible(merged)], algebra.basis, merged)
 
 
 def _cmd_power(args) -> int:
@@ -175,13 +174,10 @@ def _cmd_catalog(args) -> int:
         except (ValueError, TypeError) as exc:
             raise SpecFileError(f"--param {item!r}: {exc}") from exc
     obj = catalog.build_catalog(args.name, params)
-    reports = catalog.entry_reports(args.name, obj)
-    basis = obj.basis if isinstance(obj, (HomAlgebra, HomPoissonAlgebra)) else None
-    if args.out:
-        if not isinstance(obj, (HomAlgebra, HomPoissonAlgebra)):
-            raise SpecFileError(f"catalog entry {args.name!r} is not a finite-dimensional algebra; cannot --out")
-        emit_spec(obj, args.out)
-    return _finish(args, "catalog", reports, basis)
+    basis = getattr(obj, "basis", None)
+    if args.out and basis is None:
+        raise SpecFileError(f"catalog entry {args.name!r} is not a finite-dimensional algebra; cannot --out")
+    return _finish(args, "catalog", catalog.entry_reports(args.name, obj), basis, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -236,65 +232,38 @@ def _cmd_witness(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+_OUT = ("--out", {"metavar": "OUTFILE"})
+
+# subcommand -> (handler, help, arguments as (flag, add_argument keywords))
+_COMMANDS = {
+    "check": (_cmd_check, "run the full identity suite on an algebra file", [("spec", {})]),
+    "twist": (_cmd_twist, "twist an algebra by a map file and verify the result",
+              [("spec", {}), ("--by", {"required": True, "metavar": "MAPFILE"}), _OUT]),
+    "tensor": (_cmd_tensor, "tensor two commutative algebras and verify the result",
+               [("left", {}), ("right", {}), _OUT]),
+    "polarize": (_cmd_polarize, "split a single product into bracket and symmetric halves",
+                 [("spec", {}), _OUT]),
+    "depolarize": (_cmd_depolarize, "merge bracket and product into a single product", [("spec", {}), _OUT]),
+    "power": (_cmd_power, "generic-element power associativity checks",
+              [("spec", {}), ("--max-n", {"type": int, "default": 4})]),
+    "catalog": (_cmd_catalog, "build a named example and run its advertised checks",
+                [("name", {}), ("--param", {"action": "append", "metavar": "NAME=VALUE"}), _OUT]),
+    "witness": (_cmd_witness, "replay a worked example and certify its residuals", [("name", {})]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hompoisson",
         description="Exact verification of twisted Poisson-type algebras given by structure constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("check", help="run the full identity suite on an algebra file")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("twist", help="twist an algebra by a map file and verify the result")
-    p.add_argument("spec")
-    p.add_argument("--by", required=True, metavar="MAPFILE")
-    p.add_argument("--out", metavar="OUTFILE")
-    common(p)
-    p.set_defaults(func=_cmd_twist)
-
-    p = sub.add_parser("tensor", help="tensor two commutative algebras and verify the result")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--out", metavar="OUTFILE")
-    common(p)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("polarize", help="split a single product into bracket and symmetric halves")
-    p.add_argument("spec")
-    p.add_argument("--out", metavar="OUTFILE")
-    common(p)
-    p.set_defaults(func=_cmd_polarize)
-
-    p = sub.add_parser("depolarize", help="merge bracket and product into a single product")
-    p.add_argument("spec")
-    p.add_argument("--out", metavar="OUTFILE")
-    common(p)
-    p.set_defaults(func=_cmd_depolarize)
-
-    p = sub.add_parser("power", help="generic-element power associativity checks")
-    p.add_argument("spec")
-    p.add_argument("--max-n", type=int, default=4)
-    common(p)
-    p.set_defaults(func=_cmd_power)
-
-    p = sub.add_parser("catalog", help="build a named example and run its advertised checks")
-    p.add_argument("name")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--out", metavar="OUTFILE")
-    common(p)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("witness", help="replay a worked example and certify its residuals")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_witness)
-
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -61,8 +61,10 @@ class PoissonStructure:
     ``relations[(i, j)]`` is the polynomial {x_i, x_j}; pairs left out
     bracket to zero.  The bracket of two polynomials is the biderivation
     {f, g} = sum_{i,j} {x_i, x_j} df/dx_i dg/dx_j.  The generators must be
-    distinct, each key a pair of generator indices, and each value a
-    rational or a polynomial on the generators.
+    distinct, each key a pair of generator indices, each value a rational or
+    a polynomial on the generators, and the relations antisymmetric:
+    {x_j, x_i} = -{x_i, x_j}, so {x_i, x_i} = 0.  Only ``LiePoissonStructure``
+    checks the Jacobi identity, on its structure constants.
     """
 
     def __init__(self, generators, relations: Mapping):
@@ -82,6 +84,9 @@ class PoissonStructure:
                     raise GeneratorMismatch(f"relation {key!r} lives on {value.generators}, not on {gens}")
             elif type(value) not in (int, Fraction):
                 raise ValueError(f"relation {key!r} is {value!r}, neither a rational nor a Polynomial")
+        for (i, j), value in self.relations.items():
+            if self.relations.get((j, i), 0) != -value:
+                raise ValueError(f"relation {(i, j)!r} is {value!r}, but relation {(j, i)!r} is not its negative")
 
     def variable(self, name) -> Polynomial:
         return Polynomial.var(self.generators, name)

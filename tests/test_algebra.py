@@ -31,6 +31,7 @@ from hompoisson.catalog import (
     matrix_algebra,
 )
 from hompoisson.constructions import commutator_poisson, tensor
+from hompoisson.errors import DimensionMismatch
 from hompoisson.linalg import LinearMap, Trilinear, Vector
 from hompoisson.poly import Polynomial
 
@@ -348,3 +349,26 @@ def test_commutative_product_triple_is_permutation_invariant():
             ref = mu.contract(mu.contract(args[0], args[1]), alpha.apply(args[2]))
             for px, py, pz in itertools.permutations(args):
                 assert mu.contract(mu.contract(px, py), alpha.apply(pz)) == ref
+
+
+P31 = heisenberg_p31()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HomAlgebra((), Trilinear(1), LinearMap.identity(1)), ValueError, "algebra must have positive dimension"),
+    (lambda: HomAlgebra(("x", "x"), Trilinear(2), LinearMap.identity(2)), ValueError, "basis names must be unique"),
+    (lambda: HomAlgebra(("x", "y"), Trilinear(3), LinearMap.identity(2)), DimensionMismatch,
+     "product dim 3 != basis size 2"),
+    (lambda: HomAlgebra(("x", "y"), Trilinear(2), LinearMap.identity(3)), DimensionMismatch,
+     "twisting map dim 3 != basis size 2"),
+    (lambda: HomPoissonAlgebra(("x", "y"), Trilinear(3), Trilinear(2), LinearMap.identity(2)), DimensionMismatch,
+     "bracket dim 3 != basis size 2"),
+    (lambda: check_morphism(LinearMap.identity(3), P31, matrix_algebra(2)), DimensionMismatch,
+     "morphism check requires equal dimensions"),
+    (lambda: check_morphism(LinearMap.identity(3), P31, HomAlgebra(P31.basis, P31.mu, P31.alpha)), ValueError,
+     "cannot compare a bracketed algebra with a single-product one"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

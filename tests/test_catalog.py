@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,16 @@ def test_conjugation_parameter_must_be_nonzero():
 def test_conjugation_size_must_be_positive(n):
     with pytest.raises(ValueError, match="at least one entry"):
         conjugation_morphism(n)
+
+
+@pytest.mark.parametrize("n", [2.5, Fraction(3), True])
+@pytest.mark.parametrize("builder", [matrix_algebra, conjugation_morphism])
+def test_size_must_be_an_int(builder, n):
+    with pytest.raises(TypeError, match=re.escape(f"matrix size n={n!r} is not an int")):
+        builder(n)
+
+
+def test_build_catalog_refuses_a_float_size():
+    # it used to truncate 2.5 to 2 and build the 2x2 matrix algebra
+    with pytest.raises(TypeError, match="cannot interpret 2.5 as an exact rational"):
+        build_catalog("matrix", {"n": 2.5})

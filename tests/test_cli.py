@@ -10,7 +10,7 @@ from hompoisson.catalog import heisenberg_morphism, heisenberg_p31
 from hompoisson.cli import WITNESS_SCRIPTS, run_command
 from hompoisson.constructions import depolarize, tensor, twist
 from hompoisson.linalg import LinearMap, Trilinear
-from hompoisson.specfile import emit_map, emit_spec, parse_spec
+from hompoisson.specfile import algebra_to_dict, emit_map, emit_spec, parse_spec
 
 
 @pytest.fixture
@@ -100,6 +100,28 @@ def test_usage_and_io_errors(capsys, tmp_path):
         capsys.readouterr()
         assert run_command(["check", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+def test_input_guards(capsys, p31_file, tmp_path):
+    path = tmp_path / "guarded.json"
+    spec = algebra_to_dict(heisenberg_p31(1))
+    mapfile = tmp_path / "map.json"
+    emit_map(LinearMap.identity(2), mapfile)
+    cases = [
+        ([], ["check", str(path)], "top level must be a JSON object"),
+        ({**spec, "mu": {}}, ["check", str(path)],
+         "mu: expected a list of (i, j, k, coefficient) quadruples"),
+        ({**spec, "commutative": "yes"}, ["check", str(path)], "commutative: must be a boolean"),
+        ({"format": "linear-map/1", "dim": 2}, ["twist", p31_file, "--by", str(path)], "matrix: missing matrix"),
+        (None, ["twist", p31_file, "--by", str(mapfile)], f"{mapfile}: dim: map dim 2 != algebra dim 3"),
+        (None, ["power", p31_file, "--max-n", "1"], "--max-n must be >= 2"),
+    ]
+    for data, argv, message in cases:
+        if data is not None:
+            path.write_text(json.dumps(data))
+            message = f"{path}: {message}"
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_twist_subcommand(capsys, p31_file, tmp_path):

@@ -504,3 +504,9 @@ def test_polarized_leibniz_six_term_identity_random():
                           hom_associator(alg, x, z, y), hom_associator(alg, y, z, x)),
                       add(hom_associator(alg, y, x, z), hom_associator(alg, z, x, y)))
             assert lhs == rhs
+
+
+def test_derived_index_must_be_nonnegative():
+    with pytest.raises(Exception) as info:
+        derived(heisenberg_p31(), -1)
+    assert (type(info.value), str(info.value)) == (ValueError, "derived sequence index must be >= 0")

@@ -409,3 +409,9 @@ def test_fourth_power_chain():
         e3 = mu.contract(a2x, mu.contract(x2, ax))
         e4 = mu.contract(a2x, mu.contract(ax, x2))
         assert e1 == e2 == e3 == e4
+
+
+def test_pair_power_exponents_must_be_positive():
+    with pytest.raises(Exception) as info:
+        hom_power_pair(heisenberg_p31(), Vector.unit(3, 0), 0, 1)
+    assert (type(info.value), str(info.value)) == (ValueError, "pair powers need positive exponents")

@@ -1021,3 +1021,16 @@ def test_contract_output_that_cancels_is_the_zero_polynomial():
         t.contract(x, Vector((Polynomial.var(("s",), "s"), x[1])))
     # rationals only: the output stays a Fraction
     assert t.contract(Vector.of(1, "1/2"), Vector.of("2/3", 3)).entries == (Fraction(4, 3), Fraction(2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LinearMap(((1, 2), (3,))), DimensionMismatch, "linear map matrix must be square"),
+    (lambda: LinearMap.identity(2).power(-1), ValueError,
+     "negative matrix powers not supported; call invert() explicitly"),
+    (lambda: Trilinear(0), ValueError, "tensor dimension must be positive"),
+    (lambda: Trilinear(3).map_outputs(LinearMap.identity(2)), DimensionMismatch, "map dim 2 vs tensor dim 3"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

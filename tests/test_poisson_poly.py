@@ -116,6 +116,9 @@ def test_quadratic_relations_give_a_poisson_bracket():
     (("x", "y"), {(0, 1): "1/2"}, ValueError, r"relation \(0, 1\) is '1/2'"),
     (("x", "y"), {(1, 0): Polynomial.var(("x", "z"), "z")}, GeneratorMismatch, r"relation \(1, 0\)"),
     (("x", "x"), {}, GeneratorMismatch, "repeat"),
+    (("x", "y"), {(0, 1): 1}, ValueError, r"relation \(0, 1\) is 1, but relation \(1, 0\) is not its negative"),
+    (("x", "y"), {(0, 0): 1}, ValueError, r"relation \(0, 0\) is 1, but relation \(0, 0\) is not its negative"),
+    (("x", "y"), {(0, 1): 1, (1, 0): 1}, ValueError, r"relation \(0, 1\) is 1, but relation \(1, 0\)"),
 ])
 def test_malformed_structure_rejected_at_construction(generators, relations, error, match):
     with pytest.raises(error, match=match):
@@ -125,8 +128,9 @@ def test_malformed_structure_rejected_at_construction(generators, relations, err
 def test_rational_relations_accepted():
     gens = ("x", "y")
     x, y = Polynomial.variables(gens)
-    s = PoissonStructure(gens, {(0, 1): Fraction(1, 2), (1, 0): -1, (0, 0): Polynomial.const(gens, 0)})
-    assert s.bracket(x, y) == Fraction(1, 2) and s.bracket(y, x) == -1
+    s = PoissonStructure(gens, {(0, 1): Fraction(1, 2), (1, 0): Polynomial.const(gens, Fraction(-1, 2)),
+                                (0, 0): Polynomial.const(gens, 0), (1, 1): 0})
+    assert s.bracket(x, y) == Fraction(1, 2) and s.bracket(y, x) == Fraction(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +391,14 @@ def test_shift_twist_is_not_admissible():
     residual = associator - Fraction(1, 3) * rhs
     assert residual == Fraction(4, 3) * (x + 2)
     assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sl2_scaling(0), ValueError, "scaling parameter must be nonzero"),
+    (lambda: SymplecticStructure(0), ValueError, "half-dimension must be >= 1"),
+    (lambda: translation(SymplecticStructure(1), [1]), GeneratorMismatch, "expected 2 translation constants"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -395,3 +395,16 @@ def test_a_product_that_cancels_and_shares_a_factor_with_its_denominator(monkeyp
     assert product == Polynomial(GENS, expected.terms) == Polynomial(GENS, {(2, 0): Fraction(1, 3),
                                                                             (0, 2): Fraction(-1, 3)})
     assert sorted(product.terms.values()) == [-1, 1] and product.den == 3
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polynomial.var(("x", "y"), "z"), GeneratorMismatch, "'z' is not among generators ('x', 'y')"),
+    (lambda: Polynomial.var(("x",), "x") ** -1, ValueError, "polynomial powers must be nonnegative integers"),
+    (lambda: Polynomial.var(("x", "y"), "x").substitute(
+        {"x": Polynomial.var(("u",), "u"), "y": Polynomial.var(("v",), "v")}),
+     GeneratorMismatch, "substitution images use inconsistent generator lists"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
