@@ -55,7 +55,9 @@ coefficient.  The identity map is never applied: ``E.ap`` returns its operand.
 The basis arguments of a sweep and of ``tabulate`` are unit forms
 (``linalg._Form.unit``), whose codes ``_contract`` reads instead of their
 columns, built once for each range and place (``_basis``); a unit form
-stays one through ``E.ap`` of the identity.
+stays one through ``E.ap`` of the identity, and becomes a scaled unit form
+through a map with one nonzero per column in distinct rows, so that
+mu(beta x, beta y) in a morphism sweep by such a beta reads both by codes.
 A numerator is zero exactly when its value is, so a sweep never reduces a
 fraction; ``Fraction(numerator, den)`` is formed only in a witness residual or
 an element-level result, and ``tabulate`` hands its numerators and denominator

@@ -166,6 +166,8 @@ def free_poly_shift() -> Substitution:
 def symplectic_space(n: int = 1) -> SymplecticStructure:
     from .poisson_poly import SymplecticStructure
 
+    if type(n) is not int:
+        raise TypeError(f"half-dimension n={n!r} is not an int")
     if n < 1:
         raise HomPoissonError(f"parameter n (half-dimension) must be >= 1, got {n}")
     if (2 * n) ** 3 > MAX_ENTRIES:
@@ -187,15 +189,17 @@ CATALOG = {
 
 def build_catalog(name: str, params: dict | None = None):
     """Build a named catalog entry; unknown names and parameters are errors,
-    and so is a size ``n`` that is not an integer."""
+    and so are a ``bool`` value and a size ``n`` that is not an integer."""
     if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise HomPoissonError(f"unknown catalog entry {name!r} (known: {known})")
     builder, names, _ = CATALOG[name]
     params = dict(params or {})
-    for key in params:
+    for key, value in params.items():
         if key not in names:
             raise HomPoissonError(f"catalog entry {name!r} takes no parameter {key!r}")
+        if isinstance(value, bool):
+            raise HomPoissonError(f"parameter {key} must be a number, got {value!r}")
     if "n" in params:
         n = rat(params["n"])
         if n.denominator != 1:

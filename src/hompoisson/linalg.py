@@ -19,10 +19,14 @@ product (of one-column forms), reading the stored form as it is.  A
 sweep's basis arguments and the power checks' generic element are unit
 forms, one code with numerator 1 per column (``_Form.units``), and
 ``_contract`` reads such an operand by its codes: a tensor entry meets it in
-one lookup and no multiplication.  ``_contract`` runs from the operand with
-fewer columns, through the tensor's cached opposite (``Trilinear._opposite``)
-when that is the second, so it looks up only the tensor rows that operand
-meets.  A sum is written one way, as a pending
+one lookup and no multiplication.  A map with one nonzero per column, in
+distinct rows, relabels a unit form: ``_apply`` returns a scaled unit form,
+one code per column with that column's numerator (``_ScaledForm``), and
+``_contract`` reads two such operands by their codes and numerators.
+``_contract`` runs from the operand with fewer columns, through the
+tensor's cached opposite (``Trilinear._opposite``) when that is the second,
+so it looks up only the tensor rows that operand meets.  A sum is written
+one way, as a pending
 sum (``_Pending``): ``+`` and ``-`` of forms, and scaling by a rational, only
 combine its terms, each a kernel call
 (``_contract``, ``_apply``, or ``_add_into`` for a form already formed)
@@ -541,9 +545,13 @@ class _Form:
     argument or the power checks' generic element, holds one code with
     numerator 1 in each column, and ``units`` maps each column to that code
     (None on any other form), which ``_contract`` reads instead of the
-    column.  Vectors and polynomials take ``poly``'s keys as codes."""
+    column.  A scaled unit form (``_ScaledForm``) holds one code per column
+    with any numerator, and ``scaled`` maps each column to its (code,
+    numerator), None on any other form.  Vectors and polynomials take
+    ``poly``'s keys as codes."""
 
     __slots__ = ("cols", "slots", "den", "units")
+    scaled = None
 
     def __init__(self, cols: dict, slots: int = 0, den: int = 1, units: dict | None = None):
         self.cols = cols
@@ -566,6 +574,20 @@ class _Form:
         return _pending(self) - other
 
 
+class _ScaledForm(_Form):
+    """A scaled unit form, the image of a unit form under a map that
+    relabels it (``_apply``): its ``units`` is None, so that no reader of
+    ``units`` takes its numerators for 1, and only this class has a
+    ``scaled`` of its own, so that a form built as a ``_Form`` is never
+    read as scaled."""
+
+    __slots__ = ("scaled",)
+
+    def __init__(self, cols: dict, slots: int, den: int, scaled: dict):
+        _Form.__init__(self, cols, slots, den)
+        self.scaled = scaled
+
+
 class _Pending(tuple):
     """A sum of scaled kernel products not yet formed: the terms ``_sum``
     takes, each ``(fn, operands, num, den)``.  ``+``, ``-`` and scaling by a
@@ -577,8 +599,8 @@ class _Pending(tuple):
     def form(self) -> _Form:
         if len(self) > 1:
             return _sum(self, 1)
-        (fn, operands, num, den), = self  # one product, formed on its own
-        form = fn(*operands, {}, num)
+        (fn, operands, num, den), = self  # one product, formed on its own: ``_apply`` may relabel
+        form = fn(*operands, None, num)
         form.den = den
         return form
 
@@ -647,9 +669,13 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
     codes and denominator, so it looks up only the rows of ``b``'s columns.
     A unit operand is read by its codes (``_Form.units``), so a tensor entry
     meets it in one lookup: with both operands unit the entry is one
-    product, its coefficient at ``ca + cb``; with a unit ``b`` the entry
-    runs over the column of ``a`` at code ``cb``, with a unit ``a`` over the
-    column of ``b`` at code ``ca``.  Otherwise a one-entry column of ``b``
+    product, its coefficient at ``ca + cb``; with both scaled unit
+    (``_ScaledForm``) it is one product too, times the numerator of ``b``
+    and that of ``a``, taken with ``factor`` once per column of ``a``; with
+    a unit ``b`` the entry runs over the column of ``a`` at code ``cb``,
+    with a unit ``a`` over the column of ``b`` at code ``ca``.  A scaled
+    unit operand beside any other form is read by its columns, as a
+    general one.  Otherwise a one-entry column of ``b``
     is unpacked once per tensor entry, whose product with it is taken once
     for the run over the column of ``a``."""
     out = {} if out is None else out
@@ -669,6 +695,22 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
                 code = ca + cb
                 v = col.get(code)
                 col[code] = q if v is None else v + q
+    elif a.scaled is not None and b.scaled is not None:
+        bscaled = b.scaled
+        for i, (ca, qa) in a.scaled.items():
+            qa = qa * factor
+            for j, k, q in rows.get(i, ()):
+                u = bscaled.get(j)
+                if u is None:
+                    continue
+                cb, qb = u
+                col = out.get(k)
+                if col is None:
+                    col = out[k] = {}
+                p = q * qa * qb
+                code = ca + cb
+                v = col.get(code)
+                col[code] = p if v is None else v + p
     elif bunits is not None:
         for i, acol in a.cols.items():
             for j, k, q in rows.get(i, ()):
@@ -730,8 +772,28 @@ def _contract(t: Trilinear, a: _Form, b: _Form, out: dict | None = None, factor:
 
 def _apply(m: LinearMap, a: _Form, out: dict | None = None, factor: int = 1) -> _Form:
     """m(a) over ``m.den * a.den``; with ``out``, added into it times
-    ``factor`` (folded into each map coefficient)."""
-    out = {} if out is None else out
+    ``factor`` (folded into each map coefficient).  Without ``out``, a unit
+    form whose columns m maps to one nonzero each, in distinct rows (as a
+    diagonal or a scaled permutation does), is relabelled to a scaled unit
+    form: column j's code moves to the row of m's nonzero there, with that
+    nonzero times ``factor`` as its numerator.  The test runs on the form's
+    columns in each call, so a map keeps no state for it; it stops at the
+    first column with no nonzero or several, or on a row already taken, and
+    the general path runs instead."""
+    if out is None:
+        if a.units is not None:
+            columns, cols, scaled = m.columns, {}, {}
+            for j, code in a.units.items():
+                line = columns[j]
+                if len(line) != 1 or line[0][0] in scaled:
+                    break
+                i, c = line[0]
+                c = c * factor
+                cols[i] = {code: c}
+                scaled[i] = (code, c)
+            else:
+                return _ScaledForm(cols, a.slots, m.den * a.den, scaled)
+        out = {}
     columns = m.columns
     for j, acol in a.cols.items():
         for i, coeff in columns[j]:

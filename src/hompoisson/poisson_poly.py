@@ -141,6 +141,8 @@ class SymplecticStructure(PoissonStructure):
     """Canonical bracket on 2n coordinates x1..x2n, pairing x_i with x_{i+n}."""
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise TypeError(f"half-dimension n={n!r} is not an int")
         if n < 1:
             raise ValueError("half-dimension must be >= 1")
         self.n = n

@@ -19,6 +19,7 @@ from hompoisson.catalog import (
     heisenberg_p32,
     matrix_algebra,
     sl2_linear_poisson,
+    symplectic_space,
 )
 from hompoisson.errors import HomPoissonError, ResourceLimitError
 from hompoisson.linalg import LinearMap, Vector
@@ -45,6 +46,10 @@ def test_build_catalog_params_and_errors():
         build_catalog("heisenberg-p32", {"zeta": 1})
     with pytest.raises(HomPoissonError):
         build_catalog("matrix", {"n": Fraction(5, 2)})
+    # a bool is refused by name: n=True used to build the 1x1 algebra, zeta=True zeta = 1
+    for name, key, value in (("matrix", "n", True), ("heisenberg-p31", "zeta", True), ("symplectic", "n", False)):
+        with pytest.raises(HomPoissonError, match=re.escape(f"parameter {key} must be a number, got {value!r}")):
+            build_catalog(name, {key: value})
 
 
 def test_entry_kinds():
@@ -190,3 +195,11 @@ def test_build_catalog_refuses_a_float_size():
     # it used to truncate 2.5 to 2 and build the 2x2 matrix algebra
     with pytest.raises(TypeError, match="cannot interpret 2.5 as an exact rational"):
         build_catalog("matrix", {"n": 2.5})
+
+
+@pytest.mark.parametrize("n", [2.5, Fraction(2), True])
+@pytest.mark.parametrize("builder", [symplectic_space, SymplecticStructure])
+def test_symplectic_size_must_be_an_int(builder, n):
+    # 2.5 used to die in a bare TypeError from ``range``
+    with pytest.raises(TypeError, match=re.escape(f"half-dimension n={n!r} is not an int")):
+        builder(n)

@@ -280,9 +280,12 @@ def test_contract_reduces_once_per_output_coordinate(reductions, t):
 
 
 def _tallied_form(a, tally):
-    # a unit form stays one, so the kernel takes the same path on it
-    return linalg._Form({n: {code: tally(q) for code, q in col.items()} for n, col in a.cols.items()},
-                        a.slots, a.den, a.units)
+    # a unit or scaled unit form stays one, so the kernel takes the same path
+    # on it; a scaled one keeps its tallied numerators with its codes
+    cols = {n: {code: tally(q) for code, q in col.items()} for n, col in a.cols.items()}
+    if a.scaled is not None:
+        return linalg._ScaledForm(cols, a.slots, a.den, {n: (code, tally(q)) for n, (code, q) in a.scaled.items()})
+    return linalg._Form(cols, a.slots, a.den, a.units)
 
 
 def _tallied_polynomial(p, tally):
@@ -566,13 +569,19 @@ def test_kernel_arithmetic_counts(monkeypatch):
     too: a kernel call multiplies each tensor entry or map coefficient it
     reads by its factor once, and then by the operand numerators it meets,
     by a one-entry column of the second operand once per tensor entry, not
-    once per entry of the first.  So the multiplications are 7,404, 430 and
-    16.
+    once per entry of the first.  The Yau twist's map is diagonal, so it
+    relabels the generic element: each alpha^k(x) is a scaled unit form,
+    made with one multiplication per column where a general application
+    makes two, so the power check makes 12 fewer than with a general
+    application of alpha, alpha^2 and alpha^3 to x in dim 4.  So the
+    multiplications are 7,404, 418 and 16.
     The check's sweeps pass a basis argument, a unit form, to every product
     they form, and some products take two; those of the tabulated
     commutator all take two.  The power check starts from the generic
-    element as a unit form: x x takes two, and the products of twisted
-    powers take none.  These counts are of the full sweeps, on a copy of
+    element as a unit form: x x takes two, the products x^m alpha^(m-2)(x)
+    for m = 3, 4, 5 and the residual product alpha^3(x) x^4 take one
+    scaled unit form, and the other products of twisted powers take none.
+    These counts are of the full sweeps, on a copy of
     the algebra whose tensors declare no basis permutation; with the
     permutations ``matrix_algebra`` declares, the sweeps take their first
     argument on the representatives E00 and E01 only, and their second on
@@ -592,7 +601,7 @@ def test_kernel_arithmetic_counts(monkeypatch):
         counts[name], units[name] = Counter(), []
 
         def recorded(t, a, b, *rest, seen=units[name]):
-            seen.append((a.units is not None) + (b.units is not None))
+            seen.append(sum(f.units is not None or f.scaled is not None for f in (a, b)))
             return contract(t, a, b, *rest)
 
         with monkeypatch.context() as patches:
@@ -601,9 +610,29 @@ def test_kernel_arithmetic_counts(monkeypatch):
             _tally_numerators(patches, with_map_products=False, counts=counts[name])
             assert run()
     assert {name: (c["add"], c["mul"]) for name, c in counts.items()} == {
-        "hom-poisson": (2500, 7404), "orbits": (168, 822), "power": (176, 430), "tabulate": (2, 16)}
+        "hom-poisson": (2500, 7404), "orbits": (168, 822), "power": (176, 418), "tabulate": (2, 16)}
     assert (set(units["hom-poisson"]), set(units["tabulate"])) == ({1, 2}, {2})
-    assert Counter(units["power"]) == {2: 1, 0: 6}
+    assert Counter(units["power"]) == {2: 1, 1: 4, 0: 2}
+
+
+def test_products_of_a_twist_by_a_diagonal_take_two_unit_operands(monkeypatch):
+    """Every product that twisting the mat4 commutator algebra by a diagonal
+    conjugation and checking the result multiplicative form, in ``twist``'s
+    weak-morphism sweeps too, takes two unit operands: mu(x, y) two plain
+    ones, and mu(beta x, beta y) two scaled ones, since beta relabels each
+    basis argument.  None takes a path that reads an operand's columns."""
+    algebra, beta = commutator_poisson(matrix_algebra(4)), conjugation_morphism(4)
+    contract, kinds = algebra_module._contract, []
+
+    def recorded(t, a, b, *rest):
+        kinds.append(tuple("plain" if f.units is not None else "scaled" if f.scaled is not None else "columns"
+                           for f in (a, b)))
+        return contract(t, a, b, *rest)
+
+    monkeypatch.setattr(algebra_module, "_contract", recorded)
+    assert check_multiplicative(twist(algebra, beta)).passed
+    # twist's two weak-morphism sweeps and the two of the multiplicativity check
+    assert Counter(kinds) == {("plain", "plain"): 4, ("scaled", "scaled"): 4}
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

@@ -4,14 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hompoisson.algebra import HomAlgebra, HomPoissonAlgebra, hom_associator, tabulate
 from hompoisson.constructions import commutator_poisson, depolarize, polarize, tensor
 from hompoisson.errors import DimensionMismatch, GeneratorMismatch, SingularMatrixError
 from hompoisson.hompower import generic_element
-from hompoisson.linalg import LinearMap, Trilinear, Vector, _apply, _contract, _eliminate, _Form, rat
+from hompoisson.linalg import LinearMap, Trilinear, Vector, _apply, _contract, _eliminate, _Form, _ScaledForm, rat
 from hompoisson.poly import Polynomial
 
 from _oracles import (Dense, RefPoly, add, apply, assert_canonical, dense_inverse, dense_kron, dense_matrix,
@@ -765,16 +765,35 @@ def kernel_columns(draw, codes=4, sizes=(None, 0, 1, 1, 2, 3)):
 
 
 @st.composite
-def kernel_forms(draw, slot):
-    """A form of argument ``slot``: sparse columns, or a unit form (one code
-    with numerator 1 per column, ``_Form.units``).  Sparse columns are drawn
-    three times in five, so that both operands are sparse, the only case
-    that reaches the general path, in about a third of the examples."""
-    if draw(st.sampled_from(("columns", "columns", "columns", "unit", "unit"))) == "columns":
-        return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
-    form = _Form.unit(draw(st.dictionaries(st.integers(0, KDIM - 1), st.integers(0, 3))), 1 << slot)
+def unit_forms(draw, slot, indices=st.lists(st.integers(0, KDIM - 1), unique=True)):
+    """A unit form of argument ``slot`` on the columns ``indices`` draws: one
+    code per column, with numerator 1 (``_Form.units``) or, half the time,
+    a scaled unit form with any nonzero numerator (``_ScaledForm``)."""
+    codes = {n: draw(st.integers(0, 3)) for n in draw(indices)}
+    if draw(st.booleans()):
+        form = _Form.unit(codes, 1 << slot)
+    else:
+        scaled = {n: (code, draw(kernel_numerators.filter(bool))) for n, code in codes.items()}
+        form = _ScaledForm({n: {code: q} for n, (code, q) in scaled.items()}, 1 << slot, 1, scaled)
     form.den = draw(st.integers(1, 4))
     return form
+
+
+@st.composite
+def kernel_forms(draw, slot):
+    """A form of argument ``slot``: sparse columns, or a unit or scaled unit
+    form.  Sparse columns are drawn three times in five, so that both
+    operands are sparse, the only case that reaches the general path, in
+    about a third of the examples, and both are scaled in about one in
+    twenty-five."""
+    if draw(st.sampled_from(("columns", "columns", "columns", "unit", "unit"))) == "columns":
+        return _Form(draw(kernel_columns()), 1 << slot, draw(st.integers(1, 4)))
+    return draw(unit_forms(slot))
+
+
+def form_state(f):
+    """A copy of everything a form holds, to show that the kernel reads it only."""
+    return {n: dict(col) for n, col in f.cols.items()}, f.units and dict(f.units), f.scaled and dict(f.scaled)
 
 
 @st.composite
@@ -805,7 +824,7 @@ def reference_contract(t, a, b, out, factor):
 @given(kernel_tensors(), kernel_forms(0), kernel_forms(1), st.none() | kernel_columns(7, (None, 2, 4, 7)),
        st.sampled_from((1, -1, 3)))
 def test_contract_matches_triple_loop(t, a, b, out, factor):
-    operands = [({n: dict(col) for n, col in f.cols.items()}, f.units and dict(f.units)) for f in (a, b)]
+    operands = [form_state(f) for f in (a, b)]
     expected = reference_contract(t, a, b, out or {}, factor)
     form = _contract(t, a, b, out, factor)
     assert form.cols == expected
@@ -813,19 +832,19 @@ def test_contract_matches_triple_loop(t, a, b, out, factor):
         assert form.cols is out
     assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
     # the operands are read only: a sweep reuses memoised forms across blocks
-    assert [(a.cols, a.units), (b.cols, b.units)] == operands
+    assert [form_state(a), form_state(b)] == operands
 
 
 @st.composite
 def sized_kernel_forms(draw, slot, unit, size):
-    """A form of argument ``slot`` with ``size`` columns: a unit form, or
-    sparse columns of 0 to 3 entries with stored zero numerators."""
-    indices = draw(st.lists(st.integers(0, KDIM - 1), min_size=size, max_size=size, unique=True))
+    """A form of argument ``slot`` with ``size`` columns: a unit or scaled
+    unit form, or sparse columns of 0 to 3 entries with stored zero
+    numerators."""
+    indices = st.lists(st.integers(0, KDIM - 1), min_size=size, max_size=size, unique=True)
     if unit:
-        form = _Form.unit({n: draw(st.integers(0, 3)) for n in indices}, 1 << slot)
-    else:
-        form = _Form({n: draw(st.dictionaries(st.integers(0, 3), kernel_numerators, max_size=3)) for n in indices},
-                     1 << slot)
+        return draw(unit_forms(slot, indices))
+    form = _Form({n: draw(st.dictionaries(st.integers(0, 3), kernel_numerators, max_size=3)) for n in draw(indices)},
+                 1 << slot)
     form.den = draw(st.integers(1, 4))
     return form
 
@@ -836,10 +855,12 @@ def sized_kernel_forms(draw, slot, unit, size):
 @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_contract_from_either_operand_matches_triple_loop(a_unit, b_unit, swapped, into_out, data):
-    """Each of the four kernel paths, with ``b`` the operand of fewer columns
+    """Each of the kernel paths, with ``b`` the operand of fewer columns
     (run through the tensor's opposite) and without, alone and into an
     output: every case is drawn, and the tensor's opposite is built exactly
-    when ``b`` has fewer columns."""
+    when ``b`` has fewer columns.  A unit operand is plain or scaled, so
+    two unit operands take the path of two plain, of two scaled, or of one
+    of them."""
     t = data.draw(kernel_tensors())
     na = data.draw(st.integers(1 if swapped else 0, KDIM))
     nb = data.draw(st.integers(0, na - 1) if swapped else st.integers(na, KDIM))
@@ -847,8 +868,8 @@ def test_contract_from_either_operand_matches_triple_loop(a_unit, b_unit, swappe
     out = data.draw(kernel_columns(7, (None, 2, 4, 7))) if into_out else None
     factor = data.draw(st.sampled_from((1, -1, 3)))
     assert (len(b.cols) < len(a.cols)) == swapped
-    assert (a.units is not None, b.units is not None) == (a_unit, b_unit)
-    operands = [({n: dict(col) for n, col in f.cols.items()}, f.units and dict(f.units)) for f in (a, b)]
+    assert tuple(f.units is not None or f.scaled is not None for f in (a, b)) == (a_unit, b_unit)
+    operands = [form_state(f) for f in (a, b)]
     expected = reference_contract(t, a, b, out or {}, factor)
     form = _contract(t, a, b, out, factor)
     assert ("_opposite" in vars(t)) == swapped
@@ -856,7 +877,7 @@ def test_contract_from_either_operand_matches_triple_loop(a_unit, b_unit, swappe
     if into_out:
         assert form.cols is out
     assert (form.slots, form.den) == (a.slots | b.slots, t.den * a.den * b.den)
-    assert [(a.cols, a.units), (b.cols, b.units)] == operands
+    assert [form_state(a), form_state(b)] == operands
 
 
 @settings(max_examples=100, deadline=None)
@@ -900,11 +921,25 @@ def test_opposite_regroups_to_the_tensor_of_swapped_keys(t, declares):
 
 @st.composite
 def kernel_maps(draw):
-    """A map of ``KDIM`` with columns of 0 to ``KDIM`` nonzero numerators,
-    units of both signs among them."""
-    columns = tuple(tuple(sorted(draw(st.dictionaries(st.integers(0, KDIM - 1), kernel_numerators.filter(bool),
-                                                       max_size=KDIM)).items()))
-                    for _ in range(KDIM))
+    """A map of ``KDIM``: columns of 0 to ``KDIM`` nonzero numerators, units
+    of both signs among them, or one nonzero per column, in a diagonal, a
+    permutation or a scaled permutation, or in a near miss of those, with a
+    repeated row or a zero column."""
+    nonzero = kernel_numerators.filter(bool)
+    kind = draw(st.sampled_from(("columns", "columns", "diagonal", "permutation", "scaled", "repeated row",
+                                 "zero column")))
+    if kind == "columns":
+        columns = tuple(tuple(sorted(draw(st.dictionaries(st.integers(0, KDIM - 1), nonzero, max_size=KDIM)).items()))
+                        for _ in range(KDIM))
+    else:
+        rows = list(range(KDIM)) if kind == "diagonal" else draw(st.permutations(range(KDIM)))
+        j, other = draw(st.lists(st.integers(0, KDIM - 1), min_size=2, max_size=2, unique=True))
+        if kind == "repeated row":
+            rows[j] = rows[other]
+        columns = [((i, 1 if kind == "permutation" else draw(nonzero)),) for i in rows]
+        if kind == "zero column":
+            columns[j] = ()
+        columns = tuple(columns)
     return LinearMap._of(columns, draw(st.integers(1, 4)))
 
 
@@ -922,18 +957,40 @@ def reference_apply(m, a, out, factor):
     return out
 
 
+FULL_UNIT = _Form.unit({0: 0, 1: 1, 2: 3}, 1)
+
+
 @settings(max_examples=400, deadline=None)
-@given(kernel_maps(), kernel_forms(0), st.none() | kernel_columns(7, (None, 2, 4, 7)), st.sampled_from((1, -1, 3)))
+# unit forms drawn more often than in kernel_forms: they alone can be relabelled
+@given(kernel_maps(), kernel_forms(0) | unit_forms(0), st.none() | kernel_columns(7, (None, 2, 4, 7)),
+       st.sampled_from((1, -1, 3)))
+# on every column: a scaled permutation, and near misses with two nonzeros
+# in a column, a repeated row and a zero column
+@example(LinearMap._of((((2, -3),), ((0, 2),), ((1, 1),)), 2), FULL_UNIT, None, 3)
+@example(LinearMap._of((((0, 1), (1, 2)), ((2, 1),), ((1, 1),)), 1), FULL_UNIT, None, 1)
+@example(LinearMap._of((((0, 2),), ((0, 1),), ((1, 1),)), 1), FULL_UNIT, None, 1)
+@example(LinearMap._of((((1, 2),), (), ((0, 1),)), 1), FULL_UNIT, None, 1)
 def test_apply_matches_double_loop(m, a, out, factor):
-    operand = ({n: dict(col) for n, col in a.cols.items()}, a.units and dict(a.units))
+    """Without ``out``, a map relabels a unit form to a scaled unit form when
+    it maps the form's columns to one nonzero each, in distinct rows; any
+    other application, of a scaled unit form too, is a general form.  A
+    near miss relabels only a form that avoids its repeated row's columns
+    or its zero column."""
+    operand = form_state(a)
     expected = reference_apply(m, a, out or {}, factor)
     form = _apply(m, a, out, factor)
     assert form.cols == expected
     if out is not None:
         assert form.cols is out
     assert (form.slots, form.den) == (a.slots, m.den * a.den)
+    images = [[i for i, row in enumerate(dense_matrix(m)) if row[j]] for j in a.cols]
+    relabels = all(len(rows) == 1 for rows in images) and len({rows[0] for rows in images}) == len(images)
+    assert (form.scaled is not None) == (relabels and out is None and a.units is not None)
+    assert form.units is None
+    if form.scaled is not None:
+        assert form.cols == {n: {code: q} for n, (code, q) in form.scaled.items()}
     # the operand is read only: a sweep reuses memoised forms across blocks
-    assert (a.cols, a.units) == operand
+    assert form_state(a) == operand
 
 
 # ---------------------------------------------------------------------------
